@@ -11,20 +11,17 @@ from .config import ConfigError, ExperimentConfig, PRESETS
 from .conversion import (ConversionParams, EfficiencyFit, EfficiencyModel,
                          NoiseModel, TwoModeUnitary, apply_conversion,
                          build_conversion_unitary, conversion_efficiency,
-                         fit_efficiency_curve, noise_mean_photons,
-                         pump_dephasing_factor)
+                         fit_efficiency_curve, pump_dephasing_factor)
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        InsufficientEventsError, count_summary, delay_histogram,
                        g2_at_offset, g2_zero_from_counts, select_window)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
 from .qubits import (MziConfig, PHI_PLUS, check_density_matrix,
-                     convert_timebin_qubit, end_to_end_state, pol_to_timebin,
-                     timebin_to_pol, waveplate_unitary)
-from .sources import (DetectionEvent, Detector, EventStream, SpdcSource,
-                      detect, detect_fock, entangled_pair_state,
+                     convert_timebin_qubit, end_to_end_state, timebin_to_pol)
+from .sources import (Detector, EventStream, SpdcSource, entangled_pair_state,
                       expected_hbt_rates, generate_hbt_stream,
-                      generate_mzi_stream, herald_single_photon)
+                      generate_mzi_stream)
 from .tomography import (CountRecord, MeasurementSetting, MleResult,
                          load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_settings,
@@ -34,20 +31,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChshResult", "CoincidenceWindow", "ConfigError", "ConversionParams",
-    "CountRecord", "CountSummary", "DelayHistogram", "DetectionEvent",
-    "Detector", "EfficiencyFit", "EfficiencyModel", "EventStream",
-    "ExperimentConfig", "InsufficientEventsError", "MeasurementSetting",
-    "MleResult", "MziConfig", "NoiseModel", "PHI_PLUS", "PRESETS",
-    "SpdcSource", "TwoModeUnitary", "apply_conversion",
-    "build_conversion_unitary", "check_density_matrix", "chsh_assessment",
-    "concurrence", "conversion_efficiency", "convert_timebin_qubit",
-    "count_summary", "delay_histogram", "detect", "detect_fock",
+    "CountRecord", "CountSummary", "DelayHistogram", "Detector",
+    "EfficiencyFit", "EfficiencyModel", "EventStream", "ExperimentConfig",
+    "InsufficientEventsError", "MeasurementSetting", "MleResult", "MziConfig",
+    "NoiseModel", "PHI_PLUS", "PRESETS", "SpdcSource", "TwoModeUnitary",
+    "apply_conversion", "build_conversion_unitary", "check_density_matrix",
+    "chsh_assessment", "concurrence", "conversion_efficiency",
+    "convert_timebin_qubit", "count_summary", "delay_histogram",
     "end_to_end_state", "entangled_pair_state", "entanglement_of_formation",
-    "expected_hbt_rates", "fidelity", "fit_efficiency_curve",
-    "g2_at_offset", "g2_zero_from_counts", "generate_hbt_stream",
-    "generate_mzi_stream", "herald_single_photon", "load_records",
-    "mle_reconstruct", "noise_mean_photons", "pol_to_timebin",
-    "pump_dephasing_factor", "save_records", "select_window",
-    "simulate_counts", "standard_settings", "subtract_background",
-    "timebin_to_pol", "waveplate_unitary",
+    "expected_hbt_rates", "fidelity", "fit_efficiency_curve", "g2_at_offset",
+    "g2_zero_from_counts", "generate_hbt_stream", "generate_mzi_stream",
+    "load_records", "mle_reconstruct", "pump_dephasing_factor",
+    "save_records", "select_window", "simulate_counts", "standard_settings",
+    "subtract_background", "timebin_to_pol",
 ]

@@ -19,14 +19,14 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, parse_scalar
 from .counting import (CoincidenceWindow, InsufficientEventsError,
                        count_summary, delay_histogram, g2_zero_from_counts)
-from .experiments import (run_efficiency_sweep, run_g2_experiment,
-                          run_mzi_histogram, run_tomography_experiment,
+from .experiments import (TomographyResult, run_efficiency_sweep,
+                          run_g2_experiment, run_mzi_histogram,
+                          run_tomography_experiment, tomography_report,
                           write_g2, write_sweep, write_tomography)
 from .metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
 from .qubits import PHI_PLUS
 from .sources import EventStream
-from .tomography import (density_matrix_to_json, load_records, mle_reconstruct,
-                         save_report, subtract_background)
+from .tomography import load_records, mle_reconstruct, save_report, subtract_background
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +128,9 @@ def _cmd_analyze(args) -> int:
     if args.stream:
         try:
             stream = EventStream.load(args.stream)
-        except OSError as exc:
+        except KeyError as exc:
+            raise ConfigError(f"stream header lacks {exc}") from exc
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
         bin_width = parse_scalar(args.bin_width)
         window = CoincidenceWindow(parse_scalar(args.window))
@@ -152,27 +154,17 @@ def _cmd_analyze(args) -> int:
 
     try:
         records = load_records(args.counts)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
     if args.subtract_bg:
         records = subtract_background(records, parse_scalar(args.bg_rate))
     mle = mle_reconstruct(records)
-    chsh = chsh_assessment(mle.rho)
-    report = {
-        "density_matrix": density_matrix_to_json(mle.rho),
-        "fidelity": fidelity(mle.rho, PHI_PLUS),
-        "concurrence": concurrence(mle.rho),
-        "entanglement_of_formation": entanglement_of_formation(mle.rho),
-        "chsh_s_max": chsh.s_max,
-        "witness_fidelity": chsh.witness_fidelity,
-        "witness_violated": chsh.witness_violated,
-        "background_subtracted": bool(args.subtract_bg),
-        "mle_iterations": mle.iterations,
-        "mle_converged": mle.converged,
-        "log_likelihood": mle.log_likelihood,
-    }
+    result = TomographyResult(
+        rho=mle.rho, fidelity=fidelity(mle.rho, PHI_PLUS), concurrence=concurrence(mle.rho),
+        eof=entanglement_of_formation(mle.rho), chsh=chsh_assessment(mle.rho), errors={},
+        records=records, mle=mle, subtracted=bool(args.subtract_bg), mean_rate_hz=None)
     report_path = outdir / "tomography.json"
-    save_report(report, report_path)
+    save_report(tomography_report(result), report_path)
     print(report_path)
     return 0
 

@@ -244,11 +244,9 @@ class ExperimentConfig:
             if key not in field_map:
                 raise ConfigError(f"unknown config key {key!r}")
             ftype = field_map[key].type
-            if key == "seed":
-                kwargs[key] = int(val)
-            elif ftype in ("bool",):
+            if ftype in ("bool",):
                 kwargs[key] = _parse_bool(val)
-            elif ftype in ("int",):
+            elif ftype in ("int", "Optional[int]"):
                 try:
                     kwargs[key] = int(val)
                 except ValueError as exc:

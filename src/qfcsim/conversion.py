@@ -134,7 +134,14 @@ class EfficiencyModel:
 
 
 def conversion_efficiency(pump_power_w: float, model: EfficiencyModel) -> float:
-    """External conversion efficiency at the given pump power (watts)."""
+    """External conversion efficiency at the given pump power (watts).
+
+    The sin^2 law is the single-photon transfer probability of the Fock-space
+    model: ``build_conversion_unitary`` at theta = sqrt(coeff_per_watt * P)
+    sends |1, 0> to |0, 1> with probability sin^2(theta), and ``peak`` scales
+    it to the external efficiency.  That unitary is the oracle the tests
+    check this closed form against.
+    """
     if pump_power_w < 0.0 or not math.isfinite(pump_power_w):
         raise ValueError(f"pump power must be >= 0, got {pump_power_w}")
     return model.peak * math.sin(math.sqrt(model.coeff_per_watt * pump_power_w)) ** 2
@@ -250,11 +257,3 @@ def pump_dephasing_factor(noise: NoiseModel) -> float:
     """
     return math.exp(-TWO_PI * noise.pump_linewidth * noise.delay)
 
-
-def noise_mean_photons(pump_power_w: float, noise_coeff: float) -> float:
-    """Mean noise photons per pulse at the given pump power (linear law)."""
-    if pump_power_w < 0.0:
-        raise ValueError("pump power must be >= 0")
-    if noise_coeff < 0.0:
-        raise ValueError("noise_coeff must be >= 0")
-    return noise_coeff * pump_power_w

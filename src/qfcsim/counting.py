@@ -123,8 +123,6 @@ def delay_histogram(stream: EventStream, start_channel: int = START_CHANNEL,
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
-    if len(stream) == 0:
-        raise ValueError("empty event stream")
     _, delays, _ = pair_delays(stream, start_channel, stop_channel)
     width_ps = bin_width * 1e12
     if len(delays) == 0:

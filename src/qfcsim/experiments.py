@@ -196,13 +196,11 @@ class TomographyResult:
     records: list[CountRecord]
     mle: MleResult
     subtracted: bool
-    mean_rate_hz: float
+    mean_rate_hz: Optional[float]
 
 
-def _reconstruct(records: list[CountRecord], subtract: bool,
-                 bg_rate: float) -> tuple[MleResult, list[CountRecord]]:
-    used = subtract_background(records, bg_rate) if subtract else records
-    return mle_reconstruct(used), used
+def _reconstruct(records: list[CountRecord], subtract: bool, bg_rate: float) -> MleResult:
+    return mle_reconstruct(subtract_background(records, bg_rate) if subtract else records)
 
 
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
@@ -227,7 +225,7 @@ def run_tomography_experiment(config: ExperimentConfig,
     records = simulate_counts(rho_true, settings, config.n_per_setting,
                               bg_rate=0.0, duration_s=config.duration_per_setting,
                               rng=rng)
-    mle, used = _reconstruct(records, subtract_bg, config.bg_rate)
+    mle = _reconstruct(records, subtract_bg, config.bg_rate)
     fid, conc, eof, chsh = _metrics_of(mle.rho)
 
     errors: dict[str, float] = {}
@@ -240,7 +238,7 @@ def run_tomography_experiment(config: ExperimentConfig,
                 CountRecord(r.setting, int(brng.poisson(r.count)), r.duration_s)
                 for r in records
             ]
-            bmle, _ = _reconstruct(resampled, subtract_bg, config.bg_rate)
+            bmle = _reconstruct(resampled, subtract_bg, config.bg_rate)
             bf, bc, be, bs = _metrics_of(bmle.rho)
             samples["fidelity"].append(bf)
             samples["concurrence"].append(bc)
@@ -258,6 +256,8 @@ def run_tomography_experiment(config: ExperimentConfig,
 
 
 def tomography_report(result: TomographyResult) -> dict:
+    """Report dict in file key order; the count rate and the ``*_error``
+    keys appear only when the result carries them."""
     report = {
         "density_matrix": density_matrix_to_json(result.rho),
         "fidelity": result.fidelity,
@@ -267,11 +267,12 @@ def tomography_report(result: TomographyResult) -> dict:
         "witness_fidelity": result.chsh.witness_fidelity,
         "witness_violated": result.chsh.witness_violated,
         "background_subtracted": result.subtracted,
-        "mean_count_rate_hz": result.mean_rate_hz,
-        "mle_iterations": result.mle.iterations,
-        "mle_converged": result.mle.converged,
-        "log_likelihood": result.mle.log_likelihood,
     }
+    if result.mean_rate_hz is not None:
+        report["mean_count_rate_hz"] = result.mean_rate_hz
+    report["mle_iterations"] = result.mle.iterations
+    report["mle_converged"] = result.mle.converged
+    report["log_likelihood"] = result.mle.log_likelihood
     for key, val in result.errors.items():
         report[f"{key}_error"] = val
     return report

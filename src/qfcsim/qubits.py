@@ -21,9 +21,7 @@ from .conversion import pump_dephasing_factor
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
 KET_D = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-KET_A = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 KET_R = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-KET_L = np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -32,7 +30,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 PHI_PLUS = (np.kron(KET_H, KET_H) + np.kron(KET_V, KET_V)) / math.sqrt(2.0)
 PHI_MINUS = (np.kron(KET_H, KET_H) - np.kron(KET_V, KET_V)) / math.sqrt(2.0)
-PSI_PLUS = (np.kron(KET_H, KET_V) + np.kron(KET_V, KET_H)) / math.sqrt(2.0)
 PSI_MINUS = (np.kron(KET_H, KET_V) - np.kron(KET_V, KET_H)) / math.sqrt(2.0)
 
 
@@ -99,50 +96,21 @@ def quarter_wave_plate(angle: float) -> np.ndarray:
     return retarder(angle, math.pi / 2.0)
 
 
-def waveplate_unitary(kind: str, angle: float) -> np.ndarray:
-    """Jones matrix for a half or quarter wave plate at ``angle`` radians."""
-    if kind == "half":
-        return half_wave_plate(angle)
-    if kind == "quarter":
-        return quarter_wave_plate(angle)
-    raise ValueError(f"unknown waveplate kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class MziConfig:
     """Unbalanced interferometer used for time-bin encoding and decoding.
 
-    ``delay`` is the long-minus-short path delay in seconds.  The encoder
-    splits on polarization and the decoder recombines on polarization, which
-    is what ``split_in``/``split_out`` record; they do not change the qubit
-    map, only which stream generator geometry applies.  ``relative_phase``
-    is the phase the long arm adds relative to the short arm.
+    ``delay`` is the long-minus-short path delay in seconds.
+    ``relative_phase`` is the phase the long arm adds relative to the short
+    arm.
     """
 
     delay: float = 1e-9
-    split_in: str = "pbs"
-    split_out: str = "bs"
     relative_phase: float = 0.0
 
     def __post_init__(self):
         if self.delay <= 0.0:
             raise ValueError("delay must be > 0")
-        for name in (self.split_in, self.split_out):
-            if name not in ("pbs", "bs"):
-                raise ValueError(f"splitter type must be 'pbs' or 'bs', got {name!r}")
-
-
-def pol_to_timebin(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Encode qubit B from polarization into time bins.
-
-    A polarization splitter routes |H> through the short arm and |V>
-    through the long arm, then a balanced merger overlaps the paths into a
-    single spatial mode.  The merger keeps the photon with probability 1/2;
-    conditioned on that, the map is a relabeling |H> -> |S>, |V> -> |L>.
-    Returns the conditional state and the success probability.
-    """
-    rho = check_density_matrix(rho, dim=4)
-    return rho.copy(), 0.5
 
 
 def dephase_timebin(rho: np.ndarray, coherence: float) -> np.ndarray:
@@ -204,7 +172,10 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
 
     Starts from the configured pair source, encodes B into time bins,
     applies the conversion chain (transmission, pump phase diffusion,
-    pump-induced noise), and decodes back to polarization.  With
+    pump-induced noise), and decodes back to polarization.  The encoder
+    routes |H> and |V> through the short and long arms, so conditioned on
+    the photon surviving its merger the encoding is the relabeling
+    |H> -> |S>, |V> -> |L> and leaves the matrix unchanged.  With
     ``config.interface`` off the source state is returned unchanged.
     """
     from .sources import entangled_pair_state
@@ -212,7 +183,6 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     rho = entangled_pair_state(config.werner_weight)
     if not config.interface:
         return rho
-    rho, _ = pol_to_timebin(rho)
     coherence = pump_dephasing_factor(config.noise_model())
     rho = convert_timebin_qubit(
         rho,
@@ -220,7 +190,6 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
         coherence=coherence,
         noise_mean=config.noise_mean(),
     )
-    mzi = MziConfig(delay=config.mzi_delay, split_in="bs", split_out="pbs",
-                    relative_phase=config.mzi_phase)
+    mzi = MziConfig(delay=config.mzi_delay, relative_phase=config.mzi_phase)
     rho, _ = timebin_to_pol(rho, mzi)
     return rho

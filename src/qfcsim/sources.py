@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ class Detector:
 
     efficiency: float
     dark_prob: float = 0.0
-    gated: bool = True
-    channel_id: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -77,16 +75,6 @@ class Detector:
         return 1.0 - (1.0 - self.dark_prob) * math.exp(-self.efficiency * mean_photons)
 
 
-def detect(mean_exposure: float, detector: Detector, rng: np.random.Generator) -> bool:
-    """Sample one gate of the detector under Poissonian illumination."""
-    return bool(rng.random() < detector.click_prob_poisson(mean_exposure))
-
-
-def detect_fock(n_photons: int, detector: Detector, rng: np.random.Generator) -> bool:
-    """Sample one gate of the detector with exactly n incident photons."""
-    return bool(rng.random() < detector.click_prob_fock(n_photons))
-
-
 @dataclass(frozen=True)
 class SpdcSource:
     """Pulsed photon-pair source with truncated pair-number statistics.
@@ -97,15 +85,12 @@ class SpdcSource:
     """
 
     mean_pairs: float
-    rep_period: float = 1.0 / 82e6
     pair_truncation: int = 4
     statistics: str = "poisson"
 
     def __post_init__(self):
         if self.mean_pairs < 0.0:
             raise ValueError("mean_pairs must be >= 0")
-        if self.rep_period <= 0.0:
-            raise ValueError("rep_period must be > 0")
         if self.pair_truncation < 1:
             raise ValueError("pair_truncation must be >= 1")
         if self.statistics not in ("poisson", "thermal"):
@@ -122,28 +107,6 @@ class SpdcSource:
         else:
             w = mu ** k / (1.0 + mu) ** (k + 1)
         return w / w.sum()
-
-
-def herald_single_photon(source: SpdcSource, herald: Detector) -> np.ndarray:
-    """Pair-number distribution conditioned on a herald click.
-
-    Returns P(k | click) for k = 0..pair_truncation.  At vanishing mean pair
-    number and no dark counts this concentrates on k = 1.
-    """
-    p_k = source.pair_distribution()
-    click = herald.click_prob_fock(np.arange(len(p_k)))
-    joint = p_k * click
-    total = joint.sum()
-    if total <= 0.0:
-        raise ValueError("herald never clicks for this source and detector")
-    return joint / total
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    channel_id: int
-    pulse_index: int
-    timestamp_ps: float
 
 
 @dataclass
@@ -177,10 +140,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.channels)
-
-    def events(self) -> Iterator[DetectionEvent]:
-        for c, p, t in zip(self.channels, self.pulse_indices, self.timestamps_ps):
-            yield DetectionEvent(int(c), int(p), float(t))
 
     def first_event_times(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
         """Pulses with at least one click on ``channel`` and the earliest
@@ -224,14 +183,9 @@ class EventStream:
         )
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-
-
 def _source_from_config(config: ExperimentConfig) -> SpdcSource:
     stats = "thermal" if config.source_kind == "spdc_thermal" else "poisson"
-    return SpdcSource(config.mean_pairs, config.rep_period,
-                      config.pair_truncation, stats)
+    return SpdcSource(config.mean_pairs, config.pair_truncation, stats)
 
 
 def _sample_pairs(rng: np.random.Generator, config: ExperimentConfig, m: int) -> np.ndarray:
@@ -243,20 +197,33 @@ def _sample_pairs(rng: np.random.Generator, config: ExperimentConfig, m: int) ->
 
 def _detectors(config: ExperimentConfig) -> tuple[Detector, Detector, Detector]:
     return (
-        Detector(config.det1_efficiency, config.det1_dark, channel_id=TRIGGER_CHANNEL),
-        Detector(config.det2_efficiency, config.det2_dark, channel_id=START_CHANNEL),
-        Detector(config.det3_efficiency, config.det3_dark, channel_id=STOP_CHANNEL),
+        Detector(config.det1_efficiency, config.det1_dark),
+        Detector(config.det2_efficiency, config.det2_dark),
+        Detector(config.det3_efficiency, config.det3_dark),
     )
 
 
-def _chunks(n_pulses: int) -> Iterator[tuple[int, int, int]]:
-    start = 0
-    index = 0
-    while start < n_pulses:
-        size = min(CHUNK_PULSES, n_pulses - start)
-        yield index, start, size
-        index += 1
-        start += size
+def _generate(config: ExperimentConfig, seed: int | None,
+              chunk_events: Callable) -> EventStream:
+    """Run ``chunk_events(rng, start, m)`` over fixed chunks and join the results.
+
+    ``chunk_events`` simulates pulses ``start .. start + m - 1`` and returns
+    their (channels, pulse indices, timestamps) in any order.  Each chunk
+    draws from its own Philox substream keyed by (seed, chunk_index), and
+    its events are stably sorted by time before the chunks are joined.
+    """
+    seed = config.require_seed() if seed is None else int(seed)
+    parts = []
+    for index, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
+        m = min(CHUNK_PULSES, config.n_pulses - start)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+        channels, pulses, times = chunk_events(rng, start, m)
+        order = np.argsort(times, kind="stable")
+        parts.append((channels[order], pulses[order], times[order]))
+    channels, pulses, times = (np.concatenate(column) for column in zip(*parts))
+    return EventStream(channels=channels, pulse_indices=pulses, timestamps_ps=times,
+                       n_pulses=config.n_pulses, seed=seed,
+                       rep_period=config.rep_period)
 
 
 def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> EventStream:
@@ -268,7 +235,6 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     the pulse-locked timing of photon clicks, so a window as wide as the
     timing spread captures every same-pulse coincidence.
     """
-    seed = config.require_seed() if seed is None else int(seed)
     rep_ps = config.rep_period * 1e12
     sigma_ps = config.jitter_sigma * 1e12
     s_chain = config.chain_efficiency()
@@ -276,9 +242,7 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     det1, det2, det3 = _detectors(config)
     classical = config.source_kind in _CLASSICAL_KINDS
 
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for ci, start, m in _chunks(config.n_pulses):
-        rng = _chunk_rng(seed, ci)
+    def chunk_events(rng, start, m):
         if classical:
             hidx = np.arange(m, dtype=np.int64)
             mean_eff = config.mean_pairs * s_chain
@@ -302,8 +266,8 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         jit2 = rng.normal(0.0, sigma_ps, nh)
         jit3 = rng.normal(0.0, sigma_ps, nh)
 
-        base = (start + hidx) * rep_ps
         pulses = start + hidx
+        base = pulses * rep_ps
         channels = np.concatenate([
             np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
             np.full(int(click2.sum()), START_CHANNEL, dtype=np.int16),
@@ -311,17 +275,9 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         ])
         pulse_arr = np.concatenate([pulses, pulses[click2], pulses[click3]])
         time_arr = np.concatenate([base + jit1, (base + jit2)[click2], (base + jit3)[click3]])
-        order = np.argsort(time_arr, kind="stable")
-        parts.append((channels[order], pulse_arr[order], time_arr[order]))
+        return channels, pulse_arr, time_arr
 
-    return EventStream(
-        channels=np.concatenate([p[0] for p in parts]),
-        pulse_indices=np.concatenate([p[1] for p in parts]),
-        timestamps_ps=np.concatenate([p[2] for p in parts]),
-        n_pulses=config.n_pulses,
-        seed=seed,
-        rep_period=config.rep_period,
-    )
+    return _generate(config, seed, chunk_events)
 
 
 def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> EventStream:
@@ -334,7 +290,6 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     uniformly across the gate, and only the earliest click per pulse is kept
     (start-stop electronics).
     """
-    seed = config.require_seed() if seed is None else int(seed)
     if config.source_kind in _CLASSICAL_KINDS:
         raise ConfigError("interferometer stream needs a heralded pair source")
     rep_ps = config.rep_period * 1e12
@@ -344,9 +299,7 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     nu = config.noise_mean()
     det1, det2, _ = _detectors(config)
 
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for ci, start, m in _chunks(config.n_pulses):
-        rng = _chunk_rng(seed, ci)
+    def chunk_events(rng, start, m):
         k = _sample_pairs(rng, config, m)
         hidx = np.nonzero(rng.random(m) < det1.click_prob_fock(k))[0]
         nh = len(hidx)
@@ -387,17 +340,9 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         ])
         pulse_arr = np.concatenate([pulses, cp])
         time_arr = np.concatenate([base + rng.normal(0.0, sigma_ps, nh), ct])
-        order = np.argsort(time_arr, kind="stable")
-        parts.append((channels[order], pulse_arr[order], time_arr[order]))
+        return channels, pulse_arr, time_arr
 
-    return EventStream(
-        channels=np.concatenate([p[0] for p in parts]),
-        pulse_indices=np.concatenate([p[1] for p in parts]),
-        timestamps_ps=np.concatenate([p[2] for p in parts]),
-        n_pulses=config.n_pulses,
-        seed=seed,
-        rep_period=config.rep_period,
-    )
+    return _generate(config, seed, chunk_events)
 
 
 class HbtRates(NamedTuple):

@@ -238,7 +238,8 @@ def mle_reconstruct(records: list[CountRecord] | None = None,
         iterations += 1
         gain = new_ll - prev_ll
         min_gain = min(min_gain, gain)
-        assert gain >= -slack * max(1.0, abs(new_ll)), "likelihood decreased"
+        if not gain >= -slack * max(1.0, abs(new_ll)):
+            raise RuntimeError("likelihood decreased")
         return gain
 
     span = 1

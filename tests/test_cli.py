@@ -4,12 +4,15 @@ Commands run in-process through main(argv) for speed; one subprocess
 check confirms the installed entry point works at all.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qfcsim
 from qfcsim.cli import main
 from qfcsim.config import ExperimentConfig, calibrated_g2_config, calibrated_tomo_config
 from qfcsim.counting import CountSummary
@@ -110,6 +113,18 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("wavelength=780\n")
     assert main(["sweep", "--config", str(unknown), "--out", str(tmp_path / "o")]) == 2
+    fractional_seed = tmp_path / "seed.cfg"
+    fractional_seed.write_text("seed=1.5\n")
+    assert main(["g2", "--config", str(fractional_seed), "--out", str(tmp_path / "o")]) == 2
+    no_seed_header = tmp_path / "header.csv"
+    no_seed_header.write_text("# n_pulses=10 rep_period_ps=12195.0\n1,0,0.0\n")
+    assert main(["analyze", "--stream", str(no_seed_header), "--out", str(tmp_path / "o")]) == 2
+    short_line = tmp_path / "line.csv"
+    short_line.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0\n")
+    assert main(["analyze", "--stream", str(short_line), "--out", str(tmp_path / "o")]) == 2
+    bad_counts = tmp_path / "counts.csv"
+    bad_counts.write_text("0,0,0,0,12\n")
+    assert main(["analyze", "--counts", str(bad_counts), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_code_on_usage_errors(tmp_path, g2_cfg_path, capsys):
@@ -129,6 +144,31 @@ def test_exit_code_on_numerical_failure(tmp_path, capsys):
     save_records(zero, path)
     assert main(["analyze", "--counts", str(path),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_g2_on_empty_run_exits_zero(tmp_path, capsys):
+    path = tmp_path / "empty.cfg"
+    ExperimentConfig(n_pulses=50, seed=1).to_file(path)
+    out = tmp_path / "o"
+    assert main(["g2", "--config", str(path), "--out", str(out)]) == 0
+    assert "insufficient=True" in (out / "g2_summary.txt").read_text()
+
+
+def test_traced_and_exported_names_resolve():
+    # perfbench/child.py patches these (owner, attribute) pairs under --trace 1
+    child_path = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", child_path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for owner_path, attr, _, _ in child.TARGETS:
+        module_name, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+            assert attr in vars(owner), f"{owner_path}.{attr}"
+        assert callable(getattr(owner, attr)), f"{owner_path}.{attr}"
+    for name in qfcsim.__all__:
+        assert hasattr(qfcsim, name), name
 
 
 def test_missing_seed_is_a_config_error(tmp_path, capsys):

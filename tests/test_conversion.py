@@ -20,9 +20,9 @@ from qfcsim.conversion import (
     build_conversion_unitary,
     conversion_efficiency,
     fit_efficiency_curve,
-    noise_mean_photons,
     pump_dephasing_factor,
 )
+from qfcsim.config import ExperimentConfig
 
 DEPHASING_150KHZ_1NS = 0.9990579661966258
 PEAK_POWER_W = 0.6853891945200943
@@ -152,6 +152,19 @@ def test_efficiency_coeff_units_agree():
                    - conversion_efficiency(power, per_mw)) < 1e-14
 
 
+def test_efficiency_law_matches_fock_unitary():
+    # the closed form is peak times the single-photon transfer probability
+    # |<0,1|U|1,0>|^2 of the two-mode unitary at theta = sqrt(coeff * P)
+    for model in (EfficiencyModel(peak=0.62, coeff=3.6),
+                  EfficiencyModel(peak=0.9, coeff=1.2e-3, coeff_unit="per_mW")):
+        for power in np.linspace(0.0, 2.5, 26):
+            theta = math.sqrt(model.coeff_per_watt * power)
+            u = build_conversion_unitary(ConversionParams(theta=theta, phi=0.3, n_max=1))
+            transfer = abs(u.matrix[u.index(0, 1), u.index(1, 0)]) ** 2
+            assert abs(conversion_efficiency(float(power), model)
+                       - model.peak * transfer) < 1e-12
+
+
 def test_efficiency_monotone_up_to_peak():
     model = EfficiencyModel(peak=0.62, coeff=3.6)
     grid = np.linspace(0.0, model.peak_power_w, 200)
@@ -214,9 +227,7 @@ def test_dephasing_factor():
 
 
 def test_noise_mean_is_linear():
-    assert noise_mean_photons(0.7, 0.2) == pytest.approx(0.14)
-    assert noise_mean_photons(0.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        noise_mean_photons(-1.0, 0.1)
+    assert ExperimentConfig(pump_power=0.7, noise_coeff=0.2).noise_mean() == pytest.approx(0.14)
+    assert ExperimentConfig(pump_power=0.0, noise_coeff=5.0).noise_mean() == 0.0
     with pytest.raises(ValueError):
         NoiseModel(noise_coeff=-0.1)

@@ -84,10 +84,14 @@ def test_g2_experiment_is_deterministic():
 def test_g2_insufficient_run_yields_nan():
     cfg = calibrated_g2_config(seed=3)
     cfg.n_pulses = 2000  # ~70 triggers, below the opportunity floor
-    res = run_g2_experiment(cfg)
-    assert res.insufficient
-    assert math.isnan(res.value)
-    assert math.isnan(res.std_error)
+    empty = ExperimentConfig(n_pulses=50, seed=1)  # no events at all
+    for config in (cfg, empty):
+        res = run_g2_experiment(config)
+        assert res.insufficient
+        assert math.isnan(res.value)
+        assert math.isnan(res.std_error)
+    assert res.summary.n_trigger == 0
+    assert res.histogram.mass == 0
 
 
 def test_write_g2_files(tmp_path):

@@ -31,13 +31,10 @@ from qfcsim.sources import (
     START_CHANNEL,
     STOP_CHANNEL,
     TRIGGER_CHANNEL,
-    detect,
-    detect_fock,
     entangled_pair_state,
     expected_hbt_rates,
     generate_hbt_stream,
     generate_mzi_stream,
-    herald_single_photon,
     noise_coeff_for_g2,
 )
 
@@ -92,38 +89,6 @@ def test_detector_click_probabilities():
         Detector(efficiency=1.2)
     with pytest.raises(ValueError):
         det.click_prob_fock(-1)
-
-
-def test_detector_sampling_rates():
-    det = Detector(efficiency=0.3, dark_prob=0.01)
-    rng = np.random.default_rng(404)
-    n = 20_000
-    clicks = sum(detect_fock(1, det, rng) for _ in range(n))
-    p = det.click_prob_fock(1)
-    sigma = math.sqrt(n * p * (1.0 - p))
-    assert abs(clicks - n * p) < 4.0 * sigma
-    clicks = sum(detect(0.5, det, rng) for _ in range(n))
-    p = det.click_prob_poisson(0.5)
-    sigma = math.sqrt(n * p * (1.0 - p))
-    assert abs(clicks - n * p) < 4.0 * sigma
-
-
-def test_herald_conditioning():
-    # tiny pair rate with a clean herald: conditioned on a click it was
-    # almost surely exactly one pair
-    src = SpdcSource(mean_pairs=1e-4)
-    post = herald_single_photon(src, Detector(efficiency=0.6, dark_prob=0.0))
-    assert post[1] > 0.999
-    # enumeration oracle at moderate rate
-    src = SpdcSource(mean_pairs=0.2, pair_truncation=3)
-    det = Detector(efficiency=0.5, dark_prob=1e-3)
-    p_k = src.pair_distribution()
-    click = np.array([det.click_prob_fock(int(k)) for k in range(4)])
-    expected = p_k * click / np.sum(p_k * click)
-    assert_allclose(herald_single_photon(src, det), expected, atol=1e-12)
-    with pytest.raises(ValueError):
-        herald_single_photon(SpdcSource(mean_pairs=0.0),
-                             Detector(efficiency=0.5, dark_prob=0.0))
 
 
 def test_entangled_pair_state_limits():
