@@ -14,7 +14,6 @@ import numpy as np
 from qfcsim.config import ExperimentConfig
 from qfcsim.conversion import (
     EfficiencyModel,
-    NoiseModel,
     conversion_efficiency,
     pump_dephasing_factor,
 )
@@ -59,8 +58,7 @@ print(f"with 1% gaussian noise on 45 samples: peak = {nfit.peak:.4f}, "
 print()
 print("pump coherence carried through conversion:")
 for delay_ns in (0.5, 1.0, 2.0):
-    f = pump_dephasing_factor(NoiseModel(pump_linewidth=150e3,
-                                         delay=delay_ns * 1e-9))
+    f = pump_dephasing_factor(150e3, delay_ns * 1e-9)
     print(f"  150 kHz linewidth, {delay_ns:.1f} ns path imbalance: "
           f"off-diagonal factor {f:.6f}")
 tau = 1.0 / (2.0 * math.pi * 150e3)

@@ -9,7 +9,7 @@ two-qubit state tomography with entanglement metrics.
 
 from .config import ConfigError, ExperimentConfig, PRESETS
 from .conversion import (ConversionParams, EfficiencyFit, EfficiencyModel,
-                         NoiseModel, TwoModeUnitary, apply_conversion,
+                         TwoModeUnitary, apply_conversion,
                          build_conversion_unitary, conversion_efficiency,
                          fit_efficiency_curve, pump_dephasing_factor)
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
@@ -17,11 +17,11 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        g2_at_offset, g2_zero_from_counts, select_window)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
-from .qubits import (MziConfig, PHI_PLUS, check_density_matrix,
+from .qubits import (PHI_PLUS, check_density_matrix,
                      convert_timebin_qubit, end_to_end_state, timebin_to_pol)
-from .sources import (Detector, EventStream, SpdcSource, entangled_pair_state,
-                      expected_hbt_rates, generate_hbt_stream,
-                      generate_mzi_stream)
+from .sources import (EventStream, entangled_pair_state, expected_hbt_rates,
+                      generate_hbt_stream, generate_mzi_stream,
+                      pair_distribution)
 from .tomography import (CountRecord, MeasurementSetting, MleResult,
                          load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_settings,
@@ -31,17 +31,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChshResult", "CoincidenceWindow", "ConfigError", "ConversionParams",
-    "CountRecord", "CountSummary", "DelayHistogram", "Detector",
-    "EfficiencyFit", "EfficiencyModel", "EventStream", "ExperimentConfig",
-    "InsufficientEventsError", "MeasurementSetting", "MleResult", "MziConfig",
-    "NoiseModel", "PHI_PLUS", "PRESETS", "SpdcSource", "TwoModeUnitary",
+    "CountRecord", "CountSummary", "DelayHistogram", "EfficiencyFit",
+    "EfficiencyModel", "EventStream", "ExperimentConfig",
+    "InsufficientEventsError", "MeasurementSetting", "MleResult", "PHI_PLUS",
+    "PRESETS", "TwoModeUnitary",
     "apply_conversion", "build_conversion_unitary", "check_density_matrix",
     "chsh_assessment", "concurrence", "conversion_efficiency",
     "convert_timebin_qubit", "count_summary", "delay_histogram",
     "end_to_end_state", "entangled_pair_state", "entanglement_of_formation",
     "expected_hbt_rates", "fidelity", "fit_efficiency_curve", "g2_at_offset",
     "g2_zero_from_counts", "generate_hbt_stream", "generate_mzi_stream",
-    "load_records", "mle_reconstruct", "pump_dephasing_factor",
+    "load_records", "mle_reconstruct", "pair_distribution",
+    "pump_dephasing_factor",
     "save_records", "select_window", "simulate_counts", "standard_settings",
     "subtract_background", "timebin_to_pol",
 ]

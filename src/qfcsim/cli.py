@@ -75,6 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_value(flag: str, text: str, allow_zero: bool = False) -> float:
+    """Parse a unit-suffixed flag value that must be > 0 (>= 0 with
+    ``allow_zero``)."""
+    value = parse_scalar(text)
+    if value < 0.0 or (value == 0.0 and not allow_zero):
+        raise ConfigError(f"{flag} must be {'>= 0' if allow_zero else '> 0'}, got {text!r}")
+    return value
+
+
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config)
     if getattr(args, "seed", None) is not None:
@@ -130,10 +139,10 @@ def _cmd_analyze(args) -> int:
             stream = EventStream.load(args.stream)
         except KeyError as exc:
             raise ConfigError(f"stream header lacks {exc}") from exc
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
-        bin_width = parse_scalar(args.bin_width)
-        window = CoincidenceWindow(parse_scalar(args.window))
+        bin_width = _flag_value("--bin-width", args.bin_width)
+        window = CoincidenceWindow(_flag_value("--window", args.window))
         hist = delay_histogram(stream, args.start_channel, args.stop_channel,
                                bin_width=bin_width)
         hist_path = outdir / "histogram.csv"
@@ -157,7 +166,8 @@ def _cmd_analyze(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
     if args.subtract_bg:
-        records = subtract_background(records, parse_scalar(args.bg_rate))
+        records = subtract_background(
+            records, _flag_value("--bg-rate", args.bg_rate, allow_zero=True))
     mle = mle_reconstruct(records)
     result = TomographyResult(
         rho=mle.rho, fidelity=fidelity(mle.rho, PHI_PLUS), concurrence=concurrence(mle.rho),

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .conversion import EfficiencyModel, NoiseModel, conversion_efficiency
+from .conversion import EfficiencyModel, conversion_efficiency
 
 
 class ConfigError(ValueError):
@@ -85,7 +85,7 @@ class ExperimentConfig:
 
     Timing is in seconds, powers in watts, rates in Hz.  ``seed`` may stay
     None for purely analytic work but is mandatory before any Monte Carlo
-    run.  Detector channel 1 is the herald/trigger, 2 and 3 sit after the
+    run.  The channel 1 detector is the herald/trigger, 2 and 3 sit after the
     balanced splitter (2 doubles as the single decode detector for the
     time-bin interferometer).
     """
@@ -192,9 +192,6 @@ class ExperimentConfig:
 
     def efficiency_model(self) -> EfficiencyModel:
         return EfficiencyModel(self.eff_peak, self.eff_coeff, self.eff_coeff_unit)
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(self.noise_coeff, self.pump_linewidth, self.mzi_delay)
 
     def chain_efficiency(self) -> float:
         """Conversion efficiency at the configured pump times the residual

@@ -8,8 +8,8 @@ strength and interaction time.  A converted photon picks up the conjugate
 of the pump phase.
 
 This module also carries the small pump-side models that ride along with
-the interaction: the pump-power efficiency law, its curve fit, pump phase
-diffusion, and pump-induced noise photons.
+the interaction: the pump-power efficiency law, its curve fit, and pump
+phase diffusion.
 """
 
 from __future__ import annotations
@@ -225,35 +225,11 @@ def fit_efficiency_curve(samples, max_iter: int = 400) -> EfficiencyFit:
     )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Pump-side imperfections.
-
-    noise_coeff:    mean pump-induced noise photons per pulse per watt
-                    (broadband scattering into the converted band).
-    pump_linewidth: FWHM-style linewidth of the pump in Hz; phase diffusion
-                    washes out interference between paths separated in time.
-    delay:          the time separation those paths see, in seconds.
-    """
-
-    noise_coeff: float = 0.0
-    pump_linewidth: float = 0.0
-    delay: float = 0.0
-
-    def __post_init__(self):
-        if self.noise_coeff < 0.0:
-            raise ValueError("noise_coeff must be >= 0")
-        if self.pump_linewidth < 0.0:
-            raise ValueError("pump_linewidth must be >= 0 (0 = monochromatic)")
-        if self.delay < 0.0:
-            raise ValueError("delay must be >= 0")
-
-
-def pump_dephasing_factor(noise: NoiseModel) -> float:
-    """Coherence multiplier exp(-2 pi linewidth delay) between delayed paths.
+def pump_dephasing_factor(linewidth_hz: float, delay_s: float) -> float:
+    """Coherence multiplier exp(-2 pi linewidth delay) between paths that a
+    pump of the given linewidth (Hz) reaches ``delay_s`` seconds apart.
 
     Equals 1 for a monochromatic pump and 1/e when the delay matches the
     pump coherence time 1/(2 pi linewidth).
     """
-    return math.exp(-TWO_PI * noise.pump_linewidth * noise.delay)
-
+    return math.exp(-TWO_PI * linewidth_hz * delay_s)

@@ -18,6 +18,10 @@ class InsufficientEventsError(ValueError):
     """Too few coincidence opportunities for a meaningful estimate."""
 
 
+#: fewest coincidence opportunities a g2 estimate is made from
+MIN_OPPORTUNITIES = 100
+
+
 @dataclass(frozen=True)
 class CoincidenceWindow:
     """Acceptance window on the stop-minus-start delay, in seconds."""
@@ -106,8 +110,9 @@ def pair_delays(stream: EventStream, start_channel: int = START_CHANNEL,
     """
     p_start, t_start = stream.first_event_times(start_channel)
     p_stop, t_stop = stream.first_event_times(stop_channel)
+    # first_event_times returns np.unique output, so both lists are unique
     common, i_start, i_stop = np.intersect1d(
-        p_start, p_stop - offset, return_indices=True)
+        p_start, p_stop - offset, assume_unique=True, return_indices=True)
     rep_ps = stream.rep_period * 1e12
     delays = t_stop[i_stop] - t_start[i_start] - offset * rep_ps
     return common, delays, t_start[i_start]
@@ -150,10 +155,9 @@ def count_summary(stream: EventStream, window: CoincidenceWindow,
     stop_pulses, _ = stream.first_event_times(stop_channel)
     _, delays, _ = pair_delays(stream, start_channel, stop_channel, offset)
     n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
-    if offset == 0:
-        opportunities = len(trig_pulses)
-    else:
-        opportunities = len(np.intersect1d(trig_pulses, trig_pulses - offset))
+    # first_event_times returns np.unique output, so the pulse list is unique
+    opportunities = len(np.intersect1d(trig_pulses, trig_pulses - offset,
+                                       assume_unique=True))
     summary = CountSummary(len(trig_pulses), len(start_pulses),
                            len(stop_pulses), n_coinc)
     return summary, opportunities
@@ -164,9 +168,14 @@ def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
 
     g2(0) = N_trigger N_coincidence / (N_start N_stop).  The error adds the
     independent-Poisson relative variances of every count in the estimator.
+    At zero offset the coincidence opportunities are the triggers, so fewer
+    than ``MIN_OPPORTUNITIES`` of them is too few.
     """
-    if summary.n_start == 0 or summary.n_stop == 0 or summary.n_trigger == 0:
-        raise InsufficientEventsError("zero trigger or singles count")
+    if summary.n_trigger < MIN_OPPORTUNITIES:
+        raise InsufficientEventsError(
+            f"{summary.n_trigger} triggers, need >= {MIN_OPPORTUNITIES}")
+    if summary.n_start == 0 or summary.n_stop == 0:
+        raise InsufficientEventsError("zero singles count")
     value = summary.n_trigger * summary.n_coincidence / (summary.n_start * summary.n_stop)
     rel_var = 1.0 / summary.n_trigger + 1.0 / summary.n_start + 1.0 / summary.n_stop
     variance = value * value * rel_var \
@@ -175,8 +184,7 @@ def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
     return float(value), float(np.sqrt(variance))
 
 
-def g2_at_offset(stream: EventStream, offset: int, window: CoincidenceWindow,
-                 min_opportunities: int = 100) -> float:
+def g2_at_offset(stream: EventStream, offset: int, window: CoincidenceWindow) -> float:
     """Normalized correlation between start clicks and stop clicks ``offset``
     pulses later.
 
@@ -185,9 +193,9 @@ def g2_at_offset(stream: EventStream, offset: int, window: CoincidenceWindow,
     approaches 1 for uncorrelated pulses.
     """
     summary, opportunities = count_summary(stream, window, offset)
-    if opportunities < min_opportunities:
+    if opportunities < MIN_OPPORTUNITIES:
         raise InsufficientEventsError(
-            f"{opportunities} coincidence opportunities, need >= {min_opportunities}")
+            f"{opportunities} coincidence opportunities, need >= {MIN_OPPORTUNITIES}")
     if summary.n_start == 0 or summary.n_stop == 0:
         raise InsufficientEventsError("zero singles count")
     return float(summary.n_trigger ** 2 * summary.n_coincidence

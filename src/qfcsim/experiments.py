@@ -124,13 +124,12 @@ def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
     """
     stream = generate_hbt_stream(config)
     window = CoincidenceWindow(config.coincidence_window)
-    summary, opportunities = count_summary(stream, window)
-    insufficient = (opportunities < 100 or summary.n_start == 0
-                    or summary.n_stop == 0)
-    if insufficient:
-        value, err = math.nan, math.nan
-    else:
+    summary, _ = count_summary(stream, window)
+    try:
         value, err = g2_zero_from_counts(summary)
+        insufficient = False
+    except InsufficientEventsError:
+        value, err, insufficient = math.nan, math.nan, True
     sidebands: dict[int, float] = {}
     for n in sideband_offsets:
         for offset in (n, -n):

@@ -11,7 +11,6 @@ converted, decoded) as the second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,23 +95,6 @@ def quarter_wave_plate(angle: float) -> np.ndarray:
     return retarder(angle, math.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class MziConfig:
-    """Unbalanced interferometer used for time-bin encoding and decoding.
-
-    ``delay`` is the long-minus-short path delay in seconds.
-    ``relative_phase`` is the phase the long arm adds relative to the short
-    arm.
-    """
-
-    delay: float = 1e-9
-    relative_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.delay <= 0.0:
-            raise ValueError("delay must be > 0")
-
-
 def dephase_timebin(rho: np.ndarray, coherence: float) -> np.ndarray:
     """Scale the S-L coherences of qubit B by ``coherence`` in [0, 1]."""
     if not 0.0 <= coherence <= 1.0:
@@ -149,18 +131,19 @@ def convert_timebin_qubit(rho: np.ndarray, efficiency: float, coherence: float,
     return (efficiency * signal + noise_mean * noise) / total
 
 
-def timebin_to_pol(rho: np.ndarray, mzi: MziConfig) -> tuple[np.ndarray, float]:
+def timebin_to_pol(rho: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
     """Decode qubit B from time bins back to polarization.
 
     The decoder delays the short bin in its long arm and recombines on a
     polarization merger, so the short bin exits horizontal and the long bin
-    vertical with the long arm's extra phase: the conditional map is
-    K = diag(1, e^{i phase})/sqrt(2) on qubit B.  Post-selecting the middle
-    arrival time succeeds with probability exactly 1/2 (K+K = 1/2) for any
-    input.  Returns the conditional state and the success probability.
+    vertical with the long arm's extra ``phase`` (radians, relative to the
+    short arm): the conditional map is K = diag(1, e^{i phase})/sqrt(2) on
+    qubit B.  Post-selecting the middle arrival time succeeds with
+    probability exactly 1/2 (K+K = 1/2) for any input.  Returns the
+    conditional state and the success probability.
     """
     rho = check_density_matrix(rho, dim=4)
-    kraus = np.diag([1.0, np.exp(1j * mzi.relative_phase)]).astype(complex) / math.sqrt(2.0)
+    kraus = np.diag([1.0, np.exp(1j * phase)]).astype(complex) / math.sqrt(2.0)
     op = np.kron(np.eye(2, dtype=complex), kraus)
     unnormalized = op @ rho @ op.conj().T
     prob = float(np.trace(unnormalized).real)
@@ -183,13 +166,12 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     rho = entangled_pair_state(config.werner_weight)
     if not config.interface:
         return rho
-    coherence = pump_dephasing_factor(config.noise_model())
+    coherence = pump_dephasing_factor(config.pump_linewidth, config.mzi_delay)
     rho = convert_timebin_qubit(
         rho,
         efficiency=config.chain_efficiency(),
         coherence=coherence,
         noise_mean=config.noise_mean(),
     )
-    mzi = MziConfig(delay=config.mzi_delay, relative_phase=config.mzi_phase)
-    rho, _ = timebin_to_pol(rho, mzi)
+    rho, _ = timebin_to_pol(rho, config.mzi_phase)
     return rho

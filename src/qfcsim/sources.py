@@ -42,71 +42,31 @@ def entangled_pair_state(werner_weight: float) -> np.ndarray:
         + (1.0 - werner_weight) * np.eye(4, dtype=complex) / 4.0
 
 
-@dataclass(frozen=True)
-class Detector:
-    """Non-number-resolving click detector.
+def pair_distribution(config: ExperimentConfig) -> np.ndarray:
+    """P(k pairs) per pulse for the heralded source kinds.
 
-    A click happens when at least one incident photon is registered (each
-    independently with probability ``efficiency``) or a dark count fires
-    (probability ``dark_prob`` per gate).
+    ``single_photon`` gives exactly one pair, [0, 1].  ``spdc`` (Poissonian,
+    many-mode) and ``spdc_thermal`` (single-mode) are truncated at
+    ``pair_truncation`` pairs and renormalized.
     """
-
-    efficiency: float
-    dark_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if not 0.0 <= self.dark_prob <= 1.0:
-            raise ValueError("dark_prob must lie in [0, 1]")
-
-    def click_prob_fock(self, n_photons) -> float | np.ndarray:
-        """Click probability given exactly n incident photons."""
-        n = np.asarray(n_photons)
-        if np.any(n < 0):
-            raise ValueError("photon number must be >= 0")
-        p = 1.0 - (1.0 - self.dark_prob) * (1.0 - self.efficiency) ** n
-        return float(p) if np.isscalar(n_photons) else p
-
-    def click_prob_poisson(self, mean_photons: float) -> float:
-        """Click probability for Poissonian light with the given mean."""
-        if mean_photons < 0.0:
-            raise ValueError("mean photon number must be >= 0")
-        return 1.0 - (1.0 - self.dark_prob) * math.exp(-self.efficiency * mean_photons)
+    if config.source_kind == "single_photon":
+        return np.array([0.0, 1.0])
+    k = np.arange(config.pair_truncation + 1)
+    mu = config.mean_pairs
+    if config.source_kind == "spdc_thermal":
+        w = mu ** k / (1.0 + mu) ** (k + 1)
+    else:
+        log_w = k * math.log(mu) - mu - np.cumsum(np.log(np.maximum(k, 1))) \
+            if mu > 0 else np.where(k == 0, 0.0, -np.inf)
+        w = np.exp(log_w)
+    return w / w.sum()
 
 
-@dataclass(frozen=True)
-class SpdcSource:
-    """Pulsed photon-pair source with truncated pair-number statistics.
-
-    ``statistics`` selects Poissonian (many-mode) or thermal (single-mode)
-    pair numbers; the distribution is truncated at ``pair_truncation`` pairs
-    and renormalized.
-    """
-
-    mean_pairs: float
-    pair_truncation: int = 4
-    statistics: str = "poisson"
-
-    def __post_init__(self):
-        if self.mean_pairs < 0.0:
-            raise ValueError("mean_pairs must be >= 0")
-        if self.pair_truncation < 1:
-            raise ValueError("pair_truncation must be >= 1")
-        if self.statistics not in ("poisson", "thermal"):
-            raise ValueError(f"statistics must be poisson or thermal, got {self.statistics!r}")
-
-    def pair_distribution(self) -> np.ndarray:
-        """P(k pairs) for k = 0..pair_truncation, renormalized."""
-        k = np.arange(self.pair_truncation + 1)
-        mu = self.mean_pairs
-        if self.statistics == "poisson":
-            log_w = k * math.log(mu) - mu - np.cumsum(np.log(np.maximum(k, 1))) \
-                if mu > 0 else np.where(k == 0, 0.0, -np.inf)
-            w = np.exp(log_w)
-        else:
-            w = mu ** k / (1.0 + mu) ** (k + 1)
-        return w / w.sum()
+def _click_prob(efficiency: float, dark: float, n: np.ndarray) -> np.ndarray:
+    """Threshold-detector click probability given n incident photons, each
+    registered with probability ``efficiency``, plus a dark count with
+    probability ``dark`` per gate."""
+    return 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
 
 
 @dataclass
@@ -183,24 +143,12 @@ class EventStream:
         )
 
 
-def _source_from_config(config: ExperimentConfig) -> SpdcSource:
-    stats = "thermal" if config.source_kind == "spdc_thermal" else "poisson"
-    return SpdcSource(config.mean_pairs, config.pair_truncation, stats)
-
-
 def _sample_pairs(rng: np.random.Generator, config: ExperimentConfig, m: int) -> np.ndarray:
     if config.source_kind == "single_photon":
+        # draw-free: sampling [0, 1] would consume uniforms and shift the stream
         return np.ones(m, dtype=np.int64)
-    cdf = np.cumsum(_source_from_config(config).pair_distribution())
+    cdf = np.cumsum(pair_distribution(config))
     return np.searchsorted(cdf, rng.random(m), side="right").astype(np.int64)
-
-
-def _detectors(config: ExperimentConfig) -> tuple[Detector, Detector, Detector]:
-    return (
-        Detector(config.det1_efficiency, config.det1_dark),
-        Detector(config.det2_efficiency, config.det2_dark),
-        Detector(config.det3_efficiency, config.det3_dark),
-    )
 
 
 def _generate(config: ExperimentConfig, seed: int | None,
@@ -239,7 +187,6 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     sigma_ps = config.jitter_sigma * 1e12
     s_chain = config.chain_efficiency()
     nu = config.noise_mean()
-    det1, det2, det3 = _detectors(config)
     classical = config.source_kind in _CLASSICAL_KINDS
 
     def chunk_events(rng, start, m):
@@ -252,7 +199,7 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
                 n_band = rng.geometric(1.0 / (1.0 + mean_eff), m) - 1
         else:
             k = _sample_pairs(rng, config, m)
-            p_herald = det1.click_prob_fock(k)
+            p_herald = _click_prob(config.det1_efficiency, config.det1_dark, k)
             hidx = np.nonzero(rng.random(m) < p_herald)[0]
             n_band = rng.binomial(k[hidx], s_chain)
         nh = len(hidx)
@@ -260,8 +207,8 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
             n_band = n_band + rng.poisson(nu, nh)
         n_start = rng.binomial(n_band, 0.5)
         n_stop = n_band - n_start
-        click2 = rng.random(nh) < det2.click_prob_fock(n_start)
-        click3 = rng.random(nh) < det3.click_prob_fock(n_stop)
+        click2 = rng.random(nh) < _click_prob(config.det2_efficiency, config.det2_dark, n_start)
+        click3 = rng.random(nh) < _click_prob(config.det3_efficiency, config.det3_dark, n_stop)
         jit1 = rng.normal(0.0, sigma_ps, nh)
         jit2 = rng.normal(0.0, sigma_ps, nh)
         jit3 = rng.normal(0.0, sigma_ps, nh)
@@ -297,11 +244,12 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     delay_ps = config.mzi_delay * 1e12
     s_chain = config.chain_efficiency()
     nu = config.noise_mean()
-    det1, det2, _ = _detectors(config)
+    eff2, dark2 = config.det2_efficiency, config.det2_dark
 
     def chunk_events(rng, start, m):
         k = _sample_pairs(rng, config, m)
-        hidx = np.nonzero(rng.random(m) < det1.click_prob_fock(k))[0]
+        hidx = np.nonzero(
+            rng.random(m) < _click_prob(config.det1_efficiency, config.det1_dark, k))[0]
         nh = len(hidx)
         pulses = start + hidx
         base = pulses * rep_ps
@@ -309,21 +257,21 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         survive = rng.random(nh) < 0.5 * s_chain
         long_enc = rng.random(nh) < 0.5
         long_dec = rng.random(nh) < 0.5
-        sig_det = survive & (rng.random(nh) < det2.efficiency)
+        sig_det = survive & (rng.random(nh) < eff2)
         offset = (long_enc.astype(np.float64) + long_dec - 1.0) * delay_ps
         sig_time = base + offset + rng.normal(0.0, sigma_ps, nh)
 
         cand_pulses = [pulses[sig_det]]
         cand_times = [sig_time[sig_det]]
         if nu > 0.0:
-            n_noise = rng.binomial(rng.poisson(nu, nh), 0.5 * det2.efficiency)
+            n_noise = rng.binomial(rng.poisson(nu, nh), 0.5 * eff2)
             total = int(n_noise.sum())
             if total:
                 cand_pulses.append(np.repeat(pulses, n_noise))
                 cand_times.append(np.repeat(base, n_noise)
                                   + rng.uniform(-2.0 * delay_ps, 2.0 * delay_ps, total))
-        if det2.dark_prob > 0.0:
-            dark = rng.random(nh) < det2.dark_prob
+        if dark2 > 0.0:
+            dark = rng.random(nh) < dark2
             cand_pulses.append(pulses[dark])
             cand_times.append((base + rng.normal(0.0, sigma_ps, nh))[dark])
 
@@ -364,9 +312,9 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
     """
     s_chain = config.chain_efficiency()
     nu = config.noise_mean()
-    det1, det2, det3 = _detectors(config)
-    q2 = det2.efficiency / 2.0
-    q3 = det3.efficiency / 2.0
+    dark2, dark3 = config.det2_dark, config.det3_dark
+    q2 = config.det2_efficiency / 2.0
+    q3 = config.det3_efficiency / 2.0
 
     def poisson_noise_factor(q: float) -> float:
         return math.exp(-nu * q)
@@ -383,16 +331,13 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
             return band * poisson_noise_factor(q)
 
         p_trig = 1.0
-        no2 = (1.0 - det2.dark_prob) * survival(q2)
-        no3 = (1.0 - det3.dark_prob) * survival(q3)
-        no23 = (1.0 - det2.dark_prob) * (1.0 - det3.dark_prob) * survival(q2 + q3)
+        no2 = (1.0 - dark2) * survival(q2)
+        no3 = (1.0 - dark3) * survival(q3)
+        no23 = (1.0 - dark2) * (1.0 - dark3) * survival(q2 + q3)
     else:
-        if config.source_kind == "single_photon":
-            p_k = np.array([0.0, 1.0])
-        else:
-            p_k = _source_from_config(config).pair_distribution()
+        p_k = pair_distribution(config)
         k = np.arange(len(p_k))
-        h_k = det1.click_prob_fock(k)
+        h_k = _click_prob(config.det1_efficiency, config.det1_dark, k)
         p_trig = float(np.sum(p_k * h_k))
         if p_trig <= 0.0:
             raise ValueError("trigger never fires for this configuration")
@@ -401,9 +346,9 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
         def averaged_no_click(q: float) -> float:
             return float(np.sum(w_k * (1.0 - s_chain * q) ** k)) * poisson_noise_factor(q)
 
-        no2 = (1.0 - det2.dark_prob) * averaged_no_click(q2)
-        no3 = (1.0 - det3.dark_prob) * averaged_no_click(q3)
-        no23 = (1.0 - det2.dark_prob) * (1.0 - det3.dark_prob) \
+        no2 = (1.0 - dark2) * averaged_no_click(q2)
+        no3 = (1.0 - dark3) * averaged_no_click(q3)
+        no23 = (1.0 - dark2) * (1.0 - dark3) \
             * float(np.sum(w_k * (1.0 - s_chain * (q2 + q3)) ** k)) \
             * poisson_noise_factor(q2 + q3)
 

@@ -14,7 +14,8 @@ import pytest
 
 import qfcsim
 from qfcsim.cli import main
-from qfcsim.config import ExperimentConfig, calibrated_g2_config, calibrated_tomo_config
+from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
+                           ideal_g2_config)
 from qfcsim.counting import CountSummary
 from qfcsim.tomography import CountRecord, save_records
 
@@ -125,6 +126,21 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     bad_counts = tmp_path / "counts.csv"
     bad_counts.write_text("0,0,0,0,12\n")
     assert main(["analyze", "--counts", str(bad_counts), "--out", str(tmp_path / "o")]) == 2
+    header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
+    for name, line in (("channel", "40000,0,1.0"), ("pulse", "1,99999999999999999999,1.0")):
+        overflow = tmp_path / f"{name}_overflow.csv"
+        overflow.write_text(header + line + "\n")
+        assert main(["analyze", "--stream", str(overflow), "--out", str(tmp_path / "o")]) == 2
+    good_stream = tmp_path / "good.csv"
+    good_stream.write_text(header + "1,0,0.0\n")
+    for flag in ("--bin-width=0ps", "--bin-width=-5ps", "--window=0ns"):
+        assert main(["analyze", "--stream", str(good_stream), flag,
+                     "--out", str(tmp_path / "o")]) == 2
+    from qfcsim.tomography import standard_settings
+    counts = tmp_path / "good_counts.csv"
+    save_records([CountRecord(s, 100, 1.0) for s in standard_settings()], counts)
+    assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz",
+                 "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_code_on_usage_errors(tmp_path, g2_cfg_path, capsys):
@@ -152,6 +168,23 @@ def test_g2_on_empty_run_exits_zero(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["g2", "--config", str(path), "--out", str(out)]) == 0
     assert "insufficient=True" in (out / "g2_summary.txt").read_text()
+
+
+def test_g2_and_analyze_stream_share_sufficiency_rule(tmp_path, capsys):
+    # 60 triggers: too few for g2(0) in both the run and the re-analysis
+    cfg = ideal_g2_config(seed=3)
+    cfg.n_pulses = 60
+    path = tmp_path / "short.cfg"
+    cfg.to_file(path)
+    run, an = tmp_path / "run", tmp_path / "an"
+    assert main(["g2", "--config", str(path), "--out", str(run), "--save-stream"]) == 0
+    assert main(["analyze", "--stream", str(run / "events.csv"), "--out", str(an)]) == 0
+    run_vals = dict(l.split("=", 1) for l in (run / "g2_summary.txt").read_text().splitlines())
+    an_vals = dict(l.split("=", 1) for l in (an / "count_summary.txt").read_text().splitlines())
+    assert run_vals["n_trigger"] == an_vals["n_trigger"] == "60"
+    assert run_vals["insufficient"] == "True"
+    for key in ("g2_zero", "std_error"):
+        assert run_vals[key] == an_vals[key] == "nan"
 
 
 def test_traced_and_exported_names_resolve():

@@ -105,6 +105,25 @@ def test_validation_errors():
         ExperimentConfig(n_pulses=0)
 
 
+_DETECTOR_FIELDS = [f"det{i}_{kind}" for i in (1, 2, 3) for kind in ("efficiency", "dark")]
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(name, bad) for name in _DETECTOR_FIELDS for bad in (-0.01, 1.01)],
+    ("mean_pairs", -0.1),
+    ("pair_truncation", 0),
+    ("noise_coeff", -0.1),
+    ("pump_linewidth", -1.0),
+    ("mzi_delay", 0.0),
+    ("mzi_delay", -1e-9),
+])
+def test_validate_is_the_only_range_check(field, value):
+    # the physics reads these values straight from the config, so the
+    # config must reject them itself
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{field: value})
+
+
 def test_chain_efficiency_matches_frozen_constant():
     cfg = ExperimentConfig()
     assert abs(cfg.chain_efficiency() - CHAIN_EFFICIENCY_CAL) < 1e-15
@@ -141,8 +160,6 @@ def test_noise_mean_and_helpers():
     assert cfg.noise_mean() == pytest.approx(0.1)
     model = cfg.efficiency_model()
     assert model.peak == cfg.eff_peak
-    noise = cfg.noise_model()
-    assert noise.delay == cfg.mzi_delay
 
 
 def test_seed_override_roundtrip():

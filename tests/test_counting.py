@@ -16,6 +16,7 @@ from qfcsim.counting import (
     CountSummary,
     DelayHistogram,
     InsufficientEventsError,
+    MIN_OPPORTUNITIES,
     count_summary,
     delay_histogram,
     g2_at_offset,
@@ -89,9 +90,8 @@ def test_count_summary_on_toy_stream():
     summary, opportunities = count_summary(stream, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
     assert opportunities == 3
-    value, err = g2_zero_from_counts(summary)
-    assert abs(value - 3 * 1 / (3 * 2)) < 1e-12
-    assert err > 0.0
+    _, opportunities = count_summary(stream, CoincidenceWindow(1e-9), offset=1)
+    assert opportunities == 2
 
 
 def test_g2_error_formula():
@@ -107,9 +107,15 @@ def test_g2_error_formula():
 def test_g2_insufficient_counts():
     with pytest.raises(InsufficientEventsError):
         g2_zero_from_counts(CountSummary(100, 0, 5, 0))
-    stream = _toy_stream()
+    # at offset 0 the opportunities are the triggers: the same 100 floor holds
     with pytest.raises(InsufficientEventsError):
-        g2_at_offset(stream, 1, CoincidenceWindow(1e-9), min_opportunities=100)
+        g2_zero_from_counts(CountSummary(MIN_OPPORTUNITIES - 1, 40, 40, 2))
+    value, _ = g2_zero_from_counts(CountSummary(MIN_OPPORTUNITIES, 40, 40, 2))
+    assert value == MIN_OPPORTUNITIES * 2 / (40 * 40)
+    stream = _toy_stream()
+    for offset in (0, 1):
+        with pytest.raises(InsufficientEventsError):
+            g2_at_offset(stream, offset, CoincidenceWindow(1e-9))
 
 
 def test_count_summary_validation():

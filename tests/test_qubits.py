@@ -17,7 +17,6 @@ from qfcsim.qubits import (
     KET_D,
     KET_H,
     KET_V,
-    MziConfig,
     PHI_MINUS,
     PHI_PLUS,
     check_density_matrix,
@@ -113,25 +112,19 @@ def test_convert_timebin_weights():
 
 def test_decode_success_probability_is_half():
     rng = np.random.default_rng(77)
-    mzi = MziConfig(delay=1e-9, relative_phase=0.4)
     for _ in range(30):
         rho = _random_two_qubit_state(rng)
-        _, p = timebin_to_pol(rho, mzi)
+        _, p = timebin_to_pol(rho, 0.4)
         assert abs(p - 0.5) < 1e-12
 
 
 def test_decode_phase_selects_bell_state():
     # encoding is the relabeling H -> S, V -> L, so the encoded state is PHI_PLUS
     enc = density(PHI_PLUS)
-    out, _ = timebin_to_pol(enc, MziConfig(relative_phase=0.0))
+    out, _ = timebin_to_pol(enc, 0.0)
     assert_allclose(out, density(PHI_PLUS), atol=1e-12)
-    out, _ = timebin_to_pol(enc, MziConfig(relative_phase=math.pi))
+    out, _ = timebin_to_pol(enc, math.pi)
     assert_allclose(out, density(PHI_MINUS), atol=1e-12)
-
-
-def test_mzi_config_validation():
-    with pytest.raises(ValueError):
-        MziConfig(delay=0.0)
 
 
 def test_end_to_end_calibrated_fidelity():

@@ -25,9 +25,7 @@ from qfcsim.config import (
 from qfcsim.qubits import PHI_PLUS, density
 from qfcsim.sources import (
     CHUNK_PULSES,
-    Detector,
     EventStream,
-    SpdcSource,
     START_CHANNEL,
     STOP_CHANNEL,
     TRIGGER_CHANNEL,
@@ -36,59 +34,51 @@ from qfcsim.sources import (
     generate_hbt_stream,
     generate_mzi_stream,
     noise_coeff_for_g2,
+    pair_distribution,
+    _click_prob,
 )
 
 THERMAL_ORACLE_G2 = 1.990484087843
 
 
 def test_pair_distribution_poisson_matches_scipy():
-    src = SpdcSource(mean_pairs=0.35, pair_truncation=6)
+    cfg = ExperimentConfig(source_kind="spdc", mean_pairs=0.35, pair_truncation=6)
     k = np.arange(7)
     ref = stats.poisson.pmf(k, 0.35)
     ref = ref / ref.sum()
-    assert_allclose(src.pair_distribution(), ref, atol=1e-12)
+    assert_allclose(pair_distribution(cfg), ref, atol=1e-12)
 
 
 def test_pair_distribution_thermal_matches_geometric():
     mu = 0.4
-    src = SpdcSource(mean_pairs=mu, pair_truncation=5, statistics="thermal")
+    cfg = ExperimentConfig(source_kind="spdc_thermal", mean_pairs=mu, pair_truncation=5)
     k = np.arange(6)
     ref = mu ** k / (1.0 + mu) ** (k + 1)
     ref = ref / ref.sum()
-    assert_allclose(src.pair_distribution(), ref, atol=1e-12)
+    assert_allclose(pair_distribution(cfg), ref, atol=1e-12)
 
 
 def test_pair_distribution_zero_mean():
-    src = SpdcSource(mean_pairs=0.0)
-    dist = src.pair_distribution()
-    assert dist[0] == 1.0
-    assert np.all(dist[1:] == 0.0)
+    for kind in ("spdc", "spdc_thermal"):
+        dist = pair_distribution(ExperimentConfig(source_kind=kind, mean_pairs=0.0))
+        assert len(dist) == 5
+        assert dist[0] == 1.0
+        assert np.all(dist[1:] == 0.0)
 
 
-def test_source_validation():
-    with pytest.raises(ValueError):
-        SpdcSource(mean_pairs=-0.1)
-    with pytest.raises(ValueError):
-        SpdcSource(mean_pairs=0.1, pair_truncation=0)
-    with pytest.raises(ValueError):
-        SpdcSource(mean_pairs=0.1, statistics="squeezed")
+def test_pair_distribution_single_photon():
+    # one pair per pulse whatever mean_pairs and pair_truncation say
+    single = ExperimentConfig(source_kind="single_photon", mean_pairs=0.3)
+    assert pair_distribution(single).tolist() == [0.0, 1.0]
 
 
 def test_detector_click_probabilities():
-    det = Detector(efficiency=0.6, dark_prob=0.0)
-    assert det.click_prob_fock(0) == 0.0
-    assert abs(det.click_prob_fock(1) - 0.6) < 1e-12
-    assert abs(det.click_prob_fock(2) - (1.0 - 0.4 ** 2)) < 1e-12
-    dark = Detector(efficiency=0.0, dark_prob=1e-3)
-    assert abs(dark.click_prob_fock(5) - 1e-3) < 1e-15
-    det2 = Detector(efficiency=0.25, dark_prob=1e-4)
-    mu = 0.8
-    expected = 1.0 - (1.0 - 1e-4) * math.exp(-0.25 * mu)
-    assert abs(det2.click_prob_poisson(mu) - expected) < 1e-12
-    with pytest.raises(ValueError):
-        Detector(efficiency=1.2)
-    with pytest.raises(ValueError):
-        det.click_prob_fock(-1)
+    n = np.arange(4)
+    assert_allclose(_click_prob(0.6, 0.0, n), [0.0, 0.6, 1.0 - 0.4 ** 2, 1.0 - 0.4 ** 3],
+                    atol=1e-12)
+    assert_allclose(_click_prob(0.0, 1e-3, np.array([5])), [1e-3], atol=1e-15)
+    assert_allclose(_click_prob(0.25, 1e-4, n),
+                    1.0 - (1.0 - 1e-4) * (1.0 - 0.25) ** n, rtol=0, atol=0)
 
 
 def test_entangled_pair_state_limits():
