@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +76,8 @@ def build_conversion_unitary(params: ConversionParams) -> TwoModeUnitary:
     anti-Hermitian, so the result is unitary up to floating point error.
     Photon number is conserved; the matrix is block diagonal over total n.
     """
+    from scipy.linalg import expm
+
     dim = params.n_max + 1
     low = _lowering(dim)
     eye = np.eye(dim, dtype=complex)
@@ -176,6 +176,8 @@ def fit_efficiency_curve(samples, max_iter: int = 400) -> EfficiencyFit:
     coeff.  Powers are interpreted in the unit the caller fitted in; the
     returned coeff is the inverse of that unit.
     """
+    from scipy.optimize import least_squares
+
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be pairs of (power, efficiency)")

@@ -25,8 +25,9 @@ from .qubits import PHI_PLUS, end_to_end_state
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (CountRecord, MleResult, density_matrix_to_json,
-                         mle_reconstruct, save_records, save_report,
-                         simulate_counts, standard_settings, subtract_background)
+                         mle_reconstruct, mle_reconstruct_batch, save_records,
+                         save_report, simulate_counts, standard_settings,
+                         subtract_background)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +197,7 @@ class TomographyResult:
     mle: MleResult
     subtracted: bool
     mean_rate_hz: Optional[float]
-
-
-def _reconstruct(records: list[CountRecord], subtract: bool, bg_rate: float) -> MleResult:
-    return mle_reconstruct(subtract_background(records, bg_rate) if subtract else records)
+    bootstrap: list[MleResult] = field(default_factory=list)
 
 
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
@@ -215,7 +213,7 @@ def run_tomography_experiment(config: ExperimentConfig,
     unpolarized admixture), which is what makes them look like a flat
     accidental floor across settings; ``subtract_bg`` removes that floor at
     the configured rate before reconstruction.  Errors on the reported
-    metrics come from a parametric bootstrap of the counts.
+    metrics come from a parametric bootstrap of the counts, fitted as one batch.
     """
     seed = config.require_seed()
     rho_true = end_to_end_state(config)
@@ -224,12 +222,14 @@ def run_tomography_experiment(config: ExperimentConfig,
     records = simulate_counts(rho_true, settings, config.n_per_setting,
                               bg_rate=0.0, duration_s=config.duration_per_setting,
                               rng=rng)
-    mle = _reconstruct(records, subtract_bg, config.bg_rate)
+    mle = mle_reconstruct(subtract_background(records, config.bg_rate)
+                          if subtract_bg else records)
     fid, conc, eof, chsh = _metrics_of(mle.rho)
 
     errors: dict[str, float] = {}
+    boot: list[MleResult] = []
     if config.n_bootstrap > 0:
-        samples = {"fidelity": [], "concurrence": [], "eof": [], "s_max": []}
+        replicates = []
         for b in range(config.n_bootstrap):
             brng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence((seed, 0, 2, b))))
@@ -237,12 +237,12 @@ def run_tomography_experiment(config: ExperimentConfig,
                 CountRecord(r.setting, int(brng.poisson(r.count)), r.duration_s)
                 for r in records
             ]
-            bmle = _reconstruct(resampled, subtract_bg, config.bg_rate)
-            bf, bc, be, bs = _metrics_of(bmle.rho)
-            samples["fidelity"].append(bf)
-            samples["concurrence"].append(bc)
-            samples["eof"].append(be)
-            samples["s_max"].append(bs.s_max)
+            replicates.append(subtract_background(resampled, config.bg_rate)
+                              if subtract_bg else resampled)
+        boot = mle_reconstruct_batch(settings, [[r.count for r in rep] for rep in replicates])
+        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in boot))
+        samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
+                   "s_max": [c.s_max for c in chshs]}
         errors = {key: float(np.std(vals)) for key, vals in samples.items()}
 
     total = sum(r.count for r in records)
@@ -250,13 +250,13 @@ def run_tomography_experiment(config: ExperimentConfig,
     return TomographyResult(
         rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
         errors=errors, records=records, mle=mle, subtracted=subtract_bg,
-        mean_rate_hz=mean_rate,
+        mean_rate_hz=mean_rate, bootstrap=boot,
     )
 
 
 def tomography_report(result: TomographyResult) -> dict:
-    """Report dict in file key order; the count rate and the ``*_error``
-    keys appear only when the result carries them."""
+    """Report dict in file key order; the count rate and the ``*_error`` and
+    ``bootstrap_*`` keys appear only when the result carries them."""
     report = {
         "density_matrix": density_matrix_to_json(result.rho),
         "fidelity": result.fidelity,
@@ -274,6 +274,9 @@ def tomography_report(result: TomographyResult) -> dict:
     report["log_likelihood"] = result.mle.log_likelihood
     for key, val in result.errors.items():
         report[f"{key}_error"] = val
+    if result.bootstrap:
+        report["bootstrap_mle_iterations"] = [fit.iterations for fit in result.bootstrap]
+        report["bootstrap_mle_converged"] = all(fit.converged for fit in result.bootstrap)
     return report
 
 

@@ -136,163 +136,198 @@ def _inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (eigvec / np.sqrt(eigval)) @ eigvec.conj().T
 
 
+def _dagger(matrix: np.ndarray) -> np.ndarray:
+    return matrix.conj().swapaxes(-1, -2)
+
+
 def mle_reconstruct(records: list[CountRecord] | None = None,
                     settings: list[MeasurementSetting] | None = None,
                     counts=None, tol: float = 1e-12, state_tol: float = 1e-11,
                     max_iter: int = 100_000) -> MleResult:
-    """Iterative maximum-likelihood state reconstruction.
-
-    Accepts either a list of count records or parallel ``settings`` and
-    ``counts`` (counts may be unrounded expected values).  The multiplicative
-    update runs in the frame where the projectors sum to the identity, which
-    makes each step a proper expectation-maximization move; if a step ever
-    fails to raise the log-likelihood it is damped toward the identity until
-    it does, so the likelihood is nondecreasing throughout.  Iteration stops
-    once the per-step likelihood gain falls to ``tol`` (absolute, with
-    frequencies summing to 1) and the state moves by less than ``state_tol``
-    per step; near the optimum the likelihood flattens out quadratically,
-    so the state-change condition is what sets the final precision.
-    """
+    """Maximum-likelihood state of one count set: the one-row call of
+    :func:`mle_reconstruct_batch`.  Accepts either a list of count records or
+    parallel ``settings`` and ``counts`` (counts may be unrounded expected
+    values)."""
     if records is not None:
         if settings is not None or counts is not None:
             raise ValueError("pass either records or settings+counts, not both")
-        settings = [r.setting for r in records]
-        counts = [r.count for r in records]
+        settings, counts = [r.setting for r in records], [r.count for r in records]
     if settings is None or counts is None:
         raise ValueError("need settings and counts")
+    if np.ndim(counts) != 1:
+        raise ValueError("counts and settings lengths differ")
+    return mle_reconstruct_batch(settings, [counts], tol=tol, state_tol=state_tol,
+                                 max_iter=max_iter)[0]
+
+
+def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
+                          tol: float = 1e-12, state_tol: float = 1e-11,
+                          max_iter: int = 100_000) -> list[MleResult]:
+    """Iterative maximum-likelihood states of the count rows ``counts``
+    (shape ``(R, n)``), one result per row in row order.
+
+    The multiplicative update runs in the frame where the projectors sum to
+    the identity, which makes each step a proper expectation-maximization
+    move; if a step ever fails to raise the log-likelihood it is damped
+    toward the identity until it does, so the likelihood is nondecreasing
+    throughout.  Iteration stops once the per-step likelihood gain falls to
+    ``tol`` (absolute, with frequencies summing to 1) and the state moves by
+    less than ``state_tol`` per step; near the optimum the likelihood
+    flattens out quadratically, so the state-change condition is what sets
+    the final precision.  All rows iterate as one ``(R, d, d)`` stack on a
+    data-independent extrapolation schedule, and a row leaves the stack as
+    soon as it stops.  Only stacked matrix products, elementwise operations
+    and reductions over a row's own axes touch the data, so each row's
+    result is the one it would get alone.
+    """
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 1 or len(counts) != len(settings):
+    if counts.ndim != 2 or counts.shape[1] != len(settings):
         raise ValueError("counts and settings lengths differ")
     if np.any(counts < 0.0):
         raise ValueError("counts must be >= 0")
-    total = counts.sum()
-    if total <= 0.0:
+    totals = counts.sum(axis=1)
+    if np.any(totals <= 0.0):
         raise ValueError("all counts are zero")
 
-    freqs = counts / total
     projectors = _projector_stack(settings)
     dim = projectors.shape[1]
     g_inv_sqrt = _inv_sqrt(projectors.sum(axis=0))
     povm = np.einsum("ab,ibc,cd->iad", g_inv_sqrt, projectors, g_inv_sqrt)
-    povm = 0.5 * (povm + np.conj(np.transpose(povm, (0, 2, 1))))
+    povm = 0.5 * (povm + _dagger(povm))
+    # Row i of ``povm_rows`` is element i flattened; since each element is
+    # Hermitian, Tr[E_i s] is the flattened state dotted with its conjugate.
+    povm_rows = povm.reshape(len(settings), dim * dim)
+    povm_dual = np.ascontiguousarray(povm_rows.conj().T)
 
-    active = freqs > 0.0
-    f_active = freqs[active]
+    def log_likelihood(probs, freqs):
+        # zero frequencies contribute 0 * log(>= 1e-300) = 0
+        return (freqs * np.log(probs)).sum(axis=-1)
 
-    def log_likelihood(probs: np.ndarray) -> float:
-        return float(np.sum(f_active * np.log(probs[active])))
+    def probabilities(states):
+        flat = states.reshape(len(states), 1, dim * dim)
+        return np.maximum((flat @ povm_dual)[:, 0].real, 1e-300)
 
-    def probabilities(state: np.ndarray) -> np.ndarray:
-        return np.clip(np.real(np.einsum("iab,ba->i", povm, state)), 1e-300, None)
+    def normalized(states):
+        states = 0.5 * (states + _dagger(states))
+        return states / states.trace(axis1=1, axis2=2).real[:, None, None]
 
     eye = np.eye(dim, dtype=complex)
     slack = 1e-13
 
-    def em_step(state, state_probs, state_ll):
+    def em_step(states, state_probs, state_ll, freqs):
         # Likelihood comparisons carry a one-ulp slack: near the optimum the
         # surface is flat to rounding and a strict test would reject steps
         # that still move the state toward the fixed point.
-        floor = state_ll - slack * max(1.0, abs(state_ll))
-        update = np.einsum("i,iab->ab", freqs / state_probs, povm)
-        candidate = update @ state @ update
-        candidate = 0.5 * (candidate + candidate.conj().T)
-        candidate /= np.real(np.trace(candidate))
-        cand_probs = probabilities(candidate)
-        cand_ll = log_likelihood(cand_probs)
-        if cand_ll < floor:
-            # Damp toward the identity until the step stops losing likelihood.
-            eps = 0.5
+        floor = state_ll - slack * np.maximum(1.0, np.abs(state_ll))
+        update = ((freqs / state_probs)[:, None, :] @ povm_rows).reshape(states.shape)
+        cand = normalized(update @ states @ update)
+        cand_probs = probabilities(cand)
+        cand_ll = log_likelihood(cand_probs, freqs)
+        lost = cand_ll < floor
+        if lost.any():
+            # Damp the rows that lost likelihood toward the identity until
+            # they stop losing it; a row that never does keeps its state.
+            todo, eps = np.flatnonzero(lost), 0.5
             for _ in range(60):
-                damped = eye + eps * (update - eye)
-                candidate = damped @ state @ damped.conj().T
-                candidate = 0.5 * (candidate + candidate.conj().T)
-                candidate /= np.real(np.trace(candidate))
-                cand_probs = probabilities(candidate)
-                cand_ll = log_likelihood(cand_probs)
-                if cand_ll >= floor:
+                damped = eye + eps * (update[todo] - eye)
+                c = normalized(damped @ states[todo] @ _dagger(damped))
+                p = probabilities(c)
+                l = log_likelihood(p, freqs[todo])
+                ok = l >= floor[todo]
+                cand[todo[ok]], cand_probs[todo[ok]], cand_ll[todo[ok]] = c[ok], p[ok], l[ok]
+                todo = todo[~ok]
+                if not todo.size:
                     break
                 eps *= 0.5
-            else:
-                return state, state_probs, state_ll
-        return candidate, cand_probs, cand_ll
+            cand[todo], cand_probs[todo], cand_ll[todo] = states[todo], state_probs[todo], state_ll[todo]
+        return cand, cand_probs, cand_ll
 
-    def project(state):
-        state = 0.5 * (state + state.conj().T)
-        eigval, eigvec = np.linalg.eigh(state)
-        eigval = np.clip(eigval, 0.0, None)
-        total = eigval.sum()
-        if total <= 0.0:
-            return None
-        return (eigvec * (eigval / total)) @ eigvec.conj().T
-
-    sigma = eye / dim
+    results: list[MleResult | None] = [None] * len(counts)
+    rows = np.arange(len(counts))
+    freqs = counts / totals[:, None]
+    sigma = np.tile(eye / dim, (len(rows), 1, 1))
     probs = probabilities(sigma)
-    ll = log_likelihood(probs)
+    ll = log_likelihood(probs, freqs)
+    iterations = np.zeros(len(rows), dtype=int)
+    min_gain = np.full(len(rows), math.inf)
+    snapshots: list[np.ndarray] = []
 
-    iterations = 0
-    converged = False
-    min_gain = math.inf
-
-    def record(prev_ll, new_ll):
-        nonlocal iterations, min_gain
-        iterations += 1
+    def record(idx, prev_ll, new_ll):
+        iterations[idx] += 1
         gain = new_ll - prev_ll
-        min_gain = min(min_gain, gain)
-        if not gain >= -slack * max(1.0, abs(new_ll)):
+        min_gain[idx] = np.minimum(min_gain[idx], gain)
+        if not (gain >= -slack * np.maximum(1.0, np.abs(new_ll))).all():
             raise RuntimeError("likelihood decreased")
         return gain
 
+    def retire(done, converged):
+        """Write out the rows flagged ``done`` and drop them from the stack."""
+        nonlocal rows, freqs, sigma, probs, ll, iterations, min_gain
+        if not done.any():
+            return
+        rhos = normalized(g_inv_sqrt @ sigma[done] @ g_inv_sqrt)
+        for rho, k in zip(rhos, np.flatnonzero(done)):
+            results[rows[k]] = MleResult(
+                rho=rho, iterations=int(iterations[k]), converged=bool(converged[k]),
+                log_likelihood=float(ll[k]), min_step_gain=float(min_gain[k]))
+        keep = ~done
+        rows, freqs, sigma, probs, ll, iterations, min_gain = (
+            a[keep] for a in (rows, freqs, sigma, probs, ll, iterations, min_gain))
+        snapshots[:] = [s[keep] for s in snapshots]
+
     span = 1
-    while iterations < max_iter and not converged:
+    while True:
+        retire(iterations >= max_iter, np.zeros(len(rows), dtype=bool))
+        if not rows.size:
+            return results
         # One extrapolation cycle: two blocks of ``span`` plain updates, then
         # a squared secant jump through the three block endpoints.  Small
         # state eigenvalues make the plain update contract arbitrarily
         # slowly; spacing the snapshots keeps the secant direction above
         # float noise, and doubling the spacing sharpens it as the iterate
         # closes in.
-        snapshots = [sigma]
+        snapshots[:] = [sigma]
         for _ in range(2):
             for _ in range(span):
-                s_next, p_next, l_next = em_step(sigma, probs, ll)
-                gain = record(ll, l_next)
-                step = float(np.max(np.abs(s_next - sigma)))
+                s_next, p_next, l_next = em_step(sigma, probs, ll, freqs)
+                gain = record(slice(None), ll, l_next)
+                step = abs(s_next - sigma).max(axis=(1, 2))
                 sigma, probs, ll = s_next, p_next, l_next
-                if gain <= tol and step <= state_tol:
-                    converged = True
-                    break
-                if iterations >= max_iter:
-                    break
+                converged = (gain <= tol) & (step <= state_tol)
+                retire(converged | (iterations >= max_iter), converged)
+                if not rows.size:
+                    return results
             snapshots.append(sigma)
-            if converged or iterations >= max_iter:
-                break
-        if converged or iterations >= max_iter or len(snapshots) < 3:
-            break
         s0, s1, s2 = snapshots
         delta = s1 - s0
         curv = (s2 - s1) - delta
-        denom = float(np.linalg.norm(curv))
-        if denom > 0.0:
-            alpha = -float(np.linalg.norm(delta)) / denom
-            for factor in (1.0, 0.5, 0.25):
-                a = alpha * factor
-                if a >= -1.0:
-                    break
-                cand = project(s0 - 2.0 * a * delta + a * a * curv)
-                if cand is None:
-                    continue
-                cand_probs = probabilities(cand)
-                cand_ll = log_likelihood(cand_probs)
-                if cand_ll >= ll - slack * max(1.0, abs(ll)):
-                    record(ll, cand_ll)
-                    sigma, probs, ll = cand, cand_probs, cand_ll
-                    break
+        denom = np.linalg.norm(curv, axis=(1, 2))
+        alpha = -np.linalg.norm(delta, axis=(1, 2)) / np.where(denom > 0.0, denom, 1.0)
+        pending = denom > 0.0
+        for factor in (1.0, 0.5, 0.25):
+            a = alpha * factor
+            pending &= a < -1.0
+            idx = np.flatnonzero(pending)
+            if not idx.size:
+                break
+            a = a[idx, None, None]
+            # Project the jump onto the density matrices: clip the spectrum
+            # at zero and renormalize; an all-negative spectrum is invalid.
+            jump = s0[idx] - 2.0 * a * delta[idx] + a * a * curv[idx]
+            eigval, eigvec = np.linalg.eigh(0.5 * (jump + _dagger(jump)))
+            eigval = np.clip(eigval, 0.0, None)
+            total = eigval.sum(axis=-1)
+            valid = total > 0.0
+            weights = eigval / np.where(valid, total, 1.0)[:, None]
+            cand = (eigvec * weights[:, None, :]) @ _dagger(eigvec)
+            cand_probs = probabilities(cand)
+            cand_ll = log_likelihood(cand_probs, freqs[idx])
+            take = valid & (cand_ll >= ll[idx] - slack * np.maximum(1.0, np.abs(ll[idx])))
+            idx, cand, cand_probs, cand_ll = idx[take], cand[take], cand_probs[take], cand_ll[take]
+            record(idx, ll[idx], cand_ll)
+            sigma[idx], probs[idx], ll[idx] = cand, cand_probs, cand_ll
+            pending[idx] = False
         span = min(span * 2, 512)
-
-    rho = g_inv_sqrt @ sigma @ g_inv_sqrt
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.real(np.trace(rho))
-    return MleResult(rho=rho, iterations=iterations, converged=converged,
-                     log_likelihood=ll, min_step_gain=min_gain)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ check confirms the installed entry point works at all.
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,9 @@ def test_tomo_command_and_analyze_counts(tmp_path, tomo_cfg_path, capsys):
                  "--out", str(an)]) == 0
     re_report = json.loads((an / "tomography.json").read_text())
     assert re_report["fidelity"] == pytest.approx(report["fidelity"], abs=1e-12)
+    # only a bootstrapped run reports its replicate fits
+    assert len(report["bootstrap_mle_iterations"]) == 2
+    assert "bootstrap_mle_iterations" not in re_report
     # subtraction path produces a different (cleaner) state
     an_sub = tmp_path / "an_sub"
     assert main(["analyze", "--counts", str(out / "tomo_counts.csv"),
@@ -209,6 +213,17 @@ def test_missing_seed_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "noseed.cfg"
     cfg.to_file(path)
     assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside the functions that call it, so the commands
+    # that never fit or exponentiate do not pay for its import
+    src = Path(qfcsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qfcsim.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_installed_entry_point():

@@ -24,7 +24,9 @@ from qfcsim.experiments import (
     write_sweep,
     write_tomography,
 )
-from qfcsim.tomography import load_records, mle_reconstruct
+from qfcsim.metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
+from qfcsim.qubits import PHI_PLUS
+from qfcsim.tomography import CountRecord, load_records, mle_reconstruct, subtract_background
 from qfcsim.counting import CountSummary
 
 
@@ -185,6 +187,9 @@ def test_tomography_report_and_files(tmp_path):
                 "mean_count_rate_hz", "mle_iterations", "mle_converged",
                 "log_likelihood", "fidelity_error", "s_max_error"):
         assert key in report
+    assert list(report)[-2:] == ["bootstrap_mle_iterations", "bootstrap_mle_converged"]
+    assert report["bootstrap_mle_iterations"] == [fit.iterations for fit in res.bootstrap]
+    assert len(res.bootstrap) == 4 and report["bootstrap_mle_converged"] is True
     paths = write_tomography(res, tmp_path)
     assert all(p.exists() for p in paths)
     loaded = json.loads((tmp_path / "tomography.json").read_text())
@@ -193,3 +198,24 @@ def test_tomography_report_and_files(tmp_path):
     recs = load_records(tmp_path / "tomo_counts.csv")
     again = mle_reconstruct(recs)
     assert_allclose(again.rho, res.mle.rho, atol=1e-9)
+
+
+@pytest.mark.parametrize("subtract", [False, True])
+def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
+    cfg = calibrated_tomo_config(seed=402)
+    cfg.n_bootstrap = 4
+    res = run_tomography_experiment(cfg, subtract_bg=subtract)
+    samples = {"fidelity": [], "concurrence": [], "eof": [], "s_max": []}
+    for b in range(cfg.n_bootstrap):
+        brng = np.random.Generator(np.random.Philox(np.random.SeedSequence((402, 0, 2, b))))
+        resampled = [CountRecord(r.setting, int(brng.poisson(r.count)), r.duration_s)
+                     for r in res.records]
+        if subtract:
+            resampled = subtract_background(resampled, cfg.bg_rate)
+        fit = mle_reconstruct(resampled)
+        assert fit.iterations == res.bootstrap[b].iterations
+        samples["fidelity"].append(fidelity(fit.rho, PHI_PLUS))
+        samples["concurrence"].append(concurrence(fit.rho))
+        samples["eof"].append(entanglement_of_formation(fit.rho))
+        samples["s_max"].append(chsh_assessment(fit.rho).s_max)
+    assert res.errors == {key: float(np.std(vals)) for key, vals in samples.items()}

@@ -5,7 +5,9 @@ The reconstruction check feeds exact outcome probabilities in as "counts"
 the true state and any distance from it is pure solver error.
 """
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qfcsim.tomography import (
     density_matrix_to_json,
     load_records,
     mle_reconstruct,
+    mle_reconstruct_batch,
     save_records,
     simulate_counts,
     standard_settings,
@@ -183,6 +186,69 @@ def test_mle_input_validation():
         mle_reconstruct(settings=settings[:4], counts=counts[:4])
     with pytest.raises(ValueError):
         mle_reconstruct(settings=settings, counts=counts[:5])
+
+
+def _fit_alone_tracing_damping(settings, counts, **kwargs):
+    """Fit one row under a line tracer; also report whether the loop that
+    damps a likelihood-losing step toward the identity ran."""
+    lines, start = inspect.getsourcelines(mle_reconstruct_batch)
+    target = start + next(i for i, line in enumerate(lines) if "damped = eye" in line)
+    filename = mle_reconstruct_batch.__code__.co_filename
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hits.append(target)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code.co_filename == filename else None)
+    try:
+        result = mle_reconstruct(settings=settings, counts=counts, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return result, bool(hits)
+
+
+def test_mle_batch_rows_equal_single_fits_bit_for_bit():
+    # On these 16 random settings the fit of ``counts`` loses likelihood on
+    # one plain step and damps it (seed found by search).
+    rng = np.random.default_rng(30)
+    settings = [MeasurementSetting(*rng.uniform(0.0, math.pi, 4)) for _ in range(16)]
+    counts = rng.exponential(1.0, 16) ** 4
+    index = np.arange(16)
+    rows = [counts,
+            np.where(index % 3 == 0, 0.0, counts),  # zero patterns, as after
+            np.where(index < 5, 0.0, np.round(10.0 * counts)),  # subtraction
+            index % 4.0,  # these two need more than max_iter iterations
+            np.ones(16)]
+    batch = mle_reconstruct_batch(settings, rows, max_iter=60)
+    reversed_batch = mle_reconstruct_batch(settings, rows[::-1], max_iter=60)[::-1]
+    for k, row in enumerate(rows):
+        alone, damped = _fit_alone_tracing_damping(settings, row, max_iter=60)
+        assert damped == (k == 0)
+        for fit in (batch[k], reversed_batch[k]):
+            assert np.array_equal(fit.rho, alone.rho)
+            assert fit.iterations == alone.iterations
+            assert fit.converged == alone.converged
+            assert fit.log_likelihood == alone.log_likelihood
+    assert [fit.converged for fit in batch] == [True, True, True, False, False]
+    assert batch[3].iterations == batch[4].iterations == 60
+    assert len({fit.iterations for fit in batch[:3]}) == 3
+
+
+def test_mle_batch_input_validation():
+    settings = standard_settings()
+    good = _exact_counts(density(PHI_PLUS), settings, scale=100.0)
+    for bad in ([0.0] * 16, [-1.0] + [1.0] * 15):
+        with pytest.raises(ValueError):
+            mle_reconstruct_batch(settings, [good, bad])
+    with pytest.raises(ValueError):
+        mle_reconstruct_batch(settings, [good[:15]])
+    with pytest.raises(ValueError):
+        mle_reconstruct_batch(settings, good)
+    assert mle_reconstruct_batch(settings, np.empty((0, 16))) == []
 
 
 def test_records_file_roundtrip(tmp_path):
