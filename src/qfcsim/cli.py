@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_pairs
 from .config import ConfigError, ExperimentConfig, parse_scalar
 from .counting import (CoincidenceWindow, InsufficientEventsError,
                        count_summary, delay_histogram, g2_zero_from_counts)
@@ -26,7 +28,8 @@ from .experiments import (TomographyResult, run_efficiency_sweep,
 from .metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
 from .qubits import PHI_PLUS
 from .sources import EventStream
-from .tomography import load_records, mle_reconstruct, save_report, subtract_background
+from .tomography import (IncompleteSettingsError, load_records, mle_reconstruct,
+                         save_report, subtract_background)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,7 +142,7 @@ def _cmd_analyze(args) -> int:
             stream = EventStream.load(args.stream)
         except KeyError as exc:
             raise ConfigError(f"stream header lacks {exc}") from exc
-        except (OSError, ValueError, OverflowError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
         bin_width = _flag_value("--bin-width", args.bin_width)
         window = CoincidenceWindow(_flag_value("--window", args.window))
@@ -149,14 +152,12 @@ def _cmd_analyze(args) -> int:
         hist.save(hist_path)
         summary, _ = count_summary(stream, window, start_channel=args.start_channel,
                                    stop_channel=args.stop_channel)
+        try:
+            value, err = g2_zero_from_counts(summary)
+        except InsufficientEventsError:
+            value, err = math.nan, math.nan
         summary_path = outdir / "count_summary.txt"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(summary.to_text())
-            try:
-                value, err = g2_zero_from_counts(summary)
-            except InsufficientEventsError:
-                value, err = math.nan, math.nan
-            fh.write(f"g2_zero={float(value)!r}\nstd_error={float(err)!r}\n")
+        write_pairs(summary_path, {**asdict(summary), "g2_zero": value, "std_error": err})
         print(hist_path)
         print(summary_path)
         return 0
@@ -195,7 +196,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, IncompleteSettingsError) as exc:
+        # a count file whose settings cannot determine a state is bad input too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

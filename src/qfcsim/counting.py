@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_table
 from .sources import EventStream, START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL
 
 
@@ -24,18 +25,16 @@ MIN_OPPORTUNITIES = 100
 
 @dataclass(frozen=True)
 class CoincidenceWindow:
-    """Acceptance window on the stop-minus-start delay, in seconds."""
+    """Zero-centered acceptance window on the stop-minus-start delay, in seconds."""
 
     width: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.width <= 0.0:
             raise ValueError("window width must be > 0")
 
     def contains_ps(self, delays_ps: np.ndarray) -> np.ndarray:
-        half = self.width * 1e12 / 2.0
-        return np.abs(delays_ps - self.center * 1e12) <= half
+        return np.abs(delays_ps) <= self.width * 1e12 / 2.0
 
 
 @dataclass(frozen=True)
@@ -54,26 +53,6 @@ class CountSummary:
         if self.n_coincidence > min(self.n_start, self.n_stop):
             raise ValueError("coincidences cannot exceed either singles count")
 
-    def to_text(self) -> str:
-        return (f"n_trigger={self.n_trigger}\nn_start={self.n_start}\n"
-                f"n_stop={self.n_stop}\nn_coincidence={self.n_coincidence}\n")
-
-    @classmethod
-    def from_text(cls, text: str) -> "CountSummary":
-        names = ("n_trigger", "n_start", "n_stop", "n_coincidence")
-        values = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            # summary files may carry derived quantities on extra lines
-            if key in names:
-                values[key] = int(val)
-        return cls(values["n_trigger"], values["n_start"],
-                   values["n_stop"], values["n_coincidence"])
-
 
 @dataclass(frozen=True)
 class DelayHistogram:
@@ -87,15 +66,8 @@ class DelayHistogram:
     def mass(self) -> int:
         return int(self.counts.sum())
 
-    def to_csv(self) -> str:
-        lines = ["delay_ps,count"]
-        for c, n in zip(self.centers_ps, self.counts):
-            lines.append(f"{float(c)!r},{int(n)}")
-        return "\n".join(lines) + "\n"
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        write_table(path, "delay_ps,count", (self.centers_ps, self.counts))
 
 
 def pair_delays(stream: EventStream, start_channel: int = START_CHANNEL,
@@ -140,8 +112,7 @@ def delay_histogram(stream: EventStream, start_channel: int = START_CHANNEL,
 
 
 def count_summary(stream: EventStream, window: CoincidenceWindow,
-                  offset: int = 0, trigger_channel: int = TRIGGER_CHANNEL,
-                  start_channel: int = START_CHANNEL,
+                  offset: int = 0, start_channel: int = START_CHANNEL,
                   stop_channel: int = STOP_CHANNEL
                   ) -> tuple[CountSummary, int]:
     """Count triggers, singles, and windowed coincidences at a pulse offset.
@@ -150,7 +121,7 @@ def count_summary(stream: EventStream, window: CoincidenceWindow,
     pairs (p, p + offset) with a trigger at both ends (for offset 0 this is
     just the trigger count).
     """
-    trig_pulses, _ = stream.first_event_times(trigger_channel)
+    trig_pulses, _ = stream.first_event_times(TRIGGER_CHANNEL)
     start_pulses, _ = stream.first_event_times(start_channel)
     stop_pulses, _ = stream.first_event_times(stop_channel)
     _, delays, _ = pair_delays(stream, start_channel, stop_channel, offset)

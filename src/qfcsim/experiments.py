@@ -8,12 +8,13 @@ deterministic text artifacts (same config and seed, same bytes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import write_pairs, write_table
 from .config import ExperimentConfig
 from .conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
@@ -77,25 +78,19 @@ def write_sweep(result: SweepResult, outdir, coeff_unit: str = "per_W") -> list[
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table = outdir / "sweep.csv"
-    with open(table, "w", encoding="utf-8") as fh:
-        fh.write("power_w,efficiency\n")
-        for p, e in zip(result.powers_w, result.efficiencies):
-            fh.write(f"{float(p)!r},{float(e)!r}\n")
+    write_table(table, "power_w,efficiency", (result.powers_w, result.efficiencies))
+    fit = result.fit
+    if fit is None:
+        pairs = {"fit_error": result.fit_error}
+    else:
+        pairs = {"peak": fit.peak, "coeff": fit.coeff, "coeff_unit": coeff_unit,
+                 "residual": fit.residual, "coeff_identifiable": fit.coeff_identifiable}
+        if fit.coeff_identifiable:
+            pairs["peak_power_w"] = fit.model(coeff_unit).peak_power_w
+    pairs["table_peak_power_w"] = result.peak_power_w
+    pairs["table_peak_efficiency"] = result.peak_efficiency
     summary = outdir / "sweep_fit.txt"
-    with open(summary, "w", encoding="utf-8") as fh:
-        if result.fit is None:
-            fh.write(f"fit_error={result.fit_error}\n")
-        else:
-            fit = result.fit
-            fh.write(f"peak={float(fit.peak)!r}\n")
-            fh.write(f"coeff={float(fit.coeff)!r}\n")
-            fh.write(f"coeff_unit={coeff_unit}\n")
-            fh.write(f"residual={float(fit.residual)!r}\n")
-            fh.write(f"coeff_identifiable={fit.coeff_identifiable}\n")
-            if fit.coeff_identifiable:
-                fh.write(f"peak_power_w={float(fit.model(coeff_unit).peak_power_w)!r}\n")
-        fh.write(f"table_peak_power_w={float(result.peak_power_w)!r}\n")
-        fh.write(f"table_peak_efficiency={float(result.peak_efficiency)!r}\n")
+    write_pairs(summary, pairs)
     return [table, summary]
 
 
@@ -147,13 +142,11 @@ def write_g2(result: G2Result, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "g2_summary.txt"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(result.summary.to_text())
-        fh.write(f"g2_zero={float(result.value)!r}\n")
-        fh.write(f"std_error={float(result.std_error)!r}\n")
-        fh.write(f"insufficient={result.insufficient}\n")
-        for offset in sorted(result.sidebands):
-            fh.write(f"g2_offset_{offset}={float(result.sidebands[offset])!r}\n")
+    pairs = {**asdict(result.summary), "g2_zero": result.value,
+             "std_error": result.std_error, "insufficient": result.insufficient}
+    for offset in sorted(result.sidebands):
+        pairs[f"g2_offset_{offset}"] = result.sidebands[offset]
+    write_pairs(summary_path, pairs)
     hist_path = outdir / "g2_histogram.csv"
     result.histogram.save(hist_path)
     return [summary_path, hist_path]
@@ -163,9 +156,9 @@ def write_g2(result: G2Result, outdir) -> list[Path]:
 # Time-bin arrival histogram
 # ---------------------------------------------------------------------------
 
-def run_mzi_histogram(config: ExperimentConfig, bin_width: float = 50e-12,
-                      postselect: bool = False) -> tuple[DelayHistogram, EventStream]:
-    """Arrival-time histogram behind the decoding interferometer.
+def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False
+                      ) -> tuple[DelayHistogram, EventStream]:
+    """Arrival-time histogram behind the decoding interferometer, in 50 ps bins.
 
     Delays are measured from the herald click, so the three path
     combinations pile up at -delay, 0, +delay with weights 1:2:1.  With
@@ -177,7 +170,7 @@ def run_mzi_histogram(config: ExperimentConfig, bin_width: float = 50e-12,
         stream = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                                stop_channel=START_CHANNEL)
     hist = delay_histogram(stream, start_channel=TRIGGER_CHANNEL,
-                           stop_channel=START_CHANNEL, bin_width=bin_width)
+                           stop_channel=START_CHANNEL, bin_width=50e-12)
     return hist, stream
 
 

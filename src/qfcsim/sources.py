@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .artifacts import format_pairs, parse_header, read_table, write_table
 from .config import ConfigError, ExperimentConfig
 from .qubits import PHI_PLUS, density
 
@@ -28,6 +29,8 @@ STOP_CHANNEL = 3
 CHUNK_PULSES = 1 << 19
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
+
+_STREAM_DTYPE = np.dtype([("channel", np.int16), ("pulse", np.int64), ("time_ps", np.float64)])
 
 
 def entangled_pair_state(werner_weight: float) -> np.ndarray:
@@ -111,36 +114,18 @@ class EventStream:
         return uniq, times[first]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# n_pulses={self.n_pulses} seed={self.seed} "
-                     f"rep_period_ps={float(self.rep_period * 1e12)!r}\n")
-            for c, p, t in zip(self.channels, self.pulse_indices, self.timestamps_ps):
-                fh.write(f"{c},{p},{float(t)!r}\n")
+        meta = {"n_pulses": self.n_pulses, "seed": self.seed,
+                "rep_period_ps": float(self.rep_period * 1e12)}
+        write_table(path, "# " + format_pairs(meta, " "),
+                    (self.channels, self.pulse_indices, self.timestamps_ps))
 
     @classmethod
     def load(cls, path) -> "EventStream":
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("missing stream header line")
-            meta = dict(item.split("=", 1) for item in header[1:].split())
-            channels, pulses, times = [], [], []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                c, p, t = line.split(",")
-                channels.append(int(c))
-                pulses.append(int(p))
-                times.append(float(t))
-        return cls(
-            channels=np.array(channels, dtype=np.int16),
-            pulse_indices=np.array(pulses, dtype=np.int64),
-            timestamps_ps=np.array(times, dtype=np.float64),
-            n_pulses=int(meta["n_pulses"]),
-            seed=int(meta["seed"]),
-            rep_period=float(meta["rep_period_ps"]) / 1e12,
-        )
+            meta = parse_header(fh.readline().strip())
+            channels, pulses, times = read_table(fh, _STREAM_DTYPE)
+        return cls(channels, pulses, times, n_pulses=int(meta["n_pulses"]),
+                   seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
 
 
 def _sample_pairs(rng: np.random.Generator, config: ExperimentConfig, m: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_table, write_table
 from .qubits import (KET_H, check_density_matrix, half_wave_plate,
                      quarter_wave_plate)
 
@@ -121,11 +122,17 @@ class MleResult:
     min_step_gain: float
 
 
+class IncompleteSettingsError(ValueError):
+    """The measurement settings do not determine a two-qubit state."""
+
+
 def _projector_stack(settings: list[MeasurementSetting]) -> np.ndarray:
+    if not settings:
+        raise IncompleteSettingsError("no measurement settings")
     stack = np.stack([s.projector for s in settings])
     flat = stack.reshape(len(settings), -1)
     if np.linalg.matrix_rank(flat, tol=1e-10) < stack.shape[1] ** 2:
-        raise ValueError("settings are not informationally complete")
+        raise IncompleteSettingsError("settings are not informationally complete")
     return stack
 
 
@@ -183,13 +190,13 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
         raise ValueError("counts and settings lengths differ")
+    projectors = _projector_stack(settings)
     if np.any(counts < 0.0):
         raise ValueError("counts must be >= 0")
     totals = counts.sum(axis=1)
     if np.any(totals <= 0.0):
         raise ValueError("all counts are zero")
 
-    projectors = _projector_stack(settings)
     dim = projectors.shape[1]
     g_inv_sqrt = _inv_sqrt(projectors.sum(axis=0))
     povm = np.einsum("ab,ibc,cd->iad", g_inv_sqrt, projectors, g_inv_sqrt)
@@ -331,49 +338,32 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
 
 
 # ---------------------------------------------------------------------------
-# Count-record files: one line per setting,
-# qwp_a_deg,hwp_a_deg,qwp_b_deg,hwp_b_deg,count,duration_s
+# Count-record files: the RECORD_HEADER line, then one row per setting
 # ---------------------------------------------------------------------------
 
-RECORD_HEADER = "qwp_a_deg,hwp_a_deg,qwp_b_deg,hwp_b_deg,count,duration_s"
+_RECORD_DTYPE = np.dtype([("qwp_a_deg", np.float64), ("hwp_a_deg", np.float64),
+                          ("qwp_b_deg", np.float64), ("hwp_b_deg", np.float64),
+                          ("count", np.int64), ("duration_s", np.float64)])
+RECORD_HEADER = ",".join(_RECORD_DTYPE.names)
 
 
 def save_records(records: list[CountRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RECORD_HEADER + "\n")
-        for rec in records:
-            s = rec.setting
-            fh.write(f"{math.degrees(s.qwp_a)!r},{math.degrees(s.hwp_a)!r},"
-                     f"{math.degrees(s.qwp_b)!r},{math.degrees(s.hwp_b)!r},"
-                     f"{rec.count},{rec.duration_s!r}\n")
+    angles = [[math.degrees(getattr(r.setting, attr)) for r in records]
+              for attr in ("qwp_a", "hwp_a", "qwp_b", "hwp_b")]
+    counts = np.array([r.count for r in records], dtype=np.int64)
+    write_table(path, RECORD_HEADER, (*angles, counts, [r.duration_s for r in records]))
 
 
 def load_records(path) -> list[CountRecord]:
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == RECORD_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-            qa, ha, qb, hb, count, duration = parts
-            setting = MeasurementSetting(
-                math.radians(float(qa)), math.radians(float(ha)),
-                math.radians(float(qb)), math.radians(float(hb)))
-            records.append(CountRecord(setting, int(count), float(duration)))
-    return records
+        columns = read_table(fh, _RECORD_DTYPE, skip=RECORD_HEADER)
+    return [CountRecord(MeasurementSetting(*map(math.radians, angles)), count, duration)
+            for *angles, count, duration in zip(*(col.tolist() for col in columns))]
 
 
 def density_matrix_to_json(rho: np.ndarray) -> list[list[list[float]]]:
     """Row-major nesting of [re, im] pairs for report files."""
     return [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in rho]
-
-
-def density_matrix_from_json(data) -> np.ndarray:
-    rho = np.array([[complex(re, im) for re, im in row] for row in data])
-    return check_density_matrix(rho)
 
 
 def save_report(report: dict, path) -> None:

@@ -17,8 +17,11 @@ import qfcsim
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            ideal_g2_config)
-from qfcsim.counting import CountSummary
 from qfcsim.tomography import CountRecord, save_records
+
+
+def _pairs(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
 @pytest.fixture()
@@ -68,12 +71,12 @@ def test_analyze_stream_matches_run(tmp_path, g2_cfg_path, capsys):
     an = tmp_path / "an"
     assert main(["analyze", "--stream", str(out / "events.csv"),
                  "--out", str(an)]) == 0
-    run_text = (out / "g2_summary.txt").read_text()
-    an_text = (an / "count_summary.txt").read_text()
-    assert CountSummary.from_text(an_text) == CountSummary.from_text(run_text)
-    run_vals = dict(l.split("=", 1) for l in run_text.splitlines() if "=" in l)
-    an_vals = dict(l.split("=", 1) for l in an_text.splitlines() if "=" in l)
-    assert an_vals["g2_zero"] == run_vals["g2_zero"]
+    run_vals = _pairs(out / "g2_summary.txt")
+    an_vals = _pairs(an / "count_summary.txt")
+    assert list(an_vals) == ["n_trigger", "n_start", "n_stop", "n_coincidence",
+                             "g2_zero", "std_error"]
+    for key in an_vals:
+        assert an_vals[key] == run_vals[key]
 
 
 def test_seed_override_changes_stream(tmp_path, g2_cfg_path, capsys):
@@ -127,9 +130,22 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     short_line = tmp_path / "line.csv"
     short_line.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0\n")
     assert main(["analyze", "--stream", str(short_line), "--out", str(tmp_path / "o")]) == 2
+    from qfcsim.tomography import RECORD_HEADER, standard_settings
     bad_counts = tmp_path / "counts.csv"
     bad_counts.write_text("0,0,0,0,12\n")
     assert main(["analyze", "--counts", str(bad_counts), "--out", str(tmp_path / "o")]) == 2
+    full = [CountRecord(s, 100, 1.0) for s in standard_settings()]
+    # too few settings to determine a state: three records, or none at all
+    three = tmp_path / "three_counts.csv"
+    save_records(full[:3], three)
+    header_only = tmp_path / "header_counts.csv"
+    header_only.write_text(RECORD_HEADER + "\n")
+    # a count above int64 cannot be read
+    huge_count = tmp_path / "huge_counts.csv"
+    save_records(full, huge_count)
+    huge_count.write_text(huge_count.read_text().replace(",100,", ",9223372036854775808,", 1))
+    for path in (three, header_only, huge_count):
+        assert main(["analyze", "--counts", str(path), "--out", str(tmp_path / "o")]) == 2
     header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
     for name, line in (("channel", "40000,0,1.0"), ("pulse", "1,99999999999999999999,1.0")):
         overflow = tmp_path / f"{name}_overflow.csv"
@@ -140,9 +156,8 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     for flag in ("--bin-width=0ps", "--bin-width=-5ps", "--window=0ns"):
         assert main(["analyze", "--stream", str(good_stream), flag,
                      "--out", str(tmp_path / "o")]) == 2
-    from qfcsim.tomography import standard_settings
     counts = tmp_path / "good_counts.csv"
-    save_records([CountRecord(s, 100, 1.0) for s in standard_settings()], counts)
+    save_records(full, counts)
     assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz",
                  "--out", str(tmp_path / "o")]) == 2
 
@@ -183,12 +198,68 @@ def test_g2_and_analyze_stream_share_sufficiency_rule(tmp_path, capsys):
     run, an = tmp_path / "run", tmp_path / "an"
     assert main(["g2", "--config", str(path), "--out", str(run), "--save-stream"]) == 0
     assert main(["analyze", "--stream", str(run / "events.csv"), "--out", str(an)]) == 0
-    run_vals = dict(l.split("=", 1) for l in (run / "g2_summary.txt").read_text().splitlines())
-    an_vals = dict(l.split("=", 1) for l in (an / "count_summary.txt").read_text().splitlines())
+    run_vals = _pairs(run / "g2_summary.txt")
+    an_vals = _pairs(an / "count_summary.txt")
     assert run_vals["n_trigger"] == an_vals["n_trigger"] == "60"
     assert run_vals["insufficient"] == "True"
     for key in ("g2_zero", "std_error"):
         assert run_vals[key] == an_vals[key] == "nan"
+
+
+def test_analyze_short_streams_report_nan(tmp_path, capsys):
+    header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
+    texts = {"header_only": header,
+             "blank_lines": header + "\n1,0,0.0\n\n2,0,5.0\n3,0,9.0\n\n"}
+    for name, text in texts.items():
+        stream = tmp_path / f"{name}.csv"
+        stream.write_text(text)
+        out = tmp_path / name
+        assert main(["analyze", "--stream", str(stream), "--out", str(out)]) == 0
+        vals = _pairs(out / "count_summary.txt")
+        assert vals["g2_zero"] == vals["std_error"] == "nan"
+    assert _pairs(tmp_path / "header_only" / "count_summary.txt")["n_trigger"] == "0"
+    assert (tmp_path / "header_only" / "histogram.csv").read_text() == "delay_ps,count\n"
+    assert _pairs(tmp_path / "blank_lines" / "count_summary.txt")["n_coincidence"] == "1"
+    assert (tmp_path / "blank_lines" / "histogram.csv").read_text() == "delay_ps,count\n0.0,1\n"
+
+
+@pytest.mark.filterwarnings("default")
+def test_analyze_rejects_non_integer_fields_without_warning_filters(tmp_path, capsys):
+    # the suite turns warnings into errors; the reader must not rely on that
+    header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
+    for name, line in (("float_channel", "1.0,0,0.0"), ("wide_channel", "40000,0,0.0")):
+        stream = tmp_path / f"{name}.csv"
+        stream.write_text(header + line + "\n")
+        assert main(["analyze", "--stream", str(stream), "--out", str(tmp_path / "o")]) == 2
+    from qfcsim.tomography import standard_settings
+    counts = tmp_path / "float_count.csv"
+    save_records([CountRecord(s, 100, 1.0) for s in standard_settings()], counts)
+    counts.write_text(counts.read_text().replace(",100,", ",100.5,", 1))
+    assert main(["analyze", "--counts", str(counts), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.filterwarnings("default")
+def test_read_table_raises_on_lenient_loadtxt_cast(monkeypatch):
+    # numpy releases that still cast "1.0" into an integer column warn, and
+    # report the field as unconvertible only when that warning is an error
+    import io
+    import warnings
+
+    import numpy as np
+
+    from qfcsim import artifacts
+
+    def lenient_loadtxt(*args, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '1.0' to int16") from exc
+        return np.ones(1, dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(artifacts.np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ValueError):
+        artifacts.read_table(io.StringIO("1.0\n"), np.dtype([("channel", np.int16)]))
 
 
 def test_traced_and_exported_names_resolve():

@@ -61,9 +61,6 @@ def test_window_edges_are_inclusive():
     assert inside.tolist() == [True, True, True, True, True]
     outside = w.contains_ps(np.array([500.1, -500.1]))
     assert not outside.any()
-    off = CoincidenceWindow(width=2e-10, center=1e-9)
-    assert off.contains_ps(np.array([1000.0])).all()
-    assert not off.contains_ps(np.array([0.0])).any()
     with pytest.raises(ValueError):
         CoincidenceWindow(width=0.0)
 
@@ -123,20 +120,20 @@ def test_count_summary_validation():
         CountSummary(10, 5, 5, 6)
     with pytest.raises(ValueError):
         CountSummary(-1, 0, 0, 0)
-    s = CountSummary(7, 3, 2, 1)
-    assert CountSummary.from_text(s.to_text()) == s
 
 
-def test_delay_histogram_zero_centered_bins():
+def test_delay_histogram_zero_centered_bins(tmp_path):
     stream = _toy_stream()
     hist = delay_histogram(stream, bin_width=50e-12)
     assert hist.mass == 2
     # 40 ps rounds to bin center 50 ps, 2500 ps to its own bin
     assert hist.counts[np.where(hist.centers_ps == 50.0)][0] == 1
     assert hist.counts[np.where(hist.centers_ps == 2500.0)][0] == 1
-    csv = hist.to_csv()
-    assert csv.startswith("delay_ps,count\n")
-    assert "50.0,1" in csv
+    path = tmp_path / "histogram.csv"
+    hist.save(path)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["delay_ps,count", "50.0,1", "100.0,0"]
+    assert lines[-1] == "2500.0,1" and len(lines) == 51
     with pytest.raises(ValueError):
         delay_histogram(stream, bin_width=0.0)
 

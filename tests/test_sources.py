@@ -226,12 +226,27 @@ def test_mzi_stream_peak_positions():
     assert abs(counts[1] / total - 0.25) < 0.02
 
 
-def test_stream_save_load_roundtrip(tmp_path):
-    cfg = calibrated_g2_config(seed=66)
-    cfg.n_pulses = 50_000
-    stream = generate_hbt_stream(cfg)
+def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
+    # two-row blocks, so the five rows are written across three blocks
+    monkeypatch.setattr("qfcsim.artifacts.BLOCK_ROWS", 2)
+    stream = EventStream(
+        channels=np.array([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL,
+                           TRIGGER_CHANNEL, START_CHANNEL]),
+        pulse_indices=np.array([0, 0, 0, 9, 9]),
+        timestamps_ps=np.array([-35.5, 1e-05, 0.30000000000000004, 1e+16, 1e+16]),
+        n_pulses=10, seed=7, rep_period=12.5e-9)
     path = tmp_path / "events.csv"
     stream.save(path)
+    assert path.read_text() == (
+        "# n_pulses=10 seed=7 rep_period_ps=12500.0\n"
+        "1,0,-35.5\n"
+        "2,0,1e-05\n"
+        "3,0,0.30000000000000004\n"
+        "1,9,1e+16\n"
+        "2,9,1e+16\n")
+    # blank and comment lines between rows are skipped on reading
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n", "# note\n"] + lines[3:] + ["\n"]))
     loaded = EventStream.load(path)
     assert loaded.n_pulses == stream.n_pulses
     assert loaded.seed == stream.seed
