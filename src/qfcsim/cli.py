@@ -98,7 +98,7 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     result = run_efficiency_sweep(config)
-    paths = write_sweep(result, args.out, coeff_unit=config.eff_coeff_unit)
+    paths = write_sweep(result, args.out)
     for p in paths:
         print(p)
     return 0

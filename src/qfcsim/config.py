@@ -64,10 +64,12 @@ def parse_scalar(text: str) -> float:
     if suffix not in _UNIT_FACTORS:
         raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
     try:
-        value = float(digits)
+        value = float(digits) * _UNIT_FACTORS[suffix]
     except ValueError as exc:
         raise ConfigError(f"cannot parse number {digits!r}") from exc
-    return value * _UNIT_FACTORS[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"value {text!r} is not finite")
+    return value
 
 
 def _parse_bool(text: str) -> bool:

@@ -73,11 +73,10 @@ def build_conversion_unitary(params: ConversionParams) -> TwoModeUnitary:
     """Exponentiate the two-mode mixing generator at the given angle and phase.
 
     The generator theta * (e^{-i phi} ac+ as - e^{i phi} as+ ac) is
-    anti-Hermitian, so the result is unitary up to floating point error.
-    Photon number is conserved; the matrix is block diagonal over total n.
+    anti-Hermitian, so exp(gen) = V diag(e^{-i lam}) V+ from the eigenpairs
+    of the Hermitian 1j * gen, unitary up to floating point error.  Photon
+    number is conserved; the matrix is block diagonal over total n.
     """
-    from scipy.linalg import expm
-
     dim = params.n_max + 1
     low = _lowering(dim)
     eye = np.eye(dim, dtype=complex)
@@ -87,7 +86,8 @@ def build_conversion_unitary(params: ConversionParams) -> TwoModeUnitary:
         np.exp(-1j * params.phi) * (a_conv.conj().T @ a_sig)
         - np.exp(1j * params.phi) * (a_sig.conj().T @ a_conv)
     )
-    return TwoModeUnitary(params.n_max, expm(gen))
+    lam, vecs = np.linalg.eigh(1j * gen)
+    return TwoModeUnitary(params.n_max, (vecs * np.exp(-1j * lam)) @ vecs.conj().T)
 
 
 def apply_conversion(rho: np.ndarray, unitary: TwoModeUnitary) -> np.ndarray:
@@ -154,6 +154,7 @@ class EfficiencyFit:
     ``residual`` is the sum of squared residuals at the optimum.  When every
     sampled efficiency is zero the curvature coefficient drops out of the
     model, so ``coeff`` is NaN and ``coeff_identifiable`` is False.
+    ``converged`` is False when the Gauss-Newton polish ran out of steps.
     """
 
     peak: float
@@ -162,25 +163,26 @@ class EfficiencyFit:
     coeff_identifiable: bool = True
     converged: bool = True
 
-    def model(self, coeff_unit: str = "per_W") -> EfficiencyModel:
+    def model(self) -> EfficiencyModel:
         if not self.coeff_identifiable:
             raise ValueError("coefficient was not identifiable from the data")
-        return EfficiencyModel(min(max(self.peak, 0.0), 1.0), self.coeff, coeff_unit)
+        return EfficiencyModel(min(max(self.peak, 0.0), 1.0), self.coeff)
 
 
-def fit_efficiency_curve(samples, max_iter: int = 400) -> EfficiencyFit:
+def fit_efficiency_curve(samples) -> EfficiencyFit:
     """Least-squares fit of peak * sin^2(sqrt(coeff * P)) to (P, eta) samples.
 
-    Damped Gauss-Newton (scipy trust-region reflective) with a multi-start
-    grid over the curvature coefficient, since the loss is multimodal in
-    coeff.  Powers are interpreted in the unit the caller fitted in; the
-    returned coeff is the inverse of that unit.
+    The model is linear in peak, so every coeff has a closed-form best peak
+    (clipped to [0, 2]), which leaves a profile loss in coeff alone
+    (variable projection).  That loss is multimodal, so it is scanned on a
+    log grid over 0.05-20x the quarter-period guess, and the best grid point
+    is polished by Gauss-Newton steps in (peak, coeff).  Powers are
+    interpreted in the unit the caller fitted in; the returned coeff is the
+    inverse of that unit.
     """
-    from scipy.optimize import least_squares
-
     arr = np.asarray(list(samples), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be pairs of (power, efficiency)")
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
+        raise ValueError("samples must be finite pairs of (power, efficiency)")
     powers, effs = arr[:, 0], arr[:, 1]
     if np.any(powers < 0.0):
         raise ValueError("powers must be >= 0")
@@ -190,41 +192,33 @@ def fit_efficiency_curve(samples, max_iter: int = 400) -> EfficiencyFit:
     if np.max(np.abs(effs)) < 1e-14:
         return EfficiencyFit(0.0, math.nan, 0.0, coeff_identifiable=False)
 
-    def residuals(theta):
-        peak, coeff = theta
-        return peak * np.sin(np.sqrt(coeff * powers)) ** 2 - effs
-
     # Starting guess: the argmax of the data sits near the quarter period.
     p_top = powers[int(np.argmax(effs))]
     coeff_guess = (math.pi / 2.0) ** 2 / p_top if p_top > 0 else 1.0
-    peak_guess = float(np.max(effs))
+    grid = coeff_guess * np.geomspace(0.05, 20.0, 401)
+    shapes = np.sin(np.sqrt(np.outer(grid, powers))) ** 2
+    peaks = np.clip(shapes @ effs / np.sum(shapes ** 2, axis=1), 0.0, 2.0)
+    losses = np.sum((peaks[:, None] * shapes - effs) ** 2, axis=1)
+    best = int(np.argmin(losses))
+    peak, coeff, loss = float(peaks[best]), float(grid[best]), float(losses[best])
 
-    best = None
-    for factor in (1.0, 0.25, 4.0, 0.05, 20.0):
-        try:
-            sol = least_squares(
-                residuals,
-                x0=[peak_guess, coeff_guess * factor],
-                bounds=([0.0, 1e-12], [2.0, np.inf]),
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=max_iter,
-            )
-        except Exception:
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None:
-        raise RuntimeError("efficiency fit did not converge from any start")
-    peak, coeff = best.x
-    return EfficiencyFit(
-        peak=float(peak),
-        coeff=float(coeff),
-        residual=float(2.0 * best.cost),
-        coeff_identifiable=True,
-        converged=bool(best.status > 0),
-    )
+    for _ in range(100):
+        root = np.sqrt(coeff * powers)
+        shape = np.sin(root) ** 2
+        resid = peak * shape - effs
+        # d(resid)/d(peak) and d(resid)/d(coeff)
+        jac = np.column_stack([shape, peak * powers * np.sinc(2.0 * root / math.pi)])
+        step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+        if not 0.0 <= peak + step[0] <= 2.0:
+            # the peak is held at its bound: move coeff alone
+            step = np.r_[0.0, np.linalg.lstsq(jac[:, 1:], -resid, rcond=None)[0]]
+        trial_peak, trial_coeff = float(peak + step[0]), max(float(coeff + step[1]), 1e-12)
+        trial_loss = float(np.sum((trial_peak * np.sin(np.sqrt(trial_coeff * powers)) ** 2
+                                   - effs) ** 2))
+        if not trial_loss < loss:
+            return EfficiencyFit(peak, coeff, loss)
+        peak, coeff, loss = trial_peak, trial_coeff, trial_loss
+    return EfficiencyFit(peak, coeff, loss, converged=False)
 
 
 def pump_dephasing_factor(linewidth_hz: float, delay_s: float) -> float:

@@ -70,11 +70,12 @@ def run_efficiency_sweep(config: ExperimentConfig,
     try:
         fit = fit_efficiency_curve(np.column_stack([powers_w, effs]))
         return SweepResult(powers_w, effs, fit)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return SweepResult(powers_w, effs, None, fit_error=str(exc))
 
 
-def write_sweep(result: SweepResult, outdir, coeff_unit: str = "per_W") -> list[Path]:
+def write_sweep(result: SweepResult, outdir) -> list[Path]:
+    """Write ``sweep.csv`` and ``sweep_fit.txt``; the fit is in watts, so coeff is per W."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table = outdir / "sweep.csv"
@@ -83,10 +84,10 @@ def write_sweep(result: SweepResult, outdir, coeff_unit: str = "per_W") -> list[
     if fit is None:
         pairs = {"fit_error": result.fit_error}
     else:
-        pairs = {"peak": fit.peak, "coeff": fit.coeff, "coeff_unit": coeff_unit,
+        pairs = {"peak": fit.peak, "coeff": fit.coeff, "coeff_unit": "per_W",
                  "residual": fit.residual, "coeff_identifiable": fit.coeff_identifiable}
         if fit.coeff_identifiable:
-            pairs["peak_power_w"] = fit.model(coeff_unit).peak_power_w
+            pairs["peak_power_w"] = fit.model().peak_power_w
     pairs["table_peak_power_w"] = result.peak_power_w
     pairs["table_peak_efficiency"] = result.peak_efficiency
     summary = outdir / "sweep_fit.txt"

@@ -13,7 +13,7 @@ reproducible bit for bit regardless of how chunks would be scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,8 +98,12 @@ class EventStream:
         if n and (self.pulse_indices.min() < 0
                   or self.pulse_indices.max() >= self.n_pulses):
             raise ValueError("pulse index outside [0, n_pulses)")
-        if n and np.any(np.diff(self.timestamps_ps) < 0.0):
-            raise ValueError("timestamps must be nondecreasing")
+        # NaN fails the >= test, and sorted infinities can only sit at the ends
+        if n and not (np.isfinite(self.timestamps_ps[[0, -1]]).all()
+                      and np.all(np.diff(self.timestamps_ps) >= 0.0)):
+            raise ValueError("timestamps must be finite and nondecreasing")
+        if not (math.isfinite(self.rep_period) and self.rep_period > 0.0):
+            raise ValueError(f"rep_period must be finite and > 0, got {self.rep_period}")
 
     def __len__(self) -> int:
         return len(self.channels)
@@ -343,16 +347,3 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
     g2 = pc / (p2 * p3) if p2 > 0.0 and p3 > 0.0 else math.nan
     return HbtRates(p_trig, p2, p3, pc, g2)
 
-
-def noise_coeff_for_g2(config: ExperimentConfig, target: float,
-                       upper: float = 2.0) -> float:
-    """Noise coefficient at which the expected heralded g2(0) hits ``target``."""
-    from scipy.optimize import brentq
-
-    def gap(coeff: float) -> float:
-        return expected_hbt_rates(replace(config, noise_coeff=coeff)).g2 - target
-
-    lo = gap(0.0)
-    if lo > 0.0:
-        raise ValueError(f"g2 already exceeds target at zero noise ({lo + target:.4f})")
-    return float(brentq(gap, 0.0, upper, xtol=1e-15, rtol=1e-14))

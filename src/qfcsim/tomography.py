@@ -53,6 +53,8 @@ class MeasurementSetting:
     projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.qwp_a, self.hwp_a, self.qwp_b, self.hwp_b]).all():
+            raise ValueError("setting angles must be finite")
         ket = np.kron(analysis_ket(self.qwp_a, self.hwp_a),
                       analysis_ket(self.qwp_b, self.hwp_b))
         proj = np.outer(ket, ket.conj())
@@ -79,8 +81,8 @@ class CountRecord:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be > 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration_s}")
 
 
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],

@@ -160,6 +160,29 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     save_records(full, counts)
     assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz",
                  "--out", str(tmp_path / "o")]) == 2
+    # non-finite numbers are refused where they enter: 1e999 parses to inf
+    for name, line in (("pump", "pump_power=1e999"), ("delay", "mzi_delay=1e999s"),
+                       ("period", "rep_period=1e999")):
+        cfg = tmp_path / f"{name}_inf.cfg"
+        cfg.write_text(f"seed=1\n{line}\n")
+        for command in ("sweep", "g2", "tomo"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for name, text in (("nan_time", header + "2,0,nan\n"),
+                       ("inf_time", header + "1,0,0.0\n2,0,inf\n"),
+                       ("nan_period", header.replace("12195.0", "nan") + "1,0,0.0\n"),
+                       ("negative_period", header.replace("12195.0", "-5") + "1,0,0.0\n")):
+        stream = tmp_path / f"{name}.csv"
+        stream.write_text(text)
+        assert main(["analyze", "--stream", str(stream), "--out", str(tmp_path / "o")]) == 2
+    rows = counts.read_text().splitlines()
+    for name, row in (("nan_duration", rows[1].rsplit(",", 1)[0] + ",nan"),
+                      ("inf_duration", rows[1].rsplit(",", 1)[0] + ",inf"),
+                      ("nan_angle", "nan," + rows[1].split(",", 1)[1])):
+        bad_file = tmp_path / f"{name}_counts.csv"
+        bad_file.write_text("\n".join([rows[0], row] + rows[2:]) + "\n")
+        for extra in ([], ["--subtract-bg"]):
+            assert main(["analyze", "--counts", str(bad_file), "--out",
+                         str(tmp_path / "o")] + extra) == 2
 
 
 def test_exit_code_on_usage_errors(tmp_path, g2_cfg_path, capsys):
@@ -286,15 +309,46 @@ def test_missing_seed_is_a_config_error(tmp_path, capsys):
     assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported inside the functions that call it, so the commands
-    # that never fit or exponentiate do not pay for its import
+def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):
+    # numpy is the only runtime dependency: neither the import nor any
+    # command loads scipy (the tests use it only as a reference)
+    out = tmp_path / "o"
+    commands = [
+        ["sweep", "--config", str(g2_cfg_path), "--out", str(out / "sweep")],
+        ["g2", "--config", str(g2_cfg_path), "--save-stream", "--out", str(out / "g2")],
+        ["tomo", "--config", str(tomo_cfg_path), "--subtract-bg", "--timebin-histogram",
+         "--out", str(out / "tomo")],
+        ["analyze", "--stream", str(out / "g2" / "events.csv"), "--out", str(out / "an")],
+        ["analyze", "--counts", str(out / "tomo" / "tomo_counts.csv"), "--out", str(out / "ac")],
+    ]
+    script = ("import json, sys\n"
+              "from qfcsim.cli import main\n"
+              "print('import', 'scipy' in sys.modules)\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    code = main(argv)\n"
+              "    print(argv[0], code, 'scipy' in sys.modules)\n")
     src = Path(qfcsim.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qfcsim.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script, json.dumps(commands)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    report = [line for line in proc.stdout.splitlines() if line.endswith(("True", "False"))]
+    assert report == ["import False"] + [f"{argv[0]} 0 False" for argv in commands]
+
+
+def test_sweep_per_mw_config_writes_per_watt_fit(tmp_path, capsys):
+    # the fit works in watts, so 0.0036 per mW and 3.6 per W give the same files
+    outs = []
+    for coeff, unit in (("3.6", "per_W"), ("0.0036", "per_mW")):
+        cfg = tmp_path / f"{unit}.cfg"
+        cfg.write_text(f"eff_coeff={coeff}\neff_coeff_unit={unit}\n")
+        outs.append(tmp_path / unit)
+        assert main(["sweep", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    for name in ("sweep.csv", "sweep_fit.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    fit = _pairs(outs[1] / "sweep_fit.txt")
+    assert fit["coeff"] == "3.6" and fit["coeff_unit"] == "per_W"
+    assert fit["peak_power_w"] == "0.6853891945200943"
 
 
 def test_installed_entry_point():

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
+from scipy.optimize import least_squares
 
 from qfcsim.conversion import (
     ConversionParams,
@@ -25,6 +27,7 @@ from qfcsim.config import ExperimentConfig
 
 DEPHASING_150KHZ_1NS = 0.9990579661966258
 PEAK_POWER_W = 0.6853891945200943
+LOSS_RTOL = 1e-15 + 100.0 * float(np.finfo(np.longdouble).eps)
 EFF_AT_700MW = 0.6198280458589798
 
 
@@ -33,6 +36,46 @@ def _mode_operators(n_max):
     low = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
     eye = np.eye(dim, dtype=complex)
     return np.kron(low, eye), np.kron(eye, low)
+
+
+def _scipy_fit(samples):
+    """Multi-start bounded trust-region least squares, the fit's reference."""
+    arr = np.asarray(samples, dtype=float)
+    powers, effs = arr[:, 0], arr[:, 1]
+
+    def residuals(theta):
+        return theta[0] * np.sin(np.sqrt(theta[1] * powers)) ** 2 - effs
+
+    p_top = powers[int(np.argmax(effs))]
+    coeff_guess = (math.pi / 2.0) ** 2 / p_top if p_top > 0 else 1.0
+    sols = [least_squares(residuals, x0=[np.max(effs), coeff_guess * factor],
+                          bounds=([0.0, 1e-12], [2.0, np.inf]),
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+            for factor in (1.0, 0.25, 4.0, 0.05, 20.0)]
+    return min(sols, key=lambda sol: sol.cost).x
+
+
+def _extended_loss(peak, coeff, samples):
+    # the sum of squares in long double, so the float64 rounding floor
+    # (a few 1e-15 relative) does not decide which fit is better; where long
+    # double is plain double, LOSS_RTOL widens by that floor
+    arr = np.asarray(samples, dtype=np.longdouble)
+    powers, effs = arr[:, 0], arr[:, 1]
+    model = np.longdouble(peak) * np.sin(np.sqrt(np.longdouble(coeff) * powers)) ** 2
+    return np.sum((model - effs) ** 2)
+
+
+def _noisy_sets():
+    """20 noisy 40-point sets, then the demo's noisy 45-point set."""
+    model = EfficiencyModel(peak=0.62, coeff=3.6)
+    rng = np.random.default_rng(777)
+    powers = np.linspace(0.02, 0.7, 40)
+    sets = [[(p, conversion_efficiency(float(p), model) + rng.normal(0.0, 0.01))
+             for p in powers] for _ in range(20)]
+    rng = np.random.default_rng(5)
+    sets.append([(p, max(0.0, conversion_efficiency(p, model) + rng.normal(0, 0.01)))
+                 for p in np.linspace(0.0, 1.1, 45)])
+    return sets
 
 
 def test_zero_angle_is_identity():
@@ -99,6 +142,17 @@ def test_heisenberg_mode_transformation():
     keep = totals <= 3
     err = np.max(np.abs((transformed - expected)[np.ix_(keep, keep)]))
     assert err < 1e-12
+
+
+def test_unitary_matches_scipy_expm():
+    for n_max in range(1, 6):
+        a_s, a_c = _mode_operators(n_max)
+        for theta in np.linspace(0.0, 10.0, 21):
+            for phi in (0.0, 0.83, 4.0):
+                gen = theta * (np.exp(-1j * phi) * (a_c.conj().T @ a_s)
+                               - np.exp(1j * phi) * (a_s.conj().T @ a_c))
+                u = build_conversion_unitary(ConversionParams(float(theta), phi, n_max))
+                assert_allclose(u.matrix, expm(gen), rtol=0.0, atol=1e-12)
 
 
 def test_two_photon_interference_null():
@@ -185,15 +239,23 @@ def test_fit_recovers_exact_curve():
 
 
 def test_fit_with_noise_stays_close():
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
-    rng = np.random.default_rng(777)
-    powers = np.linspace(0.02, 0.7, 40)
-    for _ in range(20):
-        effs = [conversion_efficiency(float(p), model) + rng.normal(0.0, 0.01)
-                for p in powers]
-        fit = fit_efficiency_curve(list(zip(powers, effs)))
+    for samples in _noisy_sets()[:20]:
+        fit = fit_efficiency_curve(samples)
         assert abs(fit.peak - 0.62) < 0.05
         assert abs(fit.coeff - 3.6) < 0.5
+
+
+def test_fit_matches_scipy_reference():
+    # no worse than multi-start trust-region least squares on the noisy
+    # sets and on the sparse exact grid of acceptance criterion 1
+    model = EfficiencyModel(peak=0.62, coeff=3.6)
+    sparse = [(p, conversion_efficiency(p, model)) for p in np.linspace(0.0, 1.1, 12)]
+    for samples in _noisy_sets() + [sparse]:
+        fit = fit_efficiency_curve(samples)
+        ours = _extended_loss(fit.peak, fit.coeff, samples)
+        reference = _extended_loss(*_scipy_fit(samples), samples)
+        assert ours <= reference * (1.0 + LOSS_RTOL)
+        assert fit.residual == pytest.approx(float(ours), rel=1e-13, abs=1e-30)
 
 
 def test_fit_zero_data_flags_unidentifiable():

@@ -56,7 +56,7 @@ def test_sweep_custom_powers_and_degenerate_grid():
 def test_write_sweep_files(tmp_path):
     cfg = ExperimentConfig()
     res = run_efficiency_sweep(cfg)
-    paths = write_sweep(res, tmp_path, coeff_unit=cfg.eff_coeff_unit)
+    paths = write_sweep(res, tmp_path)
     table = (tmp_path / "sweep.csv").read_text().splitlines()
     assert table[0] == "power_w,efficiency"
     assert len(table) == 352

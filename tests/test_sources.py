@@ -8,11 +8,13 @@ chunked counter-based substreams: the events of a chunk depend only on
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
+from scipy.optimize import brentq
 
 from qfcsim.config import (
     ConfigError,
@@ -33,7 +35,6 @@ from qfcsim.sources import (
     expected_hbt_rates,
     generate_hbt_stream,
     generate_mzi_stream,
-    noise_coeff_for_g2,
     pair_distribution,
     _click_prob,
 )
@@ -181,6 +182,17 @@ def test_expected_rates_heralded_antibunches():
     rates = expected_hbt_rates(calibrated_g2_config())
     assert rates.g2 < 0.2
     assert rates.p_coincidence < rates.p_start * rates.p_stop
+
+
+def noise_coeff_for_g2(config: ExperimentConfig, target: float, upper: float = 2.0) -> float:
+    """Noise coefficient at which the expected heralded g2(0) hits ``target``."""
+    def gap(coeff: float) -> float:
+        return expected_hbt_rates(replace(config, noise_coeff=coeff)).g2 - target
+
+    lo = gap(0.0)
+    if lo > 0.0:
+        raise ValueError(f"g2 already exceeds target at zero noise ({lo + target:.4f})")
+    return float(brentq(gap, 0.0, upper, xtol=1e-15, rtol=1e-14))
 
 
 def test_noise_calibration_reproduces_frozen_coefficient():
