@@ -13,8 +13,9 @@ from .conversion import (ConversionParams, EfficiencyFit, EfficiencyModel,
                          build_conversion_unitary, conversion_efficiency,
                          fit_efficiency_curve, pump_dephasing_factor)
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
-                       InsufficientEventsError, count_summary, delay_histogram,
-                       g2_at_offset, g2_zero_from_counts, select_window)
+                       FirstClicks, InsufficientEventsError, count_summary,
+                       delay_histogram, first_clicks, g2_at_offset,
+                       g2_zero_from_counts, select_window)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
 from .qubits import (PHI_PLUS, check_density_matrix,
@@ -32,14 +33,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ChshResult", "CoincidenceWindow", "ConfigError", "ConversionParams",
     "CountRecord", "CountSummary", "DelayHistogram", "EfficiencyFit",
-    "EfficiencyModel", "EventStream", "ExperimentConfig",
+    "EfficiencyModel", "EventStream", "ExperimentConfig", "FirstClicks",
     "InsufficientEventsError", "MeasurementSetting", "MleResult", "PHI_PLUS",
     "PRESETS", "TwoModeUnitary",
     "apply_conversion", "build_conversion_unitary", "check_density_matrix",
     "chsh_assessment", "concurrence", "conversion_efficiency",
     "convert_timebin_qubit", "count_summary", "delay_histogram",
     "end_to_end_state", "entangled_pair_state", "entanglement_of_formation",
-    "expected_hbt_rates", "fidelity", "fit_efficiency_curve", "g2_at_offset",
+    "expected_hbt_rates", "fidelity", "fit_efficiency_curve",
+    "first_clicks", "g2_at_offset",
     "g2_zero_from_counts", "generate_hbt_stream", "generate_mzi_stream",
     "load_records", "mle_reconstruct", "pair_distribution",
     "pump_dephasing_factor",

@@ -20,7 +20,8 @@ import numpy as np
 from .artifacts import write_pairs
 from .config import ConfigError, ExperimentConfig, parse_scalar
 from .counting import (CoincidenceWindow, InsufficientEventsError,
-                       count_summary, delay_histogram, g2_zero_from_counts)
+                       count_summary, delay_histogram, first_clicks,
+                       g2_zero_from_counts)
 from .experiments import (TomographyResult, run_efficiency_sweep,
                           run_g2_experiment, run_mzi_histogram,
                           run_tomography_experiment, tomography_report,
@@ -146,12 +147,11 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
         bin_width = _flag_value("--bin-width", args.bin_width)
         window = CoincidenceWindow(_flag_value("--window", args.window))
-        hist = delay_histogram(stream, args.start_channel, args.stop_channel,
-                               bin_width=bin_width)
+        clicks = first_clicks(stream, args.start_channel, args.stop_channel)
+        hist = delay_histogram(clicks, bin_width=bin_width)
         hist_path = outdir / "histogram.csv"
         hist.save(hist_path)
-        summary, _ = count_summary(stream, window, start_channel=args.start_channel,
-                                   stop_channel=args.stop_channel)
+        summary, _ = count_summary(clicks, window)
         try:
             value, err = g2_zero_from_counts(summary)
         except InsufficientEventsError:

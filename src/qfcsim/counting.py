@@ -1,13 +1,14 @@
 """Coincidence counting and normalized intensity correlations.
 
-All estimators work on pulse-indexed click streams.  Clicks are paired by
-pulse: the first click per pulse on each channel counts, matching
-start-stop electronics with one valid event per gate.
+All estimators work on a ``FirstClicks`` index, built once per stream.
+Clicks are paired by pulse: the first click per pulse on each channel
+counts, matching start-stop electronics with one valid event per gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,29 +71,73 @@ class DelayHistogram:
         write_table(path, "delay_ps,count", (self.centers_ps, self.counts))
 
 
-def pair_delays(stream: EventStream, start_channel: int = START_CHANNEL,
-                stop_channel: int = STOP_CHANNEL, offset: int = 0
+@dataclass(frozen=True)
+class FirstClicks:
+    """First click per pulse on the trigger, start and stop channels of one stream.
+
+    Every pulse list is sorted and unique, and each times array holds the
+    earliest click of the matching pulse in ps.  Built once per stream by
+    ``first_clicks``, it serves every offset through joins on sorted lists.
+    """
+
+    trigger_pulses: np.ndarray
+    start_pulses: np.ndarray
+    start_times: np.ndarray
+    stop_pulses: np.ndarray
+    stop_times: np.ndarray
+    rep_ps: float
+    _opportunities: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
+
+    def opportunities(self, offset: int) -> int:
+        """Pulse pairs (p, p + offset) with a trigger at both ends.
+
+        The count is the same for +n and -n, so each |offset| is counted
+        once.  Merging the two sorted unique lists T and T + n puts every
+        pulse they share next to its twin.
+        """
+        n = abs(offset)
+        if n not in self._opportunities:
+            trig = self.trigger_pulses
+            merged = np.sort(np.concatenate((trig, trig + n)), kind="stable")
+            self._opportunities[n] = int(np.count_nonzero(merged[1:] == merged[:-1]))
+        return self._opportunities[n]
+
+
+def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
+                 stop_channel: int = STOP_CHANNEL) -> FirstClicks:
+    """Index the first clicks of ``stream`` on the trigger, start and stop channels."""
+    trigger_pulses, _ = stream.first_event_times(TRIGGER_CHANNEL)
+    return FirstClicks(trigger_pulses, *stream.first_event_times(start_channel),
+                       *stream.first_event_times(stop_channel),
+                       rep_ps=stream.rep_period * 1e12)
+
+
+def _join(keys: np.ndarray, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) with keys[i] == pulses[j], for sorted unique arrays, by i."""
+    j = np.searchsorted(pulses, keys)
+    hit = j < len(pulses)
+    hit[hit] = pulses[j[hit]] == keys[hit]
+    i = np.flatnonzero(hit)
+    return i, j[i]
+
+
+def pair_delays(clicks: FirstClicks, offset: int = 0
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stop-minus-start delays for pulses with clicks on both channels.
 
     With ``offset`` n, start clicks at pulse p pair with stop clicks at
     pulse p + n, and the nominal n-pulse separation is subtracted from the
     delay.  Returns (start pulse indices, start indices' delays in ps,
-    stop times) sorted by pulse.
+    start times) sorted by pulse.
     """
-    p_start, t_start = stream.first_event_times(start_channel)
-    p_stop, t_stop = stream.first_event_times(stop_channel)
-    # first_event_times returns np.unique output, so both lists are unique
-    common, i_start, i_stop = np.intersect1d(
-        p_start, p_stop - offset, assume_unique=True, return_indices=True)
-    rep_ps = stream.rep_period * 1e12
-    delays = t_stop[i_stop] - t_start[i_start] - offset * rep_ps
-    return common, delays, t_start[i_start]
+    i_start, i_stop = _join(clicks.start_pulses + offset, clicks.stop_pulses)
+    t_start = clicks.start_times[i_start]
+    delays = clicks.stop_times[i_stop] - t_start - offset * clicks.rep_ps
+    return clicks.start_pulses[i_start], delays, t_start
 
 
-def delay_histogram(stream: EventStream, start_channel: int = START_CHANNEL,
-                    stop_channel: int = STOP_CHANNEL,
-                    bin_width: float = 50e-12) -> DelayHistogram:
+def delay_histogram(clicks: FirstClicks, bin_width: float = 50e-12) -> DelayHistogram:
     """Histogram same-pulse stop-minus-start delays.
 
     Bins are centered on integer multiples of ``bin_width`` (seconds), so a
@@ -100,7 +145,7 @@ def delay_histogram(stream: EventStream, start_channel: int = START_CHANNEL,
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
-    _, delays, _ = pair_delays(stream, start_channel, stop_channel)
+    _, delays, _ = pair_delays(clicks)
     width_ps = bin_width * 1e12
     if len(delays) == 0:
         return DelayHistogram(width_ps, np.zeros(0), np.zeros(0, dtype=np.int64))
@@ -111,9 +156,7 @@ def delay_histogram(stream: EventStream, start_channel: int = START_CHANNEL,
     return DelayHistogram(width_ps, centers, counts.astype(np.int64))
 
 
-def count_summary(stream: EventStream, window: CoincidenceWindow,
-                  offset: int = 0, start_channel: int = START_CHANNEL,
-                  stop_channel: int = STOP_CHANNEL
+def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 0
                   ) -> tuple[CountSummary, int]:
     """Count triggers, singles, and windowed coincidences at a pulse offset.
 
@@ -121,17 +164,11 @@ def count_summary(stream: EventStream, window: CoincidenceWindow,
     pairs (p, p + offset) with a trigger at both ends (for offset 0 this is
     just the trigger count).
     """
-    trig_pulses, _ = stream.first_event_times(TRIGGER_CHANNEL)
-    start_pulses, _ = stream.first_event_times(start_channel)
-    stop_pulses, _ = stream.first_event_times(stop_channel)
-    _, delays, _ = pair_delays(stream, start_channel, stop_channel, offset)
+    _, delays, _ = pair_delays(clicks, offset)
     n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
-    # first_event_times returns np.unique output, so the pulse list is unique
-    opportunities = len(np.intersect1d(trig_pulses, trig_pulses - offset,
-                                       assume_unique=True))
-    summary = CountSummary(len(trig_pulses), len(start_pulses),
-                           len(stop_pulses), n_coinc)
-    return summary, opportunities
+    summary = CountSummary(len(clicks.trigger_pulses), len(clicks.start_pulses),
+                           len(clicks.stop_pulses), n_coinc)
+    return summary, clicks.opportunities(offset)
 
 
 def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
@@ -155,15 +192,13 @@ def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
     return float(value), float(np.sqrt(variance))
 
 
-def g2_at_offset(stream: EventStream, offset: int, window: CoincidenceWindow) -> float:
-    """Normalized correlation between start clicks and stop clicks ``offset``
-    pulses later.
+def g2_offset_from_counts(summary: CountSummary, opportunities: int) -> float:
+    """Normalized correlation from the counts (and opportunities) of one pulse offset.
 
     The accidental normalization uses the per-opportunity singles product,
     so the estimator reduces to the zero-delay formula at offset 0 and
     approaches 1 for uncorrelated pulses.
     """
-    summary, opportunities = count_summary(stream, window, offset)
     if opportunities < MIN_OPPORTUNITIES:
         raise InsufficientEventsError(
             f"{opportunities} coincidence opportunities, need >= {MIN_OPPORTUNITIES}")
@@ -171,6 +206,32 @@ def g2_at_offset(stream: EventStream, offset: int, window: CoincidenceWindow) ->
         raise InsufficientEventsError("zero singles count")
     return float(summary.n_trigger ** 2 * summary.n_coincidence
                  / (opportunities * summary.n_start * summary.n_stop))
+
+
+def g2_at_offset(clicks: FirstClicks, offset: int, window: CoincidenceWindow) -> float:
+    """Normalized correlation between start clicks and stop clicks ``offset``
+    pulses later (see ``g2_offset_from_counts``)."""
+    return g2_offset_from_counts(*count_summary(clicks, window, offset))
+
+
+def sideband_mean_from_counts(summary: CountSummary, sidebands) -> tuple[float, float]:
+    """Pooled accidental level of the estimated sidebands and its Poisson error.
+
+    ``sidebands`` holds the (coincidences C_n, opportunities O_n) of every
+    estimated offset, and ``summary`` the singles they share.  Offset n
+    expects A_n = O_n N_start N_stop / N_trigger^2 accidental coincidences,
+    so the mean is sum(C_n) / sum(A_n), near 1 for uncorrelated pulses.  Its
+    relative variance is 1/sum(C_n) + 1/N_start + 1/N_stop.  Both are NaN
+    when no sideband was estimated or sum(C_n) = 0.
+    """
+    total = sum(c for c, _ in sidebands)
+    if total == 0:
+        return math.nan, math.nan
+    expected = sum(o * summary.n_start * summary.n_stop / summary.n_trigger ** 2
+                   for _, o in sidebands)
+    value = total / expected
+    rel_var = 1.0 / total + 1.0 / summary.n_start + 1.0 / summary.n_stop
+    return value, value * math.sqrt(rel_var)
 
 
 def select_window(stream: EventStream, window: CoincidenceWindow,
@@ -182,7 +243,7 @@ def select_window(stream: EventStream, window: CoincidenceWindow,
     and stop clicks are dropped.  Applying the same window twice is a
     no-op.
     """
-    pulses, delays, t_start = pair_delays(stream, start_channel, stop_channel)
+    pulses, delays, t_start = pair_delays(first_clicks(stream, start_channel, stop_channel))
     keep = window.contains_ps(delays)
     kept_pulses = pulses[keep]
     kept_start = t_start[keep]

@@ -17,9 +17,12 @@ import numpy as np
 from .artifacts import write_pairs, write_table
 from .config import ExperimentConfig
 from .conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
+# g2_at_offset is unused here, but perfbench/child.py traces it under this name
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        InsufficientEventsError, count_summary, delay_histogram,
-                       g2_at_offset, g2_zero_from_counts, select_window)
+                       first_clicks, g2_at_offset, g2_offset_from_counts,
+                       g2_zero_from_counts, select_window,
+                       sideband_mean_from_counts)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
 from .qubits import PHI_PLUS, end_to_end_state
@@ -108,6 +111,13 @@ class G2Result:
     sidebands: dict[int, float] = field(default_factory=dict)
     insufficient: bool = False
     stream: Optional[EventStream] = None
+    sideband_mean: float = math.nan
+    sideband_mean_error: float = math.nan
+
+    @property
+    def sideband_pull(self) -> float:
+        """Deviation of the pooled sideband level from 1 in units of its error."""
+        return (self.sideband_mean - 1.0) / self.sideband_mean_error
 
 
 def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
@@ -115,28 +125,34 @@ def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
     """Generate a heralded correlation stream and estimate g2.
 
     Sideband estimates at nonzero pulse offsets (both signs) probe the
-    accidental level; for uncorrelated pulses they sit at 1.  When the run
-    is too short for a meaningful estimate the result carries NaN values
-    and the ``insufficient`` flag instead of raising.
+    accidental level; for uncorrelated pulses they sit at 1, and so does
+    their pooled mean.  When the run is too short for a meaningful estimate
+    the result carries NaN values and the ``insufficient`` flag instead of
+    raising.  Every offset is counted from one first-click index.
     """
     stream = generate_hbt_stream(config)
     window = CoincidenceWindow(config.coincidence_window)
-    summary, _ = count_summary(stream, window)
+    clicks = first_clicks(stream)
+    summary, _ = count_summary(clicks, window)
     try:
         value, err = g2_zero_from_counts(summary)
         insufficient = False
     except InsufficientEventsError:
         value, err, insufficient = math.nan, math.nan, True
     sidebands: dict[int, float] = {}
+    estimated = []
     for n in sideband_offsets:
         for offset in (n, -n):
+            counts, opportunities = count_summary(clicks, window, offset)
             try:
-                sidebands[offset] = g2_at_offset(stream, offset, window)
+                sidebands[offset] = g2_offset_from_counts(counts, opportunities)
             except InsufficientEventsError:
                 continue
-    histogram = delay_histogram(stream, bin_width=50e-12)
+            estimated.append((counts.n_coincidence, opportunities))
+    mean, mean_error = sideband_mean_from_counts(summary, estimated)
+    histogram = delay_histogram(clicks, bin_width=50e-12)
     return G2Result(value, err, summary, histogram, sidebands, insufficient,
-                    stream if keep_stream else None)
+                    stream if keep_stream else None, mean, mean_error)
 
 
 def write_g2(result: G2Result, outdir) -> list[Path]:
@@ -147,6 +163,9 @@ def write_g2(result: G2Result, outdir) -> list[Path]:
              "std_error": result.std_error, "insufficient": result.insufficient}
     for offset in sorted(result.sidebands):
         pairs[f"g2_offset_{offset}"] = result.sidebands[offset]
+    pairs["sideband_mean"] = result.sideband_mean
+    pairs["sideband_mean_error"] = result.sideband_mean_error
+    pairs["sideband_pull"] = result.sideband_pull
     write_pairs(summary_path, pairs)
     hist_path = outdir / "g2_histogram.csv"
     result.histogram.save(hist_path)
@@ -170,8 +189,8 @@ def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False
         window = CoincidenceWindow(config.postselect_window)
         stream = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                                stop_channel=START_CHANNEL)
-    hist = delay_histogram(stream, start_channel=TRIGGER_CHANNEL,
-                           stop_channel=START_CHANNEL, bin_width=50e-12)
+    hist = delay_histogram(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL),
+                           bin_width=50e-12)
     return hist, stream
 
 

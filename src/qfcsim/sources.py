@@ -110,10 +110,23 @@ class EventStream:
 
     def first_event_times(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
         """Pulses with at least one click on ``channel`` and the earliest
-        click time of each, both sorted by pulse index."""
+        click time of each, both sorted by pulse index.
+
+        The stream is time-sorted, so the first click of a pulse is its
+        earliest.  Every generator emits a channel's pulses in
+        nondecreasing order (jitter and slot offsets are far below the
+        period), which makes the first entry of each run of equal pulses
+        the answer in O(n); a stream that breaks that order, such as a
+        hand-edited file, falls back to a sort.
+        """
         mask = self.channels == channel
         pulses = self.pulse_indices[mask]
         times = self.timestamps_ps[mask]
+        steps = np.diff(pulses)
+        if np.all(steps >= 0):
+            first = np.ones(len(pulses), dtype=bool)
+            first[1:] = steps > 0
+            return pulses[first], times[first]
         uniq, first = np.unique(pulses, return_index=True)
         return uniq, times[first]
 

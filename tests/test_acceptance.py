@@ -32,7 +32,7 @@ from qfcsim.config import (
     thermal_g2_config,
 )
 from qfcsim.conversion import EfficiencyModel, conversion_efficiency, fit_efficiency_curve
-from qfcsim.counting import CoincidenceWindow, count_summary
+from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks
 from qfcsim.experiments import (
     run_efficiency_sweep,
     run_g2_experiment,
@@ -236,8 +236,8 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     ok = ok and loaded.seed == a.seed and loaded.n_pulses == a.n_pulses
     # counting the reloaded stream reproduces the counts exactly
     window = CoincidenceWindow(cfg.coincidence_window)
-    summary_a, _ = count_summary(a, window)
-    summary_l, _ = count_summary(loaded, window)
+    summary_a, _ = count_summary(first_clicks(a), window)
+    summary_l, _ = count_summary(first_clicks(loaded), window)
     ok = ok and summary_a == summary_l
     # config file round trip is lossless
     cfg_path = tmp_path / "run.cfg"

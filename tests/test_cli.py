@@ -17,6 +17,7 @@ import qfcsim
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            ideal_g2_config)
+from qfcsim.sources import EventStream
 from qfcsim.tomography import CountRecord, save_records
 
 
@@ -77,6 +78,23 @@ def test_analyze_stream_matches_run(tmp_path, g2_cfg_path, capsys):
                              "g2_zero", "std_error"]
     for key in an_vals:
         assert an_vals[key] == run_vals[key]
+
+
+def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monkeypatch,
+                                                     capsys):
+    # every offset is counted from one index: three extractions per command
+    calls = []
+    extract = EventStream.first_event_times
+    monkeypatch.setattr(EventStream, "first_event_times",
+                        lambda self, channel: calls.append(channel) or extract(self, channel))
+    out = tmp_path / "run"
+    assert main(["g2", "--config", str(g2_cfg_path), "--out", str(out),
+                 "--save-stream"]) == 0
+    assert sorted(calls) == [1, 2, 3]
+    calls.clear()
+    assert main(["analyze", "--stream", str(out / "events.csv"),
+                 "--out", str(tmp_path / "an")]) == 0
+    assert len(calls) <= 3
 
 
 def test_seed_override_changes_stream(tmp_path, g2_cfg_path, capsys):
@@ -240,7 +258,9 @@ def test_analyze_short_streams_report_nan(tmp_path, capsys):
         assert main(["analyze", "--stream", str(stream), "--out", str(out)]) == 0
         vals = _pairs(out / "count_summary.txt")
         assert vals["g2_zero"] == vals["std_error"] == "nan"
-    assert _pairs(tmp_path / "header_only" / "count_summary.txt")["n_trigger"] == "0"
+    header_only = _pairs(tmp_path / "header_only" / "count_summary.txt")
+    assert [header_only[k] for k in ("n_trigger", "n_start", "n_stop", "n_coincidence")] \
+        == ["0"] * 4
     assert (tmp_path / "header_only" / "histogram.csv").read_text() == "delay_ps,count\n"
     assert _pairs(tmp_path / "blank_lines" / "count_summary.txt")["n_coincidence"] == "1"
     assert (tmp_path / "blank_lines" / "histogram.csv").read_text() == "delay_ps,count\n0.0,1\n"

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qfcsim.config import calibrated_g2_config, ExperimentConfig
@@ -19,10 +20,12 @@ from qfcsim.counting import (
     MIN_OPPORTUNITIES,
     count_summary,
     delay_histogram,
+    first_clicks,
     g2_at_offset,
     g2_zero_from_counts,
     pair_delays,
     select_window,
+    sideband_mean_from_counts,
 )
 from qfcsim.sources import (
     EventStream,
@@ -67,7 +70,7 @@ def test_window_edges_are_inclusive():
 
 def test_pair_delays_on_toy_stream():
     stream = _toy_stream()
-    pulses, delays, t_start = pair_delays(stream)
+    pulses, delays, t_start = pair_delays(first_clicks(stream))
     assert_array_equal(pulses, [0, 2])
     assert_allclose(delays, [40.0, 2500.0])
     assert_allclose(t_start, [10.0, 2 * REP_PS])
@@ -77,17 +80,18 @@ def test_pair_delays_with_offset():
     # start at pulse 0 pairs with stop at pulse 2 under offset 2, and the
     # two-pulse separation is removed from the delay
     stream = _toy_stream()
-    pulses, delays, _ = pair_delays(stream, offset=2)
+    pulses, delays, _ = pair_delays(first_clicks(stream), offset=2)
     assert_array_equal(pulses, [0])
     assert_allclose(delays, [2 * REP_PS + 2500.0 - 10.0 - 2 * REP_PS])
 
 
 def test_count_summary_on_toy_stream():
     stream = _toy_stream()
-    summary, opportunities = count_summary(stream, CoincidenceWindow(1e-9))
+    clicks = first_clicks(stream)
+    summary, opportunities = count_summary(clicks, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
     assert opportunities == 3
-    _, opportunities = count_summary(stream, CoincidenceWindow(1e-9), offset=1)
+    _, opportunities = count_summary(clicks, CoincidenceWindow(1e-9), offset=1)
     assert opportunities == 2
 
 
@@ -101,6 +105,18 @@ def test_g2_error_formula():
     assert abs(err - math.sqrt(var)) < 1e-12
 
 
+def test_sideband_mean_formula():
+    s = CountSummary(10_000, 400, 380, 12)
+    value, err = sideband_mean_from_counts(s, [(16, 9_999), (14, 9_998)])
+    expected = 30 / sum(o * 400 * 380 / 10_000 ** 2 for o in (9_999, 9_998))
+    assert value == pytest.approx(expected, rel=1e-15)
+    rel = 1.0 / 30 + 1.0 / 400 + 1.0 / 380
+    assert err == pytest.approx(expected * math.sqrt(rel), rel=1e-15)
+    # nothing estimated, or no coincidence in any sideband: no estimate
+    for sidebands in ([], [(0, 9_999), (0, 9_998)]):
+        assert all(math.isnan(v) for v in sideband_mean_from_counts(s, sidebands))
+
+
 def test_g2_insufficient_counts():
     with pytest.raises(InsufficientEventsError):
         g2_zero_from_counts(CountSummary(100, 0, 5, 0))
@@ -112,7 +128,7 @@ def test_g2_insufficient_counts():
     stream = _toy_stream()
     for offset in (0, 1):
         with pytest.raises(InsufficientEventsError):
-            g2_at_offset(stream, offset, CoincidenceWindow(1e-9))
+            g2_at_offset(first_clicks(stream), offset, CoincidenceWindow(1e-9))
 
 
 def test_count_summary_validation():
@@ -124,7 +140,7 @@ def test_count_summary_validation():
 
 def test_delay_histogram_zero_centered_bins(tmp_path):
     stream = _toy_stream()
-    hist = delay_histogram(stream, bin_width=50e-12)
+    hist = delay_histogram(first_clicks(stream), bin_width=50e-12)
     assert hist.mass == 2
     # 40 ps rounds to bin center 50 ps, 2500 ps to its own bin
     assert hist.counts[np.where(hist.centers_ps == 50.0)][0] == 1
@@ -135,15 +151,16 @@ def test_delay_histogram_zero_centered_bins(tmp_path):
     assert lines[:3] == ["delay_ps,count", "50.0,1", "100.0,0"]
     assert lines[-1] == "2500.0,1" and len(lines) == 51
     with pytest.raises(ValueError):
-        delay_histogram(stream, bin_width=0.0)
+        delay_histogram(first_clicks(stream), bin_width=0.0)
 
 
 def test_histogram_mass_equals_pairs():
     cfg = calibrated_g2_config(seed=21)
     cfg.n_pulses = 200_000
     stream = generate_hbt_stream(cfg)
-    _, delays, _ = pair_delays(stream)
-    hist = delay_histogram(stream)
+    clicks = first_clicks(stream)
+    _, delays, _ = pair_delays(clicks)
+    hist = delay_histogram(clicks)
     assert hist.mass == len(delays)
 
 
@@ -153,7 +170,8 @@ def test_g2_at_offset_near_one_for_uncorrelated():
     cfg.n_pulses = 2_000_000
     stream = generate_hbt_stream(cfg)
     window = CoincidenceWindow(cfg.coincidence_window)
-    values = [g2_at_offset(stream, off, window) for off in (-3, -2, 2, 3)]
+    clicks = first_clicks(stream)
+    values = [g2_at_offset(clicks, off, window) for off in (-3, -2, 2, 3)]
     assert abs(np.mean(values) - 1.0) < 0.35
 
 
@@ -171,12 +189,12 @@ def test_select_window_keeps_central_peak():
     window = CoincidenceWindow(cfg.postselect_window)
     kept = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                          stop_channel=START_CHANNEL)
-    _, delays, _ = pair_delays(kept, TRIGGER_CHANNEL, START_CHANNEL)
+    _, delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
     half_ps = cfg.postselect_window * 1e12 / 2.0
     assert len(delays) > 0
     assert np.max(np.abs(delays)) <= half_ps
     # the +-1 ns side peaks are gone entirely
-    _, all_delays, _ = pair_delays(stream, TRIGGER_CHANNEL, START_CHANNEL)
+    _, all_delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
     assert np.max(np.abs(all_delays)) > 500.0
 
 
@@ -194,3 +212,90 @@ def test_select_window_is_idempotent():
     n_trig_before = int(np.sum(stream.channels == TRIGGER_CHANNEL))
     n_trig_after = int(np.sum(once.channels == TRIGGER_CHANNEL))
     assert n_trig_before == n_trig_after
+
+
+def test_counting_edges_give_zero_counts():
+    window = CoincidenceWindow(1e-9)
+    # start clicks but no stop clicks: nothing pairs at any offset
+    no_stop = EventStream(
+        np.array([TRIGGER_CHANNEL, START_CHANNEL, TRIGGER_CHANNEL, START_CHANNEL]),
+        np.array([0, 0, 1, 1]), np.array([0.0, 10.0, REP_PS, REP_PS + 10.0]),
+        n_pulses=2, seed=0, rep_period=REP_PS * 1e-12)
+    empty = EventStream(np.zeros(0), np.zeros(0), np.zeros(0),
+                        n_pulses=5, seed=0, rep_period=REP_PS * 1e-12)
+    for stream, singles in ((no_stop, CountSummary(2, 2, 0, 0)),
+                            (empty, CountSummary(0, 0, 0, 0))):
+        clicks = first_clicks(stream)
+        for offset in (-1, 0, 1):
+            assert count_summary(clicks, window, offset)[0] == singles
+            assert len(pair_delays(clicks, offset)[1]) == 0
+        assert delay_histogram(clicks).mass == 0
+    assert count_summary(first_clicks(empty), window)[1] == 0
+    # an offset past the end of the run has no trigger pair to count
+    toy = first_clicks(_toy_stream())
+    for offset in (3, -3, 1000):
+        summary, opportunities = count_summary(toy, window, offset)
+        assert opportunities == 0 and summary.n_coincidence == 0
+
+
+def _reference_first(stream, channel):
+    """The sort-based first-click extraction the O(n) path replaced."""
+    mask = stream.channels == channel
+    uniq, first = np.unique(stream.pulse_indices[mask], return_index=True)
+    return uniq, stream.timestamps_ps[mask][first]
+
+
+def _reference_counts(stream, window, offset):
+    """Counts, opportunities and (pulses, delays, start times) by the
+    np.unique + intersect1d code the first-click index replaced."""
+    trig, _ = _reference_first(stream, TRIGGER_CHANNEL)
+    p_start, t_start = _reference_first(stream, START_CHANNEL)
+    p_stop, t_stop = _reference_first(stream, STOP_CHANNEL)
+    common, i_start, i_stop = np.intersect1d(
+        p_start, p_stop - offset, assume_unique=True, return_indices=True)
+    delays = t_stop[i_stop] - t_start[i_start] - offset * (stream.rep_period * 1e12)
+    summary = CountSummary(len(trig), len(p_start), len(p_stop),
+                           int(np.count_nonzero(window.contains_ps(delays))))
+    opportunities = len(np.intersect1d(trig, trig - offset, assume_unique=True))
+    return summary, opportunities, (common, delays, t_start[i_start])
+
+
+@st.composite
+def _small_streams(draw):
+    """Time-sorted streams of a few pulses, 1 ns apart.  Jitter of 30 ps
+    keeps each channel's pulses in order; 3 ns of it puts them out of
+    order.  Channels may be empty and pulses may click more than once."""
+    n_pulses = draw(st.integers(1, 12))
+    jitter = draw(st.sampled_from([30, 3000]))
+    channels = draw(st.sets(st.sampled_from([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL]),
+                            min_size=1))
+    events = draw(st.lists(st.tuples(st.sampled_from(sorted(channels)),
+                                     st.integers(0, n_pulses - 1),
+                                     st.integers(-jitter, jitter)), max_size=40))
+    rows = sorted(((ch, p, p * 1000.0 + j) for ch, p, j in events), key=lambda r: r[2])
+    ch, pu, ts = (np.array(col) for col in zip(*rows)) if rows else (np.zeros(0),) * 3
+    return EventStream(ch, pu, ts, n_pulses=n_pulses, seed=0, rep_period=1e-9)
+
+
+# hypothesis's failure report imports a library that warns on import; as an
+# error, that warning would abort the session instead of reporting the example
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(_small_streams())
+def test_first_click_index_equals_sort_based_reference(stream):
+    window = CoincidenceWindow(1e-9)
+    clicks = first_clicks(stream)
+    for offset in range(-5, 6):
+        summary, opportunities, paired = _reference_counts(stream, window, offset)
+        assert count_summary(clicks, window, offset) == (summary, opportunities)
+        for got, want in zip(pair_delays(clicks, offset), paired):
+            assert_array_equal(got, want, strict=True)
+    _, _, (_, delays, _) = _reference_counts(stream, window, 0)
+    hist = delay_histogram(clicks, bin_width=50e-12)
+    bins = np.rint(delays / 50.0).astype(np.int64)
+    if len(bins):
+        assert_array_equal(hist.centers_ps, np.arange(bins.min(), bins.max() + 1) * 50.0)
+        assert hist.counts.tolist() == [int(np.sum(bins == b))
+                                        for b in range(bins.min(), bins.max() + 1)]
+    else:
+        assert hist.counts.size == hist.centers_ps.size == 0

@@ -12,6 +12,7 @@ from qfcsim.config import (
     ExperimentConfig,
     calibrated_g2_config,
     calibrated_tomo_config,
+    ideal_g2_config,
     source_only_tomo_config,
 )
 from qfcsim.experiments import (
@@ -92,8 +93,22 @@ def test_g2_insufficient_run_yields_nan():
         assert res.insufficient
         assert math.isnan(res.value)
         assert math.isnan(res.std_error)
+        # every sideband is skipped, and so is their pooled mean
+        assert res.sidebands == {}
+        assert math.isnan(res.sideband_mean) and math.isnan(res.sideband_pull)
     assert res.summary.n_trigger == 0
     assert res.histogram.mass == 0
+
+
+def test_pooled_sideband_pull_is_small():
+    # distant pulses are uncorrelated, so the pooled sideband level sits at 1
+    # within its Poisson error bar, heralded-sparse and dense alike
+    dense = ideal_g2_config()
+    dense.n_pulses = 400_000
+    for cfg in (calibrated_g2_config(), dense):
+        res = run_g2_experiment(cfg)
+        assert len(res.sidebands) == 10
+        assert abs(res.sideband_pull) <= 5.0, (cfg.source_kind, res.sideband_pull)
 
 
 def test_write_g2_files(tmp_path):
@@ -107,6 +122,10 @@ def test_write_g2_files(tmp_path):
     assert CountSummary(*(int(values[k]) for k in list(values)[:4])) == res.summary
     assert float(values["g2_zero"]) == res.value
     assert values["insufficient"] == "False"
+    # the pooled sideband keys come after every other key
+    assert list(values)[-3:] == ["sideband_mean", "sideband_mean_error", "sideband_pull"]
+    assert float(values["sideband_mean"]) == res.sideband_mean
+    assert float(values["sideband_pull"]) == res.sideband_pull
     hist_lines = (tmp_path / "g2_histogram.csv").read_text().splitlines()
     assert hist_lines[0] == "delay_ps,count"
     mass = sum(int(line.split(",")[1]) for line in hist_lines[1:])

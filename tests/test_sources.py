@@ -105,7 +105,10 @@ def test_event_stream_validation():
                     n_pulses=2, seed=0, rep_period=1e-8)
 
 
-def test_first_event_times_picks_earliest():
+def test_first_event_times_picks_earliest(monkeypatch):
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
     stream = EventStream(
         channels=np.array([2, 2, 2]),
         pulse_indices=np.array([3, 5, 5]),
@@ -115,6 +118,19 @@ def test_first_event_times_picks_earliest():
     pulses, times = stream.first_event_times(2)
     assert_array_equal(pulses, [3, 5])
     assert_allclose(times, [100.0, 200.0])
+    assert not sorts  # pulses in order: one pass, no sort
+    # pulse 5 clicks before pulse 3 here, so the run-boundary rule would be
+    # wrong; the out-of-order list takes the sort-based fallback
+    shuffled = EventStream(
+        channels=np.array([2, 1, 2, 2, 2]),
+        pulse_indices=np.array([5, 3, 3, 5, 3]),
+        timestamps_ps=np.array([100.0, 120.0, 150.0, 180.0, 200.0]),
+        n_pulses=10, seed=1, rep_period=1e-8,
+    )
+    pulses, times = shuffled.first_event_times(2)
+    assert_array_equal(pulses, [3, 5])
+    assert_allclose(times, [150.0, 100.0])
+    assert sorts == [1]
 
 
 def test_stream_determinism_same_seed():
