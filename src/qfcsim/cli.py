@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
     if args.subtract_bg:
         records = subtract_background(
             records, _flag_value("--bg-rate", args.bg_rate, allow_zero=True))
-    mle = mle_reconstruct(records)
+    mle = mle_reconstruct([r.setting for r in records], [r.count for r in records])
     result = TomographyResult(
         rho=mle.rho, fidelity=fidelity(mle.rho, PHI_PLUS), concurrence=concurrence(mle.rho),
         eof=entanglement_of_formation(mle.rho), chsh=chsh_assessment(mle.rho), errors={},

@@ -235,8 +235,8 @@ def run_tomography_experiment(config: ExperimentConfig,
     records = simulate_counts(rho_true, settings, config.n_per_setting,
                               bg_rate=0.0, duration_s=config.duration_per_setting,
                               rng=rng)
-    mle = mle_reconstruct(subtract_background(records, config.bg_rate)
-                          if subtract_bg else records)
+    fitted = subtract_background(records, config.bg_rate) if subtract_bg else records
+    mle = mle_reconstruct(settings, [r.count for r in fitted])
     fid, conc, eof, chsh = _metrics_of(mle.rho)
 
     errors: dict[str, float] = {}

@@ -3,10 +3,13 @@
 Each arm carries a quarter-wave plate, a half-wave plate, and a horizontal
 polarizer, so a setting projects onto a separable state determined by the
 four plate angles.  The standard schedule measures H, V, D, R on each arm
-(16 settings).  Reconstruction is iterative maximum likelihood.  Because
-those 16 projectors do not sum to a multiple of the identity, the iteration
-runs in a transformed frame where they do form a proper measurement, then
-maps back; this keeps the true state a fixed point of the update.
+(16 settings).  Reconstruction is maximum likelihood by accelerated
+projected gradient with adaptive restart (Shang, Zhang, Ng and Ng, PRA 95,
+062336 (2017)), projecting onto the density matrices through their spectra
+(Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).  Because those 16
+projectors do not sum to a multiple of the identity, the fit runs in a
+transformed frame where they do form a proper measurement, then maps back;
+there the outcome probabilities of every state sum to 1.
 """
 
 from __future__ import annotations
@@ -121,11 +124,18 @@ class MleResult:
     iterations: int
     converged: bool
     log_likelihood: float
-    min_step_gain: float
 
 
 class IncompleteSettingsError(ValueError):
     """The measurement settings do not determine a two-qubit state."""
+
+
+#: A fit stops once a step changes the cost (negative log-likelihood per
+#: count) by at most COST_TOL and no entry of the state by more than STATE_TOL.
+COST_TOL = 1e-12
+STATE_TOL = 1e-11
+#: step halvings allowed per iteration before a row stops unconverged
+_MAX_HALVINGS = 60
 
 
 def _projector_stack(settings: list[MeasurementSetting]) -> np.ndarray:
@@ -149,45 +159,48 @@ def _dagger(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().swapaxes(-1, -2)
 
 
-def mle_reconstruct(records: list[CountRecord] | None = None,
-                    settings: list[MeasurementSetting] | None = None,
-                    counts=None, tol: float = 1e-12, state_tol: float = 1e-11,
+def _project_to_states(stack: np.ndarray) -> np.ndarray:
+    """Nearest density matrices in Frobenius norm to a ``(R, d, d)`` stack of
+    Hermitian matrices: each keeps its eigenvectors, and its spectrum is
+    projected onto the probability simplex (Smolin, Gambetta and Smith,
+    PRL 108, 070502 (2012))."""
+    eigval, eigvec = np.linalg.eigh(stack)
+    desc = eigval[:, ::-1]
+    excess = np.cumsum(desc, axis=1) - 1.0
+    kept = (desc * np.arange(1, desc.shape[1] + 1) > excess).sum(axis=1)
+    shift = excess[np.arange(len(kept)), kept - 1] / kept
+    weights = np.maximum(eigval - shift[:, None], 0.0)
+    return (eigvec * weights[:, None, :]) @ _dagger(eigvec)
+
+
+def mle_reconstruct(settings: list[MeasurementSetting], counts,
                     max_iter: int = 100_000) -> MleResult:
-    """Maximum-likelihood state of one count set: the one-row call of
-    :func:`mle_reconstruct_batch`.  Accepts either a list of count records or
-    parallel ``settings`` and ``counts`` (counts may be unrounded expected
-    values)."""
-    if records is not None:
-        if settings is not None or counts is not None:
-            raise ValueError("pass either records or settings+counts, not both")
-        settings, counts = [r.setting for r in records], [r.count for r in records]
-    if settings is None or counts is None:
-        raise ValueError("need settings and counts")
+    """Maximum-likelihood state of one count set (counts may be unrounded
+    expected values): the one-row call of :func:`mle_reconstruct_batch`."""
     if np.ndim(counts) != 1:
         raise ValueError("counts and settings lengths differ")
-    return mle_reconstruct_batch(settings, [counts], tol=tol, state_tol=state_tol,
-                                 max_iter=max_iter)[0]
+    return mle_reconstruct_batch(settings, [counts], max_iter=max_iter)[0]
 
 
 def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
-                          tol: float = 1e-12, state_tol: float = 1e-11,
                           max_iter: int = 100_000) -> list[MleResult]:
-    """Iterative maximum-likelihood states of the count rows ``counts``
-    (shape ``(R, n)``), one result per row in row order.
+    """Maximum-likelihood states of the count rows ``counts`` (shape
+    ``(R, n)``), one result per row in row order.
 
-    The multiplicative update runs in the frame where the projectors sum to
-    the identity, which makes each step a proper expectation-maximization
-    move; if a step ever fails to raise the log-likelihood it is damped
-    toward the identity until it does, so the likelihood is nondecreasing
-    throughout.  Iteration stops once the per-step likelihood gain falls to
-    ``tol`` (absolute, with frequencies summing to 1) and the state moves by
-    less than ``state_tol`` per step; near the optimum the likelihood
-    flattens out quadratically, so the state-change condition is what sets
-    the final precision.  All rows iterate as one ``(R, d, d)`` stack on a
-    data-independent extrapolation schedule, and a row leaves the stack as
-    soon as it stops.  Only stacked matrix products, elementwise operations
-    and reductions over a row's own axes touch the data, so each row's
-    result is the one it would get alone.
+    The fit runs in the frame where the projectors sum to the identity, so
+    the states to search are {sigma >= 0, Tr sigma = 1} and the outcome
+    probabilities sum to 1.  It minimizes the cost -sum f_i log p_i (f the
+    row's frequencies) by accelerated projected gradient with adaptive
+    restart (Shang, Zhang, Ng and Ng, PRA 95, 062336 (2017)).  Each row has
+    its own step length, which starts at 1 and is halved until the
+    quadratic upper bound of the cost holds at the projected step; a row
+    whose bound still fails after ``_MAX_HALVINGS`` halvings stops
+    unconverged.  Iteration stops once a step changes the cost by at most
+    ``COST_TOL`` and the state by at most ``STATE_TOL``.  All rows iterate
+    as one ``(R, d, d)`` stack, and a row leaves the stack as soon as it
+    stops.  Only stacked matrix products, elementwise operations and
+    reductions over a row's own axes touch the data, so each row's result
+    is the one it would get alone.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
@@ -208,135 +221,83 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     povm_rows = povm.reshape(len(settings), dim * dim)
     povm_dual = np.ascontiguousarray(povm_rows.conj().T)
 
-    def log_likelihood(probs, freqs):
-        # zero frequencies contribute 0 * log(>= 1e-300) = 0
-        return (freqs * np.log(probs)).sum(axis=-1)
-
     def probabilities(states):
         flat = states.reshape(len(states), 1, dim * dim)
-        return np.maximum((flat @ povm_dual)[:, 0].real, 1e-300)
+        return (flat @ povm_dual)[:, 0].real
 
-    def normalized(states):
-        states = 0.5 * (states + _dagger(states))
-        return states / states.trace(axis1=1, axis2=2).real[:, None, None]
+    def cost(probs, freqs):
+        # an observed outcome at p <= 0 costs +inf; unobserved ones cost 0
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.where(freqs > 0.0, np.maximum(probs, 0.0), 1.0))
+        return -(freqs * logs).sum(axis=-1)
 
-    eye = np.eye(dim, dtype=complex)
-    slack = 1e-13
-
-    def em_step(states, state_probs, state_ll, freqs):
-        # Likelihood comparisons carry a one-ulp slack: near the optimum the
-        # surface is flat to rounding and a strict test would reject steps
-        # that still move the state toward the fixed point.
-        floor = state_ll - slack * np.maximum(1.0, np.abs(state_ll))
-        update = ((freqs / state_probs)[:, None, :] @ povm_rows).reshape(states.shape)
-        cand = normalized(update @ states @ update)
-        cand_probs = probabilities(cand)
-        cand_ll = log_likelihood(cand_probs, freqs)
-        lost = cand_ll < floor
-        if lost.any():
-            # Damp the rows that lost likelihood toward the identity until
-            # they stop losing it; a row that never does keeps its state.
-            todo, eps = np.flatnonzero(lost), 0.5
-            for _ in range(60):
-                damped = eye + eps * (update[todo] - eye)
-                c = normalized(damped @ states[todo] @ _dagger(damped))
-                p = probabilities(c)
-                l = log_likelihood(p, freqs[todo])
-                ok = l >= floor[todo]
-                cand[todo[ok]], cand_probs[todo[ok]], cand_ll[todo[ok]] = c[ok], p[ok], l[ok]
-                todo = todo[~ok]
-                if not todo.size:
-                    break
-                eps *= 0.5
-            cand[todo], cand_probs[todo], cand_ll[todo] = states[todo], state_probs[todo], state_ll[todo]
-        return cand, cand_probs, cand_ll
+    def inner(a, b):
+        return (a.conj() * b).real.reshape(len(a), -1).sum(axis=1)
 
     results: list[MleResult | None] = [None] * len(counts)
     rows = np.arange(len(counts))
     freqs = counts / totals[:, None]
-    sigma = np.tile(eye / dim, (len(rows), 1, 1))
-    probs = probabilities(sigma)
-    ll = log_likelihood(probs, freqs)
+    sigma = np.tile(np.eye(dim, dtype=complex) / dim, (len(rows), 1, 1))
+    momentum = sigma.copy()
+    sigma_cost = cost(probabilities(sigma), freqs)
+    theta, step = np.ones(len(rows)), np.ones(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
-    min_gain = np.full(len(rows), math.inf)
-    snapshots: list[np.ndarray] = []
-
-    def record(idx, prev_ll, new_ll):
-        iterations[idx] += 1
-        gain = new_ll - prev_ll
-        min_gain[idx] = np.minimum(min_gain[idx], gain)
-        if not (gain >= -slack * np.maximum(1.0, np.abs(new_ll))).all():
-            raise RuntimeError("likelihood decreased")
-        return gain
 
     def retire(done, converged):
         """Write out the rows flagged ``done`` and drop them from the stack."""
-        nonlocal rows, freqs, sigma, probs, ll, iterations, min_gain
+        nonlocal rows, freqs, sigma, momentum, sigma_cost, theta, step, iterations
         if not done.any():
             return
-        rhos = normalized(g_inv_sqrt @ sigma[done] @ g_inv_sqrt)
+        rhos = g_inv_sqrt @ sigma[done] @ g_inv_sqrt
+        rhos = 0.5 * (rhos + _dagger(rhos))
+        rhos /= rhos.trace(axis1=1, axis2=2).real[:, None, None]
         for rho, k in zip(rhos, np.flatnonzero(done)):
-            results[rows[k]] = MleResult(
-                rho=rho, iterations=int(iterations[k]), converged=bool(converged[k]),
-                log_likelihood=float(ll[k]), min_step_gain=float(min_gain[k]))
+            results[rows[k]] = MleResult(rho=rho, iterations=int(iterations[k]),
+                                         converged=bool(converged[k]),
+                                         log_likelihood=float(-sigma_cost[k]))
         keep = ~done
-        rows, freqs, sigma, probs, ll, iterations, min_gain = (
-            a[keep] for a in (rows, freqs, sigma, probs, ll, iterations, min_gain))
-        snapshots[:] = [s[keep] for s in snapshots]
+        rows, freqs, sigma, momentum, sigma_cost, theta, step, iterations = (
+            a[keep] for a in (rows, freqs, sigma, momentum, sigma_cost, theta, step, iterations))
 
-    span = 1
-    while True:
-        retire(iterations >= max_iter, np.zeros(len(rows), dtype=bool))
-        if not rows.size:
-            return results
-        # One extrapolation cycle: two blocks of ``span`` plain updates, then
-        # a squared secant jump through the three block endpoints.  Small
-        # state eigenvalues make the plain update contract arbitrarily
-        # slowly; spacing the snapshots keeps the secant direction above
-        # float noise, and doubling the spacing sharpens it as the iterate
-        # closes in.
-        snapshots[:] = [sigma]
-        for _ in range(2):
-            for _ in range(span):
-                s_next, p_next, l_next = em_step(sigma, probs, ll, freqs)
-                gain = record(slice(None), ll, l_next)
-                step = abs(s_next - sigma).max(axis=(1, 2))
-                sigma, probs, ll = s_next, p_next, l_next
-                converged = (gain <= tol) & (step <= state_tol)
-                retire(converged | (iterations >= max_iter), converged)
-                if not rows.size:
-                    return results
-            snapshots.append(sigma)
-        s0, s1, s2 = snapshots
-        delta = s1 - s0
-        curv = (s2 - s1) - delta
-        denom = np.linalg.norm(curv, axis=(1, 2))
-        alpha = -np.linalg.norm(delta, axis=(1, 2)) / np.where(denom > 0.0, denom, 1.0)
-        pending = denom > 0.0
-        for factor in (1.0, 0.5, 0.25):
-            a = alpha * factor
-            pending &= a < -1.0
-            idx = np.flatnonzero(pending)
-            if not idx.size:
+    retire(iterations >= max_iter, np.zeros(len(rows), dtype=bool))
+    while rows.size:
+        # A momentum point that gives an observed outcome p <= 0 has no
+        # finite cost; such rows restart from their current iterate.
+        probs = probabilities(momentum)
+        lost = ((probs <= 0.0) & (freqs > 0.0)).any(axis=1)
+        momentum[lost], theta[lost] = sigma[lost], 1.0
+        probs[lost] = probabilities(sigma[lost])
+        grad = -((freqs / np.where(freqs > 0.0, probs, 1.0))[:, None, :]
+                 @ povm_rows).reshape(sigma.shape)
+        momentum_cost = cost(probs, freqs)
+        # The bound carries a rounding slack: near the optimum the cost is
+        # flat to rounding, and a strict test would keep halving the step.
+        slack = 1e-13 * np.maximum(1.0, np.abs(momentum_cost))
+        new, new_cost = sigma.copy(), sigma_cost.copy()
+        stalled = np.ones(len(rows), dtype=bool)
+        for _ in range(_MAX_HALVINGS):
+            todo = np.flatnonzero(stalled)
+            cand = _project_to_states(momentum[todo] - step[todo, None, None] * grad[todo])
+            cand_cost = cost(probabilities(cand), freqs[todo])
+            move = cand - momentum[todo]
+            ok = cand_cost <= (momentum_cost[todo] + inner(grad[todo], move)
+                               + inner(move, move) / (2.0 * step[todo]) + slack[todo])
+            new[todo[ok]], new_cost[todo[ok]] = cand[ok], cand_cost[ok]
+            stalled[todo[ok]] = False
+            if not stalled.any():
                 break
-            a = a[idx, None, None]
-            # Project the jump onto the density matrices: clip the spectrum
-            # at zero and renormalize; an all-negative spectrum is invalid.
-            jump = s0[idx] - 2.0 * a * delta[idx] + a * a * curv[idx]
-            eigval, eigvec = np.linalg.eigh(0.5 * (jump + _dagger(jump)))
-            eigval = np.clip(eigval, 0.0, None)
-            total = eigval.sum(axis=-1)
-            valid = total > 0.0
-            weights = eigval / np.where(valid, total, 1.0)[:, None]
-            cand = (eigvec * weights[:, None, :]) @ _dagger(eigvec)
-            cand_probs = probabilities(cand)
-            cand_ll = log_likelihood(cand_probs, freqs[idx])
-            take = valid & (cand_ll >= ll[idx] - slack * np.maximum(1.0, np.abs(ll[idx])))
-            idx, cand, cand_probs, cand_ll = idx[take], cand[take], cand_probs[take], cand_ll[take]
-            record(idx, ll[idx], cand_ll)
-            sigma[idx], probs[idx], ll[idx] = cand, cand_probs, cand_ll
-            pending[idx] = False
-        span = min(span * 2, 512)
+            step[stalled] *= 0.5
+        # Restart the momentum once it points against the gradient step.
+        restart = inner(momentum - new, new - sigma) > 0.0
+        theta[restart] = 1.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        momentum = new + ((theta - 1.0) / theta_next)[:, None, None] * (new - sigma)
+        converged = ((np.abs(new_cost - sigma_cost) <= COST_TOL)
+                     & (abs(new - sigma).max(axis=(1, 2)) <= STATE_TOL) & ~stalled)
+        sigma, sigma_cost, theta = new, new_cost, theta_next
+        iterations += 1
+        retire(converged | stalled | (iterations >= max_iter), converged)
+    return results
 
 
 # ---------------------------------------------------------------------------

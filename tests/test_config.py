@@ -1,6 +1,7 @@
 """Config parsing, serialization, and the frozen calibration constants."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,14 @@ def test_presets_validate_and_are_distinct():
         key = (cfg.source_kind, cfg.seed, cfg.n_pulses, cfg.noise_coeff)
         assert key not in seen
         seen.add(key)
+
+
+def test_config_files_match_presets():
+    # configs/ holds exactly the presets, each as to_text writes it
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    assert sorted(p.stem for p in config_dir.glob("*.cfg")) == sorted(PRESETS)
+    for name, factory in PRESETS.items():
+        assert (config_dir / f"{name}.cfg").read_text() == factory().to_text()
 
 
 def test_noise_mean_and_helpers():

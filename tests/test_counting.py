@@ -277,9 +277,6 @@ def _small_streams(draw):
     return EventStream(ch, pu, ts, n_pulses=n_pulses, seed=0, rep_period=1e-9)
 
 
-# hypothesis's failure report imports a library that warns on import; as an
-# error, that warning would abort the session instead of reporting the example
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
 @given(_small_streams())
 def test_first_click_index_equals_sort_based_reference(stream):

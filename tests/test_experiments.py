@@ -215,8 +215,18 @@ def test_tomography_report_and_files(tmp_path):
     assert loaded["fidelity"] == pytest.approx(res.fidelity)
     # saved counts reconstruct to the same state
     recs = load_records(tmp_path / "tomo_counts.csv")
-    again = mle_reconstruct(recs)
+    again = mle_reconstruct([r.setting for r in recs], [r.count for r in recs])
     assert_allclose(again.rho, res.mle.rho, atol=1e-9)
+
+
+def test_subtracted_bootstrap_has_no_long_fit_tail():
+    # Subtraction zeroes counts and puts the replicates' optima on the
+    # boundary of the state set, where a slow fit shows as one long row
+    # (an iteration count, so the check is deterministic).
+    res = run_tomography_experiment(calibrated_tomo_config(seed=22), subtract_bg=True)
+    iterations = tomography_report(res)["bootstrap_mle_iterations"]
+    assert len(iterations) == 32
+    assert max(iterations) <= 2_000
 
 
 @pytest.mark.parametrize("subtract", [False, True])
@@ -231,7 +241,7 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
                      for r in res.records]
         if subtract:
             resampled = subtract_background(resampled, cfg.bg_rate)
-        fit = mle_reconstruct(resampled)
+        fit = mle_reconstruct([r.setting for r in resampled], [r.count for r in resampled])
         assert fit.iterations == res.bootstrap[b].iterations
         samples["fidelity"].append(fidelity(fit.rho, PHI_PLUS))
         samples["concurrence"].append(concurrence(fit.rho))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qfcsim import tomography
 from qfcsim.qubits import (KET_D, KET_H, KET_R, KET_V, PHI_PLUS, density)
 from qfcsim.tomography import (
     ARM_SCHEDULE,
@@ -33,8 +34,8 @@ from qfcsim.tomography import (
 LABEL_KETS = {"H": KET_H, "V": KET_V, "D": KET_D, "R": KET_R}
 
 
-def _random_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def _random_state(rng, rank=4):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -136,17 +137,17 @@ def test_mle_recovers_bell_state_exactly():
 
 
 def test_mle_recovers_random_states():
+    # rank-deficient states put the optimum on the boundary of the state set,
+    # where a fit that stops early lands furthest from it
     rng = np.random.default_rng(314)
     settings = standard_settings()
-    for _ in range(5):
-        rho = _random_state(rng)
+    for rank in [4] * 5 + [3, 2, 1] * 10:
+        rho = _random_state(rng, rank)
         counts = _exact_counts(rho, settings)
         result = mle_reconstruct(settings=settings, counts=counts)
         assert result.converged
         assert result.iterations <= 100_000
-        assert trace_distance(result.rho, rho) < 1e-6
-        # likelihood never moved downward beyond rounding slack
-        assert result.min_step_gain >= -1e-10
+        assert trace_distance(result.rho, rho) <= 1e-6
 
 
 def test_mle_on_sampled_counts_stays_physical():
@@ -154,7 +155,7 @@ def test_mle_on_sampled_counts_stays_physical():
     settings = standard_settings()
     rho = density(PHI_PLUS)
     recs = simulate_counts(rho, settings, 5000.0, 0.0, 1.0, rng)
-    result = mle_reconstruct(recs)
+    result = mle_reconstruct(settings, [r.count for r in recs])
     eigs = np.linalg.eigvalsh(result.rho)
     assert eigs.min() > -1e-10
     assert abs(np.trace(result.rho).real - 1.0) < 1e-10
@@ -162,22 +163,9 @@ def test_mle_on_sampled_counts_stays_physical():
     assert f > 0.99
 
 
-def test_mle_records_and_parallel_arrays_agree():
-    rng = np.random.default_rng(5150)
-    settings = standard_settings()
-    rho = _random_state(rng)
-    recs = simulate_counts(rho, settings, 2000.0, 0.0, 1.0, rng)
-    a = mle_reconstruct(recs)
-    b = mle_reconstruct(settings=settings, counts=[r.count for r in recs])
-    assert_allclose(a.rho, b.rho, atol=1e-14)
-    assert a.iterations == b.iterations
-
-
 def test_mle_input_validation():
     settings = standard_settings()
     counts = [1.0] * 16
-    with pytest.raises(ValueError):
-        mle_reconstruct(records=[], settings=settings, counts=counts)
     with pytest.raises(ValueError):
         mle_reconstruct(settings=settings, counts=[0.0] * 16)
     with pytest.raises(ValueError):
@@ -188,54 +176,76 @@ def test_mle_input_validation():
         mle_reconstruct(settings=settings, counts=counts[:5])
 
 
-def _fit_alone_tracing_damping(settings, counts, **kwargs):
-    """Fit one row under a line tracer; also report whether the loop that
-    damps a likelihood-losing step toward the identity ran."""
+def _fit_alone_tracing_steps(settings, counts, **kwargs):
+    """Fit one row under a line tracer; also report how often its step length
+    was halved and on how many iterations its momentum restarted."""
+    code = mle_reconstruct_batch.__code__
     lines, start = inspect.getsourcelines(mle_reconstruct_batch)
-    target = start + next(i for i, line in enumerate(lines) if "damped = eye" in line)
-    filename = mle_reconstruct_batch.__code__.co_filename
-    hits = []
+    halve, restart = (start + next(i for i, line in enumerate(lines) if text in line)
+                      for text in ("step[stalled] *= 0.5", "theta[restart] = 1.0"))
+    seen = {halve: 0, restart: 0}
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            hits.append(target)
+        if event == "line" and frame.f_code is code and frame.f_lineno in seen:
+            hit = frame.f_lineno == halve or frame.f_locals["restart"].any()
+            seen[frame.f_lineno] += int(hit)
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg:
-                 local if frame.f_code.co_filename == filename else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        result = mle_reconstruct(settings=settings, counts=counts, **kwargs)
+        result = mle_reconstruct(settings, counts, **kwargs)
     finally:
         sys.settrace(previous)
-    return result, bool(hits)
+    return result, seen[halve], seen[restart]
 
 
 def test_mle_batch_rows_equal_single_fits_bit_for_bit():
-    # On these 16 random settings the fit of ``counts`` loses likelihood on
-    # one plain step and damps it (seed found by search).
-    rng = np.random.default_rng(30)
+    # On these 16 random settings the rows halve their step lengths different
+    # numbers of times, restart their momentum, and either converge at
+    # different iterations or stop at max_iter (seed found by search).
+    rng = np.random.default_rng(31)
     settings = [MeasurementSetting(*rng.uniform(0.0, math.pi, 4)) for _ in range(16)]
     counts = rng.exponential(1.0, 16) ** 4
     index = np.arange(16)
     rows = [counts,
             np.where(index % 3 == 0, 0.0, counts),  # zero patterns, as after
             np.where(index < 5, 0.0, np.round(10.0 * counts)),  # subtraction
-            index % 4.0,  # these two need more than max_iter iterations
+            index % 4.0,
             np.ones(16)]
-    batch = mle_reconstruct_batch(settings, rows, max_iter=60)
-    reversed_batch = mle_reconstruct_batch(settings, rows[::-1], max_iter=60)[::-1]
+    batch = mle_reconstruct_batch(settings, rows, max_iter=250)
+    reversed_batch = mle_reconstruct_batch(settings, rows[::-1], max_iter=250)[::-1]
+    halvings, restarts = [], []
     for k, row in enumerate(rows):
-        alone, damped = _fit_alone_tracing_damping(settings, row, max_iter=60)
-        assert damped == (k == 0)
+        alone, halved, restarted = _fit_alone_tracing_steps(settings, row, max_iter=250)
+        halvings.append(halved)
+        restarts.append(restarted)
         for fit in (batch[k], reversed_batch[k]):
             assert np.array_equal(fit.rho, alone.rho)
             assert fit.iterations == alone.iterations
             assert fit.converged == alone.converged
             assert fit.log_likelihood == alone.log_likelihood
-    assert [fit.converged for fit in batch] == [True, True, True, False, False]
-    assert batch[3].iterations == batch[4].iterations == 60
-    assert len({fit.iterations for fit in batch[:3]}) == 3
+    # rows 0, 1 and 4 need more than max_iter iterations
+    assert [fit.converged for fit in batch] == [False, False, True, True, False]
+    assert batch[0].iterations == batch[1].iterations == batch[4].iterations == 250
+    assert batch[2].iterations != batch[3].iterations
+    assert len(set(halvings)) >= 3
+    assert min(restarts) >= 1
+
+
+def test_mle_row_whose_step_bound_keeps_failing_stops_unconverged(monkeypatch):
+    # With one try per iteration, the first step that needs a halving stalls
+    # the row (iteration 34 here); it stops there and reports the state of
+    # the step before.
+    monkeypatch.setattr(tomography, "_MAX_HALVINGS", 1)
+    settings = standard_settings()
+    counts = _exact_counts(density(PHI_PLUS), settings)
+    stalled = mle_reconstruct(settings, counts)
+    assert not stalled.converged
+    assert stalled.iterations > 1
+    before = mle_reconstruct(settings, counts, max_iter=stalled.iterations - 1)
+    assert np.array_equal(stalled.rho, before.rho)
+    assert stalled.log_likelihood == before.log_likelihood
 
 
 def test_mle_batch_input_validation():
