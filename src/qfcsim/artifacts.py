@@ -38,12 +38,12 @@ def write_pairs(path, pairs: dict) -> None:
 def write_table(path, header: str, columns) -> None:
     """The ``header`` line, then row i from the i-th entries of ``columns``."""
     columns = [np.asarray(col) for col in columns]
-    # tolist() gives Python ints and floats, whose repr is the file format
-    row = ",".join(["{!r}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), BLOCK_ROWS):
-            fh.writelines(map(row.format, *(c[lo:lo + BLOCK_ROWS].tolist() for c in columns)))
+            # tolist() gives Python ints, bools and floats, whose repr is the file format
+            fields = (map(repr, c[lo:lo + BLOCK_ROWS].tolist()) for c in columns)
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def read_table(lines, dtype: np.dtype, skip: str | None = None) -> list[np.ndarray]:

@@ -107,10 +107,11 @@ class FirstClicks:
 def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
     """Index the first clicks of ``stream`` on the trigger, start and stop channels."""
-    trigger_pulses, _ = stream.first_event_times(TRIGGER_CHANNEL)
-    return FirstClicks(trigger_pulses, *stream.first_event_times(start_channel),
-                       *stream.first_event_times(stop_channel),
-                       rep_ps=stream.rep_period * 1e12)
+    channels = (TRIGGER_CHANNEL, start_channel, stop_channel)
+    # a channel named twice (such as the trigger as start) is extracted once
+    firsts = {ch: stream.first_event_times(ch) for ch in dict.fromkeys(channels)}
+    return FirstClicks(firsts[TRIGGER_CHANNEL][0], *firsts[start_channel],
+                       *firsts[stop_channel], rep_ps=stream.rep_period * 1e12)
 
 
 def _join(keys: np.ndarray, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,10 @@ splitter, or channel 2 alone behind the decoding interferometer.
 
 Determinism: every generator draws from counter-based Philox substreams
 keyed by (seed, chunk_index) over fixed 2**19-pulse chunks, so results are
-reproducible bit for bit regardless of how chunks would be scheduled.
+reproducible bit for bit regardless of how chunks would be scheduled.  A
+heralded chunk of m pulses first draws m pair uniforms (none for
+``single_photon``), then m herald uniforms; the herald lookup tabulates the
+click probability per pair number and is exact.
 """
 
 from __future__ import annotations
@@ -122,10 +125,10 @@ class EventStream:
         mask = self.channels == channel
         pulses = self.pulse_indices[mask]
         times = self.timestamps_ps[mask]
-        steps = np.diff(pulses)
-        if np.all(steps >= 0):
+        # compared in place: a diff array would be the largest temporary here
+        if np.all(pulses[1:] >= pulses[:-1]):
             first = np.ones(len(pulses), dtype=bool)
-            first[1:] = steps > 0
+            first[1:] = pulses[1:] > pulses[:-1]
             return pulses[first], times[first]
         uniq, first = np.unique(pulses, return_index=True)
         return uniq, times[first]
@@ -145,12 +148,26 @@ class EventStream:
                    seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
 
 
-def _sample_pairs(rng: np.random.Generator, config: ExperimentConfig, m: int) -> np.ndarray:
+def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Heralded pulse offsets of an m-pulse chunk and their pair numbers k.
+
+    Draws m pair uniforms u (none for ``single_photon``, where k = 1), then m
+    herald uniforms v.  A pulse with no pair (u < cdf[0]) heralds only when
+    v < P(click | 0), so k is looked up only for the rest, which is exact.
+    """
+    # cumsum can end just below 1, so u may land one past the last pair number
+    table = _click_prob(config.det1_efficiency, config.det1_dark,
+                        np.arange(config.pair_truncation + 2))
     if config.source_kind == "single_photon":
-        # draw-free: sampling [0, 1] would consume uniforms and shift the stream
-        return np.ones(m, dtype=np.int64)
+        hidx = np.flatnonzero(rng.random(m) < table[1])
+        return hidx, np.ones(len(hidx), dtype=np.int64)
     cdf = np.cumsum(pair_distribution(config))
-    return np.searchsorted(cdf, rng.random(m), side="right").astype(np.int64)
+    u, v = rng.random(m), rng.random(m)
+    cand = np.flatnonzero((u >= cdf[0]) | (v < table[0]))
+    k = np.searchsorted(cdf, u[cand], side="right")
+    keep = v[cand] < table[k]
+    return cand[keep], k[keep]
 
 
 def _generate(config: ExperimentConfig, seed: int | None,
@@ -200,10 +217,8 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
             else:
                 n_band = rng.geometric(1.0 / (1.0 + mean_eff), m) - 1
         else:
-            k = _sample_pairs(rng, config, m)
-            p_herald = _click_prob(config.det1_efficiency, config.det1_dark, k)
-            hidx = np.nonzero(rng.random(m) < p_herald)[0]
-            n_band = rng.binomial(k[hidx], s_chain)
+            hidx, k = _herald(rng, config, m)
+            n_band = rng.binomial(k, s_chain)
         nh = len(hidx)
         if nu > 0.0:
             n_band = n_band + rng.poisson(nu, nh)
@@ -249,9 +264,7 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
     eff2, dark2 = config.det2_efficiency, config.det2_dark
 
     def chunk_events(rng, start, m):
-        k = _sample_pairs(rng, config, m)
-        hidx = np.nonzero(
-            rng.random(m) < _click_prob(config.det1_efficiency, config.det1_dark, k))[0]
+        hidx, _ = _herald(rng, config, m)
         nh = len(hidx)
         pulses = start + hidx
         base = pulses * rep_ps
@@ -354,9 +367,8 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
             * float(np.sum(w_k * (1.0 - s_chain * (q2 + q3)) ** k)) \
             * poisson_noise_factor(q2 + q3)
 
-    p2 = 1.0 - no2
-    p3 = 1.0 - no3
-    pc = 1.0 - no2 - no3 + no23
+    # the weights sum to 1 only up to rounding, so a zero can come out an ulp below 0
+    p2, p3, pc = (max(p, 0.0) for p in (1.0 - no2, 1.0 - no3, 1.0 - no2 - no3 + no23))
     g2 = pc / (p2 * p3) if p2 > 0.0 and p3 > 0.0 else math.nan
     return HbtRates(p_trig, p2, p3, pc, g2)
 

@@ -85,6 +85,21 @@ def test_pair_delays_with_offset():
     assert_allclose(delays, [2 * REP_PS + 2500.0 - 10.0 - 2 * REP_PS])
 
 
+def test_first_clicks_extracts_each_channel_once(monkeypatch):
+    # the time-bin histogram uses the trigger as its start channel
+    stream = _toy_stream()
+    calls = []
+    extract = EventStream.first_event_times
+    monkeypatch.setattr(EventStream, "first_event_times",
+                        lambda self, ch: calls.append(ch) or extract(self, ch))
+    clicks = first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL)
+    assert sorted(calls) == [TRIGGER_CHANNEL, START_CHANNEL]
+    assert_array_equal(clicks.trigger_pulses, [0, 1, 2])
+    assert_array_equal(clicks.start_pulses, clicks.trigger_pulses)
+    assert_array_equal(clicks.start_times, [0.0, REP_PS, 2 * REP_PS])
+    assert_array_equal(clicks.stop_pulses, [0, 1, 2])
+
+
 def test_count_summary_on_toy_stream():
     stream = _toy_stream()
     clicks = first_clicks(stream)

@@ -12,18 +12,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.optimize import brentq
 
 from qfcsim.config import (
     ConfigError,
+    SOURCE_KINDS,
     ExperimentConfig,
     NOISE_COEFF_G2_CAL,
     calibrated_g2_config,
     coherent_g2_config,
     thermal_g2_config,
 )
+from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks
 from qfcsim.qubits import PHI_PLUS, density
 from qfcsim.sources import (
     CHUNK_PULSES,
@@ -37,6 +40,7 @@ from qfcsim.sources import (
     generate_mzi_stream,
     pair_distribution,
     _click_prob,
+    _herald,
 )
 
 THERMAL_ORACLE_G2 = 1.990484087843
@@ -290,3 +294,112 @@ def test_stream_load_rejects_missing_header(tmp_path):
     path.write_text("1,0,0.0\n")
     with pytest.raises(ValueError):
         EventStream.load(path)
+
+
+def _dense_herald(rng, config, m):
+    """The per-pulse herald step ``_herald`` replaced: every pulse's pair
+    number by searchsorted and its click probability by ``_click_prob``."""
+    if config.source_kind == "single_photon":
+        k = np.ones(m, dtype=np.int64)
+    else:
+        k = np.searchsorted(np.cumsum(pair_distribution(config)), rng.random(m), side="right")
+    hidx = np.flatnonzero(
+        rng.random(m) < _click_prob(config.det1_efficiency, config.det1_dark, k))
+    return hidx, k[hidx]
+
+
+_HERALDED_KINDS = ("spdc", "spdc_thermal", "single_photon")
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(kind=st.sampled_from(_HERALDED_KINDS),
+       eff=st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.just(1.0)),
+       dark=st.one_of(st.just(0.0), st.floats(1e-7, 0.5)),
+       mu=st.one_of(st.just(0.0), st.floats(1e-6, 1e-3), st.floats(0.5, 20.0)),
+       truncation=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_herald_equals_dense_reference(kind, eff, dark, mu, truncation, seed):
+    cfg = ExperimentConfig(source_kind=kind, det1_efficiency=eff, det1_dark=dark,
+                           mean_pairs=mu, pair_truncation=truncation)
+    rng_sparse, rng_dense = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    hidx, k = _herald(rng_sparse, cfg, 5000)
+    want_hidx, want_k = _dense_herald(rng_dense, cfg, 5000)
+    assert_array_equal(hidx, want_hidx, strict=True)
+    assert_array_equal(k, want_k, strict=True)
+    # the same draws were consumed, so later draws see the same substream
+    assert rng_sparse.random() == rng_dense.random()
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random(m)`` returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, m):
+        out = self.arrays.pop(0)
+        assert len(out) == m
+        return out
+
+
+@pytest.mark.parametrize("kind", _HERALDED_KINDS)
+def test_herald_at_cdf_edges(kind):
+    cfg = ExperimentConfig(source_kind=kind, det1_efficiency=0.4, det1_dark=0.3,
+                           mean_pairs=2.0, pair_truncation=3)
+    cdf = np.cumsum(pair_distribution(cfg))
+    # every cdf entry, just below it, the ends of [0, 1); a u at cdf[-1]
+    # has one more pair than the truncation allows
+    u_edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    table = _click_prob(cfg.det1_efficiency, cfg.det1_dark, np.arange(cfg.pair_truncation + 2))
+    v_edges = np.concatenate([table, np.nextafter(table, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    u, v = (grid.ravel() for grid in np.meshgrid(u_edges, v_edges))
+    draws = (v,) if kind == "single_photon" else (u, v)
+    hidx, k = _herald(_FixedUniforms(*draws), cfg, len(u))
+    want_hidx, want_k = _dense_herald(_FixedUniforms(*draws), cfg, len(u))
+    assert_array_equal(hidx, want_hidx, strict=True)
+    assert_array_equal(k, want_k, strict=True)
+    if kind != "single_photon":
+        assert k.max() == cfg.pair_truncation + 1
+        assert 0 < np.count_nonzero(k == 0) < np.count_nonzero(u < cdf[0])
+
+
+def _pull(observed: int, trials: int, p: float) -> float:
+    """Binomial deviation of ``observed`` successes in ``trials`` over its
+    standard deviation; 0 for an exact hit and inf for any miss at zero spread."""
+    mean, var = trials * p, trials * p * (1.0 - p)
+    if var == 0.0:
+        return 0.0 if observed == mean else math.inf
+    return (observed - mean) / math.sqrt(var)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(kind=st.sampled_from(SOURCE_KINDS),
+       mu=st.floats(1e-3, 2.0),
+       eff1=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+       eff2=st.floats(0.0, 1.0),
+       eff3=st.floats(0.0, 1.0),
+       dark=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-6, 1e-2))] * 3),
+       noise=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+       seed=st.integers(0, 2**32 - 1))
+def test_stream_counts_match_oracle(kind, mu, eff1, eff2, eff3, dark, noise, seed):
+    cfg = ExperimentConfig(source_kind=kind, mean_pairs=mu, det1_efficiency=eff1,
+                           det2_efficiency=eff2, det3_efficiency=eff3,
+                           det1_dark=dark[0], det2_dark=dark[1], det3_dark=dark[2],
+                           noise_coeff=noise / 0.7, pump_power=0.7,
+                           n_pulses=200_000, seed=seed)
+    summary, _ = count_summary(first_clicks(generate_hbt_stream(cfg)),
+                               CoincidenceWindow(cfg.coincidence_window))
+    try:
+        rates = expected_hbt_rates(cfg)
+    except ValueError:
+        # the oracle refuses a herald that never fires, and so must the stream
+        assert summary.n_trigger == 0 and eff1 == 0.0 and dark[0] == 0.0
+        return
+    # pair sources click on channels 2 and 3 only in heralded pulses, so those
+    # probabilities are per trigger; the classical trigger is every pulse
+    pulls = {"trigger": _pull(summary.n_trigger, cfg.n_pulses, rates.p_trigger),
+             "start": _pull(summary.n_start, summary.n_trigger, rates.p_start),
+             "stop": _pull(summary.n_stop, summary.n_trigger, rates.p_stop),
+             "coincidence": _pull(summary.n_coincidence, summary.n_trigger,
+                                  rates.p_coincidence)}
+    assert all(abs(pull) <= 5.0 for pull in pulls.values()), (pulls, rates, summary)
