@@ -23,19 +23,17 @@ from .qubits import (PHI_PLUS, check_density_matrix,
 from .sources import (EventStream, entangled_pair_state, expected_hbt_rates,
                       generate_hbt_stream, generate_mzi_stream,
                       pair_distribution)
-from .tomography import (CountRecord, MeasurementSetting, MleResult,
-                         load_records, mle_reconstruct, save_records,
-                         simulate_counts, standard_settings,
-                         subtract_background)
+from .tomography import (MeasurementSetting, MleResult, load_records,
+                         mle_reconstruct, save_records, simulate_counts,
+                         standard_settings, subtract_background)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChshResult", "CoincidenceWindow", "ConfigError", "ConversionParams",
-    "CountRecord", "CountSummary", "DelayHistogram", "EfficiencyFit",
-    "EfficiencyModel", "EventStream", "ExperimentConfig", "FirstClicks",
-    "InsufficientEventsError", "MeasurementSetting", "MleResult", "PHI_PLUS",
-    "PRESETS", "TwoModeUnitary",
+    "CountSummary", "DelayHistogram", "EfficiencyFit", "EfficiencyModel",
+    "EventStream", "ExperimentConfig", "FirstClicks", "InsufficientEventsError",
+    "MeasurementSetting", "MleResult", "PHI_PLUS", "PRESETS", "TwoModeUnitary",
     "apply_conversion", "build_conversion_unitary", "check_density_matrix",
     "chsh_assessment", "concurrence", "conversion_efficiency",
     "convert_timebin_qubit", "count_summary", "delay_histogram",

@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="histogram bin width (e.g. 50ps)")
     p_an.add_argument("--window", default="1ns",
                       help="coincidence window width (e.g. 1ns)")
-    p_an.add_argument("--start-channel", type=int, default=2)
-    p_an.add_argument("--stop-channel", type=int, default=3)
     p_an.add_argument("--subtract-bg", action="store_true",
                       help="subtract a flat background from count records")
     p_an.add_argument("--bg-rate", default="0.2Hz",
@@ -147,7 +145,7 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
         bin_width = _flag_value("--bin-width", args.bin_width)
         window = CoincidenceWindow(_flag_value("--window", args.window))
-        clicks = first_clicks(stream, args.start_channel, args.stop_channel)
+        clicks = first_clicks(stream)
         hist = delay_histogram(clicks, bin_width=bin_width)
         hist_path = outdir / "histogram.csv"
         hist.save(hist_path)
@@ -163,17 +161,18 @@ def _cmd_analyze(args) -> int:
         return 0
 
     try:
-        records = load_records(args.counts)
+        settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
     if args.subtract_bg:
-        records = subtract_background(
-            records, _flag_value("--bg-rate", args.bg_rate, allow_zero=True))
-    mle = mle_reconstruct([r.setting for r in records], [r.count for r in records])
+        counts = subtract_background(
+            counts, durations, _flag_value("--bg-rate", args.bg_rate, allow_zero=True))
+    mle = mle_reconstruct(settings, counts)
     result = TomographyResult(
         rho=mle.rho, fidelity=fidelity(mle.rho, PHI_PLUS), concurrence=concurrence(mle.rho),
         eof=entanglement_of_formation(mle.rho), chsh=chsh_assessment(mle.rho), errors={},
-        records=records, mle=mle, subtracted=bool(args.subtract_bg), mean_rate_hz=None)
+        settings=settings, counts=counts, durations_s=durations, mle=mle,
+        subtracted=bool(args.subtract_bg), mean_rate_hz=None)
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)
     print(report_path)

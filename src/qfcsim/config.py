@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .conversion import EfficiencyModel, conversion_efficiency
+from .conversion import EfficiencyModel, conversion_efficiency, pump_dephasing_factor
 
 
 class ConfigError(ValueError):
@@ -276,18 +276,16 @@ class ExperimentConfig:
 # the presets land on the benchmark observables (see tests for the oracles).
 # ---------------------------------------------------------------------------
 
-def _chain_at_defaults() -> float:
-    return 0.62 * math.sin(math.sqrt(3.6 * 0.7)) ** 2 * 0.62
-
+_DEFAULTS = ExperimentConfig()
 
 #: mean signal transmission of the calibrated conversion chain
-CHAIN_EFFICIENCY_CAL = _chain_at_defaults()
+CHAIN_EFFICIENCY_CAL = _DEFAULTS.chain_efficiency()
 
 #: pump phase-diffusion coherence factor over the 1 ns interferometer delay
-DEPHASING_CAL = math.exp(-2.0 * math.pi * 150e3 * 1e-9)
+DEPHASING_CAL = pump_dephasing_factor(_DEFAULTS.pump_linewidth, _DEFAULTS.mzi_delay)
 
 #: Werner weight of the photon-pair source before conversion
-WERNER_WEIGHT_CAL = 14.0 / 15.0
+WERNER_WEIGHT_CAL = _DEFAULTS.werner_weight
 
 
 def _tomo_noise_coeff() -> float:

@@ -28,7 +28,7 @@ from .metrics import (ChshResult, chsh_assessment, concurrence,
 from .qubits import PHI_PLUS, end_to_end_state
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
-from .tomography import (CountRecord, MleResult, density_matrix_to_json,
+from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
                          mle_reconstruct, mle_reconstruct_batch, save_records,
                          save_report, simulate_counts, standard_settings,
                          subtract_background)
@@ -206,7 +206,9 @@ class TomographyResult:
     eof: float
     chsh: ChshResult
     errors: dict[str, float]
-    records: list[CountRecord]
+    settings: list[MeasurementSetting]
+    counts: np.ndarray
+    durations_s: np.ndarray
     mle: MleResult
     subtracted: bool
     mean_rate_hz: Optional[float]
@@ -232,38 +234,32 @@ def run_tomography_experiment(config: ExperimentConfig,
     rho_true = end_to_end_state(config)
     settings = standard_settings()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
-    records = simulate_counts(rho_true, settings, config.n_per_setting,
-                              bg_rate=0.0, duration_s=config.duration_per_setting,
-                              rng=rng)
-    fitted = subtract_background(records, config.bg_rate) if subtract_bg else records
-    mle = mle_reconstruct(settings, [r.count for r in fitted])
+    counts = simulate_counts(rho_true, settings, config.n_per_setting, rng)
+    durations = np.full(len(settings), config.duration_per_setting)
+    fitted = subtract_background(counts, durations, config.bg_rate) if subtract_bg else counts
+    mle = mle_reconstruct(settings, fitted)
     fid, conc, eof, chsh = _metrics_of(mle.rho)
 
     errors: dict[str, float] = {}
     boot: list[MleResult] = []
     if config.n_bootstrap > 0:
-        replicates = []
-        for b in range(config.n_bootstrap):
-            brng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((seed, 0, 2, b))))
-            resampled = [
-                CountRecord(r.setting, int(brng.poisson(r.count)), r.duration_s)
-                for r in records
-            ]
-            replicates.append(subtract_background(resampled, config.bg_rate)
-                              if subtract_bg else resampled)
-        boot = mle_reconstruct_batch(settings, [[r.count for r in rep] for rep in replicates])
+        replicates = np.array([
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
+            for b in range(config.n_bootstrap)])
+        if subtract_bg:
+            replicates = subtract_background(replicates, durations, config.bg_rate)
+        boot = mle_reconstruct_batch(settings, replicates)
         fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in boot))
         samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
                    "s_max": [c.s_max for c in chshs]}
         errors = {key: float(np.std(vals)) for key, vals in samples.items()}
 
-    total = sum(r.count for r in records)
-    mean_rate = total / (len(records) * config.duration_per_setting)
+    mean_rate = float(counts.sum()) / (len(counts) * config.duration_per_setting)
     return TomographyResult(
         rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
-        errors=errors, records=records, mle=mle, subtracted=subtract_bg,
-        mean_rate_hz=mean_rate, bootstrap=boot,
+        errors=errors, settings=settings, counts=counts, durations_s=durations, mle=mle,
+        subtracted=subtract_bg, mean_rate_hz=mean_rate, bootstrap=boot,
     )
 
 
@@ -299,5 +295,5 @@ def write_tomography(result: TomographyResult, outdir) -> list[Path]:
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)
     counts_path = outdir / "tomo_counts.csv"
-    save_records(result.records, counts_path)
+    save_records(result.settings, result.counts, result.durations_s, counts_path)
     return [report_path, counts_path]

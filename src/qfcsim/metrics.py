@@ -36,15 +36,14 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 def concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from the spin-flipped spectrum.
 
-    Eigenvalues of rho (sy x sy) rho* (sy x sy) are real and nonnegative;
-    with their square roots sorted descending, C = max(0, l1 - l2 - l3 - l4).
+    With rho = W W^dagger, the square roots l_i of the eigenvalues of
+    rho (sy x sy) rho* (sy x sy) are the singular values of W^T (sy x sy) W,
+    exact to rounding even at 0; sorted descending, C = max(0, l1 - l2 - l3 - l4).
     """
     rho = check_density_matrix(rho, dim=4)
-    flip = np.kron(SIGMA_Y, SIGMA_Y)
-    m = rho @ flip @ rho.conj() @ flip
-    eigs = np.linalg.eigvals(m).real
-    lam = np.sqrt(np.clip(eigs, 0.0, None))
-    lam[::-1].sort()
+    eigval, eigvec = np.linalg.eigh(rho)
+    w = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    lam = np.linalg.svd(w.T @ np.kron(SIGMA_Y, SIGMA_Y) @ w, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

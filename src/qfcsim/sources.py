@@ -170,8 +170,7 @@ def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
     return cand[keep], k[keep]
 
 
-def _generate(config: ExperimentConfig, seed: int | None,
-              chunk_events: Callable) -> EventStream:
+def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     """Run ``chunk_events(rng, start, m)`` over fixed chunks and join the results.
 
     ``chunk_events`` simulates pulses ``start .. start + m - 1`` and returns
@@ -179,7 +178,7 @@ def _generate(config: ExperimentConfig, seed: int | None,
     draws from its own Philox substream keyed by (seed, chunk_index), and
     its events are stably sorted by time before the chunks are joined.
     """
-    seed = config.require_seed() if seed is None else int(seed)
+    seed = config.require_seed()
     parts = []
     for index, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
         m = min(CHUNK_PULSES, config.n_pulses - start)
@@ -193,7 +192,7 @@ def _generate(config: ExperimentConfig, seed: int | None,
                        rep_period=config.rep_period)
 
 
-def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> EventStream:
+def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     """Simulate a heralded intensity-correlation run.
 
     Channel 1 triggers (herald click for pair sources, laser clock for the
@@ -241,10 +240,10 @@ def generate_hbt_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         time_arr = np.concatenate([base + jit1, (base + jit2)[click2], (base + jit3)[click3]])
         return channels, pulse_arr, time_arr
 
-    return _generate(config, seed, chunk_events)
+    return _generate(config, chunk_events)
 
 
-def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> EventStream:
+def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     """Simulate arrival-time analysis behind the decoding interferometer.
 
     The heralded photon takes the short or long arm of the encoder and then
@@ -305,7 +304,7 @@ def generate_mzi_stream(config: ExperimentConfig, seed: int | None = None) -> Ev
         time_arr = np.concatenate([base + rng.normal(0.0, sigma_ps, nh), ct])
         return channels, pulse_arr, time_arr
 
-    return _generate(config, seed, chunk_events)
+    return _generate(config, chunk_events)
 
 
 class HbtRates(NamedTuple):

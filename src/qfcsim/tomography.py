@@ -73,49 +73,28 @@ def standard_settings() -> list[MeasurementSetting]:
     return settings
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Observed counts for one setting over one accumulation duration."""
-
-    setting: MeasurementSetting
-    count: int
-    duration_s: float
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ValueError(f"duration must be finite and > 0, got {self.duration_s}")
-
-
 def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
-                    n_per_setting: float, bg_rate: float, duration_s: float,
-                    rng: np.random.Generator) -> list[CountRecord]:
-    """Poisson counts with mean n Tr[Pi rho] + bg_rate * duration per setting."""
+                    n_per_setting: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson counts with mean n Tr[Pi rho], drawn in setting order."""
     rho = check_density_matrix(rho, dim=4)
     if n_per_setting <= 0.0:
         raise ValueError("n_per_setting must be > 0")
-    if bg_rate < 0.0:
-        raise ValueError("bg_rate must be >= 0")
-    if duration_s <= 0.0:
-        raise ValueError("duration must be > 0")
-    records = []
-    for setting in settings:
-        mean = n_per_setting * float(np.real(np.trace(setting.projector @ rho)))
-        mean = max(mean, 0.0) + bg_rate * duration_s
-        records.append(CountRecord(setting, int(rng.poisson(mean)), duration_s))
-    return records
+    means = [max(n_per_setting * float(np.real(np.trace(s.projector @ rho))), 0.0)
+             for s in settings]
+    return rng.poisson(means)
 
 
-def subtract_background(records: list[CountRecord], bg_rate: float) -> list[CountRecord]:
-    """Remove a flat accidental floor: count -> max(0, count - round(rate * t))."""
+def subtract_background(counts, durations_s, bg_rate: float) -> np.ndarray:
+    """Remove a flat accidental floor: count -> max(0, count - round(rate * t)),
+    on each row of ``counts`` when it holds one row per replicate."""
     if bg_rate < 0.0:
         raise ValueError("bg_rate must be >= 0")
-    out = []
-    for rec in records:
-        floor = int(round(bg_rate * rec.duration_s))
-        out.append(CountRecord(rec.setting, max(0, rec.count - floor), rec.duration_s))
-    return out
+    counts = np.asarray(counts, dtype=np.int64)
+    # a floor beyond int64, inf included, exceeds every count and must not reach the cast
+    with np.errstate(over="ignore"):
+        floor = np.round(bg_rate * np.asarray(durations_s, dtype=float))
+    fits = floor < 2.0**63
+    return np.where(fits, np.maximum(counts - np.where(fits, floor, 0.0).astype(np.int64), 0), 0)
 
 
 @dataclass(frozen=True)
@@ -310,18 +289,24 @@ _RECORD_DTYPE = np.dtype([("qwp_a_deg", np.float64), ("hwp_a_deg", np.float64),
 RECORD_HEADER = ",".join(_RECORD_DTYPE.names)
 
 
-def save_records(records: list[CountRecord], path) -> None:
-    angles = [[math.degrees(getattr(r.setting, attr)) for r in records]
+def save_records(settings: list[MeasurementSetting], counts, durations_s, path) -> None:
+    angles = [[math.degrees(getattr(s, attr)) for s in settings]
               for attr in ("qwp_a", "hwp_a", "qwp_b", "hwp_b")]
-    counts = np.array([r.count for r in records], dtype=np.int64)
-    write_table(path, RECORD_HEADER, (*angles, counts, [r.duration_s for r in records]))
+    write_table(path, RECORD_HEADER, (*angles, np.asarray(counts, dtype=np.int64), durations_s))
 
 
-def load_records(path) -> list[CountRecord]:
+def load_records(path) -> tuple[list[MeasurementSetting], np.ndarray, np.ndarray]:
+    """The settings, counts and durations of a count file; ValueError on a
+    negative count or a duration that is not finite and > 0."""
     with open(path, "r", encoding="utf-8") as fh:
-        columns = read_table(fh, _RECORD_DTYPE, skip=RECORD_HEADER)
-    return [CountRecord(MeasurementSetting(*map(math.radians, angles)), count, duration)
-            for *angles, count, duration in zip(*(col.tolist() for col in columns))]
+        *angles, counts, durations = read_table(fh, _RECORD_DTYPE, skip=RECORD_HEADER)
+    if np.any(counts < 0):
+        raise ValueError("count must be >= 0")
+    if not np.all(np.isfinite(durations) & (durations > 0.0)):
+        raise ValueError("durations must be finite and > 0")
+    settings = [MeasurementSetting(*map(math.radians, row))
+                for row in zip(*(col.tolist() for col in angles))]
+    return settings, counts, durations
 
 
 def density_matrix_to_json(rho: np.ndarray) -> list[list[list[float]]]:

@@ -18,7 +18,7 @@ from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            ideal_g2_config)
 from qfcsim.sources import EventStream
-from qfcsim.tomography import CountRecord, save_records
+from qfcsim.tomography import RECORD_HEADER, save_records, standard_settings
 
 
 def _pairs(path):
@@ -148,19 +148,18 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     short_line = tmp_path / "line.csv"
     short_line.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0\n")
     assert main(["analyze", "--stream", str(short_line), "--out", str(tmp_path / "o")]) == 2
-    from qfcsim.tomography import RECORD_HEADER, standard_settings
     bad_counts = tmp_path / "counts.csv"
     bad_counts.write_text("0,0,0,0,12\n")
     assert main(["analyze", "--counts", str(bad_counts), "--out", str(tmp_path / "o")]) == 2
-    full = [CountRecord(s, 100, 1.0) for s in standard_settings()]
+    settings = standard_settings()
     # too few settings to determine a state: three records, or none at all
     three = tmp_path / "three_counts.csv"
-    save_records(full[:3], three)
+    save_records(settings[:3], [100] * 3, [1.0] * 3, three)
     header_only = tmp_path / "header_counts.csv"
     header_only.write_text(RECORD_HEADER + "\n")
     # a count above int64 cannot be read
     huge_count = tmp_path / "huge_counts.csv"
-    save_records(full, huge_count)
+    save_records(settings, [100] * 16, [1.0] * 16, huge_count)
     huge_count.write_text(huge_count.read_text().replace(",100,", ",9223372036854775808,", 1))
     for path in (three, header_only, huge_count):
         assert main(["analyze", "--counts", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -175,7 +174,7 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
         assert main(["analyze", "--stream", str(good_stream), flag,
                      "--out", str(tmp_path / "o")]) == 2
     counts = tmp_path / "good_counts.csv"
-    save_records(full, counts)
+    save_records(settings, [100] * 16, [1.0] * 16, counts)
     assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz",
                  "--out", str(tmp_path / "o")]) == 2
     # non-finite numbers are refused where they enter: 1e999 parses to inf
@@ -195,6 +194,9 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     rows = counts.read_text().splitlines()
     for name, row in (("nan_duration", rows[1].rsplit(",", 1)[0] + ",nan"),
                       ("inf_duration", rows[1].rsplit(",", 1)[0] + ",inf"),
+                      ("zero_duration", rows[1].rsplit(",", 1)[0] + ",0"),
+                      ("negative_duration", rows[1].rsplit(",", 1)[0] + ",-5"),
+                      ("negative_count", rows[1].replace(",100,", ",-1,")),
                       ("nan_angle", "nan," + rows[1].split(",", 1)[1])):
         bad_file = tmp_path / f"{name}_counts.csv"
         bad_file.write_text("\n".join([rows[0], row] + rows[2:]) + "\n")
@@ -214,10 +216,8 @@ def test_exit_code_on_usage_errors(tmp_path, g2_cfg_path, capsys):
 
 
 def test_exit_code_on_numerical_failure(tmp_path, capsys):
-    from qfcsim.tomography import standard_settings
-    zero = [CountRecord(s, 0, 1.0) for s in standard_settings()]
     path = tmp_path / "zero.csv"
-    save_records(zero, path)
+    save_records(standard_settings(), [0] * 16, [1.0] * 16, path)
     assert main(["analyze", "--counts", str(path),
                  "--out", str(tmp_path / "o")]) == 3
 
@@ -274,9 +274,8 @@ def test_analyze_rejects_non_integer_fields_without_warning_filters(tmp_path, ca
         stream = tmp_path / f"{name}.csv"
         stream.write_text(header + line + "\n")
         assert main(["analyze", "--stream", str(stream), "--out", str(tmp_path / "o")]) == 2
-    from qfcsim.tomography import standard_settings
     counts = tmp_path / "float_count.csv"
-    save_records([CountRecord(s, 100, 1.0) for s in standard_settings()], counts)
+    save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
     counts.write_text(counts.read_text().replace(",100,", ",100.5,", 1))
     assert main(["analyze", "--counts", str(counts), "--out", str(tmp_path / "o")]) == 2
 

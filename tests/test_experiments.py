@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from qfcsim.config import (
     ExperimentConfig,
@@ -27,7 +27,7 @@ from qfcsim.experiments import (
 )
 from qfcsim.metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
 from qfcsim.qubits import PHI_PLUS
-from qfcsim.tomography import CountRecord, load_records, mle_reconstruct, subtract_background
+from qfcsim.tomography import load_records, mle_reconstruct, subtract_background
 from qfcsim.counting import CountSummary
 
 
@@ -177,7 +177,9 @@ def test_tomography_determinism_and_rate():
     assert a.fidelity == b.fidelity
     assert_allclose(a.rho, b.rho, atol=0.0)
     assert a.errors == {}
-    total = sum(r.count for r in a.records)
+    assert a.counts.dtype == np.int64
+    assert_array_equal(a.durations_s, [cfg.duration_per_setting] * 16)
+    total = int(a.counts.sum())
     assert a.mean_rate_hz == pytest.approx(total / (16 * cfg.duration_per_setting))
 
 
@@ -188,9 +190,8 @@ def test_tomography_subtraction_uses_configured_rate():
     sub = run_tomography_experiment(cfg, subtract_bg=True)
     # same simulated counts, reconstruction on the floored difference
     floor = int(round(cfg.bg_rate * cfg.duration_per_setting))
-    expected_counts = [max(0, r.count - floor) for r in raw.records]
-    redone = mle_reconstruct(settings=[r.setting for r in raw.records],
-                             counts=expected_counts)
+    expected_counts = [max(0, count - floor) for count in raw.counts.tolist()]
+    redone = mle_reconstruct(settings=raw.settings, counts=expected_counts)
     assert_allclose(sub.rho, redone.rho, atol=1e-12)
     assert sub.fidelity > raw.fidelity + 0.1
 
@@ -214,8 +215,10 @@ def test_tomography_report_and_files(tmp_path):
     loaded = json.loads((tmp_path / "tomography.json").read_text())
     assert loaded["fidelity"] == pytest.approx(res.fidelity)
     # saved counts reconstruct to the same state
-    recs = load_records(tmp_path / "tomo_counts.csv")
-    again = mle_reconstruct([r.setting for r in recs], [r.count for r in recs])
+    settings, counts, durations = load_records(tmp_path / "tomo_counts.csv")
+    assert_array_equal(counts, res.counts)
+    assert_array_equal(durations, res.durations_s)
+    again = mle_reconstruct(settings, counts)
     assert_allclose(again.rho, res.mle.rho, atol=1e-9)
 
 
@@ -237,11 +240,11 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
     samples = {"fidelity": [], "concurrence": [], "eof": [], "s_max": []}
     for b in range(cfg.n_bootstrap):
         brng = np.random.Generator(np.random.Philox(np.random.SeedSequence((402, 0, 2, b))))
-        resampled = [CountRecord(r.setting, int(brng.poisson(r.count)), r.duration_s)
-                     for r in res.records]
+        # one scalar draw per setting, in setting order
+        resampled = [brng.poisson(count) for count in res.counts.tolist()]
         if subtract:
-            resampled = subtract_background(resampled, cfg.bg_rate)
-        fit = mle_reconstruct([r.setting for r in resampled], [r.count for r in resampled])
+            resampled = subtract_background(resampled, res.durations_s, cfg.bg_rate)
+        fit = mle_reconstruct(res.settings, resampled)
         assert fit.iterations == res.bootstrap[b].iterations
         samples["fidelity"].append(fidelity(fit.rho, PHI_PLUS))
         samples["concurrence"].append(concurrence(fit.rho))

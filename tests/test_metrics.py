@@ -21,7 +21,7 @@ from qfcsim.metrics import (
     entanglement_of_formation,
     fidelity,
 )
-from qfcsim.qubits import KET_H, PHI_PLUS, PSI_MINUS, density
+from qfcsim.qubits import KET_H, KET_V, PHI_PLUS, PSI_MINUS, SIGMA_Y, density
 from qfcsim.sources import entangled_pair_state
 
 EOF_AT_HALF_CONCURRENCE = 0.35457890266526954
@@ -94,6 +94,44 @@ def test_concurrence_local_unitary_invariance():
         u = np.kron(_random_unitary(rng), _random_unitary(rng))
         rotated = u @ rho @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
+
+
+def test_concurrence_resolves_rank_deficient_states():
+    # 0.8 |Phi+><Phi+| + 0.2 |HV><HV| has concurrence 0.8 and three zero
+    # spin-flipped values; a one-ulp edit of any entry, kept Hermitian, may
+    # move it only at rounding level
+    rho = 0.8 * density(PHI_PLUS) + 0.2 * density(np.kron(KET_H, KET_V))
+    base = concurrence(rho)
+    assert abs(base - 0.8) < 1e-12
+    moves = []
+    for i, j in zip(*np.triu_indices(4)):
+        re, im = rho[i, j].real, rho[i, j].imag
+        edits = [complex(np.nextafter(re, d), im) for d in (-1.0, 2.0)]
+        if i != j:
+            edits += [complex(re, np.nextafter(im, d)) for d in (-1.0, 2.0)]
+        for value in edits:
+            edited = rho.copy()
+            edited[i, j], edited[j, i] = value, np.conj(value)
+            moves.append(abs(concurrence(edited) - base))
+    assert max(moves) <= 1e-12
+
+
+def test_concurrence_matches_the_eigenvalue_form():
+    # The textbook form takes square roots of the eigenvalues of rho rho~,
+    # which resolves a small root l only to about eps / l; a 4% white-noise
+    # floor keeps every root of these full-rank states away from 0.
+    flip = np.kron(SIGMA_Y, SIGMA_Y)
+    rng = np.random.default_rng(1618)
+    worst, entangled = 0.0, 0
+    for _ in range(500):
+        rho = 0.96 * _random_state(rng) + 0.04 * np.eye(4) / 4.0
+        eigs = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real
+        lam = np.sort(np.sqrt(np.clip(eigs, 0.0, None)))[::-1]
+        c = concurrence(rho)
+        worst = max(worst, abs(c - max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+        entangled += c > 0.0
+    assert worst <= 1e-12
+    assert entangled >= 250
 
 
 def test_binary_entropy_and_eof():

@@ -145,7 +145,7 @@ def test_stream_determinism_same_seed():
     assert_array_equal(a.channels, b.channels)
     assert_array_equal(a.pulse_indices, b.pulse_indices)
     assert_array_equal(a.timestamps_ps, b.timestamps_ps)
-    c = generate_hbt_stream(cfg, seed=910)
+    c = generate_hbt_stream(replace(cfg, seed=910))
     assert len(c) != len(a) or not np.array_equal(c.timestamps_ps, a.timestamps_ps)
 
 

@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from qfcsim import tomography
 from qfcsim.qubits import (KET_D, KET_H, KET_R, KET_V, PHI_PLUS, density)
 from qfcsim.tomography import (
     ARM_SCHEDULE,
-    CountRecord,
     MeasurementSetting,
     analysis_ket,
     density_matrix_to_json,
@@ -88,44 +88,63 @@ def test_simulate_counts_means():
     rho = density(PHI_PLUS)
     settings = standard_settings()
     rng = np.random.default_rng(11)
-    n_rep, n_scale, bg, dur = 400, 1000.0, 0.5, 10.0
+    n_rep, n_scale = 400, 1000.0
     totals = np.zeros(len(settings))
     for _ in range(n_rep):
-        recs = simulate_counts(rho, settings, n_scale, bg, dur, rng)
-        totals += [r.count for r in recs]
+        totals += simulate_counts(rho, settings, n_scale, rng)
     means = totals / n_rep
     for s, m in zip(settings, means):
-        expected = n_scale * float(np.real(np.trace(s.projector @ rho))) + bg * dur
+        expected = max(n_scale * float(np.real(np.trace(s.projector @ rho))), 0.0)
         sigma = math.sqrt(expected / n_rep)
-        assert abs(m - expected) < 5.0 * sigma
+        # a zero mean gives zero counts, so its sigma of 0 must hold exactly
+        assert abs(m - expected) <= 5.0 * sigma
+
+
+def test_simulate_counts_draws_one_scalar_poisson_per_setting():
+    # The draw order is part of the reproducibility contract: the array
+    # draw must give what one scalar call per setting, in setting order,
+    # gives.  Phi+ at 30 counts per setting has means 0, 7.5 and 15, which
+    # cover numpy's zero, small-mean and large-mean Poisson samplers.
+    rho = density(PHI_PLUS)
+    settings = standard_settings()
+    means = [30.0 * float(np.real(np.trace(s.projector @ rho))) for s in settings]
+    assert min(means) < 1e-12 and any(0.0 < m < 10.0 for m in means) and max(means) >= 10.0
+    for seed in range(20):
+        counts = simulate_counts(rho, settings, 30.0,
+                                 np.random.Generator(np.random.Philox(seed)))
+        rng = np.random.Generator(np.random.Philox(seed))
+        assert counts.dtype == np.int64
+        assert_array_equal(counts, [rng.poisson(max(m, 0.0)) for m in means])
 
 
 def test_simulate_counts_validation():
     rho = density(PHI_PLUS)
     rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        simulate_counts(rho, standard_settings(), 0.0, 0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        simulate_counts(rho, standard_settings(), 10.0, -1.0, 1.0, rng)
+    for n_per_setting in (0.0, -10.0):
+        with pytest.raises(ValueError):
+            simulate_counts(rho, standard_settings(), n_per_setting, rng)
 
 
 def test_subtract_background_arithmetic():
-    settings = standard_settings()[:2]
-    recs = [CountRecord(settings[0], 25, 100.0), CountRecord(settings[1], 10, 100.0)]
-    out = subtract_background(recs, 0.2)
-    assert out[0].count == 5  # 25 - round(0.2 * 100)
-    assert out[1].count == 0  # floored at zero
-    assert out[0].duration_s == 100.0
+    out = subtract_background([25, 10], [100.0, 100.0], 0.2)
+    assert out.dtype == np.int64
+    assert_array_equal(out, [5, 0])  # 25 - round(0.2 * 100), then floored at zero
+    # rows of replicates share one duration column; halves round to even
+    assert_array_equal(subtract_background([[25, 10], [3, 40]], [100.0, 12.5], 0.2),
+                       [[5, 8], [0, 38]])
     with pytest.raises(ValueError):
-        subtract_background(recs, -0.1)
-
-
-def test_count_record_validation():
-    s = standard_settings()[0]
-    with pytest.raises(ValueError):
-        CountRecord(s, -1, 1.0)
-    with pytest.raises(ValueError):
-        CountRecord(s, 1, 0.0)
+        subtract_background([25, 10], [100.0, 100.0], -0.1)
+    # A floor at or above 2**63 exceeds every count, and must neither wrap
+    # in the integer cast nor warn; one just below it is exact.
+    top = np.iinfo(np.int64).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_array_equal(subtract_background([top, 5, 0], [1e16, 1e16, 1e16], 1e6),
+                           [0, 0, 0])
+        assert_array_equal(subtract_background([top], [2.0**63], 1.0), [0])
+        assert_array_equal(subtract_background([top], [1e308], 1e6), [0])
+        assert_array_equal(subtract_background([top, 7], [2.0**63 - 1024] * 2, 1.0),
+                           [1023, 0])
 
 
 def test_mle_recovers_bell_state_exactly():
@@ -154,8 +173,7 @@ def test_mle_on_sampled_counts_stays_physical():
     rng = np.random.default_rng(2024)
     settings = standard_settings()
     rho = density(PHI_PLUS)
-    recs = simulate_counts(rho, settings, 5000.0, 0.0, 1.0, rng)
-    result = mle_reconstruct(settings, [r.count for r in recs])
+    result = mle_reconstruct(settings, simulate_counts(rho, settings, 5000.0, rng))
     eigs = np.linalg.eigvalsh(result.rho)
     assert eigs.min() > -1e-10
     assert abs(np.trace(result.rho).real - 1.0) < 1e-10
@@ -262,14 +280,13 @@ def test_mle_batch_input_validation():
 
 
 def test_records_file_roundtrip(tmp_path):
-    recs = [
-        CountRecord(MeasurementSetting(0.0, 0.0, 0.0, 0.0), 0, 0.30000000000000004),
-        CountRecord(MeasurementSetting(math.pi / 4, math.pi / 8, -math.pi / 4,
-                                       math.radians(-35.5)), 12, 1e-05),
-        CountRecord(MeasurementSetting(0.0, math.pi / 2, 0.0, 0.0), 2**53 + 1, 1e+16),
-    ]
+    settings = [MeasurementSetting(0.0, 0.0, 0.0, 0.0),
+                MeasurementSetting(math.pi / 4, math.pi / 8, -math.pi / 4, math.radians(-35.5)),
+                MeasurementSetting(0.0, math.pi / 2, 0.0, 0.0)]
+    counts = np.array([0, 12, 2**53 + 1], dtype=np.int64)
+    durations = np.array([0.30000000000000004, 1e-05, 1e+16])
     path = tmp_path / "counts.csv"
-    save_records(recs, path)
+    save_records(settings, counts, durations, path)
     header = "qwp_a_deg,hwp_a_deg,qwp_b_deg,hwp_b_deg,count,duration_s\n"
     assert path.read_text() == (
         header
@@ -279,14 +296,15 @@ def test_records_file_roundtrip(tmp_path):
     # blank lines, comments and repeated header lines are skipped
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:2] + ["\n", "# note\n", header] + lines[2:]))
-    loaded = load_records(path)
-    assert len(loaded) == 3
-    for orig, back in zip(recs, loaded):
-        assert back.count == orig.count
-        assert back.duration_s == orig.duration_s
+    back_settings, back_counts, back_durations = load_records(path)
+    assert back_counts.dtype == np.int64
+    assert_array_equal(back_counts, counts)
+    assert_array_equal(back_durations, durations)
+    assert len(back_settings) == 3
+    for orig, back in zip(settings, back_settings):
         for attr in ("qwp_a", "hwp_a", "qwp_b", "hwp_b"):
-            assert abs(getattr(back.setting, attr) - getattr(orig.setting, attr)) < 1e-12
-        assert_allclose(back.setting.projector, orig.setting.projector, atol=1e-12)
+            assert abs(getattr(back, attr) - getattr(orig, attr)) < 1e-12
+        assert_allclose(back.projector, orig.projector, atol=1e-12)
 
 
 def test_density_matrix_json_roundtrip():

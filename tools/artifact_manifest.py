@@ -1,0 +1,87 @@
+"""Write the CLI artifact set of the presets and print one sha256 line per file.
+
+Usage: python3 tools/artifact_manifest.py OUT [PRESET ...]
+
+Runs each command of the set in a fresh interpreter on the ``src`` tree
+next to this script, with the preset's file under ``configs/`` at that
+file's seed, and writes into ``OUT/<preset>/<step>/``.  For every preset
+the set is ``sweep``; for a ``*_g2`` preset also ``g2 --save-stream`` and
+``analyze --stream`` on its stream; for a ``*_tomo`` preset also ``tomo``,
+``tomo --subtract-bg --timebin-histogram``, and ``analyze --counts`` on
+the raw counts with and without ``--subtract-bg``.  All seven presets give
+55 files.  The output is ``sha256  path`` per file, sorted by the path
+relative to OUT, so the manifests of two checkouts compare with ``diff``.
+With no PRESET, all seven run.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ("ideal_g2", "coherent_g2", "thermal_g2", "calibrated_g2",
+           "ideal_tomo", "calibrated_tomo", "source_only_tomo")
+
+
+def preset_commands(preset: str, out: Path) -> list[list[str]]:
+    """CLI argument lists of one preset, in run order."""
+    cfg = str(ROOT / "configs" / f"{preset}.cfg")
+    commands = [["sweep", "--config", cfg, "--out", str(out / "sweep")]]
+    if preset.endswith("_g2"):
+        commands += [
+            ["g2", "--config", cfg, "--out", str(out / "g2"), "--save-stream"],
+            ["analyze", "--stream", str(out / "g2" / "events.csv"),
+             "--out", str(out / "analyze_stream")],
+        ]
+    else:
+        counts = str(out / "tomo" / "tomo_counts.csv")
+        commands += [
+            ["tomo", "--config", cfg, "--out", str(out / "tomo")],
+            ["tomo", "--config", cfg, "--out", str(out / "tomo_bg"),
+             "--subtract-bg", "--timebin-histogram"],
+            ["analyze", "--counts", counts, "--out", str(out / "analyze_counts")],
+            ["analyze", "--counts", counts, "--out", str(out / "analyze_counts_bg"),
+             "--subtract-bg"],
+        ]
+    return commands
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if not argv or argv[0].startswith("-"):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out, presets = Path(argv[0]).resolve(), argv[1:] or list(PRESETS)
+    unknown = sorted(set(presets) - set(PRESETS))
+    if unknown:
+        print(f"unknown preset(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for preset in presets:
+        for args in preset_commands(preset, out / preset):
+            proc = subprocess.run([sys.executable, "-m", "qfcsim.cli", *args], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            if proc.returncode != 0:
+                print(f"exit {proc.returncode}: {' '.join(args)}\n{proc.stderr}",
+                      file=sys.stderr)
+                return 1
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    for path in files:
+        print(f"{sha256(path)}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
