@@ -23,7 +23,7 @@ cfg = ExperimentConfig(
     n_pulses=1_000_000, seed=7,
 )
 
-hist, _ = run_mzi_histogram(cfg)
+hist = run_mzi_histogram(cfg)
 delay_ps = cfg.mzi_delay * 1e12
 
 print(f"delay between bins: {delay_ps:.0f} ps, detector jitter "
@@ -41,7 +41,7 @@ for name, center in (("early", -delay_ps), ("central", 0.0), ("late", delay_ps))
     print(f"{name:<8} {center:+7.0f} ps  {areas[name]:>8}    {areas[name]/total:.4f}")
 print(f"(expect 1:2:1, i.e. fractions 0.25 / 0.50 / 0.25)")
 
-kept, _ = run_mzi_histogram(cfg, postselect=True)
+kept = run_mzi_histogram(cfg, postselect=True)
 print()
 print(f"post-selecting the 200 ps window around the central slot:")
 print(f"  kept {kept.mass} events, "

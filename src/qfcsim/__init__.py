@@ -8,9 +8,7 @@ two-qubit state tomography with entanglement metrics.
 """
 
 from .config import ConfigError, ExperimentConfig, PRESETS
-from .conversion import (ConversionParams, EfficiencyFit, EfficiencyModel,
-                         TwoModeUnitary, apply_conversion,
-                         build_conversion_unitary, conversion_efficiency,
+from .conversion import (EfficiencyFit, EfficiencyModel, conversion_efficiency,
                          fit_efficiency_curve, pump_dephasing_factor)
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        FirstClicks, InsufficientEventsError, count_summary,
@@ -30,11 +28,11 @@ from .tomography import (MeasurementSetting, MleResult, load_records,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChshResult", "CoincidenceWindow", "ConfigError", "ConversionParams",
+    "ChshResult", "CoincidenceWindow", "ConfigError",
     "CountSummary", "DelayHistogram", "EfficiencyFit", "EfficiencyModel",
     "EventStream", "ExperimentConfig", "FirstClicks", "InsufficientEventsError",
-    "MeasurementSetting", "MleResult", "PHI_PLUS", "PRESETS", "TwoModeUnitary",
-    "apply_conversion", "build_conversion_unitary", "check_density_matrix",
+    "MeasurementSetting", "MleResult", "PHI_PLUS", "PRESETS",
+    "check_density_matrix",
     "chsh_assessment", "concurrence", "conversion_efficiency",
     "convert_timebin_qubit", "count_summary", "delay_histogram",
     "end_to_end_state", "entangled_pair_state", "entanglement_of_formation",

@@ -10,7 +10,6 @@ on numerical failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,18 +18,16 @@ import numpy as np
 
 from .artifacts import write_pairs
 from .config import ConfigError, ExperimentConfig, parse_scalar
-from .counting import (CoincidenceWindow, InsufficientEventsError,
-                       count_summary, delay_histogram, first_clicks,
-                       g2_zero_from_counts)
-from .experiments import (TomographyResult, run_efficiency_sweep,
+# count_summary, delay_histogram, chsh_assessment and mle_reconstruct are
+# unused here, but perfbench/child.py traces them under these names
+from .counting import CoincidenceWindow, count_summary, delay_histogram, first_clicks
+from .experiments import (analyze_g2, reconstruct, run_efficiency_sweep,
                           run_g2_experiment, run_mzi_histogram,
                           run_tomography_experiment, tomography_report,
                           write_g2, write_sweep, write_tomography)
-from .metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
-from .qubits import PHI_PLUS
+from .metrics import chsh_assessment
 from .sources import EventStream
-from .tomography import (IncompleteSettingsError, load_records, mle_reconstruct,
-                         save_report, subtract_background)
+from .tomography import IncompleteSettingsError, load_records, mle_reconstruct, save_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +118,7 @@ def _cmd_tomo(args) -> int:
     result = run_tomography_experiment(config, subtract_bg=args.subtract_bg)
     paths = write_tomography(result, args.out)
     if args.timebin_histogram:
-        hist, _ = run_mzi_histogram(config)
+        hist = run_mzi_histogram(config)
         hist_path = Path(args.out) / "timebin_histogram.csv"
         hist.save(hist_path)
         paths.append(hist_path)
@@ -145,17 +142,12 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"cannot read stream file: {exc}") from exc
         bin_width = _flag_value("--bin-width", args.bin_width)
         window = CoincidenceWindow(_flag_value("--window", args.window))
-        clicks = first_clicks(stream)
-        hist = delay_histogram(clicks, bin_width=bin_width)
+        result = analyze_g2(first_clicks(stream), window, bin_width)
         hist_path = outdir / "histogram.csv"
-        hist.save(hist_path)
-        summary, _ = count_summary(clicks, window)
-        try:
-            value, err = g2_zero_from_counts(summary)
-        except InsufficientEventsError:
-            value, err = math.nan, math.nan
+        result.histogram.save(hist_path)
         summary_path = outdir / "count_summary.txt"
-        write_pairs(summary_path, {**asdict(summary), "g2_zero": value, "std_error": err})
+        write_pairs(summary_path, {**asdict(result.summary), "g2_zero": result.value,
+                                   "std_error": result.std_error})
         print(hist_path)
         print(summary_path)
         return 0
@@ -164,15 +156,9 @@ def _cmd_analyze(args) -> int:
         settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
-    if args.subtract_bg:
-        counts = subtract_background(
-            counts, durations, _flag_value("--bg-rate", args.bg_rate, allow_zero=True))
-    mle = mle_reconstruct(settings, counts)
-    result = TomographyResult(
-        rho=mle.rho, fidelity=fidelity(mle.rho, PHI_PLUS), concurrence=concurrence(mle.rho),
-        eof=entanglement_of_formation(mle.rho), chsh=chsh_assessment(mle.rho), errors={},
-        settings=settings, counts=counts, durations_s=durations, mle=mle,
-        subtracted=bool(args.subtract_bg), mean_rate_hz=None)
+    bg_rate = (_flag_value("--bg-rate", args.bg_rate, allow_zero=True)
+               if args.subtract_bg else None)
+    result = reconstruct(settings, counts, durations, bg_rate)
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)
     print(report_path)

@@ -1,15 +1,15 @@
-"""Two-mode frequency conversion on a truncated Fock space.
+"""Pump-side models of the frequency-conversion interface.
 
 For a fixed classical pump, sum/difference-frequency mixing couples the
 signal mode and the converted mode exactly like a beamsplitter: a photon
 stays in its band with probability cos^2(theta) and hops to the other band
-with probability sin^2(theta), where theta is the product of coupling
-strength and interaction time.  A converted photon picks up the conjugate
-of the pump phase.
+with probability sin^2(theta), where theta = sqrt(coeff * P) grows with the
+pump power P.  The pipeline applies that physics in closed form, as the
+pump-power efficiency law here and as binomial thinning of the photons in
+``sources``; the tests check the law against the exponentiated mixing
+generator.
 
-This module also carries the small pump-side models that ride along with
-the interaction: the pump-power efficiency law, its curve fit, and pump
-phase diffusion.
+This module carries that law, its curve fit, and pump phase diffusion.
 """
 
 from __future__ import annotations
@@ -20,87 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ConversionParams:
-    """Mixing angle, pump phase, and per-mode Fock cutoff.
-
-    ``phi`` is stored reduced to [0, 2*pi).  ``n_max`` is the highest photon
-    number kept per mode, so matrices act on a (n_max+1)**2 dimensional space.
-    """
-
-    theta: float
-    phi: float = 0.0
-    n_max: int = 2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
-
-
-@dataclass(frozen=True)
-class TwoModeUnitary:
-    """Unitary on the signal (x) converted two-mode Fock space.
-
-    Basis ordering is row-major in (n_signal, n_converted):
-    index = n_signal * (n_max + 1) + n_converted.
-    """
-
-    n_max: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return (self.n_max + 1) ** 2
-
-    def index(self, n_signal: int, n_converted: int) -> int:
-        if not (0 <= n_signal <= self.n_max and 0 <= n_converted <= self.n_max):
-            raise ValueError("photon number outside truncation")
-        return n_signal * (self.n_max + 1) + n_converted
-
-
-def _lowering(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def build_conversion_unitary(params: ConversionParams) -> TwoModeUnitary:
-    """Exponentiate the two-mode mixing generator at the given angle and phase.
-
-    The generator theta * (e^{-i phi} ac+ as - e^{i phi} as+ ac) is
-    anti-Hermitian, so exp(gen) = V diag(e^{-i lam}) V+ from the eigenpairs
-    of the Hermitian 1j * gen, unitary up to floating point error.  Photon
-    number is conserved; the matrix is block diagonal over total n.
-    """
-    dim = params.n_max + 1
-    low = _lowering(dim)
-    eye = np.eye(dim, dtype=complex)
-    a_sig = np.kron(low, eye)
-    a_conv = np.kron(eye, low)
-    gen = params.theta * (
-        np.exp(-1j * params.phi) * (a_conv.conj().T @ a_sig)
-        - np.exp(1j * params.phi) * (a_sig.conj().T @ a_conv)
-    )
-    lam, vecs = np.linalg.eigh(1j * gen)
-    return TwoModeUnitary(params.n_max, (vecs * np.exp(-1j * lam)) @ vecs.conj().T)
-
-
-def apply_conversion(rho: np.ndarray, unitary: TwoModeUnitary) -> np.ndarray:
-    """Conjugate a two-mode density matrix by the conversion unitary."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (unitary.dim, unitary.dim):
-        raise ValueError(
-            f"state has shape {rho.shape}, unitary expects {(unitary.dim, unitary.dim)}"
-        )
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise ValueError("input state must have unit trace")
-    u = unitary.matrix
-    return u @ rho @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -136,11 +55,10 @@ class EfficiencyModel:
 def conversion_efficiency(pump_power_w: float, model: EfficiencyModel) -> float:
     """External conversion efficiency at the given pump power (watts).
 
-    The sin^2 law is the single-photon transfer probability of the Fock-space
-    model: ``build_conversion_unitary`` at theta = sqrt(coeff_per_watt * P)
-    sends |1, 0> to |0, 1> with probability sin^2(theta), and ``peak`` scales
-    it to the external efficiency.  That unitary is the oracle the tests
-    check this closed form against.
+    The sin^2 law is the single-photon transfer probability of the mixing:
+    the two-mode unitary at theta = sqrt(coeff_per_watt * P) sends |1, 0>
+    to |0, 1> with probability sin^2(theta), and ``peak`` scales it to the
+    external efficiency.
     """
     if pump_power_w < 0.0 or not math.isfinite(pump_power_w):
         raise ValueError(f"pump power must be >= 0, got {pump_power_w}")

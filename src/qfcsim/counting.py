@@ -138,19 +138,18 @@ def pair_delays(clicks: FirstClicks, offset: int = 0
     return clicks.start_pulses[i_start], delays, t_start
 
 
-def delay_histogram(clicks: FirstClicks, bin_width: float = 50e-12) -> DelayHistogram:
-    """Histogram same-pulse stop-minus-start delays.
+def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHistogram:
+    """Histogram stop-minus-start delays given in ps (see ``pair_delays``).
 
     Bins are centered on integer multiples of ``bin_width`` (seconds), so a
     zero delay falls in the center of the zero bin.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
-    _, delays, _ = pair_delays(clicks)
     width_ps = bin_width * 1e12
-    if len(delays) == 0:
+    if len(delays_ps) == 0:
         return DelayHistogram(width_ps, np.zeros(0), np.zeros(0, dtype=np.int64))
-    bins = np.rint(delays / width_ps).astype(np.int64)
+    bins = np.rint(delays_ps / width_ps).astype(np.int64)
     lo, hi = bins.min(), bins.max()
     counts = np.bincount(bins - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * width_ps
@@ -158,18 +157,19 @@ def delay_histogram(clicks: FirstClicks, bin_width: float = 50e-12) -> DelayHist
 
 
 def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 0
-                  ) -> tuple[CountSummary, int]:
+                  ) -> tuple[CountSummary, int, np.ndarray]:
     """Count triggers, singles, and windowed coincidences at a pulse offset.
 
-    Returns the counts plus the number of coincidence opportunities: pulse
-    pairs (p, p + offset) with a trigger at both ends (for offset 0 this is
-    just the trigger count).
+    Returns the counts, the number of coincidence opportunities (pulse
+    pairs (p, p + offset) with a trigger at both ends; for offset 0 just
+    the trigger count), and the joined delays in ps, which
+    ``delay_histogram`` takes as they are.
     """
     _, delays, _ = pair_delays(clicks, offset)
     n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
     summary = CountSummary(len(clicks.trigger_pulses), len(clicks.start_pulses),
                            len(clicks.stop_pulses), n_coinc)
-    return summary, clicks.opportunities(offset)
+    return summary, clicks.opportunities(offset), delays
 
 
 def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
@@ -212,7 +212,7 @@ def g2_offset_from_counts(summary: CountSummary, opportunities: int) -> float:
 def g2_at_offset(clicks: FirstClicks, offset: int, window: CoincidenceWindow) -> float:
     """Normalized correlation between start clicks and stop clicks ``offset``
     pulses later (see ``g2_offset_from_counts``)."""
-    return g2_offset_from_counts(*count_summary(clicks, window, offset))
+    return g2_offset_from_counts(*count_summary(clicks, window, offset)[:2])
 
 
 def sideband_mean_from_counts(summary: CountSummary, sidebands) -> tuple[float, float]:

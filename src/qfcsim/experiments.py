@@ -2,7 +2,9 @@
 
 Each driver takes an ExperimentConfig, runs the simulation and analysis,
 and returns a result object; the matching writer lays the result down as
-deterministic text artifacts (same config and seed, same bytes).
+deterministic text artifacts (same config and seed, same bytes).  The
+analysis steps ``analyze_g2`` and ``reconstruct`` are shared with the
+``analyze`` command, which runs them on saved files.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from .artifacts import write_pairs, write_table
 from .config import ExperimentConfig
 from .conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
 # g2_at_offset is unused here, but perfbench/child.py traces it under this name
-from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
+from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstClicks,
                        InsufficientEventsError, count_summary, delay_histogram,
                        first_clicks, g2_at_offset, g2_offset_from_counts,
-                       g2_zero_from_counts, select_window,
+                       g2_zero_from_counts, pair_delays, select_window,
                        sideband_mean_from_counts)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
@@ -120,39 +122,51 @@ class G2Result:
         return (self.sideband_mean - 1.0) / self.sideband_mean_error
 
 
-def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
-                      sideband_offsets=range(1, 6)) -> G2Result:
-    """Generate a heralded correlation stream and estimate g2.
+def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
+               bin_width: float = 50e-12) -> G2Result:
+    """Zero-delay g2, its error, and the delay histogram of one first-click index.
 
-    Sideband estimates at nonzero pulse offsets (both signs) probe the
-    accidental level; for uncorrelated pulses they sit at 1, and so does
-    their pooled mean.  When the run is too short for a meaningful estimate
-    the result carries NaN values and the ``insufficient`` flag instead of
-    raising.  Every offset is counted from one first-click index.
+    When the run is too short for a meaningful estimate the result carries
+    NaN values and the ``insufficient`` flag instead of raising.  The
+    histogram bins the delays that the zero-offset count joined.
     """
-    stream = generate_hbt_stream(config)
-    window = CoincidenceWindow(config.coincidence_window)
-    clicks = first_clicks(stream)
-    summary, _ = count_summary(clicks, window)
+    summary, _, delays = count_summary(clicks, window)
     try:
         value, err = g2_zero_from_counts(summary)
         insufficient = False
     except InsufficientEventsError:
         value, err, insufficient = math.nan, math.nan, True
-    sidebands: dict[int, float] = {}
+    return G2Result(value, err, summary, delay_histogram(delays, bin_width),
+                    insufficient=insufficient)
+
+
+def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
+                      sideband_offsets=range(1, 6)) -> G2Result:
+    """Generate a heralded correlation stream and estimate g2.
+
+    ``analyze_g2`` gives the zero-delay result.  Sideband estimates at
+    nonzero pulse offsets (both signs) probe the accidental level; for
+    uncorrelated pulses they sit at 1, and so does their pooled mean.
+    Every offset is counted from one first-click index.
+    """
+    stream = generate_hbt_stream(config)
+    window = CoincidenceWindow(config.coincidence_window)
+    clicks = first_clicks(stream)
+    result = analyze_g2(clicks, window)
     estimated = []
     for n in sideband_offsets:
         for offset in (n, -n):
-            counts, opportunities = count_summary(clicks, window, offset)
+            counts, opportunities, _ = count_summary(clicks, window, offset)
             try:
-                sidebands[offset] = g2_offset_from_counts(counts, opportunities)
+                result.sidebands[offset] = g2_offset_from_counts(counts, opportunities)
             except InsufficientEventsError:
                 continue
             estimated.append((counts.n_coincidence, opportunities))
-    mean, mean_error = sideband_mean_from_counts(summary, estimated)
-    histogram = delay_histogram(clicks, bin_width=50e-12)
-    return G2Result(value, err, summary, histogram, sidebands, insufficient,
-                    stream if keep_stream else None, mean, mean_error)
+    result.sideband_mean, result.sideband_mean_error = sideband_mean_from_counts(
+        result.summary, estimated)
+    if keep_stream:
+        result.stream = stream
+    return result
 
 
 def write_g2(result: G2Result, outdir) -> list[Path]:
@@ -176,8 +190,7 @@ def write_g2(result: G2Result, outdir) -> list[Path]:
 # Time-bin arrival histogram
 # ---------------------------------------------------------------------------
 
-def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False
-                      ) -> tuple[DelayHistogram, EventStream]:
+def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False) -> DelayHistogram:
     """Arrival-time histogram behind the decoding interferometer, in 50 ps bins.
 
     Delays are measured from the herald click, so the three path
@@ -189,9 +202,8 @@ def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False
         window = CoincidenceWindow(config.postselect_window)
         stream = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                                stop_channel=START_CHANNEL)
-    hist = delay_histogram(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL),
-                           bin_width=50e-12)
-    return hist, stream
+    _, delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    return delay_histogram(delays, bin_width=50e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +217,36 @@ class TomographyResult:
     concurrence: float
     eof: float
     chsh: ChshResult
-    errors: dict[str, float]
     settings: list[MeasurementSetting]
     counts: np.ndarray
     durations_s: np.ndarray
     mle: MleResult
     subtracted: bool
-    mean_rate_hz: Optional[float]
+    errors: dict[str, float] = field(default_factory=dict)
+    mean_rate_hz: Optional[float] = None
     bootstrap: list[MleResult] = field(default_factory=list)
 
 
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
     return (fidelity(rho, PHI_PLUS), concurrence(rho),
             entanglement_of_formation(rho), chsh_assessment(rho))
+
+
+def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
+                durations_s: np.ndarray, bg_rate: Optional[float] = None
+                ) -> TomographyResult:
+    """Fit one count table by MLE and score the state against PHI_PLUS.
+
+    With ``bg_rate`` (Hz) the flat background is subtracted before the fit.
+    The result keeps the raw counts and carries no error bars or count rate.
+    """
+    fitted = counts if bg_rate is None else subtract_background(counts, durations_s, bg_rate)
+    mle = mle_reconstruct(settings, fitted)
+    fid, conc, eof, chsh = _metrics_of(mle.rho)
+    return TomographyResult(
+        rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
+        settings=settings, counts=counts, durations_s=durations_s, mle=mle,
+        subtracted=bg_rate is not None)
 
 
 def run_tomography_experiment(config: ExperimentConfig,
@@ -236,12 +265,8 @@ def run_tomography_experiment(config: ExperimentConfig,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
     counts = simulate_counts(rho_true, settings, config.n_per_setting, rng)
     durations = np.full(len(settings), config.duration_per_setting)
-    fitted = subtract_background(counts, durations, config.bg_rate) if subtract_bg else counts
-    mle = mle_reconstruct(settings, fitted)
-    fid, conc, eof, chsh = _metrics_of(mle.rho)
+    result = reconstruct(settings, counts, durations, config.bg_rate if subtract_bg else None)
 
-    errors: dict[str, float] = {}
-    boot: list[MleResult] = []
     if config.n_bootstrap > 0:
         replicates = np.array([
             np.random.Generator(np.random.Philox(
@@ -249,18 +274,14 @@ def run_tomography_experiment(config: ExperimentConfig,
             for b in range(config.n_bootstrap)])
         if subtract_bg:
             replicates = subtract_background(replicates, durations, config.bg_rate)
-        boot = mle_reconstruct_batch(settings, replicates)
-        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in boot))
+        result.bootstrap = mle_reconstruct_batch(settings, replicates)
+        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in result.bootstrap))
         samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
                    "s_max": [c.s_max for c in chshs]}
-        errors = {key: float(np.std(vals)) for key, vals in samples.items()}
+        result.errors = {key: float(np.std(vals)) for key, vals in samples.items()}
 
-    mean_rate = float(counts.sum()) / (len(counts) * config.duration_per_setting)
-    return TomographyResult(
-        rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
-        errors=errors, settings=settings, counts=counts, durations_s=durations, mle=mle,
-        subtracted=subtract_bg, mean_rate_hz=mean_rate, bootstrap=boot,
-    )
+    result.mean_rate_hz = float(counts.sum()) / (len(counts) * config.duration_per_setting)
+    return result
 
 
 def tomography_report(result: TomographyResult) -> dict:

@@ -65,12 +65,6 @@ def partial_trace_b(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ikjk->ij", r)
 
 
-def partial_trace_a(rho: np.ndarray) -> np.ndarray:
-    """Trace out the first qubit of a two-qubit state."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("kikj->ij", r)
-
-
 def rotation(angle: float) -> np.ndarray:
     """Real rotation of the polarization plane by ``angle`` radians."""
     c, s = math.cos(angle), math.sin(angle)

@@ -195,7 +195,7 @@ def test_criterion_6_calibrated_tomography():
 def test_criterion_7_arrival_slots_and_postselection():
     t0 = time.time()
     cfg = _mzi_benchmark_config()
-    hist, _ = run_mzi_histogram(cfg)
+    hist = run_mzi_histogram(cfg)
     delay_ps = cfg.mzi_delay * 1e12
     areas = {}
     for name, center in (("early", -delay_ps), ("central", 0.0), ("late", delay_ps)):
@@ -205,7 +205,7 @@ def test_criterion_7_arrival_slots_and_postselection():
     late = areas["late"] / areas["central"]
     ok = abs(early - 0.5) < 0.03 and abs(late - 0.5) < 0.03
     # 200 ps post-selection keeps the central slot only
-    kept, _ = run_mzi_histogram(cfg, postselect=True)
+    kept = run_mzi_histogram(cfg, postselect=True)
     max_delay = float(np.max(np.abs(kept.centers_ps[kept.counts > 0])))
     ok = ok and max_delay <= 100.0
     retained = kept.mass / areas["central"]
@@ -236,8 +236,8 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     ok = ok and loaded.seed == a.seed and loaded.n_pulses == a.n_pulses
     # counting the reloaded stream reproduces the counts exactly
     window = CoincidenceWindow(cfg.coincidence_window)
-    summary_a, _ = count_summary(first_clicks(a), window)
-    summary_l, _ = count_summary(first_clicks(loaded), window)
+    summary_a = count_summary(first_clicks(a), window)[0]
+    summary_l = count_summary(first_clicks(loaded), window)[0]
     ok = ok and summary_a == summary_l
     # config file round trip is lossless
     cfg_path = tmp_path / "run.cfg"

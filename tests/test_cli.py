@@ -130,6 +130,23 @@ def test_tomo_command_and_analyze_counts(tmp_path, tomo_cfg_path, capsys):
     assert sub_report["fidelity"] > report["fidelity"]
 
 
+@pytest.mark.parametrize("subtract", [False, True])
+def test_analyze_counts_report_equals_tomo_report(tmp_path, tomo_cfg_path, subtract, capsys):
+    # analyze --counts fits tomo's raw count file through the same helper as
+    # tomo, so every key that both reports carry agrees exactly
+    bg = ["--subtract-bg"] if subtract else []
+    out, an = tmp_path / "tomo", tmp_path / "an"
+    assert main(["tomo", "--config", str(tomo_cfg_path), "--out", str(out), *bg]) == 0
+    bg_rate = repr(ExperimentConfig.from_file(tomo_cfg_path).bg_rate)
+    assert main(["analyze", "--counts", str(out / "tomo_counts.csv"), "--out", str(an),
+                 *bg, "--bg-rate", bg_rate]) == 0
+    tomo_report = json.loads((out / "tomography.json").read_text())
+    an_report = json.loads((an / "tomography.json").read_text())
+    shared = tomo_report.keys() & an_report.keys()
+    assert {"density_matrix", "fidelity", "chsh_s_max", "mle_iterations"} <= shared
+    assert {k: an_report[k] for k in shared} == {k: tomo_report[k] for k in shared}
+
+
 def test_exit_code_on_config_errors(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["g2", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2

@@ -1,6 +1,8 @@
-"""Tests for the two-mode conversion unitary and the pump-side models.
+"""Tests for the pump-side models, with the two-mode conversion unitary as
+the physics reference of the efficiency law.
 
-Frozen numbers below were computed independently before wiring them in:
+The unitary is scipy's ``expm`` of the mixing generator on a truncated Fock
+space.  Frozen numbers below were computed independently before wiring them in:
 the Heisenberg-picture mode transformation from the 2x2 beamsplitter
 algebra, the dephasing factor from exp(-2 pi * 150 kHz * 1 ns), and the
 peak pump power from (pi/2)^2 / coeff.
@@ -15,10 +17,7 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from qfcsim.conversion import (
-    ConversionParams,
     EfficiencyModel,
-    apply_conversion,
-    build_conversion_unitary,
     conversion_efficiency,
     fit_efficiency_curve,
     pump_dephasing_factor,
@@ -36,6 +35,18 @@ def _mode_operators(n_max):
     low = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
     eye = np.eye(dim, dtype=complex)
     return np.kron(low, eye), np.kron(eye, low)
+
+
+def _unitary(theta, phi=0.0, n_max=2):
+    """exp(theta (e^{-i phi} ac+ as - e^{i phi} as+ ac)) on the signal (x)
+    converted space, indexed n_signal * (n_max + 1) + n_converted."""
+    a_s, a_c = _mode_operators(n_max)
+    return expm(theta * (np.exp(-1j * phi) * (a_c.conj().T @ a_s)
+                         - np.exp(1j * phi) * (a_s.conj().T @ a_c)))
+
+
+def _index(n_max, n_signal, n_converted):
+    return n_signal * (n_max + 1) + n_converted
 
 
 def _scipy_fit(samples):
@@ -79,42 +90,38 @@ def _noisy_sets():
 
 
 def test_zero_angle_is_identity():
-    u = build_conversion_unitary(ConversionParams(theta=0.0, n_max=3))
-    assert_allclose(u.matrix, np.eye(u.dim), atol=1e-14)
+    u = _unitary(0.0, n_max=3)
+    assert_allclose(u, np.eye(16), atol=1e-14)
 
 
 def test_full_conversion_swaps_single_photon():
     # at theta = pi/2 the photon hops bands and picks up the conjugate
     # pump phase: |1,0> -> e^{-i phi} |0,1>
     phi = 0.83
-    u = build_conversion_unitary(ConversionParams(theta=math.pi / 2.0, phi=phi, n_max=2))
-    amp = u.matrix[u.index(0, 1), u.index(1, 0)]
+    u = _unitary(math.pi / 2.0, phi=phi)
+    amp = u[_index(2, 0, 1), _index(2, 1, 0)]
     assert abs(amp - np.exp(-1j * phi)) < 1e-12
-    assert abs(u.matrix[u.index(1, 0), u.index(1, 0)]) < 1e-12
+    assert abs(u[_index(2, 1, 0), _index(2, 1, 0)]) < 1e-12
 
 
 def test_transmittance_is_cos_squared():
     for theta in np.linspace(0.0, math.pi, 13):
-        u = build_conversion_unitary(ConversionParams(theta=float(theta), n_max=1))
-        stay = abs(u.matrix[u.index(1, 0), u.index(1, 0)]) ** 2
+        u = _unitary(float(theta), n_max=1)
+        stay = abs(u[_index(1, 1, 0), _index(1, 1, 0)]) ** 2
         assert abs(stay - math.cos(theta) ** 2) < 1e-12
 
 
 def test_unitary_properties_random_params():
     rng = np.random.default_rng(1234)
+    # photon number is conserved: no amplitude between different totals
+    totals = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    crosses = totals[:, None] != totals[None, :]
     for _ in range(200):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        u = build_conversion_unitary(ConversionParams(theta=theta, phi=phi, n_max=2))
-        assert_allclose(u.matrix @ u.matrix.conj().T, np.eye(u.dim), atol=1e-12)
-        # photon number is conserved: no amplitude between different totals
-        dim = u.n_max + 1
-        for ns in range(dim):
-            for nc in range(dim):
-                for ms in range(dim):
-                    for mc in range(dim):
-                        if ns + nc != ms + mc:
-                            assert abs(u.matrix[u.index(ns, nc), u.index(ms, mc)]) < 1e-12
+        u = _unitary(theta, phi=phi)
+        assert_allclose(u @ u.conj().T, np.eye(9), atol=1e-12)
+        assert np.max(np.abs(u[crosses])) < 1e-12
 
 
 def test_angles_compose_at_fixed_phase():
@@ -122,71 +129,32 @@ def test_angles_compose_at_fixed_phase():
     for _ in range(25):
         t1, t2 = rng.uniform(0.0, 1.5, size=2)
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        u1 = build_conversion_unitary(ConversionParams(theta=float(t1), phi=phi, n_max=2))
-        u2 = build_conversion_unitary(ConversionParams(theta=float(t2), phi=phi, n_max=2))
-        u12 = build_conversion_unitary(ConversionParams(theta=float(t1 + t2), phi=phi, n_max=2))
-        assert_allclose(u1.matrix @ u2.matrix, u12.matrix, atol=1e-12)
+        assert_allclose(_unitary(float(t1), phi) @ _unitary(float(t2), phi),
+                        _unitary(float(t1 + t2), phi), atol=1e-12)
 
 
 def test_heisenberg_mode_transformation():
     # U+ a_s U = cos(theta) a_s - e^{i phi} sin(theta) a_c, checked away
     # from the truncation edge where the finite Fock ladder is exact.
-    params = ConversionParams(theta=0.7, phi=1.1, n_max=6)
-    u = build_conversion_unitary(params).matrix
-    a_s, a_c = _mode_operators(params.n_max)
+    theta, phi, n_max = 0.7, 1.1, 6
+    u = _unitary(theta, phi, n_max)
+    a_s, a_c = _mode_operators(n_max)
     transformed = u.conj().T @ a_s @ u
-    expected = math.cos(params.theta) * a_s \
-        - np.exp(1j * params.phi) * math.sin(params.theta) * a_c
-    dim = params.n_max + 1
+    expected = math.cos(theta) * a_s - np.exp(1j * phi) * math.sin(theta) * a_c
+    dim = n_max + 1
     totals = np.repeat(np.arange(dim), dim) + np.tile(np.arange(dim), dim)
     keep = totals <= 3
     err = np.max(np.abs((transformed - expected)[np.ix_(keep, keep)]))
     assert err < 1e-12
 
 
-def test_unitary_matches_scipy_expm():
-    for n_max in range(1, 6):
-        a_s, a_c = _mode_operators(n_max)
-        for theta in np.linspace(0.0, 10.0, 21):
-            for phi in (0.0, 0.83, 4.0):
-                gen = theta * (np.exp(-1j * phi) * (a_c.conj().T @ a_s)
-                               - np.exp(1j * phi) * (a_s.conj().T @ a_c))
-                u = build_conversion_unitary(ConversionParams(float(theta), phi, n_max))
-                assert_allclose(u.matrix, expm(gen), rtol=0.0, atol=1e-12)
-
-
 def test_two_photon_interference_null():
     # balanced mixing sends |1,1> to a superposition of |2,0> and |0,2>
     # with no |1,1> component left (cos^2 - sin^2 = 0 at theta = pi/4)
-    u = build_conversion_unitary(ConversionParams(theta=math.pi / 4.0, n_max=2))
-    col = u.matrix[:, u.index(1, 1)]
-    assert abs(col[u.index(1, 1)]) < 1e-12
-    assert abs(abs(col[u.index(2, 0)]) ** 2 - 0.5) < 1e-12
-    assert abs(abs(col[u.index(0, 2)]) ** 2 - 0.5) < 1e-12
-
-
-def test_apply_conversion_roundtrip():
-    u = build_conversion_unitary(ConversionParams(theta=0.4, phi=0.2, n_max=1))
-    rho = np.zeros((u.dim, u.dim), dtype=complex)
-    rho[u.index(1, 0), u.index(1, 0)] = 1.0
-    out = apply_conversion(rho, u)
-    assert abs(np.trace(out) - 1.0) < 1e-12
-    assert abs(out[u.index(0, 1), u.index(0, 1)] - math.sin(0.4) ** 2) < 1e-12
-    with pytest.raises(ValueError):
-        apply_conversion(np.eye(3), u)
-    with pytest.raises(ValueError):
-        apply_conversion(2.0 * rho, u)
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        ConversionParams(theta=-0.1)
-    with pytest.raises(ValueError):
-        ConversionParams(theta=math.nan)
-    with pytest.raises(ValueError):
-        ConversionParams(theta=0.1, n_max=0)
-    # phase is stored reduced mod 2 pi
-    assert abs(ConversionParams(theta=0.1, phi=-0.5).phi - (2.0 * math.pi - 0.5)) < 1e-12
+    col = _unitary(math.pi / 4.0)[:, _index(2, 1, 1)]
+    assert abs(col[_index(2, 1, 1)]) < 1e-12
+    assert abs(abs(col[_index(2, 2, 0)]) ** 2 - 0.5) < 1e-12
+    assert abs(abs(col[_index(2, 0, 2)]) ** 2 - 0.5) < 1e-12
 
 
 def test_efficiency_law_values():
@@ -212,8 +180,8 @@ def test_efficiency_law_matches_fock_unitary():
                   EfficiencyModel(peak=0.9, coeff=1.2e-3, coeff_unit="per_mW")):
         for power in np.linspace(0.0, 2.5, 26):
             theta = math.sqrt(model.coeff_per_watt * power)
-            u = build_conversion_unitary(ConversionParams(theta=theta, phi=0.3, n_max=1))
-            transfer = abs(u.matrix[u.index(0, 1), u.index(1, 0)]) ** 2
+            u = _unitary(theta, phi=0.3, n_max=1)
+            transfer = abs(u[_index(1, 0, 1), _index(1, 1, 0)]) ** 2
             assert abs(conversion_efficiency(float(power), model)
                        - model.peak * transfer) < 1e-12
 

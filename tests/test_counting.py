@@ -103,10 +103,11 @@ def test_first_clicks_extracts_each_channel_once(monkeypatch):
 def test_count_summary_on_toy_stream():
     stream = _toy_stream()
     clicks = first_clicks(stream)
-    summary, opportunities = count_summary(clicks, CoincidenceWindow(1e-9))
+    summary, opportunities, delays = count_summary(clicks, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
     assert opportunities == 3
-    _, opportunities = count_summary(clicks, CoincidenceWindow(1e-9), offset=1)
+    assert_array_equal(delays, pair_delays(clicks)[1])
+    _, opportunities, _ = count_summary(clicks, CoincidenceWindow(1e-9), offset=1)
     assert opportunities == 2
 
 
@@ -154,8 +155,8 @@ def test_count_summary_validation():
 
 
 def test_delay_histogram_zero_centered_bins(tmp_path):
-    stream = _toy_stream()
-    hist = delay_histogram(first_clicks(stream), bin_width=50e-12)
+    _, delays, _ = pair_delays(first_clicks(_toy_stream()))
+    hist = delay_histogram(delays, bin_width=50e-12)
     assert hist.mass == 2
     # 40 ps rounds to bin center 50 ps, 2500 ps to its own bin
     assert hist.counts[np.where(hist.centers_ps == 50.0)][0] == 1
@@ -166,7 +167,7 @@ def test_delay_histogram_zero_centered_bins(tmp_path):
     assert lines[:3] == ["delay_ps,count", "50.0,1", "100.0,0"]
     assert lines[-1] == "2500.0,1" and len(lines) == 51
     with pytest.raises(ValueError):
-        delay_histogram(first_clicks(stream), bin_width=0.0)
+        delay_histogram(delays, bin_width=0.0)
 
 
 def test_histogram_mass_equals_pairs():
@@ -175,7 +176,7 @@ def test_histogram_mass_equals_pairs():
     stream = generate_hbt_stream(cfg)
     clicks = first_clicks(stream)
     _, delays, _ = pair_delays(clicks)
-    hist = delay_histogram(clicks)
+    hist = delay_histogram(delays)
     assert hist.mass == len(delays)
 
 
@@ -244,12 +245,12 @@ def test_counting_edges_give_zero_counts():
         for offset in (-1, 0, 1):
             assert count_summary(clicks, window, offset)[0] == singles
             assert len(pair_delays(clicks, offset)[1]) == 0
-        assert delay_histogram(clicks).mass == 0
+        assert delay_histogram(pair_delays(clicks)[1]).mass == 0
     assert count_summary(first_clicks(empty), window)[1] == 0
     # an offset past the end of the run has no trigger pair to count
     toy = first_clicks(_toy_stream())
     for offset in (3, -3, 1000):
-        summary, opportunities = count_summary(toy, window, offset)
+        summary, opportunities, _ = count_summary(toy, window, offset)
         assert opportunities == 0 and summary.n_coincidence == 0
 
 
@@ -299,11 +300,13 @@ def test_first_click_index_equals_sort_based_reference(stream):
     clicks = first_clicks(stream)
     for offset in range(-5, 6):
         summary, opportunities, paired = _reference_counts(stream, window, offset)
-        assert count_summary(clicks, window, offset) == (summary, opportunities)
+        got_summary, got_opportunities, got_delays = count_summary(clicks, window, offset)
+        assert (got_summary, got_opportunities) == (summary, opportunities)
+        assert_array_equal(got_delays, paired[1], strict=True)
         for got, want in zip(pair_delays(clicks, offset), paired):
             assert_array_equal(got, want, strict=True)
     _, _, (_, delays, _) = _reference_counts(stream, window, 0)
-    hist = delay_histogram(clicks, bin_width=50e-12)
+    hist = delay_histogram(count_summary(clicks, window)[2], bin_width=50e-12)
     bins = np.rint(delays / 50.0).astype(np.int64)
     if len(bins):
         assert_array_equal(hist.centers_ps, np.arange(bins.min(), bins.max() + 1) * 50.0)

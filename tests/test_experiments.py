@@ -142,7 +142,7 @@ def test_mzi_histogram_slot_weights():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=200_000, seed=13,
     )
-    hist, stream = run_mzi_histogram(cfg)
+    hist = run_mzi_histogram(cfg)
     delay_ps = cfg.mzi_delay * 1e12
     areas = {}
     for name, center in (("early", -delay_ps), ("central", 0.0), ("late", delay_ps)):
@@ -153,7 +153,7 @@ def test_mzi_histogram_slot_weights():
     assert abs(areas["early"] / areas["central"] - 0.5) < 0.03
     assert abs(areas["late"] / areas["central"] - 0.5) < 0.03
     # post-selection keeps only the central slot
-    kept, _ = run_mzi_histogram(cfg, postselect=True)
+    kept = run_mzi_histogram(cfg, postselect=True)
     assert np.max(np.abs(kept.centers_ps[kept.counts > 0])) <= 100.0
     assert kept.mass < areas["central"] + 1
     assert kept.mass > 0.5 * areas["central"]

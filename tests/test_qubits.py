@@ -25,7 +25,6 @@ from qfcsim.qubits import (
     density,
     end_to_end_state,
     half_wave_plate,
-    partial_trace_a,
     partial_trace_b,
     quarter_wave_plate,
     timebin_to_pol,
@@ -62,14 +61,12 @@ def test_waveplates_are_unitary():
 
 def test_partial_traces():
     rho = density(PHI_PLUS)
-    assert_allclose(partial_trace_a(rho), np.eye(2) / 2.0, atol=1e-12)
     assert_allclose(partial_trace_b(rho), np.eye(2) / 2.0, atol=1e-12)
     # product states separate
     rho_a = density(KET_D)
     rho_b = density(np.array([0.6, 0.8j]))
     prod = np.kron(rho_a, rho_b)
     assert_allclose(partial_trace_b(prod), rho_a, atol=1e-12)
-    assert_allclose(partial_trace_a(prod), rho_b, atol=1e-12)
 
 
 def test_check_density_matrix_rejects_bad_input():

@@ -387,8 +387,8 @@ def test_stream_counts_match_oracle(kind, mu, eff1, eff2, eff3, dark, noise, see
                            det1_dark=dark[0], det2_dark=dark[1], det3_dark=dark[2],
                            noise_coeff=noise / 0.7, pump_power=0.7,
                            n_pulses=200_000, seed=seed)
-    summary, _ = count_summary(first_clicks(generate_hbt_stream(cfg)),
-                               CoincidenceWindow(cfg.coincidence_window))
+    summary, _, _ = count_summary(first_clicks(generate_hbt_stream(cfg)),
+                                  CoincidenceWindow(cfg.coincidence_window))
     try:
         rates = expected_hbt_rates(cfg)
     except ValueError:
