@@ -104,7 +104,7 @@ def _cmd_g2(args) -> int:
     config = _load_config(args)
     result = run_g2_experiment(config, keep_stream=args.save_stream)
     paths = write_g2(result, args.out)
-    if args.save_stream and result.stream is not None:
+    if args.save_stream:
         stream_path = Path(args.out) / "events.csv"
         result.stream.save(stream_path)
         paths.append(stream_path)
@@ -134,15 +134,15 @@ def _cmd_analyze(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.stream:
+        bin_width = _flag_value("--bin-width", args.bin_width)
+        window = CoincidenceWindow(_flag_value("--window", args.window))
         try:
-            stream = EventStream.load(args.stream)
+            result = analyze_g2(first_clicks(EventStream.load(args.stream)), window, bin_width)
         except KeyError as exc:
             raise ConfigError(f"stream header lacks {exc}") from exc
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read stream file: {exc}") from exc
-        bin_width = _flag_value("--bin-width", args.bin_width)
-        window = CoincidenceWindow(_flag_value("--window", args.window))
-        result = analyze_g2(first_clicks(stream), window, bin_width)
+            # a stream whose delays overflow the histogram is bad input too
+            raise ConfigError(f"cannot analyze stream file: {exc}") from exc
         hist_path = outdir / "histogram.csv"
         result.histogram.save(hist_path)
         summary_path = outdir / "count_summary.txt"

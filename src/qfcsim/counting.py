@@ -8,7 +8,7 @@ counts, matching start-stop electronics with one valid event per gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ class InsufficientEventsError(ValueError):
 
 #: fewest coincidence opportunities a g2 estimate is made from
 MIN_OPPORTUNITIES = 100
+
+#: most bins a delay histogram may span (the presets use fewer than 100)
+MAX_HISTOGRAM_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,27 +89,12 @@ class FirstClicks:
     stop_pulses: np.ndarray
     stop_times: np.ndarray
     rep_ps: float
-    _opportunities: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
-
-    def opportunities(self, offset: int) -> int:
-        """Pulse pairs (p, p + offset) with a trigger at both ends.
-
-        The count is the same for +n and -n, so each |offset| is counted
-        once.  Merging the two sorted unique lists T and T + n puts every
-        pulse they share next to its twin.
-        """
-        n = abs(offset)
-        if n not in self._opportunities:
-            trig = self.trigger_pulses
-            merged = np.sort(np.concatenate((trig, trig + n)), kind="stable")
-            self._opportunities[n] = int(np.count_nonzero(merged[1:] == merged[:-1]))
-        return self._opportunities[n]
 
 
 def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
-    """Index the first clicks of ``stream`` on the trigger, start and stop channels."""
+    """Index the first clicks of ``stream`` on the trigger, start and stop
+    channels; the one place the start-stop rule is applied."""
     channels = (TRIGGER_CHANNEL, start_channel, stop_channel)
     # a channel named twice (such as the trigger as start) is extracted once
     firsts = {ch: stream.first_event_times(ch) for ch in dict.fromkeys(channels)}
@@ -121,6 +109,18 @@ def _join(keys: np.ndarray, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     hit[hit] = pulses[j[hit]] == keys[hit]
     i = np.flatnonzero(hit)
     return i, j[i]
+
+
+def opportunities(clicks: FirstClicks, offset: int) -> int:
+    """Pulse pairs (p, p + offset) with a trigger at both ends.
+
+    The count is the same for +n and -n.  Merging the two sorted unique
+    lists T and T + |n| puts every pulse they share next to its twin, and a
+    stable sort of two presorted runs is a single merge.
+    """
+    trig = clicks.trigger_pulses
+    merged = np.sort(np.concatenate((trig, trig + abs(offset))), kind="stable")
+    return int(np.count_nonzero(merged[1:] == merged[:-1]))
 
 
 def pair_delays(clicks: FirstClicks, offset: int = 0
@@ -142,34 +142,35 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
     """Histogram stop-minus-start delays given in ps (see ``pair_delays``).
 
     Bins are centered on integer multiples of ``bin_width`` (seconds), so a
-    zero delay falls in the center of the zero bin.
+    zero delay falls in the center of the zero bin.  Raises ``ValueError``
+    when the delays are not finite or span more than ``MAX_HISTOGRAM_BINS`` bins.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
     width_ps = bin_width * 1e12
     if len(delays_ps) == 0:
         return DelayHistogram(width_ps, np.zeros(0), np.zeros(0, dtype=np.int64))
-    bins = np.rint(delays_ps / width_ps).astype(np.int64)
-    lo, hi = bins.min(), bins.max()
-    counts = np.bincount(bins - lo, minlength=hi - lo + 1)
+    scaled = np.rint(delays_ps / width_ps)
+    lo, hi = scaled.min(), scaled.max()
+    # NaN fails every comparison, and each bin index must fit in int64
+    if not (-2.0 ** 62 < lo and hi < 2.0 ** 62 and hi - lo < MAX_HISTOGRAM_BINS):
+        raise ValueError(f"delays from {delays_ps.min():g} to {delays_ps.max():g} ps do not "
+                         f"fit in {MAX_HISTOGRAM_BINS} bins of {width_ps:g} ps")
+    lo, hi = int(lo), int(hi)
+    counts = np.bincount(scaled.astype(np.int64) - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * width_ps
     return DelayHistogram(width_ps, centers, counts.astype(np.int64))
 
 
 def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 0
-                  ) -> tuple[CountSummary, int, np.ndarray]:
-    """Count triggers, singles, and windowed coincidences at a pulse offset.
-
-    Returns the counts, the number of coincidence opportunities (pulse
-    pairs (p, p + offset) with a trigger at both ends; for offset 0 just
-    the trigger count), and the joined delays in ps, which
-    ``delay_histogram`` takes as they are.
-    """
+                  ) -> tuple[CountSummary, np.ndarray]:
+    """Triggers, singles, and windowed coincidences at a pulse offset, and the
+    joined delays in ps, which ``delay_histogram`` takes as they are."""
     _, delays, _ = pair_delays(clicks, offset)
     n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
     summary = CountSummary(len(clicks.trigger_pulses), len(clicks.start_pulses),
                            len(clicks.stop_pulses), n_coinc)
-    return summary, clicks.opportunities(offset), delays
+    return summary, delays
 
 
 def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
@@ -212,7 +213,8 @@ def g2_offset_from_counts(summary: CountSummary, opportunities: int) -> float:
 def g2_at_offset(clicks: FirstClicks, offset: int, window: CoincidenceWindow) -> float:
     """Normalized correlation between start clicks and stop clicks ``offset``
     pulses later (see ``g2_offset_from_counts``)."""
-    return g2_offset_from_counts(*count_summary(clicks, window, offset)[:2])
+    return g2_offset_from_counts(count_summary(clicks, window, offset)[0],
+                                 opportunities(clicks, offset))
 
 
 def sideband_mean_from_counts(summary: CountSummary, sidebands) -> tuple[float, float]:

@@ -19,12 +19,12 @@ import numpy as np
 from .artifacts import write_pairs, write_table
 from .config import ExperimentConfig
 from .conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
-# g2_at_offset is unused here, but perfbench/child.py traces it under this name
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstClicks,
                        InsufficientEventsError, count_summary, delay_histogram,
-                       first_clicks, g2_at_offset, g2_offset_from_counts,
-                       g2_zero_from_counts, pair_delays, select_window,
-                       sideband_mean_from_counts)
+                       first_clicks, g2_offset_from_counts, g2_zero_from_counts,
+                       opportunities, pair_delays, sideband_mean_from_counts)
+# unused here, but perfbench/child.py TARGETS traces them under these names
+from .counting import g2_at_offset, select_window
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
 from .qubits import PHI_PLUS, end_to_end_state
@@ -130,7 +130,7 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
     NaN values and the ``insufficient`` flag instead of raising.  The
     histogram bins the delays that the zero-offset count joined.
     """
-    summary, _, delays = count_summary(clicks, window)
+    summary, delays = count_summary(clicks, window)
     try:
         value, err = g2_zero_from_counts(summary)
         insufficient = False
@@ -147,7 +147,8 @@ def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
     ``analyze_g2`` gives the zero-delay result.  Sideband estimates at
     nonzero pulse offsets (both signs) probe the accidental level; for
     uncorrelated pulses they sit at 1, and so does their pooled mean.
-    Every offset is counted from one first-click index.
+    Every offset is counted from one first-click index, and the
+    opportunities once for each +-n pair.
     """
     stream = generate_hbt_stream(config)
     window = CoincidenceWindow(config.coincidence_window)
@@ -155,13 +156,14 @@ def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
     result = analyze_g2(clicks, window)
     estimated = []
     for n in sideband_offsets:
+        trigger_pairs = opportunities(clicks, n)
         for offset in (n, -n):
-            counts, opportunities, _ = count_summary(clicks, window, offset)
+            counts, _ = count_summary(clicks, window, offset)
             try:
-                result.sidebands[offset] = g2_offset_from_counts(counts, opportunities)
+                result.sidebands[offset] = g2_offset_from_counts(counts, trigger_pairs)
             except InsufficientEventsError:
                 continue
-            estimated.append((counts.n_coincidence, opportunities))
+            estimated.append((counts.n_coincidence, trigger_pairs))
     result.sideband_mean, result.sideband_mean_error = sideband_mean_from_counts(
         result.summary, estimated)
     if keep_stream:
@@ -194,15 +196,13 @@ def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False) -> Del
     """Arrival-time histogram behind the decoding interferometer, in 50 ps bins.
 
     Delays are measured from the herald click, so the three path
-    combinations pile up at -delay, 0, +delay with weights 1:2:1.  With
-    ``postselect`` the configured window keeps only the central slot.
+    combinations pile up at -delay, 0, +delay with weights 1:2:1.
+    ``postselect`` bins only the delays in the configured window (the central slot).
     """
     stream = generate_mzi_stream(config)
-    if postselect:
-        window = CoincidenceWindow(config.postselect_window)
-        stream = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
-                               stop_channel=START_CHANNEL)
     _, delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    if postselect:
+        delays = delays[CoincidenceWindow(config.postselect_window).contains_ps(delays)]
     return delay_histogram(delays, bin_width=50e-12)
 
 

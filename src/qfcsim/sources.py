@@ -176,7 +176,9 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     ``chunk_events`` simulates pulses ``start .. start + m - 1`` and returns
     their (channels, pulse indices, timestamps) in any order.  Each chunk
     draws from its own Philox substream keyed by (seed, chunk_index), and
-    its events are stably sorted by time before the chunks are joined.
+    its events are stably sorted by time before the chunks are joined.  A
+    click far from its pulse can land past the next chunk's first click, and
+    only then is the joined stream sorted again.
     """
     seed = config.require_seed()
     parts = []
@@ -187,6 +189,9 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
         order = np.argsort(times, kind="stable")
         parts.append((channels[order], pulses[order], times[order]))
     channels, pulses, times = (np.concatenate(column) for column in zip(*parts))
+    if not np.all(times[1:] >= times[:-1]):
+        order = np.argsort(times, kind="stable")
+        channels, pulses, times = channels[order], pulses[order], times[order]
     return EventStream(channels=channels, pulse_indices=pulses, timestamps_ps=times,
                        n_pulses=config.n_pulses, seed=seed,
                        rep_period=config.rep_period)
@@ -250,8 +255,8 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     of the decoder, so its arrival at channel 2 is offset by -delay, 0, or
     +delay relative to the pulse-locked reference; short-short and long-long
     paths both land in the central slot.  Pump-induced noise photons arrive
-    uniformly across the gate, and only the earliest click per pulse is kept
-    (start-stop electronics).
+    uniformly across the gate.  Every click is kept, and
+    ``counting.first_clicks`` applies the start-stop rule.
     """
     if config.source_kind in _CLASSICAL_KINDS:
         raise ConfigError("interferometer stream needs a heralded pair source")
@@ -291,11 +296,6 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
 
         cp = np.concatenate(cand_pulses)
         ct = np.concatenate(cand_times)
-        order = np.lexsort((ct, cp))
-        cp, ct = cp[order], ct[order]
-        _, first = np.unique(cp, return_index=True)
-        cp, ct = cp[first], ct[first]
-
         channels = np.concatenate([
             np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
             np.full(len(cp), START_CHANNEL, dtype=np.int16),
@@ -345,9 +345,6 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
             return band * poisson_noise_factor(q)
 
         p_trig = 1.0
-        no2 = (1.0 - dark2) * survival(q2)
-        no3 = (1.0 - dark3) * survival(q3)
-        no23 = (1.0 - dark2) * (1.0 - dark3) * survival(q2 + q3)
     else:
         p_k = pair_distribution(config)
         k = np.arange(len(p_k))
@@ -357,15 +354,13 @@ def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
             raise ValueError("trigger never fires for this configuration")
         w_k = p_k * h_k / p_trig
 
-        def averaged_no_click(q: float) -> float:
+        def survival(q: float) -> float:
+            # E[(1-q)^n] for the band photon number n, averaged over heralded k
             return float(np.sum(w_k * (1.0 - s_chain * q) ** k)) * poisson_noise_factor(q)
 
-        no2 = (1.0 - dark2) * averaged_no_click(q2)
-        no3 = (1.0 - dark3) * averaged_no_click(q3)
-        no23 = (1.0 - dark2) * (1.0 - dark3) \
-            * float(np.sum(w_k * (1.0 - s_chain * (q2 + q3)) ** k)) \
-            * poisson_noise_factor(q2 + q3)
-
+    no2 = (1.0 - dark2) * survival(q2)
+    no3 = (1.0 - dark3) * survival(q3)
+    no23 = (1.0 - dark2) * (1.0 - dark3) * survival(q2 + q3)
     # the weights sum to 1 only up to rounding, so a zero can come out an ulp below 0
     p2, p3, pc = (max(p, 0.0) for p in (1.0 - no2, 1.0 - no3, 1.0 - no2 - no3 + no23))
     g2 = pc / (p2 * p3) if p2 > 0.0 and p3 > 0.0 else math.nan

@@ -236,9 +236,9 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     ok = ok and loaded.seed == a.seed and loaded.n_pulses == a.n_pulses
     # counting the reloaded stream reproduces the counts exactly
     window = CoincidenceWindow(cfg.coincidence_window)
-    summary_a = count_summary(first_clicks(a), window)[0]
-    summary_l = count_summary(first_clicks(loaded), window)[0]
-    ok = ok and summary_a == summary_l
+    summary_a, delays_a = count_summary(first_clicks(a), window)
+    summary_l, delays_l = count_summary(first_clicks(loaded), window)
+    ok = ok and summary_a == summary_l and np.array_equal(delays_a, delays_l)
     # config file round trip is lossless
     cfg_path = tmp_path / "run.cfg"
     cfg.to_file(cfg_path)

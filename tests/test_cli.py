@@ -16,7 +16,7 @@ import pytest
 import qfcsim
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
-                           ideal_g2_config)
+                           coherent_g2_config, ideal_g2_config)
 from qfcsim.sources import EventStream
 from qfcsim.tomography import RECORD_HEADER, save_records, standard_settings
 
@@ -281,6 +281,37 @@ def test_analyze_short_streams_report_nan(tmp_path, capsys):
     assert (tmp_path / "header_only" / "histogram.csv").read_text() == "delay_ps,count\n"
     assert _pairs(tmp_path / "blank_lines" / "count_summary.txt")["n_coincidence"] == "1"
     assert (tmp_path / "blank_lines" / "histogram.csv").read_text() == "delay_ps,count\n0.0,1\n"
+
+
+def _assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+
+
+def test_analyze_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
+    header = "# n_pulses=2 seed=1 rep_period_ps=12195.0\n"
+    far = tmp_path / "far.csv"  # delays of 0 and 1e16 ps in 50 ps bins
+    far.write_text(header + "1,0,0.0\n2,0,0.0\n3,0,1e16\n"
+                   "1,1,1.1e16\n2,1,1.1e16\n3,1,1.1e16\n")
+    near = tmp_path / "near.csv"  # delays of 40 and -20 ps
+    near.write_text(header + "1,0,0.0\n2,0,10.0\n3,0,50.0\n"
+                    "1,1,12195.0\n3,1,12200.0\n2,1,12220.0\n")
+    for stream, bin_width in ((far, "50ps"), (near, "1e-12ps"), (near, "1e-300ps")):
+        out = tmp_path / f"{stream.stem}_{bin_width}"
+        assert main(["analyze", "--stream", str(stream), "--out", str(out),
+                     "--bin-width", bin_width]) == 2
+        _assert_one_line_error(capsys, "config error: cannot analyze stream file: delays")
+        assert not (out / "histogram.csv").exists()
+
+
+def test_g2_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
+    # 1 s of jitter spreads the zero-offset delays over about 1e11 bins
+    cfg = coherent_g2_config(seed=5)
+    cfg.mean_pairs, cfg.jitter_sigma, cfg.n_pulses = 5.0, 1.0, 2000
+    path = tmp_path / "wide.cfg"
+    cfg.to_file(path)
+    assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    _assert_one_line_error(capsys, "numerical failure: delays")
 
 
 @pytest.mark.filterwarnings("default")

@@ -17,12 +17,14 @@ from qfcsim.counting import (
     CountSummary,
     DelayHistogram,
     InsufficientEventsError,
+    MAX_HISTOGRAM_BINS,
     MIN_OPPORTUNITIES,
     count_summary,
     delay_histogram,
     first_clicks,
     g2_at_offset,
     g2_zero_from_counts,
+    opportunities,
     pair_delays,
     select_window,
     sideband_mean_from_counts,
@@ -103,12 +105,11 @@ def test_first_clicks_extracts_each_channel_once(monkeypatch):
 def test_count_summary_on_toy_stream():
     stream = _toy_stream()
     clicks = first_clicks(stream)
-    summary, opportunities, delays = count_summary(clicks, CoincidenceWindow(1e-9))
+    summary, delays = count_summary(clicks, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
-    assert opportunities == 3
     assert_array_equal(delays, pair_delays(clicks)[1])
-    _, opportunities, _ = count_summary(clicks, CoincidenceWindow(1e-9), offset=1)
-    assert opportunities == 2
+    assert opportunities(clicks, 0) == 3
+    assert opportunities(clicks, 1) == opportunities(clicks, -1) == 2
 
 
 def test_g2_error_formula():
@@ -168,6 +169,20 @@ def test_delay_histogram_zero_centered_bins(tmp_path):
     assert lines[-1] == "2500.0,1" and len(lines) == 51
     with pytest.raises(ValueError):
         delay_histogram(delays, bin_width=0.0)
+
+
+def test_delay_histogram_refuses_unbounded_spans():
+    # the widest span allowed is MAX_HISTOGRAM_BINS bins, edge bins included
+    width_ps = 50.0
+    edge = np.array([0.0, (MAX_HISTOGRAM_BINS - 1) * width_ps])
+    assert delay_histogram(edge, bin_width=50e-12).counts.size == MAX_HISTOGRAM_BINS
+    for delays, bin_width in ((edge + np.array([0.0, width_ps]), 50e-12),
+                              (np.array([0.0, 1e16]), 50e-12),
+                              (np.array([40.0]), 1e-312),  # bin index past int64
+                              (np.array([0.0, np.nan]), 50e-12),
+                              (np.array([0.0, np.inf]), 50e-12)):
+        with pytest.raises(ValueError, match="do not fit"):
+            delay_histogram(delays, bin_width=bin_width)
 
 
 def test_histogram_mass_equals_pairs():
@@ -246,12 +261,12 @@ def test_counting_edges_give_zero_counts():
             assert count_summary(clicks, window, offset)[0] == singles
             assert len(pair_delays(clicks, offset)[1]) == 0
         assert delay_histogram(pair_delays(clicks)[1]).mass == 0
-    assert count_summary(first_clicks(empty), window)[1] == 0
+    assert opportunities(first_clicks(empty), 0) == 0
     # an offset past the end of the run has no trigger pair to count
     toy = first_clicks(_toy_stream())
     for offset in (3, -3, 1000):
-        summary, opportunities, _ = count_summary(toy, window, offset)
-        assert opportunities == 0 and summary.n_coincidence == 0
+        summary, _ = count_summary(toy, window, offset)
+        assert opportunities(toy, offset) == 0 and summary.n_coincidence == 0
 
 
 def _reference_first(stream, channel):
@@ -299,14 +314,14 @@ def test_first_click_index_equals_sort_based_reference(stream):
     window = CoincidenceWindow(1e-9)
     clicks = first_clicks(stream)
     for offset in range(-5, 6):
-        summary, opportunities, paired = _reference_counts(stream, window, offset)
-        got_summary, got_opportunities, got_delays = count_summary(clicks, window, offset)
-        assert (got_summary, got_opportunities) == (summary, opportunities)
+        summary, pairs, paired = _reference_counts(stream, window, offset)
+        got_summary, got_delays = count_summary(clicks, window, offset)
+        assert (got_summary, opportunities(clicks, offset)) == (summary, pairs)
         assert_array_equal(got_delays, paired[1], strict=True)
         for got, want in zip(pair_delays(clicks, offset), paired):
             assert_array_equal(got, want, strict=True)
     _, _, (_, delays, _) = _reference_counts(stream, window, 0)
-    hist = delay_histogram(count_summary(clicks, window)[2], bin_width=50e-12)
+    hist = delay_histogram(count_summary(clicks, window)[1], bin_width=50e-12)
     bins = np.rint(delays / 50.0).astype(np.int64)
     if len(bins):
         assert_array_equal(hist.centers_ps, np.arange(bins.min(), bins.max() + 1) * 50.0)

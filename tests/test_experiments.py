@@ -28,7 +28,9 @@ from qfcsim.experiments import (
 from qfcsim.metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
 from qfcsim.qubits import PHI_PLUS
 from qfcsim.tomography import load_records, mle_reconstruct, subtract_background
-from qfcsim.counting import CountSummary
+from qfcsim.counting import (CoincidenceWindow, CountSummary, delay_histogram, first_clicks,
+                             pair_delays, select_window)
+from qfcsim.sources import START_CHANNEL, TRIGGER_CHANNEL, generate_mzi_stream
 
 
 def test_sweep_default_grid_and_fit():
@@ -130,6 +132,61 @@ def test_write_g2_files(tmp_path):
     assert hist_lines[0] == "delay_ps,count"
     mass = sum(int(line.split(",")[1]) for line in hist_lines[1:])
     assert mass == res.histogram.mass
+
+
+def _noisy_mzi_config():
+    """Calibrated tomography run with strong pump noise and dark counts, so
+    many pulses carry several start clicks."""
+    cfg = calibrated_tomo_config(seed=31)
+    cfg.source_kind = "spdc_thermal"
+    cfg.noise_coeff, cfg.det2_dark, cfg.n_pulses = 3.0, 1e-2, 300_000
+    return cfg
+
+
+def _long_delay_mzi_config():
+    """A 4 ns interferometer delay spreads the noise over +-8 ns, more than
+    half the 12.2 ns period, so start clicks leave pulse order."""
+    cfg = calibrated_tomo_config(seed=32)
+    cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 4e-9, 0.5, 1.0
+    cfg.noise_coeff, cfg.n_pulses = 20.0, 200_000
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [_noisy_mzi_config, _long_delay_mzi_config])
+def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
+    # the reference keeps the earliest candidate per pulse by lexsort + unique,
+    # the step the generator once did itself
+    cfg = make_config()
+    stream = generate_mzi_stream(cfg)
+    start = stream.channels == START_CHANNEL
+    pulses, times = stream.pulse_indices[start], stream.timestamps_ps[start]
+    assert len(np.unique(pulses)) < len(pulses)  # pulses with more than one click
+    # the long delay takes the sort fallback of first_event_times
+    assert np.any(pulses[1:] < pulses[:-1]) == (make_config is _long_delay_mzi_config)
+    order = np.lexsort((times, pulses))
+    pulses, times = pulses[order], times[order]
+    _, first = np.unique(pulses, return_index=True)
+    trig = stream.channels == TRIGGER_CHANNEL
+    _, i_trig, i_start = np.intersect1d(stream.pulse_indices[trig], pulses[first],
+                                        assume_unique=True, return_indices=True)
+    delays = times[first][i_start] - stream.timestamps_ps[trig][i_trig]
+    want = delay_histogram(delays, bin_width=50e-12)
+    got = run_mzi_histogram(cfg)
+    assert_array_equal(got.centers_ps, want.centers_ps, strict=True)
+    assert_array_equal(got.counts, want.counts, strict=True)
+
+
+@pytest.mark.parametrize("make_config", [_noisy_mzi_config, _long_delay_mzi_config])
+def test_mzi_postselection_equals_select_window(make_config):
+    cfg = make_config()
+    kept = select_window(generate_mzi_stream(cfg), CoincidenceWindow(cfg.postselect_window),
+                         start_channel=TRIGGER_CHANNEL, stop_channel=START_CHANNEL)
+    _, delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
+    want = delay_histogram(delays, bin_width=50e-12)
+    got = run_mzi_histogram(cfg, postselect=True)
+    assert want.mass > 0
+    assert_array_equal(got.centers_ps, want.centers_ps, strict=True)
+    assert_array_equal(got.counts, want.counts, strict=True)
 
 
 def test_mzi_histogram_slot_weights():

@@ -23,6 +23,7 @@ from qfcsim.config import (
     ExperimentConfig,
     NOISE_COEFF_G2_CAL,
     calibrated_g2_config,
+    calibrated_tomo_config,
     coherent_g2_config,
     thermal_g2_config,
 )
@@ -231,6 +232,21 @@ def test_mzi_stream_rejects_classical_source():
         generate_mzi_stream(coherent_g2_config())
 
 
+def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
+    # noise over +-8 ns around a 12.2 ns period lets the last clicks of one
+    # chunk follow the first clicks of the next, which the time-order check
+    # of EventStream refused when chunks were only concatenated
+    cfg = calibrated_tomo_config(seed=1)
+    cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 4e-9, 0.5, 1.0
+    cfg.noise_coeff, cfg.n_pulses = 20.0, 10_000
+    monkeypatch.setattr("qfcsim.sources.CHUNK_PULSES", 100)
+    stream = generate_mzi_stream(cfg)
+    chunk = stream.pulse_indices // 100
+    assert np.any(chunk[1:] < chunk[:-1])
+    assert np.all(np.diff(stream.timestamps_ps) >= 0.0)
+    assert np.unique(chunk).tolist() == list(range(100))
+
+
 def test_mzi_stream_peak_positions():
     cfg = ExperimentConfig(
         source_kind="single_photon",
@@ -387,8 +403,8 @@ def test_stream_counts_match_oracle(kind, mu, eff1, eff2, eff3, dark, noise, see
                            det1_dark=dark[0], det2_dark=dark[1], det3_dark=dark[2],
                            noise_coeff=noise / 0.7, pump_power=0.7,
                            n_pulses=200_000, seed=seed)
-    summary, _, _ = count_summary(first_clicks(generate_hbt_stream(cfg)),
-                                  CoincidenceWindow(cfg.coincidence_window))
+    summary, _ = count_summary(first_clicks(generate_hbt_stream(cfg)),
+                               CoincidenceWindow(cfg.coincidence_window))
     try:
         rates = expected_hbt_rates(cfg)
     except ValueError:

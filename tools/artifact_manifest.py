@@ -8,10 +8,10 @@ file's seed, and writes into ``OUT/<preset>/<step>/``.  For every preset
 the set is ``sweep``; for a ``*_g2`` preset also ``g2 --save-stream`` and
 ``analyze --stream`` on its stream; for a ``*_tomo`` preset also ``tomo``,
 ``tomo --subtract-bg --timebin-histogram``, and ``analyze --counts`` on
-the raw counts with and without ``--subtract-bg``.  All seven presets give
-55 files.  The output is ``sha256  path`` per file, sorted by the path
-relative to OUT, so the manifests of two checkouts compare with ``diff``.
-With no PRESET, all seven run.
+the raw counts with and without ``--subtract-bg``.  The seven presets under
+``configs/`` give 55 files.  The output is ``sha256  path`` per file, sorted
+by the path relative to OUT, so the manifests of two checkouts compare with
+``diff``.  With no PRESET, every preset under ``configs/`` runs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PRESETS = ("ideal_g2", "coherent_g2", "thermal_g2", "calibrated_g2",
-           "ideal_tomo", "calibrated_tomo", "source_only_tomo")
+# every file under configs/ is a preset (tests/test_config.py holds them equal)
+PRESETS = tuple(sorted(path.stem for path in (ROOT / "configs").glob("*.cfg")))
 
 
 def preset_commands(preset: str, out: Path) -> list[list[str]]:
