@@ -47,12 +47,14 @@ def write_table(path, header: str, columns) -> None:
 
 
 def read_table(lines, dtype: np.dtype, skip: str | None = None) -> list[np.ndarray]:
-    """One column per ``dtype`` field from the rows in ``lines``, minus lines equal to ``skip``."""
+    """One column per ``dtype`` field from the rows in ``lines`` (an iterable
+    of lines or a UTF-8 file path), minus lines equal to ``skip``."""
     if skip is not None:
         lines = (line for line in lines if line.strip() != skip)
     with warnings.catch_warnings():
         # a table without rows gives empty columns; a float in an integer column is an error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=1)
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=1,
+                          encoding="utf-8")
     return [rows[name] for name in dtype.names]

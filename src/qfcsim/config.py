@@ -141,6 +141,11 @@ class ExperimentConfig:
             raise ConfigError("rep_period must be > 0")
         if self.mzi_delay <= 0:
             raise ConfigError("mzi_delay must be > 0")
+        # from rep_period / 4 the noise gates of neighbouring pulses overlap,
+        # which is allowed; from rep_period / 2 the +-delay slots themselves
+        # land in a neighbouring pulse
+        if self.mzi_delay >= self.rep_period / 2:
+            raise ConfigError("mzi_delay must be < rep_period / 2")
         if self.jitter_sigma < 0:
             raise ConfigError("jitter_sigma must be >= 0")
         if self.mean_pairs < 0:

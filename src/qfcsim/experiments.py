@@ -25,8 +25,8 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstCli
                        opportunities, pair_delays, sideband_mean_from_counts)
 # unused here, but perfbench/child.py TARGETS traces them under these names
 from .counting import g2_at_offset, select_window
-from .metrics import (ChshResult, chsh_assessment, concurrence,
-                      entanglement_of_formation, fidelity)
+from .metrics import (ChshResult, chsh_assessment, concurrence, eof_of_concurrence,
+                      fidelity)
 from .qubits import PHI_PLUS, end_to_end_state
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
@@ -227,9 +227,19 @@ class TomographyResult:
     bootstrap: list[MleResult] = field(default_factory=list)
 
 
+def _scored(settings: list[MeasurementSetting], counts: np.ndarray,
+            durations_s: np.ndarray, mle: MleResult, subtracted: bool) -> TomographyResult:
+    """The fit ``mle`` of a count table, scored against PHI_PLUS."""
+    fid, conc, eof, chsh = _metrics_of(mle.rho)
+    return TomographyResult(
+        rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
+        settings=settings, counts=counts, durations_s=durations_s, mle=mle,
+        subtracted=subtracted)
+
+
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
-    return (fidelity(rho, PHI_PLUS), concurrence(rho),
-            entanglement_of_formation(rho), chsh_assessment(rho))
+    conc = concurrence(rho)
+    return fidelity(rho, PHI_PLUS), conc, eof_of_concurrence(conc), chsh_assessment(rho)
 
 
 def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
@@ -241,12 +251,8 @@ def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
     The result keeps the raw counts and carries no error bars or count rate.
     """
     fitted = counts if bg_rate is None else subtract_background(counts, durations_s, bg_rate)
-    mle = mle_reconstruct(settings, fitted)
-    fid, conc, eof, chsh = _metrics_of(mle.rho)
-    return TomographyResult(
-        rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
-        settings=settings, counts=counts, durations_s=durations_s, mle=mle,
-        subtracted=bg_rate is not None)
+    return _scored(settings, counts, durations_s, mle_reconstruct(settings, fitted),
+                   bg_rate is not None)
 
 
 def run_tomography_experiment(config: ExperimentConfig,
@@ -257,7 +263,10 @@ def run_tomography_experiment(config: ExperimentConfig,
     unpolarized admixture), which is what makes them look like a flat
     accidental floor across settings; ``subtract_bg`` removes that floor at
     the configured rate before reconstruction.  Errors on the reported
-    metrics come from a parametric bootstrap of the counts, fitted as one batch.
+    metrics come from a parametric bootstrap of the counts.  The counts and
+    their ``n_bootstrap`` replicates are fitted as one batch: row 0 is the
+    point estimate, which equals ``reconstruct`` on the same counts bit for
+    bit, and rows 1.. are the replicates.
     """
     seed = config.require_seed()
     rho_true = end_to_end_state(config)
@@ -265,17 +274,18 @@ def run_tomography_experiment(config: ExperimentConfig,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
     counts = simulate_counts(rho_true, settings, config.n_per_setting, rng)
     durations = np.full(len(settings), config.duration_per_setting)
-    result = reconstruct(settings, counts, durations, config.bg_rate if subtract_bg else None)
+    rows = np.array([counts] + [
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
+        for b in range(config.n_bootstrap)])
+    if subtract_bg:
+        rows = subtract_background(rows, durations, config.bg_rate)
+    point, *bootstrap = mle_reconstruct_batch(settings, rows)
+    result = _scored(settings, counts, durations, point, subtract_bg)
 
-    if config.n_bootstrap > 0:
-        replicates = np.array([
-            np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
-            for b in range(config.n_bootstrap)])
-        if subtract_bg:
-            replicates = subtract_background(replicates, durations, config.bg_rate)
-        result.bootstrap = mle_reconstruct_batch(settings, replicates)
-        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in result.bootstrap))
+    if bootstrap:
+        result.bootstrap = bootstrap
+        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in bootstrap))
         samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
                    "s_max": [c.s_max for c in chshs]}
         result.errors = {key: float(np.std(vals)) for key, vals in samples.items()}

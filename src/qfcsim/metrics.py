@@ -56,20 +56,24 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
+def eof_of_concurrence(c: float) -> float:
+    """Entanglement of formation in ebits of a two-qubit state with concurrence c."""
+    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+
+
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation in ebits, monotone in concurrence."""
-    c = concurrence(rho)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    return eof_of_concurrence(concurrence(rho))
+
+
+#: sigma_i x sigma_j for i, j over X, Y, Z, row-major
+_PAULI_PAIRS = [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli correlations T_ij = Tr[rho (sigma_i x sigma_j)]."""
     rho = check_density_matrix(rho, dim=4)
-    t = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = np.trace(rho @ np.kron(si, sj)).real
-    return t
+    return np.array([np.trace(rho @ pair).real for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
 class ChshResult(NamedTuple):

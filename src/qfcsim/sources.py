@@ -143,7 +143,9 @@ class EventStream:
     def load(cls, path) -> "EventStream":
         with open(path, "r", encoding="utf-8") as fh:
             meta = parse_header(fh.readline().strip())
-            channels, pulses, times = read_table(fh, _STREAM_DTYPE)
+        # the header is a '#' comment, which the reader skips; numpy reads a
+        # path faster than the open handle
+        channels, pulses, times = read_table(path, _STREAM_DTYPE)
         return cls(channels, pulses, times, n_pulses=int(meta["n_pulses"]),
                    seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
 
@@ -255,8 +257,13 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     of the decoder, so its arrival at channel 2 is offset by -delay, 0, or
     +delay relative to the pulse-locked reference; short-short and long-long
     paths both land in the central slot.  Pump-induced noise photons arrive
-    uniformly across the gate.  Every click is kept, and
-    ``counting.first_clicks`` applies the start-stop rule.
+    uniformly across the gate, +-2 delay around the pulse.  Every click is
+    kept, and ``counting.first_clicks`` applies the start-stop rule.  From a
+    delay of rep_period / 4 the gates of neighbouring pulses overlap, so a
+    pulse's noise click can arrive inside its neighbour's gate; that overlap
+    is intended.  ``ExperimentConfig.validate`` refuses a delay of
+    rep_period / 2 or more, where the +-delay slots themselves would land in
+    a neighbouring pulse.
     """
     if config.source_kind in _CLASSICAL_KINDS:
         raise ConfigError("interferometer stream needs a heralded pair source")

@@ -86,7 +86,7 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
 
 def subtract_background(counts, durations_s, bg_rate: float) -> np.ndarray:
     """Remove a flat accidental floor: count -> max(0, count - round(rate * t)),
-    on each row of ``counts`` when it holds one row per replicate."""
+    on each row of ``counts`` when it holds one row per fit."""
     if bg_rate < 0.0:
         raise ValueError("bg_rate must be >= 0")
     counts = np.asarray(counts, dtype=np.int64)
@@ -177,9 +177,12 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     unconverged.  Iteration stops once a step changes the cost by at most
     ``COST_TOL`` and the state by at most ``STATE_TOL``.  All rows iterate
     as one ``(R, d, d)`` stack, and a row leaves the stack as soon as it
-    stops.  Only stacked matrix products, elementwise operations and
-    reductions over a row's own axes touch the data, so each row's result
-    is the one it would get alone.
+    stops.  Each iteration tries every row's step on the whole stack; only
+    the rows whose bound fails are picked out to retry.  Only stacked matrix
+    products, elementwise operations and reductions over a row's own axes
+    touch the data, so each row's result is the one it would get alone.
+    ``experiments.run_tomography_experiment`` relies on that: its row 0 is
+    the point estimate and the rest are bootstrap replicates.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
@@ -205,20 +208,30 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
         return (flat @ povm_dual)[:, 0].real
 
     def cost(probs, freqs):
-        # an observed outcome at p <= 0 costs +inf; unobserved ones cost 0
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.where(freqs > 0.0, np.maximum(probs, 0.0), 1.0))
+        # an observed outcome at p <= 0 costs +inf (log 0, under the errstate
+        # that the iteration runs in); unobserved ones cost 0
+        logs = np.log(np.where(freqs > 0.0, np.maximum(probs, 0.0), 1.0))
         return -(freqs * logs).sum(axis=-1)
 
     def inner(a, b):
         return (a.conj() * b).real.reshape(len(a), -1).sum(axis=1)
+
+    def try_step(todo):
+        """The projected steps of the rows ``todo`` (an index array or a
+        slice), their costs, and whether each meets the quadratic bound."""
+        start, slope, length = momentum[todo], grad[todo], step[todo]
+        cand = _project_to_states(start - length[:, None, None] * slope)
+        cand_cost = cost(probabilities(cand), freqs[todo])
+        move = cand - start
+        ok = cand_cost <= (momentum_cost[todo] + inner(slope, move)
+                           + inner(move, move) / (2.0 * length) + slack[todo])
+        return cand, cand_cost, ok
 
     results: list[MleResult | None] = [None] * len(counts)
     rows = np.arange(len(counts))
     freqs = counts / totals[:, None]
     sigma = np.tile(np.eye(dim, dtype=complex) / dim, (len(rows), 1, 1))
     momentum = sigma.copy()
-    sigma_cost = cost(probabilities(sigma), freqs)
     theta, step = np.ones(len(rows)), np.ones(len(rows))
     iterations = np.zeros(len(rows), dtype=int)
 
@@ -238,44 +251,48 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
         rows, freqs, sigma, momentum, sigma_cost, theta, step, iterations = (
             a[keep] for a in (rows, freqs, sigma, momentum, sigma_cost, theta, step, iterations))
 
-    retire(iterations >= max_iter, np.zeros(len(rows), dtype=bool))
-    while rows.size:
-        # A momentum point that gives an observed outcome p <= 0 has no
-        # finite cost; such rows restart from their current iterate.
-        probs = probabilities(momentum)
-        lost = ((probs <= 0.0) & (freqs > 0.0)).any(axis=1)
-        momentum[lost], theta[lost] = sigma[lost], 1.0
-        probs[lost] = probabilities(sigma[lost])
-        grad = -((freqs / np.where(freqs > 0.0, probs, 1.0))[:, None, :]
-                 @ povm_rows).reshape(sigma.shape)
-        momentum_cost = cost(probs, freqs)
-        # The bound carries a rounding slack: near the optimum the cost is
-        # flat to rounding, and a strict test would keep halving the step.
-        slack = 1e-13 * np.maximum(1.0, np.abs(momentum_cost))
-        new, new_cost = sigma.copy(), sigma_cost.copy()
-        stalled = np.ones(len(rows), dtype=bool)
-        for _ in range(_MAX_HALVINGS):
-            todo = np.flatnonzero(stalled)
-            cand = _project_to_states(momentum[todo] - step[todo, None, None] * grad[todo])
-            cand_cost = cost(probabilities(cand), freqs[todo])
-            move = cand - momentum[todo]
-            ok = cand_cost <= (momentum_cost[todo] + inner(grad[todo], move)
-                               + inner(move, move) / (2.0 * step[todo]) + slack[todo])
-            new[todo[ok]], new_cost[todo[ok]] = cand[ok], cand_cost[ok]
-            stalled[todo[ok]] = False
-            if not stalled.any():
-                break
-            step[stalled] *= 0.5
-        # Restart the momentum once it points against the gradient step.
-        restart = inner(momentum - new, new - sigma) > 0.0
-        theta[restart] = 1.0
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        momentum = new + ((theta - 1.0) / theta_next)[:, None, None] * (new - sigma)
-        converged = ((np.abs(new_cost - sigma_cost) <= COST_TOL)
-                     & (abs(new - sigma).max(axis=(1, 2)) <= STATE_TOL) & ~stalled)
-        sigma, sigma_cost, theta = new, new_cost, theta_next
-        iterations += 1
-        retire(converged | stalled | (iterations >= max_iter), converged)
+    with np.errstate(divide="ignore"):
+        sigma_cost = cost(probabilities(sigma), freqs)
+        retire(iterations >= max_iter, np.zeros(len(rows), dtype=bool))
+        while rows.size:
+            # A momentum point that gives an observed outcome p <= 0 has no
+            # finite cost; such rows restart from their current iterate.
+            probs = probabilities(momentum)
+            lost = ((probs <= 0.0) & (freqs > 0.0)).any(axis=1)
+            if lost.any():
+                momentum[lost], theta[lost] = sigma[lost], 1.0
+                probs[lost] = probabilities(sigma[lost])
+            grad = -((freqs / np.where(freqs > 0.0, probs, 1.0))[:, None, :]
+                     @ povm_rows).reshape(sigma.shape)
+            momentum_cost = cost(probs, freqs)
+            # The bound carries a rounding slack: near the optimum the cost is
+            # flat to rounding, and a strict test would keep halving the step.
+            slack = 1e-13 * np.maximum(1.0, np.abs(momentum_cost))
+            # Every row first tries its current step; only the rows whose
+            # bound fails go on halving it, and a row whose bound never holds
+            # keeps its iterate.
+            new, new_cost, ok = try_step(slice(None))
+            stalled = ~ok
+            if stalled.any():
+                new[stalled], new_cost[stalled] = sigma[stalled], sigma_cost[stalled]
+            for _ in range(_MAX_HALVINGS - 1):
+                if not stalled.any():
+                    break
+                step[stalled] *= 0.5
+                todo = np.flatnonzero(stalled)
+                cand, cand_cost, ok = try_step(todo)
+                new[todo[ok]], new_cost[todo[ok]] = cand[ok], cand_cost[ok]
+                stalled[todo[ok]] = False
+            # Restart the momentum once it points against the gradient step.
+            restart = inner(momentum - new, new - sigma) > 0.0
+            theta[restart] = 1.0
+            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+            momentum = new + ((theta - 1.0) / theta_next)[:, None, None] * (new - sigma)
+            converged = ((np.abs(new_cost - sigma_cost) <= COST_TOL)
+                         & (abs(new - sigma).max(axis=(1, 2)) <= STATE_TOL) & ~stalled)
+            sigma, sigma_cost, theta = new, new_cost, theta_next
+            iterations += 1
+            retire(converged | stalled | (iterations >= max_iter), converged)
     return results
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import qfcsim
+from qfcsim import experiments, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
@@ -147,6 +148,34 @@ def test_analyze_counts_report_equals_tomo_report(tmp_path, tomo_cfg_path, subtr
     assert {k: an_report[k] for k in shared} == {k: tomo_report[k] for k in shared}
 
 
+@pytest.mark.parametrize("n_bootstrap", [0, 2])
+def test_tomo_fits_one_batch_per_command(tmp_path, tomo_cfg_path, n_bootstrap, monkeypatch,
+                                         capsys):
+    # the measured counts are row 0 of the batch that fits the replicates
+    cfg = ExperimentConfig.from_file(tomo_cfg_path)
+    cfg.n_bootstrap = n_bootstrap
+    cfg_path = tmp_path / "tomo_b.cfg"
+    cfg.to_file(cfg_path)
+    rows, batch = [], tomography.mle_reconstruct_batch
+
+    def counted(settings, counts, **kwargs):
+        rows.append(len(counts))
+        return batch(settings, counts, **kwargs)
+
+    monkeypatch.setattr(tomography, "mle_reconstruct_batch", counted)
+    monkeypatch.setattr(experiments, "mle_reconstruct_batch", counted)
+    for extra in ([], ["--subtract-bg"]):
+        rows.clear()
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["tomo", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        assert rows == [1 + n_bootstrap]
+        report = json.loads((out / "tomography.json").read_text())
+        bootstrap_keys = {k for k in report if k.startswith("bootstrap_")}
+        assert bootstrap_keys == (set() if n_bootstrap == 0 else
+                                  {"bootstrap_mle_iterations", "bootstrap_mle_converged"})
+        assert any(k.endswith("_error") for k in report) == (n_bootstrap > 0)
+
+
 def test_exit_code_on_config_errors(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["g2", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -201,6 +230,11 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
         cfg.write_text(f"seed=1\n{line}\n")
         for command in ("sweep", "g2", "tomo"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # a delay of half the period puts the +-delay slots in the neighbouring pulse
+    half_period = tmp_path / "half_period_delay.cfg"
+    half_period.write_text("seed=1\nmzi_delay=6.1e-9s\n")
+    for command in ("g2", "tomo"):
+        assert main([command, "--config", str(half_period), "--out", str(tmp_path / "o")]) == 2
     for name, text in (("nan_time", header + "2,0,nan\n"),
                        ("inf_time", header + "1,0,0.0\n2,0,inf\n"),
                        ("nan_period", header.replace("12195.0", "nan") + "1,0,0.0\n"),

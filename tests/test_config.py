@@ -125,6 +125,20 @@ def test_validate_is_the_only_range_check(field, value):
         ExperimentConfig(**{field: value})
 
 
+def test_mzi_delay_must_stay_below_half_the_period():
+    # from rep_period / 2 the +-delay slots land in the neighbouring pulse;
+    # between rep_period / 4 and that limit only the noise gates overlap
+    period = ExperimentConfig().rep_period
+    for delay in (period / 2, period):
+        with pytest.raises(ConfigError, match="rep_period / 2"):
+            ExperimentConfig(mzi_delay=delay)
+    with pytest.raises(ConfigError, match="rep_period / 2"):
+        ExperimentConfig(rep_period=2e-9)
+    for delay in (period / 4, 4e-9, math.nextafter(period / 2, 0.0)):
+        assert ExperimentConfig(mzi_delay=delay).mzi_delay == delay
+    assert ExperimentConfig(rep_period=2.5e-9).mzi_delay == 1e-9
+
+
 def test_chain_efficiency_matches_frozen_constant():
     cfg = ExperimentConfig()
     assert abs(cfg.chain_efficiency() - CHAIN_EFFICIENCY_CAL) < 1e-15

@@ -13,6 +13,7 @@ from qfcsim.config import (
     calibrated_g2_config,
     calibrated_tomo_config,
     ideal_g2_config,
+    ideal_tomo_config,
     source_only_tomo_config,
 )
 from qfcsim.experiments import (
@@ -251,6 +252,23 @@ def test_tomography_subtraction_uses_configured_rate():
     redone = mle_reconstruct(settings=raw.settings, counts=expected_counts)
     assert_allclose(sub.rho, redone.rho, atol=1e-12)
     assert sub.fidelity > raw.fidelity + 0.1
+
+
+@pytest.mark.parametrize("make_config",
+                         [ideal_tomo_config, calibrated_tomo_config, source_only_tomo_config])
+@pytest.mark.parametrize("subtract", [False, True])
+def test_tomo_point_fit_equals_the_one_row_fit(make_config, subtract):
+    # tomo fits its counts as row 0 of the bootstrap batch and analyze
+    # --counts fits them alone; their reports must agree exactly
+    cfg = make_config()
+    res = run_tomography_experiment(cfg, subtract_bg=subtract)
+    fitted = subtract_background(res.counts, res.durations_s, cfg.bg_rate) if subtract else res.counts
+    alone = mle_reconstruct(res.settings, fitted)
+    assert np.array_equal(res.mle.rho, alone.rho)
+    assert res.mle.iterations == alone.iterations
+    assert res.mle.converged == alone.converged
+    assert res.mle.log_likelihood == alone.log_likelihood
+    assert len(res.bootstrap) == cfg.n_bootstrap
 
 
 def test_tomography_report_and_files(tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from qfcsim.experiments import _metrics_of
 from qfcsim.metrics import (
     WITNESS_THRESHOLD,
     binary_entropy,
@@ -21,7 +22,7 @@ from qfcsim.metrics import (
     entanglement_of_formation,
     fidelity,
 )
-from qfcsim.qubits import KET_H, KET_V, PHI_PLUS, PSI_MINUS, SIGMA_Y, density
+from qfcsim.qubits import KET_H, KET_V, PAULIS, PHI_PLUS, PSI_MINUS, SIGMA_Y, density
 from qfcsim.sources import entangled_pair_state
 
 EOF_AT_HALF_CONCURRENCE = 0.35457890266526954
@@ -155,6 +156,26 @@ def test_eof_monotone_in_weight():
 def test_correlation_matrix_of_bell_state():
     t = correlation_matrix(density(PHI_PLUS))
     np.testing.assert_allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+
+
+def test_tabled_metrics_equal_the_direct_formulas():
+    # correlation_matrix looks its Pauli products up in a table built once,
+    # and the tomography scores derive the EoF from the concurrence they
+    # already hold; both must match the direct formulas bit for bit
+    rng = np.random.default_rng(57)
+    for k in range(300):
+        rho = _random_state(rng, rank=1 + k % 4)
+        direct = np.empty((3, 3))
+        for i, si in enumerate(PAULIS):
+            for j, sj in enumerate(PAULIS):
+                direct[i, j] = np.trace(rho @ np.kron(si, sj)).real
+        assert np.array_equal(correlation_matrix(rho), direct)
+        c = concurrence(rho)
+        eof = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+        assert entanglement_of_formation(rho) == eof
+        fid, conc, scored_eof, chsh = _metrics_of(rho)
+        assert np.array_equal([fid, conc, scored_eof], [fidelity(rho, PHI_PLUS), c, eof])
+        assert chsh == chsh_assessment(rho)
 
 
 def test_chsh_closed_forms():
