@@ -116,10 +116,14 @@ def opportunities(clicks: FirstClicks, offset: int) -> int:
 
     The count is the same for +n and -n.  Merging the two sorted unique
     lists T and T + |n| puts every pulse they share next to its twin, and a
-    stable sort of two presorted runs is a single merge.
+    stable sort of two presorted runs is a single merge, made in place in
+    the one buffer that holds both.
     """
     trig = clicks.trigger_pulses
-    merged = np.sort(np.concatenate((trig, trig + abs(offset))), kind="stable")
+    merged = np.empty(2 * len(trig), dtype=trig.dtype)
+    merged[:len(trig)] = trig
+    np.add(trig, abs(offset), out=merged[len(trig):])
+    merged.sort(kind="stable")
     return int(np.count_nonzero(merged[1:] == merged[:-1]))
 
 

@@ -10,7 +10,16 @@ keyed by (seed, chunk_index) over fixed 2**19-pulse chunks, so results are
 reproducible bit for bit regardless of how chunks would be scheduled.  A
 heralded chunk of m pulses first draws m pair uniforms (none for
 ``single_photon``), then m herald uniforms; the herald lookup tabulates the
-click probability per pair number and is exact.
+click probability per pair number and is exact.  Both are drawn in blocks
+of 2**16, which give the same values in the same order as one call, and
+only the pulses' pair numbers are kept between the two passes.
+
+Memory: a chunk drops each draw once it is used, and the time-sorted chunks
+are joined one column at a time, dropping that column's chunk parts.  So the
+generation peak holds the stream's 18 bytes per event plus a copy of one
+column: in the join of the timestamp column once a run has three chunks or
+more (about 1.45 times the stream's bytes), and in the time sort of the one
+chunk, which also holds its sort order, in a run of one chunk (below 2 times).
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ START_CHANNEL = 2
 STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
+
+# uniforms drawn per call inside a chunk; the values do not depend on it
+_DRAW_BLOCK = 1 << 16
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
@@ -101,9 +113,10 @@ class EventStream:
         if n and (self.pulse_indices.min() < 0
                   or self.pulse_indices.max() >= self.n_pulses):
             raise ValueError("pulse index outside [0, n_pulses)")
-        # NaN fails the >= test, and sorted infinities can only sit at the ends
-        if n and not (np.isfinite(self.timestamps_ps[[0, -1]]).all()
-                      and np.all(np.diff(self.timestamps_ps) >= 0.0)):
+        # NaN fails the >= test, and sorted infinities can only sit at the ends;
+        # compared in place: a diff array would add 8 bytes per event to the peak
+        t = self.timestamps_ps
+        if n and not (np.isfinite(t[[0, -1]]).all() and np.all(t[1:] >= t[:-1])):
             raise ValueError("timestamps must be finite and nondecreasing")
         if not (math.isfinite(self.rep_period) and self.rep_period > 0.0):
             raise ValueError(f"rep_period must be finite and > 0, got {self.rep_period}")
@@ -125,10 +138,14 @@ class EventStream:
         mask = self.channels == channel
         pulses = self.pulse_indices[mask]
         times = self.timestamps_ps[mask]
+        del mask
         # compared in place: a diff array would be the largest temporary here
+        later = pulses[1:] > pulses[:-1]
+        if later.all():
+            # no repeated pulse: every click is its pulse's first, so no copy
+            return pulses, times
         if np.all(pulses[1:] >= pulses[:-1]):
-            first = np.ones(len(pulses), dtype=bool)
-            first[1:] = pulses[1:] > pulses[:-1]
+            first = np.concatenate(([True], later))
             return pulses[first], times[first]
         uniq, first = np.unique(pulses, return_index=True)
         return uniq, times[first]
@@ -150,26 +167,43 @@ class EventStream:
                    seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
 
 
+def _blocks(m: int):
+    """(lo, hi) bounds of consecutive ``_DRAW_BLOCK``-pulse slices of m pulses."""
+    for lo in range(0, m, _DRAW_BLOCK):
+        yield lo, min(lo + _DRAW_BLOCK, m)
+
+
 def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
             ) -> tuple[np.ndarray, np.ndarray]:
     """Heralded pulse offsets of an m-pulse chunk and their pair numbers k.
 
     Draws m pair uniforms u (none for ``single_photon``, where k = 1), then m
-    herald uniforms v.  A pulse with no pair (u < cdf[0]) heralds only when
+    herald uniforms v, each in ``_DRAW_BLOCK`` slices, which give the same
+    values in the same order as one call.  Only k is kept between the two
+    passes.  A pulse with no pair (u < cdf[0]) heralds only when
     v < P(click | 0), so k is looked up only for the rest, which is exact.
     """
     # cumsum can end just below 1, so u may land one past the last pair number
     table = _click_prob(config.det1_efficiency, config.det1_dark,
                         np.arange(config.pair_truncation + 2))
+    heralded = np.zeros(m, dtype=bool)
     if config.source_kind == "single_photon":
-        hidx = np.flatnonzero(rng.random(m) < table[1])
+        for lo, hi in _blocks(m):
+            np.less(rng.random(hi - lo), table[1], out=heralded[lo:hi])
+        hidx = np.flatnonzero(heralded)
         return hidx, np.ones(len(hidx), dtype=np.int64)
     cdf = np.cumsum(pair_distribution(config))
-    u, v = rng.random(m), rng.random(m)
-    cand = np.flatnonzero((u >= cdf[0]) | (v < table[0]))
-    k = np.searchsorted(cdf, u[cand], side="right")
-    keep = v[cand] < table[k]
-    return cand[keep], k[keep]
+    k = np.zeros(m, dtype=np.min_scalar_type(len(table) - 1))
+    for lo, hi in _blocks(m):
+        u = rng.random(hi - lo)
+        pair = np.flatnonzero(u >= cdf[0])
+        k[lo + pair] = np.searchsorted(cdf, u[pair], side="right")
+    for lo, hi in _blocks(m):
+        v, kb = rng.random(hi - lo), k[lo:hi]
+        cand = np.flatnonzero((kb > 0) | (v < table[0]))
+        heralded[lo + cand] = v[cand] < table[kb[cand]]
+    hidx = np.flatnonzero(heralded)
+    return hidx, k[hidx].astype(np.int64)
 
 
 def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
@@ -183,17 +217,27 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     only then is the joined stream sorted again.
     """
     seed = config.require_seed()
-    parts = []
+    columns = ([], [], [])
     for index, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
         m = min(CHUNK_PULSES, config.n_pulses - start)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-        channels, pulses, times = chunk_events(rng, start, m)
-        order = np.argsort(times, kind="stable")
-        parts.append((channels[order], pulses[order], times[order]))
-    channels, pulses, times = (np.concatenate(column) for column in zip(*parts))
-    if not np.all(times[1:] >= times[:-1]):
-        order = np.argsort(times, kind="stable")
-        channels, pulses, times = channels[order], pulses[order], times[order]
+        chunk = list(chunk_events(rng, start, m))
+        order = np.argsort(chunk[-1], kind="stable")
+        for parts in columns:
+            # each unsorted column is dropped once its sorted copy exists
+            parts.append(chunk.pop(0)[order])
+        del order
+    # each column's parts are dropped once it is joined, and a re-sort
+    # replaces one column at a time
+    joined = []
+    for parts in columns:
+        joined.append(np.concatenate(parts))
+        parts.clear()
+    if not np.all(joined[-1][1:] >= joined[-1][:-1]):
+        order = np.argsort(joined[-1], kind="stable")
+        for i in range(len(joined)):
+            joined[i] = joined[i][order]
+    channels, pulses, times = joined
     return EventStream(channels=channels, pulse_indices=pulses, timestamps_ps=times,
                        n_pulses=config.n_pulses, seed=seed,
                        rep_period=config.rep_period)
@@ -215,36 +259,45 @@ def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     classical = config.source_kind in _CLASSICAL_KINDS
 
     def chunk_events(rng, start, m):
+        # each draw is dropped once used, and jitter takes its pulse time in place
         if classical:
-            hidx = np.arange(m, dtype=np.int64)
+            pulses = np.arange(m, dtype=np.int64)
             mean_eff = config.mean_pairs * s_chain
             if config.source_kind == "coherent":
                 n_band = rng.poisson(mean_eff, m)
             else:
                 n_band = rng.geometric(1.0 / (1.0 + mean_eff), m) - 1
         else:
-            hidx, k = _herald(rng, config, m)
+            pulses, k = _herald(rng, config, m)
             n_band = rng.binomial(k, s_chain)
-        nh = len(hidx)
+            del k
+        pulses += start
+        nh = len(pulses)
         if nu > 0.0:
-            n_band = n_band + rng.poisson(nu, nh)
+            n_band += rng.poisson(nu, nh)
         n_start = rng.binomial(n_band, 0.5)
-        n_stop = n_band - n_start
+        n_band -= n_start
         click2 = rng.random(nh) < _click_prob(config.det2_efficiency, config.det2_dark, n_start)
-        click3 = rng.random(nh) < _click_prob(config.det3_efficiency, config.det3_dark, n_stop)
-        jit1 = rng.normal(0.0, sigma_ps, nh)
-        jit2 = rng.normal(0.0, sigma_ps, nh)
-        jit3 = rng.normal(0.0, sigma_ps, nh)
+        del n_start
+        click3 = rng.random(nh) < _click_prob(config.det3_efficiency, config.det3_dark, n_band)
+        del n_band
 
-        pulses = start + hidx
         base = pulses * rep_ps
+        clicked = (slice(None), click2, click3)
+        times = []
+        for keep in clicked:
+            jitter = rng.normal(0.0, sigma_ps, nh)
+            jitter += base
+            times.append(jitter[keep])
+        del base, jitter
+        time_arr = np.concatenate(times)
+        del times
         channels = np.concatenate([
             np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
             np.full(int(click2.sum()), START_CHANNEL, dtype=np.int16),
             np.full(int(click3.sum()), STOP_CHANNEL, dtype=np.int16),
         ])
         pulse_arr = np.concatenate([pulses, pulses[click2], pulses[click3]])
-        time_arr = np.concatenate([base + jit1, (base + jit2)[click2], (base + jit3)[click3]])
         return channels, pulse_arr, time_arr
 
     return _generate(config, chunk_events)
@@ -275,40 +328,51 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     eff2, dark2 = config.det2_efficiency, config.det2_dark
 
     def chunk_events(rng, start, m):
-        hidx, _ = _herald(rng, config, m)
-        nh = len(hidx)
-        pulses = start + hidx
+        # each draw is dropped once used, and jitter takes its pulse time in place
+        pulses, _ = _herald(rng, config, m)
+        pulses += start
+        nh = len(pulses)
         base = pulses * rep_ps
 
-        survive = rng.random(nh) < 0.5 * s_chain
+        sig_det = rng.random(nh) < 0.5 * s_chain
         long_enc = rng.random(nh) < 0.5
         long_dec = rng.random(nh) < 0.5
-        sig_det = survive & (rng.random(nh) < eff2)
+        sig_det &= rng.random(nh) < eff2
         offset = (long_enc.astype(np.float64) + long_dec - 1.0) * delay_ps
-        sig_time = base + offset + rng.normal(0.0, sigma_ps, nh)
+        offset += base
+        sig_time = rng.normal(0.0, sigma_ps, nh)
+        sig_time += offset
+        del offset
 
         cand_pulses = [pulses[sig_det]]
         cand_times = [sig_time[sig_det]]
+        del sig_det, sig_time
         if nu > 0.0:
             n_noise = rng.binomial(rng.poisson(nu, nh), 0.5 * eff2)
             total = int(n_noise.sum())
             if total:
                 cand_pulses.append(np.repeat(pulses, n_noise))
-                cand_times.append(np.repeat(base, n_noise)
-                                  + rng.uniform(-2.0 * delay_ps, 2.0 * delay_ps, total))
+                noise = rng.uniform(-2.0 * delay_ps, 2.0 * delay_ps, total)
+                noise += np.repeat(base, n_noise)
+                cand_times.append(noise)
         if dark2 > 0.0:
             dark = rng.random(nh) < dark2
             cand_pulses.append(pulses[dark])
-            cand_times.append((base + rng.normal(0.0, sigma_ps, nh))[dark])
+            jitter = rng.normal(0.0, sigma_ps, nh)
+            jitter += base
+            cand_times.append(jitter[dark])
+            del jitter
 
-        cp = np.concatenate(cand_pulses)
-        ct = np.concatenate(cand_times)
+        jitter = rng.normal(0.0, sigma_ps, nh)
+        jitter += base
+        del base
+        time_arr = np.concatenate([jitter, *cand_times])
+        del jitter, cand_times
         channels = np.concatenate([
             np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
-            np.full(len(cp), START_CHANNEL, dtype=np.int16),
+            np.full(len(time_arr) - nh, START_CHANNEL, dtype=np.int16),
         ])
-        pulse_arr = np.concatenate([pulses, cp])
-        time_arr = np.concatenate([base + rng.normal(0.0, sigma_ps, nh), ct])
+        pulse_arr = np.concatenate([pulses, *cand_pulses])
         return channels, pulse_arr, time_arr
 
     return _generate(config, chunk_events)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qfcsim.config import calibrated_g2_config, ExperimentConfig
@@ -16,6 +16,7 @@ from qfcsim.counting import (
     CoincidenceWindow,
     CountSummary,
     DelayHistogram,
+    FirstClicks,
     InsufficientEventsError,
     MAX_HISTOGRAM_BINS,
     MIN_OPPORTUNITIES,
@@ -289,6 +290,37 @@ def _reference_counts(stream, window, offset):
                            int(np.count_nonzero(window.contains_ps(delays))))
     opportunities = len(np.intersect1d(trig, trig - offset, assume_unique=True))
     return summary, opportunities, (common, delays, t_start[i_start])
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.one_of(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 2**40))))
+@example(set())
+@example({7})
+def test_opportunities_equal_intersection(triggers):
+    trig = np.array(sorted(triggers), dtype=np.int64)
+    none = np.zeros(0)
+    clicks = FirstClicks(trig, none.astype(np.int64), none, none.astype(np.int64), none,
+                         rep_ps=REP_PS)
+    for offset in range(-12, 13):
+        want = len(np.intersect1d(trig, trig + abs(offset), assume_unique=True))
+        assert opportunities(clicks, offset) == want
+
+
+@pytest.mark.parametrize("generate", [generate_hbt_stream, generate_mzi_stream])
+def test_first_event_times_equal_sort_based_reference(generate):
+    # the correlation stream has one click per pulse and channel; noise in
+    # the interferometer stream gives a pulse several start candidates
+    cfg = calibrated_g2_config(seed=41)
+    cfg.n_pulses, cfg.mean_pairs, cfg.noise_coeff = 100_000, 0.2, 40.0
+    stream = generate(cfg)
+    repeated = []
+    for channel in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
+        pulses = stream.pulse_indices[stream.channels == channel]
+        repeated.append(len(np.unique(pulses)) < len(pulses))
+        for got, want in zip(stream.first_event_times(channel),
+                             _reference_first(stream, channel)):
+            assert_array_equal(got, want, strict=True)
+    assert repeated == [False, generate is generate_mzi_stream, False]
 
 
 @st.composite

@@ -28,6 +28,7 @@ from qfcsim.config import (
     thermal_g2_config,
 )
 from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks
+from qfcsim import sources
 from qfcsim.qubits import PHI_PLUS, density
 from qfcsim.sources import (
     CHUNK_PULSES,
@@ -40,6 +41,7 @@ from qfcsim.sources import (
     generate_hbt_stream,
     generate_mzi_stream,
     pair_distribution,
+    _DRAW_BLOCK,
     _click_prob,
     _herald,
 )
@@ -240,11 +242,30 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 4e-9, 0.5, 1.0
     cfg.noise_coeff, cfg.n_pulses = 20.0, 10_000
     monkeypatch.setattr("qfcsim.sources.CHUNK_PULSES", 100)
+    bodies, generate = [], sources._generate
+
+    def capture(config, chunk_events):
+        bodies.append(chunk_events)
+        return generate(config, chunk_events)
+
+    monkeypatch.setattr(sources, "_generate", capture)
     stream = generate_mzi_stream(cfg)
     chunk = stream.pulse_indices // 100
     assert np.any(chunk[1:] < chunk[:-1])
     assert np.all(np.diff(stream.timestamps_ps) >= 0.0)
     assert np.unique(chunk).tolist() == list(range(100))
+    # the re-sort is a stable argsort of the joined time-sorted chunks
+    parts = []
+    for index in range(100):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, index))))
+        events = bodies[0](rng, 100 * index, 100)
+        order = np.argsort(events[-1], kind="stable")
+        parts.append([column[order] for column in events])
+    joined = [np.concatenate(column) for column in zip(*parts)]
+    order = np.argsort(joined[-1], kind="stable")
+    got = (stream.channels, stream.pulse_indices, stream.timestamps_ps)
+    for column, want in zip(got, joined):
+        assert_array_equal(column, want[order], strict=True)
 
 
 def test_mzi_stream_peak_positions():
@@ -346,20 +367,43 @@ def test_herald_equals_dense_reference(kind, eff, dark, mu, truncation, seed):
     assert rng_sparse.random() == rng_dense.random()
 
 
+@pytest.mark.parametrize("m", [3 * _DRAW_BLOCK + 17, CHUNK_PULSES])
+@pytest.mark.parametrize("kind, mu, truncation",
+                         [(kind, 0.8, 3) for kind in _HERALDED_KINDS] + [("spdc", 290.0, 300)])
+def test_herald_in_draw_blocks_equals_dense_reference(kind, m, mu, truncation):
+    # pair numbers past 255 must survive the narrow dtype kept between passes
+    cfg = ExperimentConfig(source_kind=kind, det1_efficiency=0.4, det1_dark=0.01,
+                           mean_pairs=mu, pair_truncation=truncation)
+    rng_blocks, rng_dense = (np.random.Generator(np.random.Philox(m)) for _ in range(2))
+    hidx, k = _herald(rng_blocks, cfg, m)
+    want_hidx, want_k = _dense_herald(rng_dense, cfg, m)
+    assert_array_equal(hidx, want_hidx, strict=True)
+    assert_array_equal(k, want_k, strict=True)
+    assert rng_blocks.random() == rng_dense.random()
+
+
 class _FixedUniforms:
-    """A generator stand-in whose ``random(m)`` returns the given arrays in turn."""
+    """A generator stand-in whose ``random(n)`` calls serve consecutive
+    slices of the given arrays, each array used up before the next."""
 
     def __init__(self, *arrays):
         self.arrays = list(arrays)
+        self.used = 0
 
-    def random(self, m):
-        out = self.arrays.pop(0)
-        assert len(out) == m
+    def random(self, n):
+        out = self.arrays[0][self.used:self.used + n]
+        assert len(out) == n
+        self.used += n
+        if self.used == len(self.arrays[0]):
+            self.arrays.pop(0)
+            self.used = 0
         return out
 
 
 @pytest.mark.parametrize("kind", _HERALDED_KINDS)
-def test_herald_at_cdf_edges(kind):
+def test_herald_at_cdf_edges(kind, monkeypatch):
+    # blocks of 7 uniforms, so the 144 pulses span several draw blocks
+    monkeypatch.setattr("qfcsim.sources._DRAW_BLOCK", 7)
     cfg = ExperimentConfig(source_kind=kind, det1_efficiency=0.4, det1_dark=0.3,
                            mean_pairs=2.0, pair_truncation=3)
     cdf = np.cumsum(pair_distribution(cfg))
@@ -370,8 +414,10 @@ def test_herald_at_cdf_edges(kind):
     v_edges = np.concatenate([table, np.nextafter(table, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
     u, v = (grid.ravel() for grid in np.meshgrid(u_edges, v_edges))
     draws = (v,) if kind == "single_photon" else (u, v)
-    hidx, k = _herald(_FixedUniforms(*draws), cfg, len(u))
-    want_hidx, want_k = _dense_herald(_FixedUniforms(*draws), cfg, len(u))
+    blocked, dense = _FixedUniforms(*draws), _FixedUniforms(*draws)
+    hidx, k = _herald(blocked, cfg, len(u))
+    want_hidx, want_k = _dense_herald(dense, cfg, len(u))
+    assert not blocked.arrays and not dense.arrays
     assert_array_equal(hidx, want_hidx, strict=True)
     assert_array_equal(k, want_k, strict=True)
     if kind != "single_photon":

@@ -11,7 +11,9 @@ the set is ``sweep``; for a ``*_g2`` preset also ``g2 --save-stream`` and
 the raw counts with and without ``--subtract-bg``.  The seven presets under
 ``configs/`` give 55 files.  The output is ``sha256  path`` per file, sorted
 by the path relative to OUT, so the manifests of two checkouts compare with
-``diff``.  With no PRESET, every preset under ``configs/`` runs.
+``diff``.  With no PRESET, every preset under ``configs/`` runs.  Each
+command's peak RSS goes to stderr as ``peak_rss_mb=X  <preset>/<step>``,
+taken from the rusage of that child alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,19 @@ def preset_commands(preset: str, out: Path) -> list[list[str]]:
     return commands
 
 
+def run_command(args: list[str], env: dict) -> tuple[int, str, float]:
+    """Run one CLI command; return its exit code, its stderr, and its peak RSS
+    in MB, read from the rusage that ``os.wait4`` reports for that child alone."""
+    proc = subprocess.Popen([sys.executable, "-m", "qfcsim.cli", *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    # the child is reaped here, so Popen must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stderr, usage.ru_maxrss / 1024.0
+
+
 def sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -71,12 +86,12 @@ def main(argv: list[str]) -> int:
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     for preset in presets:
         for args in preset_commands(preset, out / preset):
-            proc = subprocess.run([sys.executable, "-m", "qfcsim.cli", *args], env=env,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-            if proc.returncode != 0:
-                print(f"exit {proc.returncode}: {' '.join(args)}\n{proc.stderr}",
-                      file=sys.stderr)
+            code, stderr, peak_mb = run_command(args, env)
+            if code != 0:
+                print(f"exit {code}: {' '.join(args)}\n{stderr}", file=sys.stderr)
                 return 1
+            step = Path(args[args.index("--out") + 1]).name
+            print(f"peak_rss_mb={peak_mb:.1f}  {preset}/{step}", file=sys.stderr)
     files = sorted(p for p in out.rglob("*") if p.is_file())
     for path in files:
         print(f"{sha256(path)}  {path.relative_to(out).as_posix()}")
