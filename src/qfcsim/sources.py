@@ -7,7 +7,10 @@ splitter, or channel 2 alone behind the decoding interferometer.
 
 Determinism: every generator draws from counter-based Philox substreams
 keyed by (seed, chunk_index) over fixed 2**19-pulse chunks, so results are
-reproducible bit for bit regardless of how chunks would be scheduled.  A
+reproducible bit for bit however the chunks are scheduled.  A run of at
+least ``parallel.MIN_TASKS`` chunks, on a machine with 2 CPUs or more, runs
+them on a thread pool (numpy releases the GIL in the draws and ufuncs) and
+joins them in chunk order, so its stream equals the serial one.  A
 heralded chunk of m pulses first draws m pair uniforms (none for
 ``single_photon``), then m herald uniforms; the herald lookup tabulates the
 click probability per pair number and is exact.  Both are drawn in blocks
@@ -20,6 +23,10 @@ generation peak holds the stream's 18 bytes per event plus a copy of one
 column: in the join of the timestamp column once a run has three chunks or
 more (about 1.45 times the stream's bytes), and in the time sort of the one
 chunk, which also holds its sort order, in a run of one chunk (below 2 times).
+On the thread pool one chunk per worker is in flight, and that peak stays
+near 1.45 times (1.45-1.48 for four chunks); once the chunks are joined,
+the memory the worker threads freed is handed back to the system, since
+their malloc arenas would otherwise keep it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import numpy as np
 
 from .artifacts import format_pairs, parse_header, read_table, write_table
 from .config import ConfigError, ExperimentConfig
+from .parallel import ordered_map, pool_size, trim_heap
 from .qubits import PHI_PLUS, density
 
 TRIGGER_CHANNEL = 1
@@ -71,12 +79,14 @@ def pair_distribution(config: ExperimentConfig) -> np.ndarray:
         return np.array([0.0, 1.0])
     k = np.arange(config.pair_truncation + 1)
     mu = config.mean_pairs
-    if config.source_kind == "spdc_thermal":
-        w = mu ** k / (1.0 + mu) ** (k + 1)
+    if mu <= 0.0:
+        log_w = np.where(k == 0, 0.0, -np.inf)
+    elif config.source_kind == "spdc_thermal":
+        # in logs, as mu**k and (1 + mu)**(k + 1) overflow long before their ratio
+        log_w = k * math.log(mu) - (k + 1) * math.log1p(mu)
     else:
-        log_w = k * math.log(mu) - mu - np.cumsum(np.log(np.maximum(k, 1))) \
-            if mu > 0 else np.where(k == 0, 0.0, -np.inf)
-        w = np.exp(log_w)
+        log_w = k * math.log(mu) - mu - np.cumsum(np.log(np.maximum(k, 1)))
+    w = np.exp(log_w)
     return w / w.sum()
 
 
@@ -212,27 +222,34 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     ``chunk_events`` simulates pulses ``start .. start + m - 1`` and returns
     their (channels, pulse indices, timestamps) in any order.  Each chunk
     draws from its own Philox substream keyed by (seed, chunk_index), and
-    its events are stably sorted by time before the chunks are joined.  A
-    click far from its pulse can land past the next chunk's first click, and
-    only then is the joined stream sorted again.
+    its events are stably sorted by time before the chunks are joined in
+    chunk order, so the chunks may run on ``parallel.ordered_map``'s thread
+    pool without changing a draw.  A click far from its pulse can land past
+    the next chunk's first click, and only then is the joined stream sorted
+    again.
     """
     seed = config.require_seed()
-    columns = ([], [], [])
-    for index, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
+
+    def sorted_chunk(task):
+        index, start = task
         m = min(CHUNK_PULSES, config.n_pulses - start)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
         chunk = list(chunk_events(rng, start, m))
         order = np.argsort(chunk[-1], kind="stable")
-        for parts in columns:
-            # each unsorted column is dropped once its sorted copy exists
-            parts.append(chunk.pop(0)[order])
-        del order
+        # each unsorted column is dropped once its sorted copy exists
+        return [chunk.pop(0)[order] for _ in range(len(chunk))]
+
+    tasks = list(enumerate(range(0, config.n_pulses, CHUNK_PULSES)))
+    columns = [list(parts) for parts in zip(*ordered_map(sorted_chunk, tasks))]
     # each column's parts are dropped once it is joined, and a re-sort
     # replaces one column at a time
     joined = []
     for parts in columns:
         joined.append(np.concatenate(parts))
         parts.clear()
+    if pool_size(len(tasks)) > 1:
+        # the chunks' memory was freed into the worker threads' malloc arenas
+        trim_heap()
     if not np.all(joined[-1][1:] >= joined[-1][:-1]):
         order = np.argsort(joined[-1], kind="stable")
         for i in range(len(joined)):

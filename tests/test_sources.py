@@ -8,6 +8,7 @@ chunked counter-based substreams: the events of a chunk depend only on
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,22 @@ def test_pair_distribution_thermal_matches_geometric():
     ref = mu ** k / (1.0 + mu) ** (k + 1)
     ref = ref / ref.sum()
     assert_allclose(pair_distribution(cfg), ref, atol=1e-12)
+
+
+def test_pair_distribution_thermal_at_large_mean_is_finite():
+    # mu**k and (1 + mu)**(k + 1) overflow past k = 236 at mu = 20, which gave
+    # NaN weights; in logs the ratio (20/21)**k / 21 is finite
+    cfg = ExperimentConfig(source_kind="spdc_thermal", mean_pairs=20.0, pair_truncation=300,
+                           n_pulses=1_000, seed=36)
+    weights = pair_distribution(cfg)
+    assert np.all(np.isfinite(weights))
+    assert math.isclose(weights.sum(), 1.0)
+    k = np.arange(301)
+    assert_allclose(weights, (20.0 / 21.0) ** k / np.sum((20.0 / 21.0) ** k), rtol=1e-12)
+    assert all(math.isfinite(rate) for rate in expected_hbt_rates(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_hbt_stream(cfg)
 
 
 def test_pair_distribution_zero_mean():

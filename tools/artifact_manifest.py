@@ -13,7 +13,12 @@ the raw counts with and without ``--subtract-bg``.  The seven presets under
 by the path relative to OUT, so the manifests of two checkouts compare with
 ``diff``.  With no PRESET, every preset under ``configs/`` runs.  Each
 command's peak RSS goes to stderr as ``peak_rss_mb=X  <preset>/<step>``,
-taken from the rusage of that child alone.
+taken from the rusage ``os.wait4`` reports for that command.  On Linux that
+figure is the larger of the command's own peak and the peak of any worker
+process it forked and reaped (a forked worker starts out holding its
+parent's pages), so it folds in the workers of a pooled stream save.  On
+the presets the workers peak lower than the command itself: ``ideal_g2``'s
+``g2 --save-stream`` peaked at 716 MB against about 300 MB for its workers.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ def preset_commands(preset: str, out: Path) -> list[list[str]]:
 
 def run_command(args: list[str], env: dict) -> tuple[int, str, float]:
     """Run one CLI command; return its exit code, its stderr, and its peak RSS
-    in MB, read from the rusage that ``os.wait4`` reports for that child alone."""
+    in MB, read from the rusage that ``os.wait4`` reports for that child (its
+    own peak or its reaped workers', whichever is larger)."""
     proc = subprocess.Popen([sys.executable, "-m", "qfcsim.cli", *args], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     with proc.stderr:
