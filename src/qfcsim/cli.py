@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` (pump-power efficiency curve), ``g2`` (heralded
 intensity correlation), ``tomo`` (two-qubit tomography of the converted
 state), and ``analyze`` (re-analysis of saved event streams or count
-records).  Exit status is 0 on success, 2 on configuration errors, and 3
-on numerical failures.
+records).  Exit status is 0 on success, 1 on system failures (say, an
+unwritable output), 2 on configuration errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"system failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

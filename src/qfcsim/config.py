@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .conversion import EfficiencyModel, conversion_efficiency, pump_dephasing_factor
+from .conversion import EfficiencyModel, conversion_efficiency
 
 
 class ConfigError(ValueError):
@@ -135,6 +135,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            # NaN passes every range check below
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.source_kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source_kind {self.source_kind!r}")
         if self.rep_period <= 0:
@@ -156,12 +160,10 @@ class ExperimentConfig:
             raise ConfigError("werner_weight must lie in [0, 1]")
         if self.pump_power < 0:
             raise ConfigError("pump_power must be >= 0")
-        if not 0.0 <= self.eff_peak <= 1.0:
-            raise ConfigError("eff_peak must lie in [0, 1]")
-        if self.eff_coeff <= 0:
-            raise ConfigError("eff_coeff must be > 0")
-        if self.eff_coeff_unit not in ("per_W", "per_mW"):
-            raise ConfigError(f"eff_coeff_unit must be per_W or per_mW, got {self.eff_coeff_unit!r}")
+        try:
+            self.efficiency_model()
+        except ValueError as exc:
+            raise ConfigError(f"eff_peak, eff_coeff or eff_coeff_unit: {exc}") from exc
         if not 0.0 <= self.extra_transmittance <= 1.0:
             raise ConfigError("extra_transmittance must lie in [0, 1]")
         if self.noise_coeff < 0:
@@ -276,39 +278,14 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Frozen calibration constants for the preset configs.  The chain numbers
-# follow from the defaults above; the noise coefficients are calibrated so
-# the presets land on the benchmark observables (see tests for the oracles).
+# Frozen calibration constants for the preset configs: noise coefficients
+# calibrated so the presets land on the benchmark observables.
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = ExperimentConfig()
-
-#: mean signal transmission of the calibrated conversion chain
-CHAIN_EFFICIENCY_CAL = _DEFAULTS.chain_efficiency()
-
-#: pump phase-diffusion coherence factor over the 1 ns interferometer delay
-DEPHASING_CAL = pump_dephasing_factor(_DEFAULTS.pump_linewidth, _DEFAULTS.mzi_delay)
-
-#: Werner weight of the photon-pair source before conversion
-WERNER_WEIGHT_CAL = _DEFAULTS.werner_weight
-
-
-def _tomo_noise_coeff() -> float:
-    """Noise coefficient that drags the converted-state fidelity to 0.75.
-
-    A white-noise admixture of weight w = nu/(s + nu) moves fidelity from
-    F_s to (1-w) F_s + w/4, so nu = s (F_s - F_target) / (F_target - 1/4).
-    """
-    s = CHAIN_EFFICIENCY_CAL
-    d = DEPHASING_CAL
-    p = WERNER_WEIGHT_CAL
-    f_source = (1.0 + p) / 4.0 + p * d / 2.0
-    nu = s * (f_source - 0.75) / (0.75 - 0.25)
-    return nu / 0.7
-
-
-#: noise photons per pulse per watt for the calibrated tomography preset
-NOISE_COEFF_TOMO_CAL = _tomo_noise_coeff()
+#: noise photons per pulse per watt for the calibrated tomography preset; its
+#: white-noise admixture drags the converted fidelity of the default source
+#: and chain to 0.75 (oracle re-derived in the tests)
+NOISE_COEFF_TOMO_CAL = 0.21911353214504486
 
 #: noise photons per pulse per watt for the calibrated intensity-correlation
 #: preset; root-found against the exact click-probability enumeration so the
@@ -399,7 +376,6 @@ def calibrated_tomo_config(seed: int = 22) -> ExperimentConfig:
     counts over 10000 s per setting).
     """
     return ExperimentConfig(
-        werner_weight=WERNER_WEIGHT_CAL,
         noise_coeff=NOISE_COEFF_TOMO_CAL,
         n_per_setting=28_000.0,
         duration_per_setting=10_000.0,

@@ -180,22 +180,17 @@ def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 
 def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:
     """Heralded zero-delay correlation and its first-order Poisson error.
 
-    g2(0) = N_trigger N_coincidence / (N_start N_stop).  The error adds the
-    independent-Poisson relative variances of every count in the estimator.
-    At zero offset the coincidence opportunities are the triggers, so fewer
-    than ``MIN_OPPORTUNITIES`` of them is too few.
+    g2(0) = N_trigger N_coincidence / (N_start N_stop): at zero offset the
+    opportunities are the triggers, so ``g2_offset_from_counts`` gives the
+    value and its guards (the same float, as int/int division rounds once).
+    The error adds the independent-Poisson relative variances of every count.
     """
-    if summary.n_trigger < MIN_OPPORTUNITIES:
-        raise InsufficientEventsError(
-            f"{summary.n_trigger} triggers, need >= {MIN_OPPORTUNITIES}")
-    if summary.n_start == 0 or summary.n_stop == 0:
-        raise InsufficientEventsError("zero singles count")
-    value = summary.n_trigger * summary.n_coincidence / (summary.n_start * summary.n_stop)
+    value = g2_offset_from_counts(summary, summary.n_trigger)
     rel_var = 1.0 / summary.n_trigger + 1.0 / summary.n_start + 1.0 / summary.n_stop
     variance = value * value * rel_var \
         + (summary.n_trigger / (summary.n_start * summary.n_stop)) ** 2 \
         * summary.n_coincidence
-    return float(value), float(np.sqrt(variance))
+    return value, float(np.sqrt(variance))
 
 
 def g2_offset_from_counts(summary: CountSummary, opportunities: int) -> float:

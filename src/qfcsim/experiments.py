@@ -25,9 +25,8 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstCli
                        opportunities, pair_delays, sideband_mean_from_counts)
 # unused here, but perfbench/child.py TARGETS traces them under these names
 from .counting import g2_at_offset, select_window
-from .metrics import (ChshResult, chsh_assessment, concurrence, eof_of_concurrence,
-                      fidelity)
-from .qubits import PHI_PLUS, end_to_end_state
+from .metrics import ChshResult, chsh_assessment, concurrence, eof_of_concurrence
+from .qubits import end_to_end_state
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
@@ -56,20 +55,15 @@ class SweepResult:
         return float(np.max(self.efficiencies))
 
 
-def run_efficiency_sweep(config: ExperimentConfig,
-                         powers_w=None) -> SweepResult:
+def run_efficiency_sweep(config: ExperimentConfig) -> SweepResult:
     """Tabulate conversion efficiency against pump power and refit the law.
 
-    The default grid spans zero to the configured pump power in 2 mW steps.
-    A fit failure (too few distinct powers, say) is recorded rather than
-    raised so the table is still produced.
+    The grid spans zero to the configured pump power in 2 mW steps.  A fit
+    failure (too few distinct powers, say) is recorded rather than raised
+    so the table is still produced.
     """
-    if powers_w is None:
-        top = max(config.pump_power, 1e-3)
-        powers_w = np.linspace(0.0, top, max(int(round(top / 2e-3)) + 1, 2))
-    powers_w = np.asarray(powers_w, dtype=float)
-    if powers_w.size == 0:
-        raise ValueError("need at least one power")
+    top = max(config.pump_power, 1e-3)
+    powers_w = np.linspace(0.0, top, max(int(round(top / 2e-3)) + 1, 2))
     model = config.efficiency_model()
     effs = np.array([conversion_efficiency(p, model) for p in powers_w])
     try:
@@ -238,8 +232,8 @@ def _scored(settings: list[MeasurementSetting], counts: np.ndarray,
 
 
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
-    conc = concurrence(rho)
-    return fidelity(rho, PHI_PLUS), conc, eof_of_concurrence(conc), chsh_assessment(rho)
+    conc, chsh = concurrence(rho), chsh_assessment(rho)
+    return chsh.witness_fidelity, conc, eof_of_concurrence(conc), chsh
 
 
 def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,

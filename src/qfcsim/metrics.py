@@ -14,22 +14,14 @@ WITNESS_THRESHOLD = 1.0 / math.sqrt(2.0)
 
 
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """Overlap <target| rho |target> with a pure target state.
-
-    ``target`` may be a ket or a rank-one density matrix.
-    """
+    """Overlap <target| rho |target> with a pure target state given as a ket."""
     rho = check_density_matrix(rho)
     target = np.asarray(target, dtype=complex)
-    if target.ndim == 2:
-        eigval, eigvec = np.linalg.eigh(target)
-        if abs(eigval[-1] - 1.0) > 1e-8 or eigval[-2] > 1e-8:
-            raise ValueError("target must be a pure state")
-        target = eigvec[:, -1]
     norm = np.vdot(target, target).real
     if abs(norm - 1.0) > 1e-8:
         raise ValueError("target ket must be normalized")
-    if target.shape[0] != rho.shape[0]:
-        raise ValueError("state and target dimensions differ")
+    if target.shape != rho.shape[:1]:
+        raise ValueError(f"target must be a ket of dimension {rho.shape[0]}")
     return float(np.real(np.vdot(target, rho @ target)))
 
 

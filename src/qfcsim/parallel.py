@@ -53,9 +53,9 @@ def ordered_map(fn: Callable, tasks: Iterable, processes: bool = False) -> Itera
     ``pool_size`` threads (forked processes with ``processes``) or serially.
 
     With ``processes``, ``fn``, the tasks and the results must pickle.  An
-    exception raised by a task reaches the caller with its own type, and
-    every pool is shut down, its workers joined, before the iteration ends
-    or raises.
+    exception raised by a task reaches the caller with its own type (a dead
+    worker as an ``OSError``), and every pool is shut down, its workers
+    joined, before the iteration ends or raises.
     """
     tasks = list(tasks)
     workers = pool_size(len(tasks), processes)
@@ -63,15 +63,18 @@ def ordered_map(fn: Callable, tasks: Iterable, processes: bool = False) -> Itera
         yield from map(fn, tasks)
         return
     # imported here, so a command that never pools does not pay for them
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
     if processes:
         import multiprocessing
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     else:
         pool = ThreadPoolExecutor(workers)
     with pool:
-        # closing pool.map's iterator early cancels the tasks not yet started
-        yield from pool.map(fn, tasks)
+        try:
+            # closing pool.map's iterator early cancels the tasks not yet started
+            yield from pool.map(fn, tasks)
+        except BrokenExecutor as exc:
+            raise OSError(f"a pool worker died: {exc}") from exc
 
 
 def trim_heap() -> None:

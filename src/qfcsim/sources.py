@@ -39,7 +39,7 @@ import numpy as np
 
 from .artifacts import format_pairs, parse_header, read_table, write_table
 from .config import ConfigError, ExperimentConfig
-from .parallel import ordered_map, pool_size, trim_heap
+from .parallel import ordered_map, trim_heap
 from .qubits import PHI_PLUS, density
 
 TRIGGER_CHANNEL = 1
@@ -247,9 +247,8 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     for parts in columns:
         joined.append(np.concatenate(parts))
         parts.clear()
-    if pool_size(len(tasks)) > 1:
-        # the chunks' memory was freed into the worker threads' malloc arenas
-        trim_heap()
+    # the join freed the chunks, into the worker threads' malloc arenas if pooled
+    trim_heap()
     if not np.all(joined[-1][1:] >= joined[-1][:-1]):
         order = np.argsort(joined[-1], kind="stable")
         for i in range(len(joined)):

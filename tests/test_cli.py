@@ -266,6 +266,14 @@ def test_exit_code_on_usage_errors(tmp_path, g2_cfg_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unwritable_out_is_a_system_failure(tmp_path, g2_cfg_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # the output directory would sit under a regular file
+    assert main(["sweep", "--config", str(g2_cfg_path), "--out", str(blocker / "o")]) == 1
+    _assert_one_line_error(capsys, "system failure: ")
+
+
 def test_exit_code_on_numerical_failure(tmp_path, capsys):
     path = tmp_path / "zero.csv"
     save_records(standard_settings(), [0] * 16, [1.0] * 16, path)

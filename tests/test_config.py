@@ -1,21 +1,23 @@
 """Config parsing, serialization, and the frozen calibration constants."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from qfcsim.config import (
-    CHAIN_EFFICIENCY_CAL,
     ConfigError,
-    DEPHASING_CAL,
     ExperimentConfig,
     NOISE_COEFF_G2_CAL,
     NOISE_COEFF_TOMO_CAL,
     PRESETS,
-    WERNER_WEIGHT_CAL,
     parse_scalar,
 )
+from qfcsim.conversion import pump_dephasing_factor
+
+#: every field typed float, whose non-finite values validate refuses
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
 def test_parse_scalar_units():
@@ -94,16 +96,23 @@ def test_from_text_errors():
 def test_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(source_kind="laser")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(eff_peak=1.5)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(eff_coeff_unit="per_kW")
+    # EfficiencyModel holds the efficiency-law rules; validate names the keys
+    for bad in (dict(eff_peak=1.5), dict(eff_coeff=0.0), dict(eff_coeff_unit="per_kW")):
+        with pytest.raises(ConfigError, match="^eff_peak, eff_coeff or eff_coeff_unit: "):
+            ExperimentConfig(**bad)
     with pytest.raises(ConfigError):
         ExperimentConfig(det2_efficiency=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(seed=-3)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_pulses=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_fields_are_refused(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        ExperimentConfig(**{name: value})
 
 
 _DETECTOR_FIELDS = [f"det{i}_{kind}" for i in (1, 2, 3) for kind in ("efficiency", "dark")]
@@ -139,20 +148,31 @@ def test_mzi_delay_must_stay_below_half_the_period():
     assert ExperimentConfig(rep_period=2.5e-9).mzi_delay == 1e-9
 
 
+def _chain(cfg):
+    """Chain efficiency, pump dephasing over the interferometer delay, and
+    source Werner weight of a config."""
+    return (cfg.chain_efficiency(), pump_dephasing_factor(cfg.pump_linewidth, cfg.mzi_delay),
+            cfg.werner_weight)
+
+
 def test_chain_efficiency_matches_frozen_constant():
-    cfg = ExperimentConfig()
-    assert abs(cfg.chain_efficiency() - CHAIN_EFFICIENCY_CAL) < 1e-15
-    assert abs(CHAIN_EFFICIENCY_CAL - 0.38429338843256744) < 1e-16
-    assert abs(DEPHASING_CAL - 0.9990579661966258) < 1e-16
-    assert abs(WERNER_WEIGHT_CAL - 14.0 / 15.0) < 1e-16
+    s, d, p = _chain(ExperimentConfig())
+    assert abs(s - 0.38429338843256744) < 1e-16
+    assert abs(d - 0.9990579661966258) < 1e-16
+    assert abs(p - 14.0 / 15.0) < 1e-16
+    # the calibrated tomography preset keeps the default source and chain
+    assert _chain(PRESETS["calibrated_tomo"]()) == (s, d, p)
 
 
 def test_tomo_noise_constant_hits_target_fidelity():
-    # re-derive: white-noise weight w = nu/(s + nu) must drag the source
-    # fidelity to exactly 0.75
-    s = CHAIN_EFFICIENCY_CAL
-    f_source = (1.0 + WERNER_WEIGHT_CAL) / 4.0 + WERNER_WEIGHT_CAL * DEPHASING_CAL / 2.0
-    nu = NOISE_COEFF_TOMO_CAL * 0.7
+    # re-derive: a white-noise admixture of weight w = nu/(s + nu) moves the
+    # source fidelity F_s to (1 - w) F_s + w/4, which must land on 0.75, so
+    # nu = s (F_s - 0.75) / (0.75 - 0.25) at the preset's pump power
+    cfg = PRESETS["calibrated_tomo"]()
+    s, d, p = _chain(cfg)
+    f_source = (1.0 + p) / 4.0 + p * d / 2.0
+    assert NOISE_COEFF_TOMO_CAL == s * (f_source - 0.75) / (0.75 - 0.25) / cfg.pump_power
+    nu = cfg.noise_mean()
     w = nu / (s + nu)
     f_out = (1.0 - w) * f_source + w * 0.25
     assert abs(f_out - 0.75) < 1e-12

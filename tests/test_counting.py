@@ -149,6 +149,24 @@ def test_g2_insufficient_counts():
             g2_at_offset(first_clicks(stream), offset, CoincidenceWindow(1e-9))
 
 
+@st.composite
+def _sufficient_counts(draw):
+    """Counts up to 2^40 that give an estimate: T >= 100, S1, S2 >= 1 and
+    C <= min(S1, S2)."""
+    n_start = draw(st.integers(1, 2**40))
+    n_stop = draw(st.integers(1, 2**40))
+    return CountSummary(draw(st.integers(MIN_OPPORTUNITIES, 2**40)), n_start, n_stop,
+                        draw(st.integers(0, min(n_start, n_stop))))
+
+
+@settings(derandomize=True, max_examples=500, database=None, deadline=None)
+@given(_sufficient_counts())
+def test_g2_zero_equals_its_closed_form_bit_for_bit(s):
+    # g2(0) is the offset formula T^2 C / (T S1 S2) at T opportunities;
+    # int/int division rounds once, so that is the float of T C / (S1 S2)
+    assert g2_zero_from_counts(s)[0] == s.n_trigger * s.n_coincidence / (s.n_start * s.n_stop)
+
+
 def test_count_summary_validation():
     with pytest.raises(ValueError):
         CountSummary(10, 5, 5, 6)

@@ -47,14 +47,18 @@ def test_sweep_default_grid_and_fit():
     assert abs(res.peak_power_w - res.fit.model().peak_power_w) < 2e-3
 
 
-def test_sweep_custom_powers_and_degenerate_grid():
-    cfg = ExperimentConfig()
-    res = run_efficiency_sweep(cfg, powers_w=[0.0, 0.2, 0.4, 0.6])
-    assert len(res.efficiencies) == 4
-    assert res.fit is not None
-    short = run_efficiency_sweep(cfg, powers_w=[0.1])
+def test_sweep_degenerate_grid_records_fit_error(tmp_path):
+    # at 1 mW the 2 mW grid has two points, too few to fit: the error is
+    # recorded and written instead of raised
+    short = run_efficiency_sweep(ExperimentConfig(pump_power=1e-3))
+    assert short.powers_w.tolist() == [0.0, 1e-3]
     assert short.fit is None
     assert "three distinct powers" in short.fit_error
+    write_sweep(short, tmp_path)
+    fit_lines = dict(line.split("=", 1)
+                     for line in (tmp_path / "sweep_fit.txt").read_text().splitlines())
+    assert fit_lines["fit_error"] == short.fit_error
+    assert "peak" not in fit_lines
 
 
 def test_write_sweep_files(tmp_path):

@@ -69,9 +69,10 @@ def test_fidelity_pure_states():
     rho = density(PHI_PLUS)
     assert abs(fidelity(rho, PHI_PLUS) - 1.0) < 1e-12
     assert abs(fidelity(rho, PSI_MINUS)) < 1e-12
-    # accepts a rank-1 density matrix as the target too
-    assert abs(fidelity(rho, density(PHI_PLUS)) - 1.0) < 1e-12
     assert abs(fidelity(np.eye(4) / 4.0, PHI_PLUS) - 0.25) < 1e-12
+    # a projector has unit norm too, but the target must be a ket
+    with pytest.raises(ValueError, match="ket of dimension 4"):
+        fidelity(rho, density(PHI_PLUS))
 
 
 def test_concurrence_closed_form_on_noise_mixtures():

@@ -191,12 +191,13 @@ def test_pooled_save_stream_equals_serial(cpus, monkeypatch, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_failing_pooled_save_stream_exits_3(cpus, monkeypatch, tmp_path, capsys):
+def test_failing_pooled_save_stream_exits_1(cpus, monkeypatch, tmp_path, capsys):
     args = _pooled_g2_args(tmp_path, monkeypatch)
     cpus(POOLED)
-    # a worker that dies breaks the pool, and BrokenProcessPool is a RuntimeError
+    # a worker that dies breaks the pool: a failure of the system, not of
+    # the numbers, although BrokenProcessPool is a RuntimeError
     monkeypatch.setattr(artifacts, "_format_rows", _die_in_worker)
-    assert main(args) == 3
+    assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ")
+    assert err.startswith("system failure: a pool worker died: ")
     assert err.count("\n") == 1
