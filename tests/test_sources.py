@@ -28,7 +28,7 @@ from qfcsim.config import (
     coherent_g2_config,
     thermal_g2_config,
 )
-from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks
+from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks, pair_delays
 from qfcsim import sources
 from qfcsim.qubits import PHI_PLUS, density
 from qfcsim.sources import (
@@ -482,3 +482,42 @@ def test_stream_counts_match_oracle(kind, mu, eff1, eff2, eff3, dark, noise, see
              "coincidence": _pull(summary.n_coincidence, summary.n_trigger,
                                   rates.p_coincidence)}
     assert all(abs(pull) <= 5.0 for pull in pulls.values()), (pulls, rates, summary)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(kind=st.sampled_from(_HERALDED_KINDS),
+       mu=st.floats(0.01, 2.0),
+       eff1=st.floats(0.05, 1.0),
+       dark1=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+       eff2=st.floats(0.05, 1.0),
+       dark2=st.one_of(st.just(0.0), st.floats(1e-6, 0.2)),
+       transmittance=st.floats(0.05, 1.0),
+       delay_frac=st.floats(0.01, 0.49),
+       jitter_frac=st.floats(0.0, 0.05),
+       seed=st.integers(0, 2**32 - 1))
+def test_timebin_slots_match_oracle(kind, mu, eff1, dark1, eff2, dark2, transmittance,
+                                    delay_frac, jitter_frac, seed):
+    # noise-free, a herald's signal reaches channel 2 with q = s_chain * eff2 / 2
+    # at -delay, 0, +delay in the ratio 1:2:1, and a dark count (d) lands in
+    # the central slot; the first click per trigger falls in each slot as below
+    rep = ExperimentConfig().rep_period
+    cfg = ExperimentConfig(source_kind=kind, mean_pairs=mu, det1_efficiency=eff1,
+                           det1_dark=dark1, det2_efficiency=eff2, det2_dark=dark2,
+                           extra_transmittance=transmittance, noise_coeff=0.0,
+                           mzi_delay=delay_frac * rep,
+                           jitter_sigma=jitter_frac * delay_frac * rep,
+                           n_pulses=200_000, seed=seed)
+    clicks = first_clicks(generate_mzi_stream(cfg), TRIGGER_CHANNEL, START_CHANNEL)
+    _, delays, _ = pair_delays(clicks)
+    n_trigger = len(clicks.trigger_pulses)
+    slot = np.round(delays / (cfg.mzi_delay * 1e12))
+    # a slot's edges, delay / 2 from its centre, lie 7 or more deviations of
+    # the trigger and start jitter combined away from it
+    assert set(slot.tolist()) <= {-1.0, 0.0, 1.0}
+    q, d = 0.5 * cfg.chain_efficiency() * eff2, dark2
+    want = {"early": q / 4.0, "central": q / 2.0 + d * (1.0 - 0.75 * q),
+            "late": q / 4.0 * (1.0 - d), "none": (1.0 - q) * (1.0 - d)}
+    got = {"early": int(np.sum(slot == -1.0)), "central": int(np.sum(slot == 0.0)),
+           "late": int(np.sum(slot == 1.0)), "none": n_trigger - len(delays)}
+    pulls = {name: _pull(got[name], n_trigger, p) for name, p in want.items()}
+    assert all(abs(pull) <= 5.0 for pull in pulls.values()), (pulls, want, got, n_trigger)
