@@ -42,14 +42,14 @@ def density(ket: np.ndarray) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Validate Hermiticity (``np.allclose`` at atol 1e-8), unit trace (to 1e-8)
-    and positivity (no eigenvalue below -1e-8); return as complex array."""
+    """Validate Hermiticity and unit trace, each to 1e-8 absolute, and
+    positivity (no eigenvalue below -1e-8); return as complex array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {rho.shape[0]}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
+    if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-8):
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError(f"density matrix trace is {np.trace(rho).real}, not 1")

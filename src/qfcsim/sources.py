@@ -11,18 +11,19 @@ reproducible bit for bit however the chunks are scheduled.  A run of at
 least ``parallel.MIN_TASKS`` chunks, on a machine with 2 CPUs or more, runs
 them on a thread pool (numpy releases the GIL in the draws and ufuncs) and
 joins them in chunk order, so its stream equals the serial one.  A
-heralded chunk of m pulses first draws m pair uniforms (none for
-``single_photon``), then m herald uniforms; the herald lookup tabulates the
-click probability per pair number and is exact.  Both are drawn in blocks
-of 2**16, which give the same values in the same order as one call, and
-only the pulses' pair numbers are kept between the two passes.
+heralded chunk draws only what its heralds need: the gaps between heralds
+from Geometric(p_herald), then one uniform per herald for its pair number,
+whose law given a herald is p_k h_k / p_herald.  That is exact in
+distribution, and since the geometric law is memoryless each chunk restarts
+its gaps, so a longer run still extends a shorter one.
 
-Memory: a chunk drops each draw once it is used, and the time-sorted chunks
-are joined one column at a time, dropping that column's chunk parts.  So the
-generation peak holds the stream's 18 bytes per event plus a copy of one
-column: in the join of the timestamp column once a run has three chunks or
-more (about 1.45 times the stream's bytes), and in the time sort of the one
-chunk, which also holds its sort order, in a run of one chunk (below 2 times).
+Memory: a pair-source chunk's draws hold one entry per herald, not per
+pulse, and each is dropped once used; the time-sorted chunks are joined one
+column at a time, dropping that column's chunk parts.  So the generation peak
+holds the stream's 18 bytes per event plus a copy of one column: in the join
+of the timestamp column once a run has three chunks or more (about 1.45
+times the stream's bytes), and in the time sort of the one chunk, which also
+holds its sort order, in a run of one chunk (below 2 times).
 On the thread pool one chunk per worker is in flight, and that peak stays
 near 1.45 times (1.45-1.48 for four chunks); once the chunks are joined,
 the memory the worker threads freed is handed back to the system, since
@@ -47,9 +48,6 @@ START_CHANNEL = 2
 STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
-
-# uniforms drawn per call inside a chunk; the values do not depend on it
-_DRAW_BLOCK = 1 << 16
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
@@ -177,43 +175,43 @@ class EventStream:
                    seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
 
 
-def _blocks(m: int):
-    """(lo, hi) bounds of consecutive ``_DRAW_BLOCK``-pulse slices of m pulses."""
-    for lo in range(0, m, _DRAW_BLOCK):
-        yield lo, min(lo + _DRAW_BLOCK, m)
-
-
 def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
             ) -> tuple[np.ndarray, np.ndarray]:
     """Heralded pulse offsets of an m-pulse chunk and their pair numbers k.
 
-    Draws m pair uniforms u (none for ``single_photon``, where k = 1), then m
-    herald uniforms v, each in ``_DRAW_BLOCK`` slices, which give the same
-    values in the same order as one call.  Only k is kept between the two
-    passes.  A pulse with no pair (u < cdf[0]) heralds only when
-    v < P(click | 0), so k is looked up only for the rest, which is exact.
+    Each pulse heralds on its own with p = sum_k w_k, where w_k = p_k h_k
+    for the pair probability p_k and the herald click probability h_k.  So
+    the gaps between heralds are Geometric(p), drawn in blocks until they
+    pass the chunk's end, and a herald's k has law w_k / p, drawn by one
+    uniform per herald (none when a single k has weight).  That is exact in
+    distribution.  At p >= 1 every pulse heralds and no gap is drawn.
     """
-    # cumsum can end just below 1, so u may land one past the last pair number
-    table = _click_prob(config.det1_efficiency, config.det1_dark,
-                        np.arange(config.pair_truncation + 2))
-    heralded = np.zeros(m, dtype=bool)
-    if config.source_kind == "single_photon":
-        for lo, hi in _blocks(m):
-            np.less(rng.random(hi - lo), table[1], out=heralded[lo:hi])
-        hidx = np.flatnonzero(heralded)
-        return hidx, np.ones(len(hidx), dtype=np.int64)
-    cdf = np.cumsum(pair_distribution(config))
-    k = np.zeros(m, dtype=np.min_scalar_type(len(table) - 1))
-    for lo, hi in _blocks(m):
-        u = rng.random(hi - lo)
-        pair = np.flatnonzero(u >= cdf[0])
-        k[lo + pair] = np.searchsorted(cdf, u[pair], side="right")
-    for lo, hi in _blocks(m):
-        v, kb = rng.random(hi - lo), k[lo:hi]
-        cand = np.flatnonzero((kb > 0) | (v < table[0]))
-        heralded[lo + cand] = v[cand] < table[kb[cand]]
-    hidx = np.flatnonzero(heralded)
-    return hidx, k[hidx].astype(np.int64)
+    p_k = pair_distribution(config)
+    w = p_k * _click_prob(config.det1_efficiency, config.det1_dark, np.arange(len(p_k)))
+    p = float(w.sum())
+    if p <= 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if p >= 1.0:
+        hidx = np.arange(m, dtype=np.int64)
+    else:
+        parts, last = [], -1
+        block = int(m * p + 4.0 * math.sqrt(m * p)) + 1
+        while last < m - 1:
+            # numpy saturates a gap at int64 max below p of about 1e-20, and any
+            # gap past m leaves the chunk, so the clip keeps the cumsum from wrapping
+            pos = np.cumsum(np.minimum(rng.geometric(p, block), m + 1))
+            pos += last
+            parts.append(pos)
+            last = int(pos[-1])
+        hidx = np.concatenate(parts)
+        hidx = hidx[:np.searchsorted(hidx, m)]
+    support = np.flatnonzero(w)
+    if len(support) == 1:
+        return hidx, np.full(len(hidx), support[0], dtype=np.int64)
+    # rounding can leave the cdf's end below 1, and no draw may pick a zero weight
+    cdf = np.cumsum(w) / p
+    k = np.searchsorted(cdf, rng.random(len(hidx)), side="right")
+    return hidx, np.minimum(k, support[-1])
 
 
 def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:

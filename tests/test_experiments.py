@@ -94,7 +94,8 @@ def test_g2_experiment_is_deterministic():
 def test_g2_insufficient_run_yields_nan():
     cfg = calibrated_g2_config(seed=3)
     cfg.n_pulses = 2000  # ~70 triggers, below the opportunity floor
-    empty = ExperimentConfig(n_pulses=50, seed=1)  # no events at all
+    # no events at all: the herald never fires
+    empty = ExperimentConfig(det1_efficiency=0.0, det1_dark=0.0, n_pulses=50, seed=1)
     for config in (cfg, empty):
         res = run_g2_experiment(config)
         assert res.insufficient

@@ -81,6 +81,15 @@ def test_check_density_matrix_rejects_bad_input():
         check_density_matrix(bad)
 
 
+def test_check_density_matrix_holds_hermiticity_to_1e8_absolute():
+    # a relative tolerance of 1e-5 on the 0.1 element let this 1e-6 asymmetry through
+    rho = np.array([[0.5, 0.1], [0.1 + 1e-6, 0.5]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_density_matrix(rho)
+    rho[1, 0] = 0.1 + 5e-9
+    check_density_matrix(rho)
+
+
 def test_dephase_timebin_kills_bin_coherence():
     rho = density(PHI_PLUS)
     out = dephase_timebin(rho, 0.0)
