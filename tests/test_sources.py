@@ -439,18 +439,36 @@ class _EdgeUniforms:
         return np.resize(self.uniforms, n)
 
 
+def _cdf_edge_uniforms(w):
+    """Every entry of the cdf of w_k / p, just below it, and the ends of [0, 1)."""
+    cdf = np.cumsum(w) / w.sum()
+    uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    return uniforms[uniforms < 1.0], cdf
+
+
+@pytest.mark.parametrize("kind", _HERALDED_KINDS)
+def test_herald_at_cdf_edges(kind):
+    # with no dark count the herald detector never clicks on k = 0, whose
+    # weight is then 0
+    for dark in (0.3, 0.0):
+        cfg = ExperimentConfig(source_kind=kind, det1_efficiency=0.4, det1_dark=dark,
+                               mean_pairs=2.0, pair_truncation=3)
+        w = _herald_weights(cfg)
+        uniforms, _ = _cdf_edge_uniforms(w)
+        _, k = _herald(_EdgeUniforms(uniforms), cfg, 20_000)
+        assert len(k) > len(uniforms)
+        # the edges reach every pair number with weight and no other
+        assert_array_equal(np.unique(k), np.flatnonzero(w))
+
+
 @pytest.mark.parametrize("kind, mu, dark, truncation", [
-    ("spdc", 2.0, 0.0, 3), ("spdc_thermal", 2.0, 0.3, 3), ("single_photon", 2.0, 0.3, 3),
     # the weights past k = 177 underflow to 0, and the cdf ends 4e-16 below 1
     ("spdc", 1.0, 0.3, 300), ("spdc", 1.0, 1.0, 300)])
 def test_herald_never_picks_a_zero_weight(kind, mu, dark, truncation):
     cfg = ExperimentConfig(source_kind=kind, det1_efficiency=0.4, det1_dark=dark,
                            mean_pairs=mu, pair_truncation=truncation)
     w = _herald_weights(cfg)
-    cdf = np.cumsum(w) / w.sum()
-    # every cdf entry, just below it, and the ends of [0, 1)
-    uniforms = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-    uniforms = uniforms[uniforms < 1.0]
+    uniforms, cdf = _cdf_edge_uniforms(w)
     _, k = _herald(_EdgeUniforms(uniforms), cfg, 20_000)
     assert len(k) > 0
     assert np.all(w[k] > 0.0)
