@@ -6,10 +6,12 @@ written with ``str`` and floats with ``repr``, so a float64 reads back bit
 for bit.  Table readers skip blank and ``#`` lines and raise ValueError on a
 malformed or out-of-range field.
 
-Table rows are formatted in blocks, and a table of at least
-``parallel.MIN_TASKS`` blocks is formatted on forked worker processes
-(``repr`` holds the GIL, so threads would not help); the blocks are written
-in order, so the file is the same byte for byte on either schedule.
+Table rows are formatted in ``BLOCK_ROWS`` blocks, a few alive at once (a
+stream save peaks near 4 MB traced, whatever its length), and a table of
+at least ``parallel.MIN_TASKS`` blocks is formatted on forked worker
+processes (``repr`` holds the GIL, so threads would not help); the blocks
+are written in order, so the file is the same byte for byte on either
+schedule.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .parallel import ordered_map
 
 #: table rows formatted per write, which bounds the Python objects alive at once
-BLOCK_ROWS = 1 << 16
+BLOCK_ROWS = 1 << 14
 
 
 def format_pairs(pairs: dict, sep: str = "\n") -> str:

@@ -25,9 +25,9 @@ of the timestamp column once a run has three chunks or more (about 1.45
 times the stream's bytes), and in the time sort of the one chunk, which also
 holds its sort order, in a run of one chunk (below 2 times).
 On the thread pool one chunk per worker is in flight, and that peak stays
-near 1.45 times (1.45-1.48 for four chunks); once the chunks are joined,
-the memory the worker threads freed is handed back to the system, since
-their malloc arenas would otherwise keep it.
+near 1.45 times (1.45-1.48 for four chunks); as each column is joined, the
+memory the worker threads freed is handed back to the system, since their
+malloc arenas would otherwise keep it through the copy of the next column.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class EventStream:
         n = len(self.channels)
         if len(self.pulse_indices) != n or len(self.timestamps_ps) != n:
             raise ValueError("channel, pulse, and timestamp arrays must have equal length")
+        if self.n_pulses < 0:
+            raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
         if n and (self.pulse_indices.min() < 0
                   or self.pulse_indices.max() >= self.n_pulses):
             raise ValueError("pulse index outside [0, n_pulses)")
@@ -245,8 +247,8 @@ def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
     for parts in columns:
         joined.append(np.concatenate(parts))
         parts.clear()
-    # the join freed the chunks, into the worker threads' malloc arenas if pooled
-    trim_heap()
+        # freed into the worker threads' malloc arenas if pooled: trim before the next copy
+        trim_heap()
     if not np.all(joined[-1][1:] >= joined[-1][:-1]):
         order = np.argsort(joined[-1], kind="stable")
         for i in range(len(joined)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfcsim.artifacts import BLOCK_ROWS, write_table
+from qfcsim.parallel import MIN_TASKS
 
 FLOATS = [-0.0, 1e16, 1e-05, 5e-324, 2.4e11 + 0.1, -35.5, 0.30000000000000004, 1.0]
 
@@ -14,7 +15,9 @@ def _reference(header, columns):
     return header + "\n" + "".join(map(row.format, *(np.asarray(c).tolist() for c in columns)))
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+# from MIN_TASKS blocks on, a table is formatted on the pool where there are CPUs for one
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                    MIN_TASKS * BLOCK_ROWS, MIN_TASKS * BLOCK_ROWS + 1])
 def test_write_table_equals_per_row_repr(tmp_path, n_rows):
     rows = np.arange(n_rows)
     columns = (

@@ -306,6 +306,14 @@ def test_g2_and_analyze_stream_share_sufficiency_rule(tmp_path, capsys):
         assert run_vals[key] == an_vals[key] == "nan"
 
 
+def test_analyze_stream_refuses_negative_n_pulses(tmp_path, capsys):
+    for n_pulses, code in ((-5, 2), (0, 0)):
+        stream = tmp_path / f"n_pulses_{n_pulses}.csv"
+        stream.write_text(f"# n_pulses={n_pulses} seed=1 rep_period_ps=12195.0\n")
+        assert main(["analyze", "--stream", str(stream), "--out",
+                     str(tmp_path / f"out_{n_pulses}")]) == code
+
+
 def test_analyze_short_streams_report_nan(tmp_path, capsys):
     header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
     texts = {"header_only": header,

@@ -314,6 +314,10 @@ def _reference_counts(stream, window, offset):
 @given(st.one_of(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 2**40))))
 @example(set())
 @example({7})
+@example(set(range(5000)))  # a run longer than every offset: every lag matches
+# holes make a lag shorter than its offset; both cross the count's 2^16-entry blocks
+@example(set(range(90_000)) - set(range(0, 90_000, 7)))
+@example({3, 15})  # offset 12 reaches past the last lag of a two-pulse list
 def test_opportunities_equal_intersection(triggers):
     trig = np.array(sorted(triggers), dtype=np.int64)
     none = np.zeros(0)

@@ -3,21 +3,24 @@
 tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
-stream's bytes for generation and first-click extraction, and the trigger
-list's bytes for the opportunity count.  Every bound holds on the serial
-and on the pooled schedule of generation.  Buffers that numpy's sorts take
+stream's bytes for generation and first-click extraction, the trigger
+list's bytes for the opportunity count, and one ``BLOCK_ROWS`` block's
+bytes for the stream save, whatever the stream's length.  Every bound holds
+on the serial and on the pooled schedule.  Buffers that numpy's sorts take
 from plain malloc are not counted.
 """
 
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qfcsim import parallel
+from qfcsim.artifacts import BLOCK_ROWS
 from qfcsim.config import ExperimentConfig
 from qfcsim.counting import first_clicks, opportunities
-from qfcsim.sources import generate_hbt_stream
+from qfcsim.sources import EventStream, generate_hbt_stream
 
 IDEAL_G2 = Path(__file__).resolve().parent.parent / "configs" / "ideal_g2.cfg"
 
@@ -67,4 +70,27 @@ def test_first_clicks_peak(dense_stream):
 def test_opportunities_peak(dense_stream):
     clicks = first_clicks(dense_stream[0])
     _, peak = _traced_peak(lambda: opportunities(clicks, 3))
-    assert peak <= 2.5 * clicks.trigger_pulses.nbytes
+    # the lag differences of one block, far below the list itself
+    assert peak <= 1.25 * clicks.trigger_pulses.nbytes
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+def test_stream_save_peak(cpus, monkeypatch, tmp_path):
+    """A save holds a few blocks and their text at once, never the table:
+    the bound of 20 blocks' bytes is below the 16-block table's own text
+    (about 24), so a save whose peak grew with the table would fail it."""
+    n = 16 * BLOCK_ROWS
+    pulses = np.arange(n, dtype=np.int64) * 3
+    stream = EventStream(pulses % 3 + 1, pulses, pulses * 12195.0 + 1 / 3, n_pulses=3 * n,
+                         seed=1, rep_period=12195e-12)
+    block_bytes = BLOCK_ROWS * (2 + 8 + 8)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        _, peak = _traced_peak(lambda: stream.save(tmp_path / "events.csv"))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 20 * block_bytes
