@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_pairs
-from .config import ConfigError, ExperimentConfig, parse_scalar
+from .config import ConfigError, ExperimentConfig, check_range, parse_scalar
 # count_summary, delay_histogram, chsh_assessment and mle_reconstruct are
 # unused here, but perfbench/child.py traces them under these names
 from .counting import CoincidenceWindow, count_summary, delay_histogram, first_clicks
@@ -64,22 +64,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--counts", help="count-record file to reconstruct from")
     p_an.add_argument("--out", default="out", help="output directory")
     p_an.add_argument("--bin-width", default="50ps",
-                      help="histogram bin width (e.g. 50ps)")
+                      help="histogram bin width in s (e.g. 50ps)")
     p_an.add_argument("--window", default="1ns",
-                      help="coincidence window width (e.g. 1ns)")
+                      help="coincidence window width in s (e.g. 1ns)")
     p_an.add_argument("--subtract-bg", action="store_true",
                       help="subtract a flat background from count records")
     p_an.add_argument("--bg-rate", default="0.2Hz",
-                      help="background rate for --subtract-bg")
+                      help="background rate in Hz for --subtract-bg")
     return parser
 
 
-def _flag_value(flag: str, text: str, allow_zero: bool = False) -> float:
-    """Parse a unit-suffixed flag value that must be > 0 (>= 0 with
-    ``allow_zero``)."""
-    value = parse_scalar(text)
-    if value < 0.0 or (value == 0.0 and not allow_zero):
-        raise ConfigError(f"{flag} must be {'>= 0' if allow_zero else '> 0'}, got {text!r}")
+def _flag_value(flag: str, text: str, unit: str, rule: str = "> 0") -> float:
+    """Parse a flag value with an optional suffix of base unit ``unit`` that
+    keeps the range ``rule``."""
+    value = parse_scalar(text, unit)
+    check_range(flag, value, rule)
     return value
 
 
@@ -134,8 +133,8 @@ def _cmd_analyze(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if args.stream:
-        bin_width = _flag_value("--bin-width", args.bin_width)
-        window = CoincidenceWindow(_flag_value("--window", args.window))
+        bin_width = _flag_value("--bin-width", args.bin_width, "s")
+        window = CoincidenceWindow(_flag_value("--window", args.window, "s"))
         try:
             result = analyze_g2(first_clicks(EventStream.load(args.stream)), window, bin_width)
         except KeyError as exc:
@@ -156,7 +155,7 @@ def _cmd_analyze(args) -> int:
         settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
-    bg_rate = (_flag_value("--bg-rate", args.bg_rate, allow_zero=True)
+    bg_rate = (_flag_value("--bg-rate", args.bg_rate, "Hz", ">= 0")
                if args.subtract_bg else None)
     result = reconstruct(settings, counts, durations, bg_rate)
     report_path = outdir / "tomography.json"

@@ -1,16 +1,19 @@
 """Experiment configuration: one flat dataclass, one flat file format.
 
-Config files are line-oriented ``key=value`` text.  Values may carry a unit
-suffix (``pump_power=700mW``, ``coincidence_window=1ns``); everything is
-stored internally in SI base units.  Writing uses ``repr`` so a config
-round-trips through its file losslessly.
+Config files are line-oriented ``key=value`` text.  Each field of
+``ExperimentConfig`` declares its base unit and range rule in its own line
+(``_field``); parsing, writing and ``validate`` read those declarations.  A
+value may carry a unit suffix of its field's dimension
+(``pump_power=700mW``, ``coincidence_window=1ns``) and is stored in the SI
+base unit; a unitless field takes a bare number.  Writing uses ``repr`` so a
+config round-trips through its file losslessly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .conversion import EfficiencyModel, conversion_efficiency
@@ -20,34 +23,20 @@ class ConfigError(ValueError):
     """Bad configuration contents (unknown key, bad value, missing seed)."""
 
 
+# the unit suffixes each base unit accepts; a bare number is read in the
+# base unit, and a unitless field ("") takes no suffix at all
 _UNIT_FACTORS = {
-    "": 1.0,
-    "W": 1.0,
-    "mW": 1e-3,
-    "uW": 1e-6,
-    "s": 1.0,
-    "ms": 1e-3,
-    "us": 1e-6,
-    "ns": 1e-9,
-    "ps": 1e-12,
-    "Hz": 1.0,
-    "kHz": 1e3,
-    "MHz": 1e6,
-    "GHz": 1e9,
+    "W": {"W": 1.0, "mW": 1e-3, "uW": 1e-6},
+    "s": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
+    "Hz": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
 }
 
-# Base unit suffix written next to each field when serializing; parse accepts
-# any compatible prefix from the table above.
-_FIELD_UNITS = {
-    "rep_period": "s",
-    "mzi_delay": "s",
-    "jitter_sigma": "s",
-    "coincidence_window": "s",
-    "postselect_window": "s",
-    "duration_per_setting": "s",
-    "pump_power": "W",
-    "pump_linewidth": "Hz",
-    "bg_rate": "Hz",
+# the range rules a field may declare
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
 }
 
 _SCALAR_RE = re.compile(r"^([-+0-9.eE]+)([a-zA-Z]*)$")
@@ -55,21 +44,35 @@ _SCALAR_RE = re.compile(r"^([-+0-9.eE]+)([a-zA-Z]*)$")
 SOURCE_KINDS = ("spdc", "spdc_thermal", "single_photon", "coherent", "thermal")
 
 
-def parse_scalar(text: str) -> float:
-    """Parse a number with an optional unit suffix into SI base units."""
+def parse_scalar(text: str, unit: str = "") -> float:
+    """Parse a number with an optional suffix of base unit ``unit`` ("s", "W",
+    "Hz", or "" for none) into that base unit."""
     m = _SCALAR_RE.match(text.strip())
     if not m:
         raise ConfigError(f"cannot parse value {text!r}")
     digits, suffix = m.groups()
-    if suffix not in _UNIT_FACTORS:
-        raise ConfigError(f"unknown unit suffix {suffix!r} in {text!r}")
+    factors = _UNIT_FACTORS.get(unit, {})
+    if suffix and suffix not in factors:
+        expected = f"a unit of {unit}" if unit else "a bare number"
+        raise ConfigError(f"unit suffix {suffix!r} in {text!r}: expected {expected}")
     try:
-        value = float(digits) * _UNIT_FACTORS[suffix]
+        value = float(digits) * factors.get(suffix, 1.0)
     except ValueError as exc:
         raise ConfigError(f"cannot parse number {digits!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"value {text!r} is not finite")
     return value
+
+
+def check_range(name: str, value, rule: str) -> None:
+    """Refuse ``value`` unless it keeps ``rule``, one of the keys of ``_RULES``."""
+    if not _RULES[rule](value):
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def _field(default, unit: str, rule: str):
+    """A config field with its base unit ("" for a bare number) and range rule."""
+    return field(default=default, metadata={"unit": unit, "rule": rule})
 
 
 def _parse_bool(text: str) -> bool:
@@ -85,50 +88,52 @@ def _parse_bool(text: str) -> bool:
 class ExperimentConfig:
     """All knobs for one simulated run.
 
-    Timing is in seconds, powers in watts, rates in Hz.  ``seed`` may stay
-    None for purely analytic work but is mandatory before any Monte Carlo
-    run.  The channel 1 detector is the herald/trigger, 2 and 3 sit after the
-    balanced splitter (2 doubles as the single decode detector for the
-    time-bin interferometer).
+    Each ranged field declares its base unit and range rule with ``_field``
+    in its own line: times are in seconds, the pump power in watts, the
+    linewidth and rates in Hz, and every other field is a bare number.
+    ``seed`` may stay None for purely analytic work but is mandatory before
+    any Monte Carlo run.  The channel 1 detector is the herald/trigger, 2
+    and 3 sit after the balanced splitter (2 doubles as the single decode
+    detector for the time-bin interferometer).
     """
 
     # timing
-    rep_period: float = 1.0 / 82e6
-    mzi_delay: float = 1e-9
-    jitter_sigma: float = 60e-12
+    rep_period: float = _field(1.0 / 82e6, "s", "> 0")
+    mzi_delay: float = _field(1e-9, "s", "> 0")
+    jitter_sigma: float = _field(60e-12, "s", ">= 0")
     # source
     source_kind: str = "spdc"
-    mean_pairs: float = 0.06
-    pair_truncation: int = 4
-    werner_weight: float = 14.0 / 15.0
+    mean_pairs: float = _field(0.06, "", ">= 0")
+    pair_truncation: int = _field(4, "", ">= 1")
+    werner_weight: float = _field(14.0 / 15.0, "", "in [0, 1]")
     # pump and conversion chain
-    pump_power: float = 0.7
+    pump_power: float = _field(0.7, "W", ">= 0")
     eff_peak: float = 0.62
     eff_coeff: float = 3.6
     eff_coeff_unit: str = "per_W"
-    extra_transmittance: float = 0.62
-    noise_coeff: float = 0.0
-    pump_linewidth: float = 150e3
+    extra_transmittance: float = _field(0.62, "", "in [0, 1]")
+    noise_coeff: float = _field(0.0, "", ">= 0")
+    pump_linewidth: float = _field(150e3, "Hz", ">= 0")
     # detectors
-    det1_efficiency: float = 0.6
-    det1_dark: float = 1e-5
-    det2_efficiency: float = 0.15
-    det2_dark: float = 1e-4
-    det3_efficiency: float = 0.15
-    det3_dark: float = 1e-4
+    det1_efficiency: float = _field(0.6, "", "in [0, 1]")
+    det1_dark: float = _field(1e-5, "", "in [0, 1]")
+    det2_efficiency: float = _field(0.15, "", "in [0, 1]")
+    det2_dark: float = _field(1e-4, "", "in [0, 1]")
+    det3_efficiency: float = _field(0.15, "", "in [0, 1]")
+    det3_dark: float = _field(1e-4, "", "in [0, 1]")
     # analysis windows
-    coincidence_window: float = 1e-9
-    postselect_window: float = 200e-12
+    coincidence_window: float = _field(1e-9, "s", "> 0")
+    postselect_window: float = _field(200e-12, "s", "> 0")
     # interferometer
     mzi_phase: float = 0.0
     # tomography
     interface: bool = True
-    n_per_setting: float = 1400.0
-    duration_per_setting: float = 500.0
-    bg_rate: float = 0.2
-    n_bootstrap: int = 32
+    n_per_setting: float = _field(1400.0, "", "> 0")
+    duration_per_setting: float = _field(500.0, "s", "> 0")
+    bg_rate: float = _field(0.2, "Hz", ">= 0")
+    n_bootstrap: int = _field(32, "", ">= 0")
     # run
-    n_pulses: int = 1_000_000
+    n_pulses: int = _field(1_000_000, "", ">= 1")
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -136,59 +141,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            # NaN passes every range check below
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            # inf keeps the rules "> 0" and ">= 0", and not every float has a rule
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if "rule" in f.metadata:
+                check_range(f.name, value, f.metadata["rule"])
         if self.source_kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source_kind {self.source_kind!r}")
-        if self.rep_period <= 0:
-            raise ConfigError("rep_period must be > 0")
-        if self.mzi_delay <= 0:
-            raise ConfigError("mzi_delay must be > 0")
         # from rep_period / 4 the noise gates of neighbouring pulses overlap,
         # which is allowed; from rep_period / 2 the +-delay slots themselves
         # land in a neighbouring pulse
         if self.mzi_delay >= self.rep_period / 2:
             raise ConfigError("mzi_delay must be < rep_period / 2")
-        if self.jitter_sigma < 0:
-            raise ConfigError("jitter_sigma must be >= 0")
-        if self.mean_pairs < 0:
-            raise ConfigError("mean_pairs must be >= 0")
-        if self.pair_truncation < 1:
-            raise ConfigError("pair_truncation must be >= 1")
-        if not 0.0 <= self.werner_weight <= 1.0:
-            raise ConfigError("werner_weight must lie in [0, 1]")
-        if self.pump_power < 0:
-            raise ConfigError("pump_power must be >= 0")
         try:
             self.efficiency_model()
         except ValueError as exc:
             raise ConfigError(f"eff_peak, eff_coeff or eff_coeff_unit: {exc}") from exc
-        if not 0.0 <= self.extra_transmittance <= 1.0:
-            raise ConfigError("extra_transmittance must lie in [0, 1]")
-        if self.noise_coeff < 0:
-            raise ConfigError("noise_coeff must be >= 0")
-        if self.pump_linewidth < 0:
-            raise ConfigError("pump_linewidth must be >= 0")
-        for name in ("det1_efficiency", "det1_dark", "det2_efficiency",
-                     "det2_dark", "det3_efficiency", "det3_dark"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {val}")
-        if self.coincidence_window <= 0:
-            raise ConfigError("coincidence_window must be > 0")
-        if self.postselect_window <= 0:
-            raise ConfigError("postselect_window must be > 0")
-        if self.n_per_setting <= 0:
-            raise ConfigError("n_per_setting must be > 0")
-        if self.duration_per_setting <= 0:
-            raise ConfigError("duration_per_setting must be > 0")
-        if self.bg_rate < 0:
-            raise ConfigError("bg_rate must be >= 0")
-        if self.n_bootstrap < 0:
-            raise ConfigError("n_bootstrap must be >= 0")
-        if self.n_pulses < 1:
-            raise ConfigError("n_pulses must be >= 1")
         if self.seed is not None and (int(self.seed) != self.seed or self.seed < 0):
             raise ConfigError("seed must be a nonnegative integer")
 
@@ -223,7 +192,7 @@ class ExperimentConfig:
             if isinstance(value, bool):
                 rendered = "on" if value else "off"
             elif isinstance(value, float):
-                rendered = repr(value) + _FIELD_UNITS.get(f.name, "")
+                rendered = repr(value) + f.metadata.get("unit", "")
             else:
                 rendered = str(value)
             lines.append(f"{f.name}={rendered}")
@@ -249,18 +218,18 @@ class ExperimentConfig:
         for key, val in values.items():
             if key not in field_map:
                 raise ConfigError(f"unknown config key {key!r}")
-            ftype = field_map[key].type
-            if ftype in ("bool",):
-                kwargs[key] = _parse_bool(val)
-            elif ftype in ("int", "Optional[int]"):
-                try:
+            f = field_map[key]
+            try:
+                if f.type == "bool":
+                    kwargs[key] = _parse_bool(val)
+                elif f.type in ("int", "Optional[int]"):
                     kwargs[key] = int(val)
-                except ValueError as exc:
-                    raise ConfigError(f"key {key!r}: expected integer, got {val!r}") from exc
-            elif ftype in ("str",):
-                kwargs[key] = val
-            else:
-                kwargs[key] = parse_scalar(val)
+                elif f.type == "str":
+                    kwargs[key] = val
+                else:
+                    kwargs[key] = parse_scalar(val, f.metadata.get("unit", ""))
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from exc
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
@@ -272,7 +241,7 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         return cls.from_text(text)
 

@@ -426,6 +426,49 @@ def test_missing_seed_is_a_config_error(tmp_path, capsys):
     assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _assert_no_artifact(out):
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_bad_config_text_exits_2_and_writes_nothing(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes("seed=1\n# puissance de pompe à 700 mW\n".encode("latin-1"))
+    out = tmp_path / "latin1"
+    assert main(["g2", "--config", str(not_utf8), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error: cannot read config file ")
+    _assert_no_artifact(out)
+    # a rate where a period belongs, a power where a time or a bare number
+    # belongs, and any suffix on a unitless field
+    for name, line in (("rate_period", "rep_period=82MHz"),
+                       ("power_window", "coincidence_window=1mW"),
+                       ("power_coeff", "eff_coeff=3.6mW"),
+                       ("rate_pairs", "mean_pairs=0.06GHz")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"seed=1\nn_pulses=1000\n{line}\n")
+        for command in ("sweep", "g2", "tomo"):
+            out = tmp_path / f"{name}_{command}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            _assert_one_line_error(capsys, "config error: key ")
+            _assert_no_artifact(out)
+    stream = tmp_path / "good.csv"
+    stream.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0,0.0\n")
+    counts = tmp_path / "counts.csv"
+    save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
+    for i, extra in enumerate((["--stream", str(stream), "--window", "1mW"],
+                               ["--stream", str(stream), "--bin-width", "50MHz"],
+                               ["--counts", str(counts), "--subtract-bg", "--bg-rate", "3s"])):
+        out = tmp_path / f"flag_{i}"
+        assert main(["analyze", *extra, "--out", str(out)]) == 2
+        _assert_one_line_error(capsys, "config error: unit suffix ")
+        _assert_no_artifact(out)
+    # the same quantities in their own units still run
+    out = tmp_path / "own_units"
+    assert main(["analyze", "--stream", str(stream), "--window", "1000ps",
+                 "--bin-width", "0.05ns", "--out", str(out)]) == 0
+    assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate", "0.2Hz",
+                 "--out", str(out)]) == 0
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):
     # numpy is the only runtime dependency: neither the import nor any
     # command loads scipy (the tests use it only as a reference)

@@ -5,6 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfcsim.config import (
     ConfigError,
@@ -12,22 +13,31 @@ from qfcsim.config import (
     NOISE_COEFF_G2_CAL,
     NOISE_COEFF_TOMO_CAL,
     PRESETS,
+    SOURCE_KINDS,
     parse_scalar,
 )
 from qfcsim.conversion import pump_dephasing_factor
 
 #: every field typed float, whose non-finite values validate refuses
 FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+INT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "int"]
 
 
 def test_parse_scalar_units():
-    assert parse_scalar("700mW") == pytest.approx(0.7)
-    assert parse_scalar("1ns") == pytest.approx(1e-9)
-    assert parse_scalar("50ps") == pytest.approx(50e-12)
-    assert parse_scalar("150kHz") == pytest.approx(150e3)
+    assert parse_scalar("700mW", "W") == pytest.approx(0.7)
+    assert parse_scalar("1ns", "s") == pytest.approx(1e-9)
+    assert parse_scalar("50ps", "s") == pytest.approx(50e-12)
+    assert parse_scalar("150kHz", "Hz") == pytest.approx(150e3)
     assert parse_scalar("0.62") == 0.62
-    assert parse_scalar("  2.5us ") == pytest.approx(2.5e-6)
+    assert parse_scalar("  2.5us ", "s") == pytest.approx(2.5e-6)
     assert parse_scalar("1e-3") == 1e-3
+    # a bare number is read in the base unit
+    assert parse_scalar("0.7", "W") == 0.7
+    # a suffix of another dimension, or any suffix on a unitless value
+    for text, unit in (("82MHz", "s"), ("1mW", "s"), ("3s", "Hz"), ("1ns", "W"),
+                       ("3.6mW", ""), ("0.06GHz", ""), ("1s", "")):
+        with pytest.raises(ConfigError, match="unit suffix"):
+            parse_scalar(text, unit)
 
 
 def test_parse_scalar_errors():
@@ -132,6 +142,96 @@ def test_validate_is_the_only_range_check(field, value):
     # config must reject them itself
     with pytest.raises(ConfigError):
         ExperimentConfig(**{field: value})
+
+
+#: the range rule of every ruled field, written out here rather than read
+#: from the declarations, so a rule that changes by accident fails below
+RANGE_RULES = {
+    "rep_period": "> 0", "mzi_delay": "> 0", "jitter_sigma": ">= 0",
+    "mean_pairs": ">= 0", "pair_truncation": ">= 1", "werner_weight": "in [0, 1]",
+    "pump_power": ">= 0", "extra_transmittance": "in [0, 1]", "noise_coeff": ">= 0",
+    "pump_linewidth": ">= 0", **{name: "in [0, 1]" for name in _DETECTOR_FIELDS},
+    "coincidence_window": "> 0", "postselect_window": "> 0", "n_per_setting": "> 0",
+    "duration_per_setting": "> 0", "bg_rate": ">= 0", "n_bootstrap": ">= 0",
+    "n_pulses": ">= 1",
+}
+
+#: the fields without a range rule; validate checks these across fields
+UNRULED = ("source_kind", "eff_peak", "eff_coeff", "eff_coeff_unit", "mzi_phase",
+           "interface", "seed")
+
+#: the base unit of every float field that has one; the others are bare numbers
+UNITS = {"rep_period": "s", "mzi_delay": "s", "jitter_sigma": "s",
+         "coincidence_window": "s", "postselect_window": "s",
+         "duration_per_setting": "s", "pump_power": "W", "pump_linewidth": "Hz",
+         "bg_rate": "Hz"}
+
+
+def _rule_edges(name, rule):
+    """The edge values of a rule that it accepts, and the nearest that it refuses."""
+    if rule == "in [0, 1]":
+        return [0.0, 1.0], [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)]
+    if rule == "> 0":
+        return [], [0.0]
+    low = int(rule[-1])
+    if name in INT_FIELDS:
+        return [low], [low - 1]
+    return [float(low)], [math.nextafter(float(low), -math.inf)]
+
+
+_EDGES = [(name, value, ok) for name, rule in RANGE_RULES.items()
+          for ok, values in zip((True, False), _rule_edges(name, rule)) for value in values]
+
+
+def test_range_rules_match_the_table():
+    # the fields that carry a rule are the table's, each with the table's
+    # rule; a new field fails here until it is listed, with a rule or unruled
+    declared = {f.name: f.metadata.get("rule") for f in fields(ExperimentConfig)}
+    assert declared == {**RANGE_RULES, **dict.fromkeys(UNRULED)}
+
+
+@pytest.mark.parametrize("field,value,ok", _EDGES)
+def test_range_rule_edges(field, value, ok):
+    if ok:
+        assert getattr(ExperimentConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            ExperimentConfig(**{field: value})
+
+
+def _valid_value(name, rule):
+    """A strategy for the values of a ruled field that its rule accepts."""
+    if name in INT_FIELDS:
+        return st.integers(int(rule[-1]), 2**40)
+    return st.floats(0.0, 1.0 if rule == "in [0, 1]" else 1e300, exclude_min=rule == "> 0")
+
+
+@st.composite
+def _valid_configs(draw):
+    kwargs = {name: draw(_valid_value(name, rule)) for name, rule in RANGE_RULES.items()}
+    # the +-delay slots stay inside one pulse
+    kwargs["rep_period"] = draw(st.floats(1e-300, 1e300))
+    kwargs["mzi_delay"] = draw(st.floats(0.0, kwargs["rep_period"] / 2, exclude_min=True,
+                                         exclude_max=True))
+    return ExperimentConfig(
+        **kwargs, source_kind=draw(st.sampled_from(SOURCE_KINDS)),
+        eff_peak=draw(st.floats(0.0, 1.0)),
+        eff_coeff=draw(st.floats(0.0, 1e300, exclude_min=True)),
+        eff_coeff_unit=draw(st.sampled_from(("per_W", "per_mW"))),
+        mzi_phase=draw(st.floats(-1e300, 1e300)), interface=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**63)))
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(_valid_configs())
+def test_text_roundtrip_of_random_configs(cfg):
+    text = cfg.to_text()
+    assert ExperimentConfig.from_text(text) == cfg
+    lines = dict(line.split("=", 1) for line in text.splitlines())
+    assert set(lines) == {f.name for f in fields(cfg)}
+    for f in fields(cfg):
+        if f.type == "float":
+            assert lines[f.name] == repr(getattr(cfg, f.name)) + UNITS.get(f.name, "")
 
 
 def test_mzi_delay_must_stay_below_half_the_period():
