@@ -37,6 +37,7 @@ _RULES = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [1, 10000]": lambda v: 1 <= v <= 10_000,
 }
 
 _SCALAR_RE = re.compile(r"^([-+0-9.eE]+)([a-zA-Z]*)$")
@@ -104,7 +105,9 @@ class ExperimentConfig:
     # source
     source_kind: str = "spdc"
     mean_pairs: float = _field(0.06, "", ">= 0")
-    pair_truncation: int = _field(4, "", ">= 1")
+    # 10^4 pair numbers are 80 kB per weight array, and their thermal tail
+    # falls below rounding (1e-16) for up to about 270 mean pairs per pulse
+    pair_truncation: int = _field(4, "", "in [1, 10000]")
     werner_weight: float = _field(14.0 / 15.0, "", "in [0, 1]")
     # pump and conversion chain
     pump_power: float = _field(0.7, "W", ">= 0")

@@ -29,6 +29,9 @@ MAX_HISTOGRAM_BINS = 1 << 20
 #: trigger entries per block of the opportunity count (fastest of 2^12 .. 2^18)
 _LAG_BLOCK = 1 << 16
 
+#: stream events per slice of the trigger-pulse extraction
+_SLICE_EVENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CoincidenceWindow:
@@ -82,8 +85,10 @@ class FirstClicks:
     """First click per pulse on the trigger, start and stop channels of one stream.
 
     Every pulse list is sorted and unique, and each times array holds the
-    earliest click of the matching pulse in ps.  Built once per stream by
-    ``first_clicks``, it serves every offset through joins on sorted lists.
+    earliest click of the matching pulse in ps.  The trigger side is a pulse
+    list alone, since only its length and its pulse gaps are counted.  Built
+    once per stream by ``first_clicks``, it serves every offset through joins
+    on sorted lists.
     """
 
     trigger_pulses: np.ndarray
@@ -94,15 +99,44 @@ class FirstClicks:
     rep_ps: float
 
 
+def _trigger_pulses(stream: EventStream) -> np.ndarray:
+    """Sorted unique pulses with a trigger click: uint32 while every pulse
+    index fits, int64 in a stream of more than 2**32 pulses.
+
+    The list is filled ``_SLICE_EVENTS`` events at a time into one array, so
+    no stream-long temporary and no int64 copy of the list exists.  Every
+    generator lists each trigger pulse once and in order; any other list
+    (such as a hand-edited file's) falls back to ``np.unique``.
+    """
+    channels, pulses = stream.channels, stream.pulse_indices
+    slices = [slice(lo, lo + _SLICE_EVENTS) for lo in range(0, len(stream), _SLICE_EVENTS)]
+    size = sum(int(np.count_nonzero(channels[s] == TRIGGER_CHANNEL)) for s in slices)
+    out = np.empty(size, dtype=np.uint32 if stream.n_pulses <= 1 << 32 else np.int64)
+    end, increasing = 0, True
+    for s in slices:
+        part = pulses[s][channels[s] == TRIGGER_CHANNEL]
+        if len(part) == 0:
+            continue
+        increasing = increasing and bool(np.all(part[1:] > part[:-1])) \
+            and (end == 0 or part[0] > out[end - 1])
+        out[end:end + len(part)] = part
+        end += len(part)
+    return out if increasing else np.unique(out)
+
+
 def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
     """Index the first clicks of ``stream`` on the trigger, start and stop
     channels; the one place the start-stop rule is applied."""
-    channels = (TRIGGER_CHANNEL, start_channel, stop_channel)
     # a channel named twice (such as the trigger as start) is extracted once
-    firsts = {ch: stream.first_event_times(ch) for ch in dict.fromkeys(channels)}
-    return FirstClicks(firsts[TRIGGER_CHANNEL][0], *firsts[start_channel],
-                       *firsts[stop_channel], rep_ps=stream.rep_period * 1e12)
+    firsts = {ch: stream.first_event_times(ch)
+              for ch in dict.fromkeys((start_channel, stop_channel))}
+    if TRIGGER_CHANNEL in firsts:
+        trigger = firsts[TRIGGER_CHANNEL][0]
+    else:
+        trigger = _trigger_pulses(stream)
+    return FirstClicks(trigger, *firsts[start_channel], *firsts[stop_channel],
+                       rep_ps=stream.rep_period * 1e12)
 
 
 def _join(keys: np.ndarray, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +153,11 @@ def opportunities(clicks: FirstClicks, offset: int) -> int:
 
     The count is the same for +n and -n, and at 0 it is the trigger count.
     In the sorted unique list T, k steps span at least k pulses, so T[i] + n
-    is in T exactly when T[i + k] - T[i] == n for one lag k <= n.  The lags
-    are taken per ``_LAG_BLOCK`` entries of T, so no temporary grows with T,
-    and the cost grows with |offset| (the sideband offsets are at most 10).
+    is in T exactly when T[i + k] - T[i] == n for one lag k <= n.  Sorted,
+    the lags are nonnegative in T's unsigned dtype too, and one past its
+    range matches no pair.  The lags are taken per ``_LAG_BLOCK`` entries of
+    T, so no temporary grows with T, and the cost grows with |offset| (the
+    sideband offsets are at most 10).
     """
     trig, n = clicks.trigger_pulses, abs(offset)
     if n == 0:

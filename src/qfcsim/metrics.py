@@ -22,6 +22,11 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
         raise ValueError("target ket must be normalized")
     if target.shape != rho.shape[:1]:
         raise ValueError(f"target must be a ket of dimension {rho.shape[0]}")
+    return _overlap(rho, target)
+
+
+def _overlap(rho: np.ndarray, target: np.ndarray) -> float:
+    """``fidelity`` of a checked state and a complex normalized ket."""
     return float(np.real(np.vdot(target, rho @ target)))
 
 
@@ -64,7 +69,11 @@ _PAULI_PAIRS = [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli correlations T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    rho = check_density_matrix(rho, dim=4)
+    return _correlations(check_density_matrix(rho, dim=4))
+
+
+def _correlations(rho: np.ndarray) -> np.ndarray:
+    """``correlation_matrix`` of a checked two-qubit state."""
     return np.array([np.trace(rho @ pair).real for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
@@ -81,11 +90,12 @@ def chsh_assessment(rho: np.ndarray) -> ChshResult:
     T^T T; the state admits settings violating the classical bound 2 exactly
     when s_max > 2.  The fidelity witness flags entanglement whenever the
     overlap with the maximally entangled target exceeds 1/sqrt(2); the two
-    tests can disagree, and both are reported.
+    tests can disagree, and both are reported.  ``rho`` is checked once.
     """
-    t = correlation_matrix(rho)
+    rho = check_density_matrix(rho, dim=4)
+    t = _correlations(rho)
     eigs = np.linalg.eigvalsh(t.T @ t)
     s_max = 2.0 * math.sqrt(float(eigs[-1] + eigs[-2]))
-    f = fidelity(rho, PHI_PLUS)
+    f = _overlap(rho, PHI_PLUS)  # a complex128 ket, as fidelity takes it
     return ChshResult(s_max=s_max, witness_fidelity=f,
                       witness_violated=bool(f > WITNESS_THRESHOLD))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qfcsim
-from qfcsim import experiments, tomography
+from qfcsim import counting, experiments, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
@@ -83,11 +83,14 @@ def test_analyze_stream_matches_run(tmp_path, g2_cfg_path, capsys):
 
 def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monkeypatch,
                                                      capsys):
-    # every offset is counted from one index: three extractions per command
+    # every offset is counted from one index: three extractions per command,
+    # the trigger channel's as a pulse list alone
     calls = []
-    extract = EventStream.first_event_times
+    extract, extract_trigger = EventStream.first_event_times, counting._trigger_pulses
     monkeypatch.setattr(EventStream, "first_event_times",
                         lambda self, channel: calls.append(channel) or extract(self, channel))
+    monkeypatch.setattr(counting, "_trigger_pulses",
+                        lambda stream: calls.append(1) or extract_trigger(stream))
     out = tmp_path / "run"
     assert main(["g2", "--config", str(g2_cfg_path), "--out", str(out),
                  "--save-stream"]) == 0
@@ -188,6 +191,12 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     fractional_seed = tmp_path / "seed.cfg"
     fractional_seed.write_text("seed=1.5\n")
     assert main(["g2", "--config", str(fractional_seed), "--out", str(tmp_path / "o")]) == 2
+    # unbounded, this truncation failed to allocate a 745 GiB pair ladder: exit 1
+    huge_truncation = tmp_path / "truncation.cfg"
+    huge_truncation.write_text("seed=1\nn_pulses=1000\npair_truncation=100000000000\n")
+    capsys.readouterr()
+    assert main(["g2", "--config", str(huge_truncation), "--out", str(tmp_path / "o")]) == 2
+    assert "pair_truncation" in capsys.readouterr().err
     no_seed_header = tmp_path / "header.csv"
     no_seed_header.write_text("# n_pulses=10 rep_period_ps=12195.0\n1,0,0.0\n")
     assert main(["analyze", "--stream", str(no_seed_header), "--out", str(tmp_path / "o")]) == 2

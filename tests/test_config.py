@@ -148,7 +148,7 @@ def test_validate_is_the_only_range_check(field, value):
 #: from the declarations, so a rule that changes by accident fails below
 RANGE_RULES = {
     "rep_period": "> 0", "mzi_delay": "> 0", "jitter_sigma": ">= 0",
-    "mean_pairs": ">= 0", "pair_truncation": ">= 1", "werner_weight": "in [0, 1]",
+    "mean_pairs": ">= 0", "pair_truncation": "in [1, 10000]", "werner_weight": "in [0, 1]",
     "pump_power": ">= 0", "extra_transmittance": "in [0, 1]", "noise_coeff": ">= 0",
     "pump_linewidth": ">= 0", **{name: "in [0, 1]" for name in _DETECTOR_FIELDS},
     "coincidence_window": "> 0", "postselect_window": "> 0", "n_per_setting": "> 0",
@@ -169,8 +169,12 @@ UNITS = {"rep_period": "s", "mzi_delay": "s", "jitter_sigma": "s",
 
 def _rule_edges(name, rule):
     """The edge values of a rule that it accepts, and the nearest that it refuses."""
-    if rule == "in [0, 1]":
-        return [0.0, 1.0], [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)]
+    if rule.startswith("in ["):
+        low, high = (int(edge) for edge in rule[4:-1].split(","))
+        if name in INT_FIELDS:
+            return [low, high], [low - 1, high + 1]
+        return [float(low), float(high)], [math.nextafter(float(low), -math.inf),
+                                           math.nextafter(float(high), math.inf)]
     if rule == "> 0":
         return [], [0.0]
     low = int(rule[-1])
@@ -202,7 +206,9 @@ def test_range_rule_edges(field, value, ok):
 def _valid_value(name, rule):
     """A strategy for the values of a ruled field that its rule accepts."""
     if name in INT_FIELDS:
-        return st.integers(int(rule[-1]), 2**40)
+        accepted = _rule_edges(name, rule)[0]
+        # an open rule accepts one edge, its lower one
+        return st.integers(accepted[0], accepted[1] if len(accepted) == 2 else 2**40)
     return st.floats(0.0, 1.0 if rule == "in [0, 1]" else 1e300, exclude_min=rule == "> 0")
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qfcsim import counting
 from qfcsim.config import calibrated_g2_config, ExperimentConfig
 from qfcsim.counting import (
     CoincidenceWindow,
@@ -383,3 +384,57 @@ def test_first_click_index_equals_sort_based_reference(stream):
                                         for b in range(bins.min(), bins.max() + 1)]
     else:
         assert hist.counts.size == hist.centers_ps.size == 0
+
+
+def _hand_stream(n_pulses, events):
+    """A stream of (channel, pulse) events in list order, 1 ps apart, so the
+    stream is time-sorted whatever the order of its pulses."""
+    ch, pu = (np.array(col, dtype=np.int64) for col in zip(*events)) if events \
+        else (np.zeros(0, dtype=np.int64),) * 2
+    return EventStream(ch, pu, np.arange(len(events), dtype=float), n_pulses=n_pulses,
+                       seed=0, rep_period=1e-9)
+
+
+@st.composite
+def _trigger_events(draw):
+    """0 to 300 pulses and up to 60 clicks on them, trigger clicks among them
+    repeated and out of order, in order, or strictly increasing; and the
+    slice length of the trigger extraction, down to one event."""
+    n_pulses = draw(st.integers(0, 300))
+    click = st.tuples(st.sampled_from([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL]),
+                      st.integers(0, max(n_pulses - 1, 0)))
+    events = draw(st.lists(click, max_size=60 if n_pulses else 0))
+    order = draw(st.sampled_from(["drawn", "sorted", "unique"]))
+    if order != "drawn":
+        events = sorted(set(events) if order == "unique" else events, key=lambda e: e[1])
+    return n_pulses, events, draw(st.sampled_from([1, 2, 3, 7, 1 << 16]))
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(_trigger_events())
+@example((0, [], 1 << 16))
+@example((300, [(TRIGGER_CHANNEL, p) for p in range(300)], 7))
+@example((300, [(TRIGGER_CHANNEL, p) for p in range(299, -1, -2)], 1))
+def test_trigger_list_counts_equal_brute_force(case):
+    n_pulses, events, slice_events = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_SLICE_EVENTS", slice_events)
+        clicks = first_clicks(_hand_stream(n_pulses, events))
+    assert clicks.trigger_pulses.dtype == np.uint32
+    trig = {p for ch, p in events if ch == TRIGGER_CHANNEL}
+    window = CoincidenceWindow(1e-9)
+    reach = range(1, n_pulses + 6)
+    for offset in [0, *reach, *(-n for n in reach), 2**32, -2**32]:
+        assert opportunities(clicks, offset) == sum(p + abs(offset) in trig for p in trig)
+        assert count_summary(clicks, window, offset)[0].n_trigger == len(trig)
+
+
+@pytest.mark.parametrize("n_pulses, dtype", [(2**32, np.uint32), (2**32 + 1, np.int64)])
+def test_trigger_list_widens_past_2_32_pulses(n_pulses, dtype):
+    pulses = [0, n_pulses - 2, n_pulses - 1]
+    clicks = first_clicks(_hand_stream(n_pulses, [(TRIGGER_CHANNEL, p) for p in pulses]))
+    assert clicks.trigger_pulses.dtype == dtype
+    assert_array_equal(clicks.trigger_pulses, pulses)
+    # the widest gap of the list, and one past it
+    assert opportunities(clicks, n_pulses - 1) == 1
+    assert opportunities(clicks, n_pulses) == 0

@@ -3,9 +3,10 @@
 tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
-stream's bytes for generation and first-click extraction, the trigger
-list's bytes for the opportunity count, and one ``BLOCK_ROWS`` block's
-bytes for the stream save, whatever the stream's length.  Every bound holds
+stream's bytes for generation, the index's bytes for first-click
+extraction, the trigger list's bytes for the opportunity count, and one
+``BLOCK_ROWS`` block's bytes for the stream save, whatever the stream's
+length.  Every bound holds
 on the serial and on the pooled schedule.  Buffers that numpy's sorts take
 from plain malloc are not counted.
 """
@@ -62,16 +63,25 @@ def test_generation_peak(dense_stream):
 
 
 def test_first_clicks_peak(dense_stream):
-    stream, _, nbytes = dense_stream
-    _, peak = _traced_peak(lambda: first_clicks(stream))
-    assert peak <= 1.1 * nbytes
+    """The extraction peaks at the index it returns plus half its uint32
+    trigger list: trigger times or an int64 trigger copy would each add
+    twice the list's bytes (here every pulse triggers, so the list is 30% of
+    the index)."""
+    stream = dense_stream[0]
+    clicks, peak = _traced_peak(lambda: first_clicks(stream))
+    trigger = clicks.trigger_pulses
+    index_bytes = sum(column.nbytes for column in (
+        trigger, clicks.start_pulses, clicks.start_times, clicks.stop_pulses, clicks.stop_times))
+    assert trigger.dtype == np.uint32
+    assert peak <= index_bytes + 0.5 * trigger.nbytes
 
 
 def test_opportunities_peak(dense_stream):
     clicks = first_clicks(dense_stream[0])
     _, peak = _traced_peak(lambda: opportunities(clicks, 3))
-    # the lag differences of one block, far below the list itself
-    assert peak <= 1.25 * clicks.trigger_pulses.nbytes
+    # the lag differences of one block, far below the uint32 list itself
+    assert clicks.trigger_pulses.dtype == np.uint32
+    assert peak <= 0.1 * clicks.trigger_pulses.nbytes
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])

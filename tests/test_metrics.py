@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from qfcsim import metrics
 from qfcsim.experiments import _metrics_of
 from qfcsim.metrics import (
     WITNESS_THRESHOLD,
@@ -159,10 +160,15 @@ def test_correlation_matrix_of_bell_state():
     np.testing.assert_allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
 
-def test_tabled_metrics_equal_the_direct_formulas():
+def test_tabled_metrics_equal_the_direct_formulas(monkeypatch):
     # correlation_matrix looks its Pauli products up in a table built once,
     # and the tomography scores derive the EoF from the concurrence they
-    # already hold; both must match the direct formulas bit for bit
+    # already hold; both must match the direct formulas bit for bit.  A
+    # scored state is checked twice, by concurrence and chsh_assessment.
+    checks = []
+    check = metrics.check_density_matrix
+    monkeypatch.setattr(metrics, "check_density_matrix",
+                        lambda rho, dim=None: checks.append(dim) or check(rho, dim))
     rng = np.random.default_rng(57)
     for k in range(300):
         rho = _random_state(rng, rank=1 + k % 4)
@@ -174,8 +180,12 @@ def test_tabled_metrics_equal_the_direct_formulas():
         c = concurrence(rho)
         eof = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
         assert entanglement_of_formation(rho) == eof
+        checks.clear()
         fid, conc, scored_eof, chsh = _metrics_of(rho)
+        assert len(checks) == 2
         assert np.array_equal([fid, conc, scored_eof], [fidelity(rho, PHI_PLUS), c, eof])
+        eigs = np.linalg.eigvalsh(direct.T @ direct)
+        assert chsh.s_max == 2.0 * math.sqrt(float(eigs[-1] + eigs[-2]))
         assert chsh == chsh_assessment(rho)
 
 
