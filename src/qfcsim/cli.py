@@ -129,9 +129,8 @@ def _cmd_tomo(args) -> int:
 def _cmd_analyze(args) -> int:
     if bool(args.stream) == bool(args.counts):
         raise ConfigError("analyze needs exactly one of --stream or --counts")
+    # --out is made once every flag and input has passed, so a refused one leaves no directory
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if args.stream:
         bin_width = _flag_value("--bin-width", args.bin_width, "s")
         window = CoincidenceWindow(_flag_value("--window", args.window, "s"))
@@ -142,6 +141,7 @@ def _cmd_analyze(args) -> int:
         except (OSError, ValueError) as exc:
             # a stream whose delays overflow the histogram is bad input too
             raise ConfigError(f"cannot analyze stream file: {exc}") from exc
+        outdir.mkdir(parents=True, exist_ok=True)
         hist_path = outdir / "histogram.csv"
         result.histogram.save(hist_path)
         summary_path = outdir / "count_summary.txt"
@@ -151,13 +151,14 @@ def _cmd_analyze(args) -> int:
         print(summary_path)
         return 0
 
+    bg_rate = (_flag_value("--bg-rate", args.bg_rate, "Hz", ">= 0")
+               if args.subtract_bg else None)
     try:
         settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
-    bg_rate = (_flag_value("--bg-rate", args.bg_rate, "Hz", ">= 0")
-               if args.subtract_bg else None)
     result = reconstruct(settings, counts, durations, bg_rate)
+    outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)
     print(report_path)

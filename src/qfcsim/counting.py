@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_table
+from .config import ConfigError
 from .sources import EventStream, START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL
 
 
@@ -28,9 +29,6 @@ MAX_HISTOGRAM_BINS = 1 << 20
 
 #: trigger entries per block of the opportunity count (fastest of 2^12 .. 2^18)
 _LAG_BLOCK = 1 << 16
-
-#: stream events per slice of the trigger-pulse extraction
-_SLICE_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,11 @@ class DelayHistogram:
 class FirstClicks:
     """First click per pulse on the trigger, start and stop channels of one stream.
 
-    Every pulse list is sorted and unique, and each times array holds the
-    earliest click of the matching pulse in ps.  The trigger side is a pulse
-    list alone, since only its length and its pulse gaps are counted.  Built
-    once per stream by ``first_clicks``, it serves every offset through joins
-    on sorted lists.
+    Every pulse list is sorted and unique (uint32 up to 2**32 pulses), and
+    each times array holds the earliest click of the matching pulse in ps.
+    The trigger side is a pulse list alone, since only its length and its
+    pulse gaps are counted.  Built once per stream by ``first_clicks``, it
+    serves every offset through joins on sorted lists.
     """
 
     trigger_pulses: np.ndarray
@@ -99,42 +97,15 @@ class FirstClicks:
     rep_ps: float
 
 
-def _trigger_pulses(stream: EventStream) -> np.ndarray:
-    """Sorted unique pulses with a trigger click: uint32 while every pulse
-    index fits, int64 in a stream of more than 2**32 pulses.
-
-    The list is filled ``_SLICE_EVENTS`` events at a time into one array, so
-    no stream-long temporary and no int64 copy of the list exists.  Every
-    generator lists each trigger pulse once and in order; any other list
-    (such as a hand-edited file's) falls back to ``np.unique``.
-    """
-    channels, pulses = stream.channels, stream.pulse_indices
-    slices = [slice(lo, lo + _SLICE_EVENTS) for lo in range(0, len(stream), _SLICE_EVENTS)]
-    size = sum(int(np.count_nonzero(channels[s] == TRIGGER_CHANNEL)) for s in slices)
-    out = np.empty(size, dtype=np.uint32 if stream.n_pulses <= 1 << 32 else np.int64)
-    end, increasing = 0, True
-    for s in slices:
-        part = pulses[s][channels[s] == TRIGGER_CHANNEL]
-        if len(part) == 0:
-            continue
-        increasing = increasing and bool(np.all(part[1:] > part[:-1])) \
-            and (end == 0 or part[0] > out[end - 1])
-        out[end:end + len(part)] = part
-        end += len(part)
-    return out if increasing else np.unique(out)
-
-
 def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
     """Index the first clicks of ``stream`` on the trigger, start and stop
-    channels; the one place the start-stop rule is applied."""
+    channels, each extracted once by ``EventStream.first_event_times``."""
     # a channel named twice (such as the trigger as start) is extracted once
     firsts = {ch: stream.first_event_times(ch)
               for ch in dict.fromkeys((start_channel, stop_channel))}
-    if TRIGGER_CHANNEL in firsts:
-        trigger = firsts[TRIGGER_CHANNEL][0]
-    else:
-        trigger = _trigger_pulses(stream)
+    trigger = firsts[TRIGGER_CHANNEL][0] if TRIGGER_CHANNEL in firsts \
+        else stream.first_event_times(TRIGGER_CHANNEL, times=False)
     return FirstClicks(trigger, *firsts[start_channel], *firsts[stop_channel],
                        rep_ps=stream.rep_period * 1e12)
 
@@ -180,7 +151,8 @@ def pair_delays(clicks: FirstClicks, offset: int = 0
     delay.  Returns (start pulse indices, start indices' delays in ps,
     start times) sorted by pulse.
     """
-    i_start, i_stop = _join(clicks.start_pulses + offset, clicks.stop_pulses)
+    # widened first: a negative offset, or one past the last uint32 pulse, needs int64
+    i_start, i_stop = _join(clicks.start_pulses.astype(np.int64) + offset, clicks.stop_pulses)
     t_start = clicks.start_times[i_start]
     delays = clicks.stop_times[i_stop] - t_start - offset * clicks.rep_ps
     return clicks.start_pulses[i_start], delays, t_start
@@ -190,8 +162,9 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
     """Histogram stop-minus-start delays given in ps (see ``pair_delays``).
 
     Bins are centered on integer multiples of ``bin_width`` (seconds), so a
-    zero delay falls in the center of the zero bin.  Raises ``ValueError``
-    when the delays are not finite or span more than ``MAX_HISTOGRAM_BINS`` bins.
+    zero delay falls in the center of the zero bin.  Delays that are not
+    finite or span more than ``MAX_HISTOGRAM_BINS`` bins come from bad input
+    (a stream file, or a config's jitter): ``ConfigError``, a ValueError.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
@@ -202,8 +175,8 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
     lo, hi = scaled.min(), scaled.max()
     # NaN fails every comparison, and each bin index must fit in int64
     if not (-2.0 ** 62 < lo and hi < 2.0 ** 62 and hi - lo < MAX_HISTOGRAM_BINS):
-        raise ValueError(f"delays from {delays_ps.min():g} to {delays_ps.max():g} ps do not "
-                         f"fit in {MAX_HISTOGRAM_BINS} bins of {width_ps:g} ps")
+        raise ConfigError(f"delays from {delays_ps.min():g} to {delays_ps.max():g} ps do not "
+                          f"fit in {MAX_HISTOGRAM_BINS} bins of {width_ps:g} ps")
     lo, hi = int(lo), int(hi)
     counts = np.bincount(scaled.astype(np.int64) - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * width_ps

@@ -21,11 +21,11 @@ Memory: a pair-source chunk's draws hold one entry per herald, not per
 pulse, and each is dropped once used; the time-sorted chunks are joined one
 column at a time, dropping that column's chunk parts.  So the generation peak
 holds the stream's 18 bytes per event plus a copy of one column: in the join
-of the timestamp column once a run has three chunks or more (about 1.45
+of the timestamp column once a run has three chunks or more (about 1.50
 times the stream's bytes), and in the time sort of the one chunk, which also
 holds its sort order, in a run of one chunk (below 2 times).
-On the thread pool one chunk per worker is in flight, and that peak stays
-near 1.45 times (1.45-1.48 for four chunks); as each column is joined, the
+On the thread pool one chunk per worker is in flight, and that peak is 1.62
+times (``calibrated_g2``'s 39 chunks, traced); as each column is joined, the
 memory the worker threads freed is handed back to the system, since their
 malloc arenas would otherwise keep it through the copy of the next column.
 """
@@ -48,6 +48,9 @@ START_CHANNEL = 2
 STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
+
+#: stream events per slice of the first-click extraction
+_SLICE_EVENTS = 1 << 16
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
@@ -134,31 +137,44 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.channels)
 
-    def first_event_times(self, channel: int) -> tuple[np.ndarray, np.ndarray]:
-        """Pulses with at least one click on ``channel`` and the earliest
-        click time of each, both sorted by pulse index.
+    def first_event_times(self, channel: int, times: bool = True
+                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """The sorted unique pulses with a click on ``channel`` and, with
+        ``times``, the earliest click time of each in ps: the one place the
+        start-stop rule is applied.  Pulses are uint32 while every index fits
+        (``n_pulses <= 2**32``), int64 past it, read ``_SLICE_EVENTS``
+        events at a time into arrays of the result's size, so no
+        stream-long mask or int64 copy exists.
 
         The stream is time-sorted, so the first click of a pulse is its
         earliest.  Every generator emits a channel's pulses in
         nondecreasing order (jitter and slot offsets are far below the
         period), which makes the first entry of each run of equal pulses
         the answer in O(n); a stream that breaks that order, such as a
-        hand-edited file, falls back to a sort.
+        hand-edited file, falls back to ``np.unique``.
         """
-        mask = self.channels == channel
-        pulses = self.pulse_indices[mask]
-        times = self.timestamps_ps[mask]
-        del mask
+        slices = [slice(lo, lo + _SLICE_EVENTS) for lo in range(0, len(self), _SLICE_EVENTS)]
+        size = sum(int(np.count_nonzero(self.channels[s] == channel)) for s in slices)
+        pulses = np.empty(size, dtype=np.uint32 if self.n_pulses <= 1 << 32 else np.int64)
+        stamps = np.empty(size if times else 0)
+        end = 0
+        for s in slices:
+            mask = self.channels[s] == channel
+            part = self.pulse_indices[s][mask]
+            pulses[end:end + len(part)] = part
+            if times:
+                stamps[end:end + len(part)] = self.timestamps_ps[s][mask]
+            end += len(part)
         # compared in place: a diff array would be the largest temporary here
         later = pulses[1:] > pulses[:-1]
         if later.all():
-            # no repeated pulse: every click is its pulse's first, so no copy
-            return pulses, times
-        if np.all(pulses[1:] >= pulses[:-1]):
+            first = slice(None)  # no repeated pulse: every click is its pulse's first
+        elif np.all(pulses[1:] >= pulses[:-1]):
             first = np.concatenate(([True], later))
-            return pulses[first], times[first]
-        uniq, first = np.unique(pulses, return_index=True)
-        return uniq, times[first]
+        else:
+            first = np.unique(pulses, return_index=True)[1]
+        pulses = pulses[first]
+        return (pulses, stamps[first]) if times else pulses
 
     def save(self, path) -> None:
         meta = {"n_pulses": self.n_pulses, "seed": self.seed,

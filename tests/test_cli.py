@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qfcsim
-from qfcsim import counting, experiments, tomography
+from qfcsim import experiments, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
@@ -86,19 +86,46 @@ def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monk
     # every offset is counted from one index: three extractions per command,
     # the trigger channel's as a pulse list alone
     calls = []
-    extract, extract_trigger = EventStream.first_event_times, counting._trigger_pulses
+    extract = EventStream.first_event_times
     monkeypatch.setattr(EventStream, "first_event_times",
-                        lambda self, channel: calls.append(channel) or extract(self, channel))
-    monkeypatch.setattr(counting, "_trigger_pulses",
-                        lambda stream: calls.append(1) or extract_trigger(stream))
+                        lambda self, channel, times=True:
+                        calls.append((channel, times)) or extract(self, channel, times))
     out = tmp_path / "run"
     assert main(["g2", "--config", str(g2_cfg_path), "--out", str(out),
                  "--save-stream"]) == 0
-    assert sorted(calls) == [1, 2, 3]
+    assert sorted(calls) == [(1, False), (2, True), (3, True)]
     calls.clear()
     assert main(["analyze", "--stream", str(out / "events.csv"),
                  "--out", str(tmp_path / "an")]) == 0
     assert len(calls) <= 3
+
+
+def test_analyze_refused_flag_leaves_no_directory(tmp_path, capsys):
+    stream = tmp_path / "good.csv"
+    stream.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0,0.0\n")
+    counts = tmp_path / "counts.csv"
+    save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
+    for args in (["--stream", str(stream), "--bin-width=0ps"],
+                 ["--stream", str(stream), "--window=-1ns"],
+                 ["--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz"]):
+        out = tmp_path / "out"
+        assert main(["analyze", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["g2"], ["tomo", "--timebin-histogram"]],
+                         ids=["g2", "tomo"])
+def test_jitter_far_above_rep_period_exits_2(tmp_path, command, capsys):
+    # a valid jitter of 8200 periods spreads the delays over more than the
+    # histogram's 2^20 bins of 50 ps; that was a numerical failure, exit 3
+    cfg = calibrated_g2_config(seed=14)
+    cfg.jitter_sigma, cfg.n_pulses, cfg.n_bootstrap = 1e-4, 200_000, 2
+    path = tmp_path / "jitter.cfg"
+    cfg.to_file(path)
+    capsys.readouterr()
+    assert main([command[0], "--config", str(path), "--out", str(tmp_path / "o"),
+                 *command[1:]]) == 2
+    assert "do not fit in 1048576 bins" in capsys.readouterr().err
 
 
 def test_seed_override_changes_stream(tmp_path, g2_cfg_path, capsys):
@@ -216,7 +243,10 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     huge_count = tmp_path / "huge_counts.csv"
     save_records(settings, [100] * 16, [1.0] * 16, huge_count)
     huge_count.write_text(huge_count.read_text().replace(",100,", ",9223372036854775808,", 1))
-    for path in (three, header_only, huge_count):
+    # every count zero: the file holds no measurement to fit
+    all_zero = tmp_path / "zero_counts.csv"
+    save_records(settings, [0] * 16, [1.0] * 16, all_zero)
+    for path in (three, header_only, huge_count, all_zero):
         assert main(["analyze", "--counts", str(path), "--out", str(tmp_path / "o")]) == 2
     header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
     for name, line in (("channel", "40000,0,1.0"), ("pulse", "1,99999999999999999999,1.0")):
@@ -284,9 +314,11 @@ def test_unwritable_out_is_a_system_failure(tmp_path, g2_cfg_path, capsys):
 
 
 def test_exit_code_on_numerical_failure(tmp_path, capsys):
-    path = tmp_path / "zero.csv"
-    save_records(standard_settings(), [0] * 16, [1.0] * 16, path)
-    assert main(["analyze", "--counts", str(path),
+    # a background of 1 kHz over 1 s leaves no count to fit (an all-zero file
+    # is bad input, exit 2)
+    path = tmp_path / "counts.csv"
+    save_records(standard_settings(), [100] * 16, [1.0] * 16, path)
+    assert main(["analyze", "--counts", str(path), "--subtract-bg", "--bg-rate=1kHz",
                  "--out", str(tmp_path / "o")]) == 3
 
 
@@ -364,13 +396,14 @@ def test_analyze_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
 
 
 def test_g2_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
-    # 1 s of jitter spreads the zero-offset delays over about 1e11 bins
+    # 1 s of jitter spreads the zero-offset delays over about 1e11 bins: a
+    # config the histogram cannot hold
     cfg = coherent_g2_config(seed=5)
     cfg.mean_pairs, cfg.jitter_sigma, cfg.n_pulses = 5.0, 1.0, 2000
     path = tmp_path / "wide.cfg"
     cfg.to_file(path)
-    assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    _assert_one_line_error(capsys, "numerical failure: delays")
+    assert main(["g2", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    _assert_one_line_error(capsys, "config error: delays")
 
 
 @pytest.mark.filterwarnings("default")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qfcsim import counting
+from qfcsim import sources
 from qfcsim.config import calibrated_g2_config, ExperimentConfig
 from qfcsim.counting import (
     CoincidenceWindow,
@@ -296,6 +296,12 @@ def _reference_first(stream, channel):
     return uniq, stream.timestamps_ps[mask][first]
 
 
+def _documented(pulses, stream):
+    """``pulses`` in the extractor's documented dtype: uint32 while every
+    pulse index of ``stream`` fits, int64 past 2**32 pulses."""
+    return pulses.astype(np.uint32 if stream.n_pulses <= 2**32 else np.int64)
+
+
 def _reference_counts(stream, window, offset):
     """Counts, opportunities and (pulses, delays, start times) by the
     np.unique + intersect1d code the first-click index replaced."""
@@ -340,9 +346,12 @@ def test_first_event_times_equal_sort_based_reference(generate):
     for channel in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
         pulses = stream.pulse_indices[stream.channels == channel]
         repeated.append(len(np.unique(pulses)) < len(pulses))
-        for got, want in zip(stream.first_event_times(channel),
-                             _reference_first(stream, channel)):
-            assert_array_equal(got, want, strict=True)
+        pulses, times = _reference_first(stream, channel)
+        got_pulses, got_times = stream.first_event_times(channel)
+        assert_array_equal(got_pulses, _documented(pulses, stream), strict=True)
+        assert_array_equal(got_times, times, strict=True)
+        assert_array_equal(stream.first_event_times(channel, times=False), got_pulses,
+                           strict=True)
     assert repeated == [False, generate is generate_mzi_stream, False]
 
 
@@ -373,7 +382,10 @@ def test_first_click_index_equals_sort_based_reference(stream):
         got_summary, got_delays = count_summary(clicks, window, offset)
         assert (got_summary, opportunities(clicks, offset)) == (summary, pairs)
         assert_array_equal(got_delays, paired[1], strict=True)
-        for got, want in zip(pair_delays(clicks, offset), paired):
+        want_pulses, *want_rest = paired
+        got_pulses, *got_rest = pair_delays(clicks, offset)
+        assert_array_equal(got_pulses, _documented(want_pulses, stream), strict=True)
+        for got, want in zip(got_rest, want_rest):
             assert_array_equal(got, want, strict=True)
     _, _, (_, delays, _) = _reference_counts(stream, window, 0)
     hist = delay_histogram(count_summary(clicks, window)[1], bin_width=50e-12)
@@ -397,9 +409,9 @@ def _hand_stream(n_pulses, events):
 
 @st.composite
 def _trigger_events(draw):
-    """0 to 300 pulses and up to 60 clicks on them, trigger clicks among them
+    """0 to 300 pulses and up to 60 clicks on them, each channel's clicks
     repeated and out of order, in order, or strictly increasing; and the
-    slice length of the trigger extraction, down to one event."""
+    slice length of the first-click extraction, down to one event."""
     n_pulses = draw(st.integers(0, 300))
     click = st.tuples(st.sampled_from([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL]),
                       st.integers(0, max(n_pulses - 1, 0)))
@@ -417,10 +429,17 @@ def _trigger_events(draw):
 @example((300, [(TRIGGER_CHANNEL, p) for p in range(299, -1, -2)], 1))
 def test_trigger_list_counts_equal_brute_force(case):
     n_pulses, events, slice_events = case
+    stream = _hand_stream(n_pulses, events)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_SLICE_EVENTS", slice_events)
-        clicks = first_clicks(_hand_stream(n_pulses, events))
+        patch.setattr(sources, "_SLICE_EVENTS", slice_events)
+        clicks = first_clicks(stream)
     assert clicks.trigger_pulses.dtype == np.uint32
+    # the start and stop sides cross the same slice boundaries
+    for channel, pulses, times in [(START_CHANNEL, clicks.start_pulses, clicks.start_times),
+                                   (STOP_CHANNEL, clicks.stop_pulses, clicks.stop_times)]:
+        want_pulses, want_times = _reference_first(stream, channel)
+        assert_array_equal(pulses, _documented(want_pulses, stream), strict=True)
+        assert_array_equal(times, want_times, strict=True)
     trig = {p for ch, p in events if ch == TRIGGER_CHANNEL}
     window = CoincidenceWindow(1e-9)
     reach = range(1, n_pulses + 6)
@@ -432,9 +451,14 @@ def test_trigger_list_counts_equal_brute_force(case):
 @pytest.mark.parametrize("n_pulses, dtype", [(2**32, np.uint32), (2**32 + 1, np.int64)])
 def test_trigger_list_widens_past_2_32_pulses(n_pulses, dtype):
     pulses = [0, n_pulses - 2, n_pulses - 1]
-    clicks = first_clicks(_hand_stream(n_pulses, [(TRIGGER_CHANNEL, p) for p in pulses]))
-    assert clicks.trigger_pulses.dtype == dtype
+    clicks = first_clicks(_hand_stream(n_pulses, [(TRIGGER_CHANNEL, p) for p in pulses]
+                                       + [(STOP_CHANNEL, 0), (START_CHANNEL, n_pulses - 1)]))
+    for side in (clicks.trigger_pulses, clicks.start_pulses, clicks.stop_pulses):
+        assert side.dtype == dtype
     assert_array_equal(clicks.trigger_pulses, pulses)
+    # the offset keys are signed and wide: the last pulse plus one wraps to no pulse
+    assert len(pair_delays(clicks, 1)[1]) == 0
+    assert_array_equal(pair_delays(clicks, 1 - n_pulses)[0], [n_pulses - 1])
     # the widest gap of the list, and one past it
     assert opportunities(clicks, n_pulses - 1) == 1
     assert opportunities(clicks, n_pulses) == 0
