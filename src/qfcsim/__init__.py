@@ -16,11 +16,10 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        g2_zero_from_counts, select_window)
 from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
-from .qubits import (PHI_PLUS, check_density_matrix,
-                     convert_timebin_qubit, end_to_end_state, timebin_to_pol)
-from .sources import (EventStream, entangled_pair_state, expected_hbt_rates,
-                      generate_hbt_stream, generate_mzi_stream,
-                      pair_distribution)
+from .qubits import (PHI_PLUS, check_density_matrix, convert_timebin_qubit,
+                     end_to_end_state, entangled_pair_state, timebin_to_pol)
+from .sources import (EventStream, expected_hbt_rates, generate_hbt_stream,
+                      generate_mzi_stream, pair_distribution)
 from .tomography import (MeasurementSetting, MleResult, load_records,
                          mle_reconstruct, save_records, simulate_counts,
                          standard_settings, subtract_background)

@@ -26,43 +26,36 @@ TWO_PI = 2.0 * math.pi
 class EfficiencyModel:
     """Pump-power law for external conversion efficiency.
 
-    efficiency(P) = peak * sin^2(sqrt(coeff * P)).  ``coeff`` carries inverse
-    power units selected by ``coeff_unit`` ("per_W" or "per_mW").
+    efficiency(P) = peak * sin^2(sqrt(coeff * P)), with P in W and ``coeff``
+    per W.
     """
 
     peak: float
     coeff: float
-    coeff_unit: str = "per_W"
 
     def __post_init__(self):
         if not 0.0 <= self.peak <= 1.0:
             raise ValueError(f"peak efficiency must lie in [0, 1], got {self.peak}")
         if not (math.isfinite(self.coeff) and self.coeff > 0.0):
             raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
-        if self.coeff_unit not in ("per_W", "per_mW"):
-            raise ValueError(f"unknown coeff_unit {self.coeff_unit!r}")
-
-    @property
-    def coeff_per_watt(self) -> float:
-        return self.coeff * (1000.0 if self.coeff_unit == "per_mW" else 1.0)
 
     @property
     def peak_power_w(self) -> float:
         """Pump power of the first efficiency maximum."""
-        return (math.pi / 2.0) ** 2 / self.coeff_per_watt
+        return (math.pi / 2.0) ** 2 / self.coeff
 
 
 def conversion_efficiency(pump_power_w: float, model: EfficiencyModel) -> float:
     """External conversion efficiency at the given pump power (watts).
 
     The sin^2 law is the single-photon transfer probability of the mixing:
-    the two-mode unitary at theta = sqrt(coeff_per_watt * P) sends |1, 0>
+    the two-mode unitary at theta = sqrt(coeff * P) sends |1, 0>
     to |0, 1> with probability sin^2(theta), and ``peak`` scales it to the
     external efficiency.
     """
     if pump_power_w < 0.0 or not math.isfinite(pump_power_w):
         raise ValueError(f"pump power must be >= 0, got {pump_power_w}")
-    return model.peak * math.sin(math.sqrt(model.coeff_per_watt * pump_power_w)) ** 2
+    return model.peak * math.sin(math.sqrt(model.coeff * pump_power_w)) ** 2
 
 
 @dataclass(frozen=True)

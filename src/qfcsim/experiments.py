@@ -4,7 +4,8 @@ Each driver takes an ExperimentConfig, runs the simulation and analysis,
 and returns a result object; the matching writer lays the result down as
 deterministic text artifacts (same config and seed, same bytes).  The
 analysis steps ``analyze_g2`` and ``reconstruct`` are shared with the
-``analyze`` command, which runs them on saved files.
+``analyze`` command, which runs them on saved files; ``reconstruct`` is the
+one fit and score of a count table, with or without bootstrap replicates.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstCli
                        first_clicks, g2_offset_from_counts, g2_zero_from_counts,
                        opportunities, pair_delays, sideband_mean_from_counts)
 # unused here, but perfbench/child.py TARGETS traces them under these names
+# (reconstruct fits through mle_reconstruct_batch, not mle_reconstruct)
 from .counting import g2_at_offset, select_window
+from .tomography import mle_reconstruct
 from .metrics import ChshResult, chsh_assessment, concurrence, eof_of_concurrence
 from .qubits import end_to_end_state
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
-                         mle_reconstruct, mle_reconstruct_batch, save_records,
-                         save_report, simulate_counts, standard_settings,
-                         subtract_background)
+                         mle_reconstruct_batch, save_records, save_report,
+                         simulate_counts, standard_settings, subtract_background)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +221,12 @@ class TomographyResult:
     errors: dict[str, float] = field(default_factory=dict)
     mean_rate_hz: Optional[float] = None
     bootstrap: list[MleResult] = field(default_factory=list)
+    zero_replicates: int = 0
+    insufficient: bool = False
 
 
-def _scored(settings: list[MeasurementSetting], counts: np.ndarray,
-            durations_s: np.ndarray, mle: MleResult, subtracted: bool) -> TomographyResult:
-    """The fit ``mle`` of a count table, scored against PHI_PLUS."""
-    fid, conc, eof, chsh = _metrics_of(mle.rho)
-    return TomographyResult(
-        rho=mle.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
-        settings=settings, counts=counts, durations_s=durations_s, mle=mle,
-        subtracted=subtracted)
+#: the scores of a count table with no count to fit
+_NO_SCORES = (math.nan, math.nan, math.nan, ChshResult(math.nan, math.nan, False))
 
 
 def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
@@ -237,16 +235,38 @@ def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
 
 
 def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
-                durations_s: np.ndarray, bg_rate: Optional[float] = None
-                ) -> TomographyResult:
-    """Fit one count table by MLE and score the state against PHI_PLUS.
+                durations_s: np.ndarray, bg_rate: Optional[float] = None,
+                replicates=()) -> TomographyResult:
+    """Fit a count table and its bootstrap ``replicates`` by MLE in one batch,
+    score row 0 against PHI_PLUS, and take error bars from the other rows.
 
-    With ``bg_rate`` (Hz) the flat background is subtracted before the fit.
-    The result keeps the raw counts and carries no error bars or count rate.
+    With ``bg_rate`` (Hz) the flat background is subtracted from every row.
+    Each row gets the fit it would get alone, so row 0 equals the fit of the
+    counts without replicates bit for bit.  Only rows with a count left are
+    fitted: an all-zero replicate is counted in ``zero_replicates``, and
+    all-zero counts give an ``insufficient`` result with NaN metrics and no
+    errors.  The result keeps the raw counts and carries no count rate.
     """
-    fitted = counts if bg_rate is None else subtract_background(counts, durations_s, bg_rate)
-    return _scored(settings, counts, durations_s, mle_reconstruct(settings, fitted),
-                   bg_rate is not None)
+    rows = np.array([counts, *replicates])
+    if bg_rate is not None:
+        rows = subtract_background(rows, durations_s, bg_rate)
+    kept = rows.any(axis=1)
+    insufficient = not kept[0]
+    # with no point estimate to put error bars on, no replicate is fitted
+    point, *bootstrap = mle_reconstruct_batch(settings, rows[kept & kept[0]]) or [
+        MleResult(np.full((4, 4), math.nan, dtype=complex), 0, False, math.nan)]
+    fid, conc, eof, chsh = _NO_SCORES if insufficient else _metrics_of(point.rho)
+    result = TomographyResult(
+        rho=point.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
+        settings=settings, counts=counts, durations_s=durations_s, mle=point,
+        subtracted=bg_rate is not None, bootstrap=bootstrap,
+        zero_replicates=int(np.count_nonzero(~kept[1:])), insufficient=insufficient)
+    if bootstrap:
+        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in bootstrap))
+        samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
+                   "s_max": [c.s_max for c in chshs]}
+        result.errors = {key: float(np.std(vals)) for key, vals in samples.items()}
+    return result
 
 
 def run_tomography_experiment(config: ExperimentConfig,
@@ -257,40 +277,27 @@ def run_tomography_experiment(config: ExperimentConfig,
     unpolarized admixture), which is what makes them look like a flat
     accidental floor across settings; ``subtract_bg`` removes that floor at
     the configured rate before reconstruction.  Errors on the reported
-    metrics come from a parametric bootstrap of the counts.  The counts and
-    their ``n_bootstrap`` replicates are fitted as one batch: row 0 is the
-    point estimate, which equals ``reconstruct`` on the same counts bit for
-    bit, and rows 1.. are the replicates.
+    metrics come from a parametric bootstrap: ``n_bootstrap`` Poisson
+    replicates of the counts, which ``reconstruct`` fits in one batch with
+    the counts themselves.
     """
     seed = config.require_seed()
-    rho_true = end_to_end_state(config)
     settings = standard_settings()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
-    counts = simulate_counts(rho_true, settings, config.n_per_setting, rng)
-    durations = np.full(len(settings), config.duration_per_setting)
-    rows = np.array([counts] + [
-        np.random.Generator(np.random.Philox(
-            np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
-        for b in range(config.n_bootstrap)])
-    if subtract_bg:
-        rows = subtract_background(rows, durations, config.bg_rate)
-    point, *bootstrap = mle_reconstruct_batch(settings, rows)
-    result = _scored(settings, counts, durations, point, subtract_bg)
-
-    if bootstrap:
-        result.bootstrap = bootstrap
-        fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in bootstrap))
-        samples = {"fidelity": fids, "concurrence": concs, "eof": eofs,
-                   "s_max": [c.s_max for c in chshs]}
-        result.errors = {key: float(np.std(vals)) for key, vals in samples.items()}
-
+    counts = simulate_counts(end_to_end_state(config), settings, config.n_per_setting, rng)
+    replicates = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
+        for b in range(config.n_bootstrap)]
+    result = reconstruct(settings, counts, np.full(len(settings), config.duration_per_setting),
+                         config.bg_rate if subtract_bg else None, replicates)
     result.mean_rate_hz = float(counts.sum()) / (len(counts) * config.duration_per_setting)
     return result
 
 
 def tomography_report(result: TomographyResult) -> dict:
-    """Report dict in file key order; the count rate and the ``*_error`` and
-    ``bootstrap_*`` keys appear only when the result carries them."""
+    """Report dict in file key order; the ``insufficient`` flag, the count
+    rate, and the ``*_error`` and ``bootstrap_*`` keys appear only when the
+    result carries them."""
     report = {
         "density_matrix": density_matrix_to_json(result.rho),
         "fidelity": result.fidelity,
@@ -301,6 +308,8 @@ def tomography_report(result: TomographyResult) -> dict:
         "witness_violated": result.chsh.witness_violated,
         "background_subtracted": result.subtracted,
     }
+    if result.insufficient:
+        report["insufficient"] = True
     if result.mean_rate_hz is not None:
         report["mean_count_rate_hz"] = result.mean_rate_hz
     report["mle_iterations"] = result.mle.iterations
@@ -311,6 +320,8 @@ def tomography_report(result: TomographyResult) -> dict:
     if result.bootstrap:
         report["bootstrap_mle_iterations"] = [fit.iterations for fit in result.bootstrap]
         report["bootstrap_mle_converged"] = all(fit.converged for fit in result.bootstrap)
+    if result.zero_replicates:
+        report["bootstrap_zero_replicates"] = result.zero_replicates
     return report
 
 

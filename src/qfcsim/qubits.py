@@ -144,6 +144,18 @@ def timebin_to_pol(rho: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
     return unnormalized / prob, prob
 
 
+def entangled_pair_state(werner_weight: float) -> np.ndarray:
+    """Pair-source polarization state: weighted maximally entangled + white noise.
+
+    weight 1 returns the maximally entangled target exactly; weight 0 the
+    maximally mixed state.  Fidelity to the target is (1 + 3 w)/4.
+    """
+    if not 0.0 <= werner_weight <= 1.0:
+        raise ValueError("werner_weight must lie in [0, 1]")
+    return werner_weight * density(PHI_PLUS) \
+        + (1.0 - werner_weight) * np.eye(4, dtype=complex) / 4.0
+
+
 def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     """Two-qubit state after encode, convert, and decode of qubit B.
 
@@ -155,8 +167,6 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     |H> -> |S>, |V> -> |L> and leaves the matrix unchanged.  With
     ``config.interface`` off the source state is returned unchanged.
     """
-    from .sources import entangled_pair_state
-
     rho = entangled_pair_state(config.werner_weight)
     if not config.interface:
         return rho

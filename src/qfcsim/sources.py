@@ -41,7 +41,6 @@ import numpy as np
 from .artifacts import format_pairs, parse_header, read_table, write_table
 from .config import ConfigError, ExperimentConfig
 from .parallel import ordered_map, trim_heap
-from .qubits import PHI_PLUS, density
 
 TRIGGER_CHANNEL = 1
 START_CHANNEL = 2
@@ -55,18 +54,6 @@ _SLICE_EVENTS = 1 << 16
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
 _STREAM_DTYPE = np.dtype([("channel", np.int16), ("pulse", np.int64), ("time_ps", np.float64)])
-
-
-def entangled_pair_state(werner_weight: float) -> np.ndarray:
-    """Pair-source polarization state: weighted maximally entangled + white noise.
-
-    weight 1 returns the maximally entangled target exactly; weight 0 the
-    maximally mixed state.  Fidelity to the target is (1 + 3 w)/4.
-    """
-    if not 0.0 <= werner_weight <= 1.0:
-        raise ValueError("werner_weight must lie in [0, 1]")
-    return werner_weight * density(PHI_PLUS) \
-        + (1.0 - werner_weight) * np.eye(4, dtype=complex) / 4.0
 
 
 def pair_distribution(config: ExperimentConfig) -> np.ndarray:

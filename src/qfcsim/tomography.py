@@ -181,8 +181,9 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     the rows whose bound fails are picked out to retry.  Only stacked matrix
     products, elementwise operations and reductions over a row's own axes
     touch the data, so each row's result is the one it would get alone.
-    ``experiments.run_tomography_experiment`` relies on that: its row 0 is
-    the point estimate and the rest are bootstrap replicates.
+    ``experiments.reconstruct`` relies on that: its row 0 is the point
+    estimate, the rest are bootstrap replicates, and it leaves out the rows
+    with no count, which this function refuses.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):

@@ -6,15 +6,17 @@ check confirms the installed entry point works at all.
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfcsim
-from qfcsim import experiments, tomography
+from qfcsim import cli, experiments, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
@@ -313,13 +315,90 @@ def test_unwritable_out_is_a_system_failure(tmp_path, g2_cfg_path, capsys):
     _assert_one_line_error(capsys, "system failure: ")
 
 
-def test_exit_code_on_numerical_failure(tmp_path, capsys):
-    # a background of 1 kHz over 1 s leaves no count to fit (an all-zero file
-    # is bad input, exit 2)
+def test_exit_code_on_numerical_failure(tmp_path, tomo_cfg_path, monkeypatch, capsys):
+    # a driver's ValueError is a numerical failure, exit 3, with a one-line message
+    def failing(*args, **kwargs):
+        raise ValueError("did not converge")
+
+    monkeypatch.setattr(cli, "run_tomography_experiment", failing)
+    out = tmp_path / "o"
+    assert main(["tomo", "--config", str(tomo_cfg_path), "--out", str(out)]) == 3
+    _assert_one_line_error(capsys, "numerical failure: did not converge")
+    _assert_no_artifact(out)
+
+
+def _written_counts(out):
+    # load_records refuses a file of zero counts, so read the column directly
+    return np.loadtxt(out / "tomo_counts.csv", delimiter=",", skiprows=1, usecols=4)
+
+
+def _assert_insufficient(report):
+    """A report with no count to fit: flagged, NaN metrics, no error bars."""
+    assert report["insufficient"] is True
+    assert all(math.isnan(report[key]) for key in (
+        "fidelity", "concurrence", "entanglement_of_formation", "chsh_s_max",
+        "witness_fidelity", "log_likelihood"))
+    assert report["mle_iterations"] == 0 and report["mle_converged"] is False
+    assert not any(key.endswith("_error") or key.startswith("bootstrap_mle")
+                   for key in report)
+
+
+def test_zero_rows_of_one_count_tomo_are_flagged_not_fatal(tmp_path, capsys):
+    # at one count per setting the counts or some replicates are all zero;
+    # that made the whole batch fail (exit 3) for 14 of these 30 seeds
+    cfg = calibrated_tomo_config()
+    cfg.n_per_setting = 1.0
+    path = tmp_path / "one.cfg"
+    cfg.to_file(path)
+    flagged, with_zero_replicates = [], []
+    for seed in range(30):
+        out = tmp_path / f"seed{seed}"
+        assert main(["tomo", "--config", str(path), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "tomography.json").read_text())
+        if not _written_counts(out).any():
+            flagged.append(seed)
+            _assert_insufficient(report)
+            continue
+        assert "insufficient" not in report
+        # every replicate is either fitted or counted as all zero
+        zeros = report.get("bootstrap_zero_replicates", 0)
+        assert len(report["bootstrap_mle_iterations"]) + zeros == cfg.n_bootstrap
+        if zeros:
+            with_zero_replicates.append(seed)
+    assert flagged == [29]
+    assert with_zero_replicates == [1, 5, 6, 9, 10, 12, 14, 16, 17, 19, 22, 23, 28]
+
+
+def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
+    # the preset's floor is round(0.2 Hz * 10,000 s) = 2,000 counts per
+    # setting, so at 400 per setting no count is left to fit
+    cfg = calibrated_tomo_config()
+    cfg.n_per_setting = 400.0
+    path = tmp_path / "short.cfg"
+    cfg.to_file(path)
+    out = tmp_path / "o"
+    assert main(["tomo", "--config", str(path), "--subtract-bg", "--out", str(out)]) == 0
+    report = json.loads((out / "tomography.json").read_text())
+    _assert_insufficient(report)
+    assert report["background_subtracted"] is True
+    assert report["bootstrap_zero_replicates"] == cfg.n_bootstrap
+    # the raw counts and their rate are still written
+    total = _written_counts(out).sum()
+    assert report["mean_count_rate_hz"] == total / (16 * cfg.duration_per_setting)
+
+
+def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, capsys):
+    # a background of 1 kHz over 1 s leaves no count to fit; that was a
+    # numerical failure, exit 3 (an all-zero file is bad input, exit 2)
     path = tmp_path / "counts.csv"
     save_records(standard_settings(), [100] * 16, [1.0] * 16, path)
+    out = tmp_path / "o"
     assert main(["analyze", "--counts", str(path), "--subtract-bg", "--bg-rate=1kHz",
-                 "--out", str(tmp_path / "o")]) == 3
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "tomography.json").read_text())
+    _assert_insufficient(report)
+    assert "bootstrap_zero_replicates" not in report
 
 
 def test_g2_on_empty_run_exits_zero(tmp_path, capsys):
@@ -538,19 +617,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):
     assert report == ["import False"] + [f"{argv[0]} 0 False" for argv in commands]
 
 
-def test_sweep_per_mw_config_writes_per_watt_fit(tmp_path, capsys):
-    # the fit works in watts, so 0.0036 per mW and 3.6 per W give the same files
-    outs = []
-    for coeff, unit in (("3.6", "per_W"), ("0.0036", "per_mW")):
-        cfg = tmp_path / f"{unit}.cfg"
-        cfg.write_text(f"eff_coeff={coeff}\neff_coeff_unit={unit}\n")
-        outs.append(tmp_path / unit)
-        assert main(["sweep", "--config", str(cfg), "--out", str(outs[-1])]) == 0
-    for name in ("sweep.csv", "sweep_fit.txt"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    fit = _pairs(outs[1] / "sweep_fit.txt")
+def test_sweep_writes_per_watt_fit_and_refuses_eff_coeff_unit(tmp_path, capsys):
+    # eff_coeff is per W and the fit works in watts; a config that still
+    # sets eff_coeff_unit, per_W included, names an unknown key: exit 2
+    cfg = tmp_path / "per_w.cfg"
+    cfg.write_text("eff_coeff=3.6\n")
+    out = tmp_path / "per_w"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    fit = _pairs(out / "sweep_fit.txt")
     assert fit["coeff"] == "3.6" and fit["coeff_unit"] == "per_W"
     assert fit["peak_power_w"] == "0.6853891945200943"
+    capsys.readouterr()
+    for unit in ("per_W", "per_mW"):
+        cfg = tmp_path / f"{unit}.cfg"
+        cfg.write_text(f"eff_coeff=3.6\neff_coeff_unit={unit}\n")
+        out = tmp_path / unit
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        _assert_one_line_error(capsys, "config error: unknown config key 'eff_coeff_unit'")
+        _assert_no_artifact(out)
 
 
 def test_installed_entry_point():

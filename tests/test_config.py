@@ -106,10 +106,10 @@ def test_from_text_errors():
 def test_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(source_kind="laser")
-    # EfficiencyModel holds the efficiency-law rules; validate names the keys
-    for bad in (dict(eff_peak=1.5), dict(eff_coeff=0.0), dict(eff_coeff_unit="per_kW")):
-        with pytest.raises(ConfigError, match="^eff_peak, eff_coeff or eff_coeff_unit: "):
-            ExperimentConfig(**bad)
+    # the efficiency law's fields carry their own range rules
+    for name, bad in (("eff_peak", 1.5), ("eff_coeff", 0.0)):
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            ExperimentConfig(**{name: bad})
     with pytest.raises(ConfigError):
         ExperimentConfig(det2_efficiency=-0.1)
     with pytest.raises(ConfigError):
@@ -149,7 +149,8 @@ def test_validate_is_the_only_range_check(field, value):
 RANGE_RULES = {
     "rep_period": "> 0", "mzi_delay": "> 0", "jitter_sigma": ">= 0",
     "mean_pairs": ">= 0", "pair_truncation": "in [1, 10000]", "werner_weight": "in [0, 1]",
-    "pump_power": ">= 0", "extra_transmittance": "in [0, 1]", "noise_coeff": ">= 0",
+    "pump_power": ">= 0", "eff_peak": "in [0, 1]", "eff_coeff": "> 0",
+    "extra_transmittance": "in [0, 1]", "noise_coeff": ">= 0",
     "pump_linewidth": ">= 0", **{name: "in [0, 1]" for name in _DETECTOR_FIELDS},
     "coincidence_window": "> 0", "postselect_window": "> 0", "n_per_setting": "> 0",
     "duration_per_setting": "> 0", "bg_rate": ">= 0", "n_bootstrap": ">= 0",
@@ -157,8 +158,7 @@ RANGE_RULES = {
 }
 
 #: the fields without a range rule; validate checks these across fields
-UNRULED = ("source_kind", "eff_peak", "eff_coeff", "eff_coeff_unit", "mzi_phase",
-           "interface", "seed")
+UNRULED = ("source_kind", "mzi_phase", "interface", "seed")
 
 #: the base unit of every float field that has one; the others are bare numbers
 UNITS = {"rep_period": "s", "mzi_delay": "s", "jitter_sigma": "s",
@@ -221,9 +221,6 @@ def _valid_configs(draw):
                                          exclude_max=True))
     return ExperimentConfig(
         **kwargs, source_kind=draw(st.sampled_from(SOURCE_KINDS)),
-        eff_peak=draw(st.floats(0.0, 1.0)),
-        eff_coeff=draw(st.floats(0.0, 1e300, exclude_min=True)),
-        eff_coeff_unit=draw(st.sampled_from(("per_W", "per_mW"))),
         mzi_phase=draw(st.floats(-1e300, 1e300)), interface=draw(st.booleans()),
         seed=draw(st.integers(0, 2**63)))
 

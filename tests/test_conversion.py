@@ -165,21 +165,13 @@ def test_efficiency_law_values():
     assert conversion_efficiency(0.0, model) == 0.0
 
 
-def test_efficiency_coeff_units_agree():
-    per_w = EfficiencyModel(peak=0.62, coeff=3.6, coeff_unit="per_W")
-    per_mw = EfficiencyModel(peak=0.62, coeff=3.6e-3, coeff_unit="per_mW")
-    for power in (0.1, 0.4, 0.7):
-        assert abs(conversion_efficiency(power, per_w)
-                   - conversion_efficiency(power, per_mw)) < 1e-14
-
-
 def test_efficiency_law_matches_fock_unitary():
     # the closed form is peak times the single-photon transfer probability
     # |<0,1|U|1,0>|^2 of the two-mode unitary at theta = sqrt(coeff * P)
     for model in (EfficiencyModel(peak=0.62, coeff=3.6),
-                  EfficiencyModel(peak=0.9, coeff=1.2e-3, coeff_unit="per_mW")):
+                  EfficiencyModel(peak=0.9, coeff=1.2)):
         for power in np.linspace(0.0, 2.5, 26):
-            theta = math.sqrt(model.coeff_per_watt * power)
+            theta = math.sqrt(model.coeff * power)
             u = _unitary(theta, phi=0.3, n_max=1)
             transfer = abs(u[_index(1, 0, 1), _index(1, 1, 0)]) ** 2
             assert abs(conversion_efficiency(float(power), model)

@@ -17,6 +17,7 @@ from qfcsim.config import (
     source_only_tomo_config,
 )
 from qfcsim.experiments import (
+    reconstruct,
     run_efficiency_sweep,
     run_g2_experiment,
     run_mzi_histogram,
@@ -331,3 +332,22 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
         samples["eof"].append(entanglement_of_formation(fit.rho))
         samples["s_max"].append(chsh_assessment(fit.rho).s_max)
     assert res.errors == {key: float(np.std(vals)) for key, vals in samples.items()}
+
+
+def test_zero_replicate_is_left_out_of_the_errors():
+    # an all-zero replicate is counted, not fitted: the result equals the
+    # one without it, and a row that only subtraction zeroes counts too
+    cfg = calibrated_tomo_config(seed=402)
+    cfg.n_bootstrap = 3
+    res = run_tomography_experiment(cfg)
+    # the floor is round(0.1 Hz * 10,000 s) = 1,000 counts per setting
+    zero, floored = np.zeros_like(res.counts), np.full_like(res.counts, 1000)
+    replicates = [res.counts + 5, res.counts + 9]
+    alone = reconstruct(res.settings, res.counts, res.durations_s, 0.1, replicates)
+    mixed = reconstruct(res.settings, res.counts, res.durations_s, 0.1,
+                        [zero, replicates[0], floored, replicates[1]])
+    assert alone.zero_replicates == 0 and mixed.zero_replicates == 2
+    assert mixed.errors == alone.errors and len(mixed.errors) == 4
+    assert [fit.iterations for fit in mixed.bootstrap] == [
+        fit.iterations for fit in alone.bootstrap]
+    assert np.array_equal(mixed.rho, alone.rho) and not mixed.insufficient

@@ -23,8 +23,8 @@ from qfcsim.metrics import (
     entanglement_of_formation,
     fidelity,
 )
-from qfcsim.qubits import KET_H, KET_V, PAULIS, PHI_PLUS, PSI_MINUS, SIGMA_Y, density
-from qfcsim.sources import entangled_pair_state
+from qfcsim.qubits import (KET_H, KET_V, PAULIS, PHI_PLUS, PSI_MINUS, SIGMA_Y, density,
+                           entangled_pair_state)
 
 EOF_AT_HALF_CONCURRENCE = 0.35457890266526954
 

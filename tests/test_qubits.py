@@ -24,6 +24,7 @@ from qfcsim.qubits import (
     dephase_timebin,
     density,
     end_to_end_state,
+    entangled_pair_state,
     half_wave_plate,
     partial_trace_b,
     quarter_wave_plate,
@@ -154,5 +155,4 @@ def test_end_to_end_noiseless_chain_preserves_werner():
     cfg.noise_coeff = 0.0
     cfg.pump_linewidth = 0.0
     rho = end_to_end_state(cfg)
-    from qfcsim.sources import entangled_pair_state
     assert_allclose(rho, entangled_pair_state(cfg.werner_weight), atol=1e-12)

@@ -30,14 +30,13 @@ from qfcsim.config import (
 )
 from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks, pair_delays
 from qfcsim import sources
-from qfcsim.qubits import PHI_PLUS, density
+from qfcsim.qubits import PHI_PLUS, density, entangled_pair_state
 from qfcsim.sources import (
     CHUNK_PULSES,
     EventStream,
     START_CHANNEL,
     STOP_CHANNEL,
     TRIGGER_CHANNEL,
-    entangled_pair_state,
     expected_hbt_rates,
     generate_hbt_stream,
     generate_mzi_stream,
