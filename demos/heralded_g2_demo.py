@@ -42,17 +42,13 @@ def main():
         if args.seed is not None:
             cfg.seed = args.seed
         t0 = time.time()
-        result = run_g2_experiment(cfg, sideband_offsets=())
+        result = run_g2_experiment(cfg)
         dt = time.time() - t0
         oracle = expected_hbt_rates(cfg).g2
         print(f"{label:<24}  {result.value:8.4f}  {result.std_error:7.4f}  "
               f"{oracle:9.4f}  {cfg.n_pulses:>8}  {dt:5.1f}s")
 
-    # sidebands of the calibrated run show the accidental level is flat
-    cfg = calibrated_g2_config()
-    if args.pulses is not None:
-        cfg.n_pulses = args.pulses
-    result = run_g2_experiment(cfg, sideband_offsets=range(1, 6))
+    # sidebands of the calibrated run (the last) show the accidental level is flat
     print()
     print("calibrated run, g2 at neighbouring pulse offsets "
           "(uncorrelated level):")

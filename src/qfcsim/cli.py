@@ -101,7 +101,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_g2(args) -> int:
     config = _load_config(args)
-    result = run_g2_experiment(config, keep_stream=args.save_stream)
+    result = run_g2_experiment(config)
     paths = write_g2(result, args.out)
     if args.save_stream:
         stream_path = Path(args.out) / "events.csv"

@@ -29,6 +29,8 @@ MAX_HISTOGRAM_BINS = 1 << 20
 
 #: trigger entries per block of the opportunity count (fastest of 2^12 .. 2^18)
 _LAG_BLOCK = 1 << 16
+#: start entries per block of the pulse join (see ``pair_delays``)
+_JOIN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,6 @@ def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                        rep_ps=stream.rep_period * 1e12)
 
 
-def _join(keys: np.ndarray, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i, j) with keys[i] == pulses[j], for sorted unique arrays, by i."""
-    j = np.searchsorted(pulses, keys)
-    hit = j < len(pulses)
-    hit[hit] = pulses[j[hit]] == keys[hit]
-    i = np.flatnonzero(hit)
-    return i, j[i]
-
-
 def opportunities(clicks: FirstClicks, offset: int) -> int:
     """Pulse pairs (p, p + offset) with a trigger at both ends.
 
@@ -142,20 +135,28 @@ def opportunities(clicks: FirstClicks, offset: int) -> int:
     return count
 
 
-def pair_delays(clicks: FirstClicks, offset: int = 0
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stop-minus-start delays for pulses with clicks on both channels.
+def pair_delays(clicks: FirstClicks, offset: int = 0) -> np.ndarray:
+    """Stop-minus-start delays in ps, in start-pulse order, of the start
+    clicks at pulse p with a stop click at pulse p + ``offset``, less the
+    nominal ``offset``-pulse separation.
 
-    With ``offset`` n, start clicks at pulse p pair with stop clicks at
-    pulse p + n, and the nominal n-pulse separation is subtracted from the
-    delay.  Returns (start pulse indices, start indices' delays in ps,
-    start times) sorted by pulse.
+    The join runs per ``_JOIN_BLOCK`` start entries, so only the delays
+    grow with the run.  A block's keys are widened to int64 before the offset (a
+    negative key, or one past the last uint32 pulse, needs it).  The stop
+    list is searched for them clipped to its own dtype and compared with
+    them unclipped, so it is never cast.
     """
-    # widened first: a negative offset, or one past the last uint32 pulse, needs int64
-    i_start, i_stop = _join(clicks.start_pulses.astype(np.int64) + offset, clicks.stop_pulses)
-    t_start = clicks.start_times[i_start]
-    delays = clicks.stop_times[i_stop] - t_start - offset * clicks.rep_ps
-    return clicks.start_pulses[i_start], delays, t_start
+    stops, bounds = clicks.stop_pulses, np.iinfo(clicks.stop_pulses.dtype)
+    parts = [np.zeros(0)]
+    for lo in range(0, len(clicks.start_pulses), _JOIN_BLOCK):
+        keys = clicks.start_pulses[lo:lo + _JOIN_BLOCK].astype(np.int64) + offset
+        j = np.searchsorted(stops, np.clip(keys, bounds.min, bounds.max).astype(stops.dtype))
+        hit = j < len(stops)
+        hit[hit] = stops[j[hit]] == keys[hit]
+        i = np.flatnonzero(hit)
+        parts.append(clicks.stop_times[j[i]] - clicks.start_times[lo + i]
+                     - offset * clicks.rep_ps)
+    return np.concatenate(parts)
 
 
 def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHistogram:
@@ -187,7 +188,7 @@ def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 
                   ) -> tuple[CountSummary, np.ndarray]:
     """Triggers, singles, and windowed coincidences at a pulse offset, and the
     joined delays in ps, which ``delay_histogram`` takes as they are."""
-    _, delays, _ = pair_delays(clicks, offset)
+    delays = pair_delays(clicks, offset)
     n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
     summary = CountSummary(len(clicks.trigger_pulses), len(clicks.start_pulses),
                            len(clicks.stop_pulses), n_coinc)
@@ -256,17 +257,18 @@ def sideband_mean_from_counts(summary: CountSummary, sidebands) -> tuple[float, 
 def select_window(stream: EventStream, window: CoincidenceWindow,
                   start_channel: int = START_CHANNEL,
                   stop_channel: int = STOP_CHANNEL) -> EventStream:
-    """Keep only paired first clicks whose delay falls inside the window.
+    """Keep only first clicks paired in one pulse whose delay falls inside the window.
 
     Trigger-channel events are preserved; unpaired or out-of-window start
-    and stop clicks are dropped.  Applying the same window twice is a
-    no-op.
+    and stop clicks are dropped, and kept ones keep their times.  Applying
+    the same window twice is a no-op.
     """
-    pulses, delays, t_start = pair_delays(first_clicks(stream, start_channel, stop_channel))
-    keep = window.contains_ps(delays)
-    kept_pulses = pulses[keep]
-    kept_start = t_start[keep]
-    kept_stop = kept_start + delays[keep]
+    clicks = first_clicks(stream, start_channel, stop_channel)
+    pulses, i_start, i_stop = np.intersect1d(clicks.start_pulses, clicks.stop_pulses,
+                                             assume_unique=True, return_indices=True)
+    kept_start, kept_stop = clicks.start_times[i_start], clicks.stop_times[i_stop]
+    keep = window.contains_ps(kept_stop - kept_start)
+    kept_pulses, kept_start, kept_stop = pulses[keep], kept_start[keep], kept_stop[keep]
 
     other = ~np.isin(stream.channels, [start_channel, stop_channel])
     channels = np.concatenate([

@@ -136,22 +136,21 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
                     insufficient=insufficient)
 
 
-def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
-                      sideband_offsets=range(1, 6)) -> G2Result:
+def run_g2_experiment(config: ExperimentConfig) -> G2Result:
     """Generate a heralded correlation stream and estimate g2.
 
     ``analyze_g2`` gives the zero-delay result.  Sideband estimates at
-    nonzero pulse offsets (both signs) probe the accidental level; for
-    uncorrelated pulses they sit at 1, and so does their pooled mean.
-    Every offset is counted from one first-click index, and the
-    opportunities once for each +-n pair.
+    pulse offsets +-1 .. +-5 probe the accidental level; for uncorrelated
+    pulses they sit at 1, and so does their pooled mean.  Every offset is
+    counted from one first-click index, and the opportunities once for each
+    +-n pair.  The result keeps the stream.
     """
     stream = generate_hbt_stream(config)
     window = CoincidenceWindow(config.coincidence_window)
     clicks = first_clicks(stream)
     result = analyze_g2(clicks, window)
     estimated = []
-    for n in sideband_offsets:
+    for n in range(1, 6):
         trigger_pairs = opportunities(clicks, n)
         for offset in (n, -n):
             counts, _ = count_summary(clicks, window, offset)
@@ -162,8 +161,7 @@ def run_g2_experiment(config: ExperimentConfig, keep_stream: bool = False,
             estimated.append((counts.n_coincidence, trigger_pairs))
     result.sideband_mean, result.sideband_mean_error = sideband_mean_from_counts(
         result.summary, estimated)
-    if keep_stream:
-        result.stream = stream
+    result.stream = stream
     return result
 
 
@@ -196,7 +194,7 @@ def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False) -> Del
     ``postselect`` bins only the delays in the configured window (the central slot).
     """
     stream = generate_mzi_stream(config)
-    _, delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    delays = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
     if postselect:
         delays = delays[CoincidenceWindow(config.postselect_window).contains_ps(delays)]
     return delay_histogram(delays, bin_width=50e-12)

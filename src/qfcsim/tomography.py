@@ -315,14 +315,11 @@ def save_records(settings: list[MeasurementSetting], counts, durations_s, path) 
 
 def load_records(path) -> tuple[list[MeasurementSetting], np.ndarray, np.ndarray]:
     """The settings, counts and durations of a count file; ValueError on a
-    negative count, on counts that are all zero, or on a duration that is
-    not finite and > 0."""
+    negative count or on a duration that is not finite and > 0."""
     with open(path, "r", encoding="utf-8") as fh:
         *angles, counts, durations = read_table(fh, _RECORD_DTYPE, skip=RECORD_HEADER)
     if np.any(counts < 0):
         raise ValueError("count must be >= 0")
-    if len(counts) and not counts.any():
-        raise ValueError("every count is zero")
     if not np.all(np.isfinite(durations) & (durations > 0.0)):
         raise ValueError("durations must be finite and > 0")
     settings = [MeasurementSetting(*map(math.radians, row))

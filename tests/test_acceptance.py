@@ -32,8 +32,15 @@ from qfcsim.config import (
     thermal_g2_config,
 )
 from qfcsim.conversion import EfficiencyModel, conversion_efficiency, fit_efficiency_curve
-from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks
+from qfcsim.counting import (
+    CoincidenceWindow,
+    count_summary,
+    first_clicks,
+    g2_offset_from_counts,
+    opportunities,
+)
 from qfcsim.experiments import (
+    analyze_g2,
     run_efficiency_sweep,
     run_g2_experiment,
     run_mzi_histogram,
@@ -90,9 +97,10 @@ def test_criterion_1_efficiency_law_and_fit():
 
 def test_criterion_2_benchmark_correlations():
     t0 = time.time()
-    ideal = run_g2_experiment(ideal_g2_config(), sideband_offsets=())
-    coherent = run_g2_experiment(coherent_g2_config(), sideband_offsets=())
-    thermal = run_g2_experiment(thermal_g2_config(), sideband_offsets=())
+    ideal, coherent, thermal = (
+        analyze_g2(first_clicks(generate_hbt_stream(cfg)),
+                   CoincidenceWindow(cfg.coincidence_window))
+        for cfg in (ideal_g2_config(), coherent_g2_config(), thermal_g2_config()))
     # a true single photon can never produce a same-pulse coincidence
     ok = ideal.value == 0.0 and ideal.summary.n_coincidence == 0
     # Poissonian light is uncorrelated
@@ -113,11 +121,18 @@ def test_criterion_3_calibrated_g2():
     cfg = calibrated_g2_config(seed=14)
     # the frozen noise coefficient puts the analytic value exactly on target
     ok = abs(expected_hbt_rates(cfg).g2 - 0.17) < 1e-10
-    result = run_g2_experiment(cfg, sideband_offsets=range(1, 11))
+    result = run_g2_experiment(cfg)
     ok = ok and not result.insufficient
     ok = ok and abs(result.value - 0.17) < 0.05
-    # away from zero delay the pulses are uncorrelated
-    sidebands = np.array(list(result.sidebands.values()))
+    # away from zero delay the pulses are uncorrelated: the run estimates
+    # offsets +-1 .. +-5, and its stream's index reaches out to +-10
+    clicks = first_clicks(result.stream)
+    window = CoincidenceWindow(cfg.coincidence_window)
+    sidebands = list(result.sidebands.values()) + [
+        g2_offset_from_counts(count_summary(clicks, window, offset)[0],
+                              opportunities(clicks, offset))
+        for n in range(6, 11) for offset in (n, -n)]
+    sidebands = np.array(sidebands)
     ok = ok and len(sidebands) == 20
     ok = ok and abs(sidebands.mean() - 1.0) < 0.15
     elapsed = time.time() - t0
@@ -244,9 +259,10 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     cfg.to_file(cfg_path)
     ok = ok and ExperimentConfig.from_file(cfg_path) == cfg
     # two full experiment runs agree to the last bit
-    r1 = run_g2_experiment(cfg, sideband_offsets=())
-    r2 = run_g2_experiment(cfg, sideband_offsets=())
+    r1 = run_g2_experiment(cfg)
+    r2 = run_g2_experiment(cfg)
     ok = ok and r1.value == r2.value and r1.summary == r2.summary
+    ok = ok and r1.sidebands == r2.sidebands
     elapsed = time.time() - t0
     _report(8, ok, f"stream len={len(a)} rerun and reload identical, "
                    f"g2={r1.value:.4f} twice in {elapsed:.1f}s")

@@ -21,7 +21,7 @@ from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
 from qfcsim.sources import EventStream
-from qfcsim.tomography import RECORD_HEADER, save_records, standard_settings
+from qfcsim.tomography import RECORD_HEADER, load_records, save_records, standard_settings
 
 
 def _pairs(path):
@@ -236,20 +236,25 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
     bad_counts.write_text("0,0,0,0,12\n")
     assert main(["analyze", "--counts", str(bad_counts), "--out", str(tmp_path / "o")]) == 2
     settings = standard_settings()
-    # too few settings to determine a state: three records, or none at all
+    # too few settings to determine a state: three records, with or without
+    # a count, or none at all
     three = tmp_path / "three_counts.csv"
     save_records(settings[:3], [100] * 3, [1.0] * 3, three)
+    three_zero = tmp_path / "three_zero_counts.csv"
+    save_records(settings[:3], [0] * 3, [1.0] * 3, three_zero)
     header_only = tmp_path / "header_counts.csv"
     header_only.write_text(RECORD_HEADER + "\n")
     # a count above int64 cannot be read
     huge_count = tmp_path / "huge_counts.csv"
     save_records(settings, [100] * 16, [1.0] * 16, huge_count)
     huge_count.write_text(huge_count.read_text().replace(",100,", ",9223372036854775808,", 1))
-    # every count zero: the file holds no measurement to fit
+    for path in (three, three_zero, header_only, huge_count):
+        assert main(["analyze", "--counts", str(path), "--out", str(tmp_path / "o")]) == 2
+    # every count zero: no measurement to fit, which is reported, not refused
     all_zero = tmp_path / "zero_counts.csv"
     save_records(settings, [0] * 16, [1.0] * 16, all_zero)
-    for path in (three, header_only, huge_count, all_zero):
-        assert main(["analyze", "--counts", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["analyze", "--counts", str(all_zero), "--out", str(tmp_path / "zero")]) == 0
+    _assert_insufficient(json.loads((tmp_path / "zero" / "tomography.json").read_text()))
     header = "# n_pulses=10 seed=1 rep_period_ps=12195.0\n"
     for name, line in (("channel", "40000,0,1.0"), ("pulse", "1,99999999999999999999,1.0")):
         overflow = tmp_path / f"{name}_overflow.csv"
@@ -328,8 +333,7 @@ def test_exit_code_on_numerical_failure(tmp_path, tomo_cfg_path, monkeypatch, ca
 
 
 def _written_counts(out):
-    # load_records refuses a file of zero counts, so read the column directly
-    return np.loadtxt(out / "tomo_counts.csv", delimiter=",", skiprows=1, usecols=4)
+    return load_records(out / "tomo_counts.csv")[1]
 
 
 def _assert_insufficient(report):
@@ -370,6 +374,20 @@ def test_zero_rows_of_one_count_tomo_are_flagged_not_fatal(tmp_path, capsys):
     assert with_zero_replicates == [1, 5, 6, 9, 10, 12, 14, 16, 17, 19, 22, 23, 28]
 
 
+def test_analyze_counts_of_all_zero_tomo_is_insufficient(tmp_path, capsys):
+    # seed 29 of the test above writes no count at all; analyze --counts
+    # reports that file as tomo did, where it refused it as bad input (exit 2)
+    cfg = calibrated_tomo_config()
+    cfg.n_per_setting = 1.0
+    path = tmp_path / "one.cfg"
+    cfg.to_file(path)
+    out, an = tmp_path / "tomo", tmp_path / "an"
+    assert main(["tomo", "--config", str(path), "--seed", "29", "--out", str(out)]) == 0
+    assert not _written_counts(out).any()
+    assert main(["analyze", "--counts", str(out / "tomo_counts.csv"), "--out", str(an)]) == 0
+    _assert_insufficient(json.loads((an / "tomography.json").read_text()))
+
+
 def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
     # the preset's floor is round(0.2 Hz * 10,000 s) = 2,000 counts per
     # setting, so at 400 per setting no count is left to fit
@@ -390,7 +408,7 @@ def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
 
 def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, capsys):
     # a background of 1 kHz over 1 s leaves no count to fit; that was a
-    # numerical failure, exit 3 (an all-zero file is bad input, exit 2)
+    # numerical failure, exit 3
     path = tmp_path / "counts.csv"
     save_records(standard_settings(), [100] * 16, [1.0] * 16, path)
     out = tmp_path / "o"

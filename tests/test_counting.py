@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qfcsim import sources
+from qfcsim import counting, sources
 from qfcsim.config import calibrated_g2_config, ExperimentConfig
 from qfcsim.counting import (
     CoincidenceWindow,
@@ -74,18 +74,17 @@ def test_window_edges_are_inclusive():
 
 def test_pair_delays_on_toy_stream():
     stream = _toy_stream()
-    pulses, delays, t_start = pair_delays(first_clicks(stream))
-    assert_array_equal(pulses, [0, 2])
+    delays = pair_delays(first_clicks(stream))
+    assert len(delays) == 2
     assert_allclose(delays, [40.0, 2500.0])
-    assert_allclose(t_start, [10.0, 2 * REP_PS])
 
 
 def test_pair_delays_with_offset():
     # start at pulse 0 pairs with stop at pulse 2 under offset 2, and the
     # two-pulse separation is removed from the delay
     stream = _toy_stream()
-    pulses, delays, _ = pair_delays(first_clicks(stream), offset=2)
-    assert_array_equal(pulses, [0])
+    delays = pair_delays(first_clicks(stream), offset=2)
+    assert len(delays) == 1
     assert_allclose(delays, [2 * REP_PS + 2500.0 - 10.0 - 2 * REP_PS])
 
 
@@ -109,7 +108,7 @@ def test_count_summary_on_toy_stream():
     clicks = first_clicks(stream)
     summary, delays = count_summary(clicks, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
-    assert_array_equal(delays, pair_delays(clicks)[1])
+    assert_array_equal(delays, pair_delays(clicks))
     assert opportunities(clicks, 0) == 3
     assert opportunities(clicks, 1) == opportunities(clicks, -1) == 2
 
@@ -176,7 +175,7 @@ def test_count_summary_validation():
 
 
 def test_delay_histogram_zero_centered_bins(tmp_path):
-    _, delays, _ = pair_delays(first_clicks(_toy_stream()))
+    delays = pair_delays(first_clicks(_toy_stream()))
     hist = delay_histogram(delays, bin_width=50e-12)
     assert hist.mass == 2
     # 40 ps rounds to bin center 50 ps, 2500 ps to its own bin
@@ -210,7 +209,7 @@ def test_histogram_mass_equals_pairs():
     cfg.n_pulses = 200_000
     stream = generate_hbt_stream(cfg)
     clicks = first_clicks(stream)
-    _, delays, _ = pair_delays(clicks)
+    delays = pair_delays(clicks)
     hist = delay_histogram(delays)
     assert hist.mass == len(delays)
 
@@ -240,12 +239,12 @@ def test_select_window_keeps_central_peak():
     window = CoincidenceWindow(cfg.postselect_window)
     kept = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                          stop_channel=START_CHANNEL)
-    _, delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
+    delays = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
     half_ps = cfg.postselect_window * 1e12 / 2.0
     assert len(delays) > 0
     assert np.max(np.abs(delays)) <= half_ps
     # the +-1 ns side peaks are gone entirely
-    _, all_delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    all_delays = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
     assert np.max(np.abs(all_delays)) > 500.0
 
 
@@ -279,8 +278,8 @@ def test_counting_edges_give_zero_counts():
         clicks = first_clicks(stream)
         for offset in (-1, 0, 1):
             assert count_summary(clicks, window, offset)[0] == singles
-            assert len(pair_delays(clicks, offset)[1]) == 0
-        assert delay_histogram(pair_delays(clicks)[1]).mass == 0
+            assert len(pair_delays(clicks, offset)) == 0
+        assert delay_histogram(pair_delays(clicks)).mass == 0
     assert opportunities(first_clicks(empty), 0) == 0
     # an offset past the end of the run has no trigger pair to count
     toy = first_clicks(_toy_stream())
@@ -303,18 +302,18 @@ def _documented(pulses, stream):
 
 
 def _reference_counts(stream, window, offset):
-    """Counts, opportunities and (pulses, delays, start times) by the
-    np.unique + intersect1d code the first-click index replaced."""
+    """Counts, opportunities and delays by the np.unique + intersect1d code
+    the first-click index replaced."""
     trig, _ = _reference_first(stream, TRIGGER_CHANNEL)
     p_start, t_start = _reference_first(stream, START_CHANNEL)
     p_stop, t_stop = _reference_first(stream, STOP_CHANNEL)
-    common, i_start, i_stop = np.intersect1d(
+    _, i_start, i_stop = np.intersect1d(
         p_start, p_stop - offset, assume_unique=True, return_indices=True)
     delays = t_stop[i_stop] - t_start[i_start] - offset * (stream.rep_period * 1e12)
     summary = CountSummary(len(trig), len(p_start), len(p_stop),
                            int(np.count_nonzero(window.contains_ps(delays))))
     opportunities = len(np.intersect1d(trig, trig - offset, assume_unique=True))
-    return summary, opportunities, (common, delays, t_start[i_start])
+    return summary, opportunities, delays
 
 
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
@@ -378,16 +377,16 @@ def test_first_click_index_equals_sort_based_reference(stream):
     window = CoincidenceWindow(1e-9)
     clicks = first_clicks(stream)
     for offset in range(-5, 6):
-        summary, pairs, paired = _reference_counts(stream, window, offset)
-        got_summary, got_delays = count_summary(clicks, window, offset)
-        assert (got_summary, opportunities(clicks, offset)) == (summary, pairs)
-        assert_array_equal(got_delays, paired[1], strict=True)
-        want_pulses, *want_rest = paired
-        got_pulses, *got_rest = pair_delays(clicks, offset)
-        assert_array_equal(got_pulses, _documented(want_pulses, stream), strict=True)
-        for got, want in zip(got_rest, want_rest):
-            assert_array_equal(got, want, strict=True)
-    _, _, (_, delays, _) = _reference_counts(stream, window, 0)
+        summary, pairs, delays = _reference_counts(stream, window, offset)
+        assert opportunities(clicks, offset) == pairs
+        # blocks down to one start entry put join block edges inside these short lists
+        for block in (1, 2, 3, 7, counting._JOIN_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(counting, "_JOIN_BLOCK", block)
+                got_summary, got_delays = count_summary(clicks, window, offset)
+            assert got_summary == summary
+            assert_array_equal(got_delays, delays, strict=True)
+    _, _, delays = _reference_counts(stream, window, 0)
     hist = delay_histogram(count_summary(clicks, window)[1], bin_width=50e-12)
     bins = np.rint(delays / 50.0).astype(np.int64)
     if len(bins):
@@ -452,13 +451,17 @@ def test_trigger_list_counts_equal_brute_force(case):
 def test_trigger_list_widens_past_2_32_pulses(n_pulses, dtype):
     pulses = [0, n_pulses - 2, n_pulses - 1]
     clicks = first_clicks(_hand_stream(n_pulses, [(TRIGGER_CHANNEL, p) for p in pulses]
-                                       + [(STOP_CHANNEL, 0), (START_CHANNEL, n_pulses - 1)]))
+                                       + [(STOP_CHANNEL, 0), (START_CHANNEL, n_pulses - 1),
+                                          (STOP_CHANNEL, n_pulses - 1)]))
     for side in (clicks.trigger_pulses, clicks.start_pulses, clicks.stop_pulses):
         assert side.dtype == dtype
     assert_array_equal(clicks.trigger_pulses, pulses)
-    # the offset keys are signed and wide: the last pulse plus one wraps to no pulse
-    assert len(pair_delays(clicks, 1)[1]) == 0
-    assert_array_equal(pair_delays(clicks, 1 - n_pulses)[0], [n_pulses - 1])
+    # the offset keys are signed and wide: the last pulse plus one is no
+    # pulse, though a uint32 search clips it onto the last stop pulse
+    assert len(pair_delays(clicks, 1)) == 0
+    # the start at the last pulse (4 ps) pairs with the stop at pulse 0 (3 ps)
+    assert_array_equal(pair_delays(clicks, 1 - n_pulses),
+                       [3.0 - 4.0 - (1 - n_pulses) * clicks.rep_ps], strict=True)
     # the widest gap of the list, and one past it
     assert opportunities(clicks, n_pulses - 1) == 1
     assert opportunities(clicks, n_pulses) == 0

@@ -188,7 +188,7 @@ def test_mzi_postselection_equals_select_window(make_config):
     cfg = make_config()
     kept = select_window(generate_mzi_stream(cfg), CoincidenceWindow(cfg.postselect_window),
                          start_channel=TRIGGER_CHANNEL, stop_channel=START_CHANNEL)
-    _, delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
+    delays = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
     want = delay_histogram(delays, bin_width=50e-12)
     got = run_mzi_histogram(cfg, postselect=True)
     assert want.mass > 0

@@ -4,9 +4,9 @@ tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
 stream's bytes for generation, the index's bytes for first-click
-extraction, the trigger list's bytes for the opportunity count, and one
-``BLOCK_ROWS`` block's bytes for the stream save, whatever the stream's
-length.  Every bound holds
+extraction and the pulse join, the trigger list's bytes for the
+opportunity count, and one ``BLOCK_ROWS`` block's bytes for the stream
+save, whatever the stream's length.  Every bound holds
 on the serial and on the pooled schedule.  Buffers that numpy's sorts take
 from plain malloc are not counted.
 """
@@ -20,10 +20,16 @@ import pytest
 from qfcsim import parallel
 from qfcsim.artifacts import BLOCK_ROWS
 from qfcsim.config import ExperimentConfig
-from qfcsim.counting import first_clicks, opportunities
+from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks, opportunities
 from qfcsim.sources import EventStream, generate_hbt_stream
 
 IDEAL_G2 = Path(__file__).resolve().parent.parent / "configs" / "ideal_g2.cfg"
+
+
+def _index_bytes(clicks):
+    return sum(column.nbytes for column in (clicks.trigger_pulses, clicks.start_pulses,
+                                            clicks.start_times, clicks.stop_pulses,
+                                            clicks.stop_times))
 
 
 def _traced_peak(step):
@@ -70,10 +76,21 @@ def test_first_clicks_peak(dense_stream):
     stream = dense_stream[0]
     clicks, peak = _traced_peak(lambda: first_clicks(stream))
     trigger = clicks.trigger_pulses
-    index_bytes = sum(column.nbytes for column in (
-        trigger, clicks.start_pulses, clicks.start_times, clicks.stop_pulses, clicks.stop_times))
     assert trigger.dtype == np.uint32
-    assert peak <= index_bytes + 0.5 * trigger.nbytes
+    assert peak <= _index_bytes(clicks) + 0.5 * trigger.nbytes
+
+
+def test_join_peak(dense_stream):
+    """``count_summary`` joins one block of start entries at a time and
+    keeps only the delays, so at every offset it peaks at a fraction of the
+    index.  A join of the whole start list at once, with its widened keys,
+    stop indices and matched pulse and start-time gathers, held about 0.75
+    of it."""
+    clicks = first_clicks(dense_stream[0])
+    window = CoincidenceWindow(1e-9)
+    for offset in range(-5, 6):
+        _, peak = _traced_peak(lambda: count_summary(clicks, window, offset))
+        assert peak <= 0.25 * _index_bytes(clicks), offset
 
 
 def test_opportunities_peak(dense_stream):

@@ -542,7 +542,7 @@ def test_timebin_slots_match_oracle(kind, mu, eff1, dark1, eff2, dark2, transmit
                            jitter_sigma=jitter_frac * delay_frac * rep,
                            n_pulses=200_000, seed=seed)
     clicks = first_clicks(generate_mzi_stream(cfg), TRIGGER_CHANNEL, START_CHANNEL)
-    _, delays, _ = pair_delays(clicks)
+    delays = pair_delays(clicks)
     n_trigger = len(clicks.trigger_pulses)
     slot = np.round(delays / (cfg.mzi_delay * 1e12))
     # a slot's edges, delay / 2 from its centre, lie 7 or more deviations of

@@ -18,7 +18,7 @@ figure is the larger of the command's own peak and the peak of any worker
 process it forked and reaped (a forked worker starts out holding its
 parent's pages), so it folds in the workers of a pooled stream save.  On
 the presets the workers peak lower than the command itself: ``ideal_g2``'s
-``g2 --save-stream`` peaked at 520 MB against about 330 MB for its workers.
+``g2 --save-stream`` peaked at about 420 MB against about 330 MB for its workers.
 """
 
 from __future__ import annotations
