@@ -4,7 +4,7 @@ Subcommands: ``sweep`` (pump-power efficiency curve), ``g2`` (heralded
 intensity correlation), ``tomo`` (two-qubit tomography of the converted
 state), and ``analyze`` (re-analysis of saved event streams or count
 records).  Exit status is 0 on success, 1 on system failures (say, an
-unwritable output), 2 on configuration errors, 3 on numerical failures.
+unwritable output), 2 on bad input or a run beyond memory, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, IncompleteSettingsError) as exc:
-        # a count file whose settings cannot determine a state is bad input too
+    except (ConfigError, IncompleteSettingsError, MemoryError) as exc:
+        # so are a count file whose settings cannot determine a state and a run beyond memory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -9,7 +9,9 @@ projected gradient with adaptive restart (Shang, Zhang, Ng and Ng, PRA 95,
 (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).  Because those 16
 projectors do not sum to a multiple of the identity, the fit runs in a
 transformed frame where they do form a proper measurement, then maps back;
-there the outcome probabilities of every state sum to 1.
+there the outcome probabilities of every state sum to 1.  A fit starts from
+the projected linear-inversion estimate or from I/d; a full-rank estimate
+matches every frequency, so it is the optimum and the fit stops at once.
 """
 
 from __future__ import annotations
@@ -170,20 +172,23 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     the states to search are {sigma >= 0, Tr sigma = 1} and the outcome
     probabilities sum to 1.  It minimizes the cost -sum f_i log p_i (f the
     row's frequencies) by accelerated projected gradient with adaptive
-    restart (Shang, Zhang, Ng and Ng, PRA 95, 062336 (2017)).  Each row has
-    its own step length, which starts at 1 and is halved until the
-    quadratic upper bound of the cost holds at the projected step; a row
-    whose bound still fails after ``_MAX_HALVINGS`` halvings stops
-    unconverged.  Iteration stops once a step changes the cost by at most
-    ``COST_TOL`` and the state by at most ``STATE_TOL``.  All rows iterate
-    as one ``(R, d, d)`` stack, and a row leaves the stack as soon as it
-    stops.  Each iteration tries every row's step on the whole stack; only
-    the rows whose bound fails are picked out to retry.  Only stacked matrix
-    products, elementwise operations and reductions over a row's own axes
-    touch the data, so each row's result is the one it would get alone.
-    ``experiments.reconstruct`` relies on that: its row 0 is the point
-    estimate, the rest are bootstrap replicates, and it leaves out the rows
-    with no count, which this function refuses.
+    restart (Shang, Zhang, Ng and Ng, PRA 95, 062336 (2017)).  Each row
+    starts from its linear-inversion estimate projected onto the states.  On
+    d^2 informationally complete settings, like the standard 16 (James,
+    Kwiat, Munro and White, PRA 64, 052312 (2001)), that estimate matches
+    every frequency; a full-rank one is the optimum, where the gradient -I
+    only shifts the spectrum, which the projection undoes: the row converges
+    on iteration 1.  A row starts from I/d instead when I/d gives every
+    observed outcome a larger share p_i / f_i than the projected start gives
+    its least-served one: p_i <= 0 costs infinity, and a p_i far below f_i
+    forces a tiny first step.  Step lengths start at 1 and only shrink: they
+    halve until the quadratic upper bound of the cost holds at the projected
+    step, and a row whose bound still fails after ``_MAX_HALVINGS`` halvings
+    stops unconverged.  Rows iterate as one ``(R, d, d)`` stack that each
+    leaves once it stops; only the rows whose bound fails retry.  Only
+    stacked matrix products, elementwise operations and reductions over a
+    row's own axes touch the data, so each row gets the result it would get
+    alone, as ``experiments.reconstruct`` needs for its row 0.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
@@ -231,7 +236,12 @@ def mle_reconstruct_batch(settings: list[MeasurementSetting], counts,
     results: list[MleResult | None] = [None] * len(counts)
     rows = np.arange(len(counts))
     freqs = counts / totals[:, None]
-    sigma = np.tile(np.eye(dim, dtype=complex) / dim, (len(rows), 1, 1))
+    linear = (freqs[:, None, :] @ np.linalg.pinv(povm_rows.conj()).T).reshape(-1, dim, dim)
+    sigma = _project_to_states(0.5 * (linear + _dagger(linear)))
+    observed = np.where(freqs > 0.0, freqs, np.nan)
+    blind = (np.nanmin(probabilities(sigma) / observed, axis=1)
+             < np.nanmin(povm.trace(axis1=1, axis2=2).real / dim / observed, axis=1))
+    sigma[blind] = np.eye(dim) / dim
     momentum = sigma.copy()
     theta, step = np.ones(len(rows)), np.ones(len(rows))
     iterations = np.zeros(len(rows), dtype=int)

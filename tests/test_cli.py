@@ -635,6 +635,28 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):
     assert report == ["import False"] + [f"{argv[0]} 0 False" for argv in commands]
 
 
+def test_run_beyond_memory_exits_2_with_one_line(tmp_path):
+    # One candidate click per noise photon: at this noise the time-bin
+    # histogram asks for about 27 GiB.  Under a 2 GB address-space limit that
+    # allocation fails, which is bad input (exit 2), not a traceback (exit 1).
+    cfg = calibrated_tomo_config()
+    cfg.noise_coeff, cfg.pump_power, cfg.n_pulses, cfg.n_bootstrap = 1e6, 70.0, 20_000, 0
+    path = tmp_path / "noisy.cfg"
+    cfg.to_file(path)
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from qfcsim.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(qfcsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "tomo", "--config", str(path),
+         "--out", str(tmp_path / "out"), "--timebin-histogram"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: Unable to allocate "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_sweep_writes_per_watt_fit_and_refuses_eff_coeff_unit(tmp_path, capsys):
     # eff_coeff is per W and the fit works in watts; a config that still
     # sets eff_coeff_unit, per_W included, names an unknown key: exit 2

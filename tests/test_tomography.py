@@ -221,8 +221,10 @@ def _fit_alone_tracing_steps(settings, counts, **kwargs):
 def test_mle_batch_rows_equal_single_fits_bit_for_bit():
     # On these 16 random settings the rows halve their step lengths different
     # numbers of times, restart their momentum, and either converge at
-    # different iterations or stop at max_iter (seed found by search).
-    rng = np.random.default_rng(31)
+    # different iterations or stop at max_iter; row 3 starts from I/d and the
+    # others from their projected linear-inversion estimates (seed and last
+    # row found by search; a row of equal counts would start at its optimum).
+    rng = np.random.default_rng(756)
     settings = [MeasurementSetting(*rng.uniform(0.0, math.pi, 4)) for _ in range(16)]
     counts = rng.exponential(1.0, 16) ** 4
     index = np.arange(16)
@@ -230,7 +232,7 @@ def test_mle_batch_rows_equal_single_fits_bit_for_bit():
             np.where(index % 3 == 0, 0.0, counts),  # zero patterns, as after
             np.where(index < 5, 0.0, np.round(10.0 * counts)),  # subtraction
             index % 4.0,
-            np.ones(16)]
+            counts[::-1]]
     batch = mle_reconstruct_batch(settings, rows, max_iter=250)
     reversed_batch = mle_reconstruct_batch(settings, rows[::-1], max_iter=250)[::-1]
     halvings, restarts = [], []
@@ -249,21 +251,100 @@ def test_mle_batch_rows_equal_single_fits_bit_for_bit():
     assert batch[2].iterations != batch[3].iterations
     assert len(set(halvings)) >= 3
     assert min(restarts) >= 1
+    identity_start = _fit_frame(settings)[2]
+    starts = mle_reconstruct_batch(settings, rows, max_iter=0)
+    assert [np.abs(fit.rho - identity_start).max() <= 1e-15 for fit in starts] == [
+        False, False, False, True, False]
 
 
 def test_mle_row_whose_step_bound_keeps_failing_stops_unconverged(monkeypatch):
     # With one try per iteration, the first step that needs a halving stalls
-    # the row (iteration 34 here); it stops there and reports the state of
-    # the step before.
+    # the row (iteration 6 here); it stops there and reports the state of
+    # the step before.  Exact counts would start at the optimum, so these
+    # are sampled.
     monkeypatch.setattr(tomography, "_MAX_HALVINGS", 1)
     settings = standard_settings()
-    counts = _exact_counts(density(PHI_PLUS), settings)
+    counts = simulate_counts(density(PHI_PLUS), settings, 1000.0, np.random.default_rng(0))
     stalled = mle_reconstruct(settings, counts)
     assert not stalled.converged
     assert stalled.iterations > 1
     before = mle_reconstruct(settings, counts, max_iter=stalled.iterations - 1)
     assert np.array_equal(stalled.rho, before.rho)
     assert stalled.log_likelihood == before.log_likelihood
+
+
+def _fit_frame(settings):
+    """The fit frame's map G^(1/2), its elements E_i, and the state I/d maps
+    back to, G^-1 / Tr G^-1, where G is the sum of the projectors."""
+    projectors = np.stack([s.projector for s in settings])
+    g_inv_sqrt = tomography._inv_sqrt(projectors.sum(axis=0))
+    start = g_inv_sqrt @ g_inv_sqrt
+    return (np.linalg.inv(g_inv_sqrt), g_inv_sqrt @ projectors @ g_inv_sqrt,
+            start / np.trace(start).real)
+
+
+def test_mle_of_an_interior_optimum_is_its_linear_inversion():
+    # A full-rank linear-inversion estimate matches every frequency, so it
+    # is the optimum itself: the fit starts there and stops on iteration 1.
+    rng = np.random.default_rng(5)
+    settings = standard_settings()
+    flat = np.stack([s.projector.conj().ravel() for s in settings])
+    for _ in range(5):
+        counts = _exact_counts(_random_state(rng), settings, scale=1000.0)
+        inverted = np.linalg.lstsq(flat, counts, rcond=None)[0].reshape(4, 4)
+        inverted /= np.trace(inverted).real
+        result = mle_reconstruct(settings, counts)
+        assert result.converged
+        assert result.iterations == 1
+        assert np.abs(result.rho - inverted).max() <= 1e-12
+
+
+def test_mle_row_whose_start_starves_an_observed_outcome_starts_from_identity():
+    # In the fit frame, a linear-inversion estimate of spectrum (1.1, 0.05,
+    # -0.1, -0.05) projects onto its first eigenvector alone.  Its second
+    # eigenvector lies along (tilt 0) or next to the element E_HV, so HV is
+    # observed while the start gives it p = 0 up to rounding, or about 1e-8.
+    # Either start would stall the fit or crawl: the row starts from I/d,
+    # which maps back to G^-1 / Tr G^-1, and converges.
+    settings = standard_settings()
+    _, elements, identity_start = _fit_frame(settings)
+    seen = np.linalg.eigh(elements[1])[1][:, -1]
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    first, v3, v4 = np.linalg.qr(m - np.outer(seen, seen.conj() @ m))[0].T
+    for tilt in (0.0, 1e-4):
+        psi = first + tilt * seen
+        psi /= np.linalg.norm(psi)
+        second = seen - psi * (psi.conj() @ seen)
+        second /= np.linalg.norm(second)
+        sigma = sum(w * np.outer(v, v.conj())
+                    for w, v in zip((1.1, 0.05, -0.1, -0.05), (psi, second, v3, v4)))
+        freqs = np.einsum("iab,ba->i", elements, sigma).real
+        assert freqs.min() >= 0.0 and freqs[1] > 0.0
+        start = mle_reconstruct(settings, freqs, max_iter=0)
+        assert np.abs(start.rho - identity_start).max() <= 1e-15
+        fit = mle_reconstruct(settings, freqs, max_iter=5000)
+        assert fit.converged
+        assert fit.log_likelihood > start.log_likelihood
+
+
+def test_mle_fit_meets_the_optimality_conditions():
+    # At the optimum sigma of the fit frame, R = sum_i f_i / p_i E_i has no
+    # eigenvalue above 1 and R sigma = sigma, whichever start the fit took.
+    rng = np.random.default_rng(7)
+    settings = standard_settings()
+    g_sqrt, elements, _ = _fit_frame(settings)
+    for rank in (1, 2, 3, 4) * 3:
+        counts = simulate_counts(_random_state(rng, rank), settings, 1000.0, rng)
+        result = mle_reconstruct(settings, counts)
+        sigma = g_sqrt @ result.rho @ g_sqrt
+        sigma /= np.trace(sigma).real
+        freqs = counts / counts.sum()
+        probs = np.einsum("iab,ba->i", elements, sigma).real
+        ratio = np.einsum("i,iab->ab", freqs / np.where(freqs > 0.0, probs, 1.0), elements)
+        assert result.converged
+        assert np.linalg.eigvalsh(ratio).max() <= 1.0 + 1e-6
+        assert np.linalg.norm(ratio @ sigma - sigma) <= 1e-6
 
 
 def test_mle_batch_input_validation():

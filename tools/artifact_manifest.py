@@ -9,9 +9,11 @@ the set is ``sweep``; for a ``*_g2`` preset also ``g2 --save-stream`` and
 ``analyze --stream`` on its stream; for a ``*_tomo`` preset also ``tomo``,
 ``tomo --subtract-bg --timebin-histogram``, and ``analyze --counts`` on
 the raw counts with and without ``--subtract-bg``.  The seven presets under
-``configs/`` give 55 files.  The output is ``sha256  path`` per file, sorted
+``configs/`` give 55 files.  The output is two ``#`` lines (the file count,
+and the python and numpy versions), then ``sha256  path`` per file, sorted
 by the path relative to OUT, so the manifests of two checkouts compare with
-``diff``.  With no PRESET, every preset under ``configs/`` runs.  Each
+``diff``.  With no PRESET, every preset under ``configs/`` runs, and the
+output is ``tests/golden_artifacts.sha256`` line for line.  Each
 command's peak RSS goes to stderr as ``peak_rss_mb=X  <preset>/<step>``,
 taken from the rusage ``os.wait4`` reports for that command.  On Linux that
 figure is the larger of the command's own peak and the peak of any worker
@@ -25,13 +27,16 @@ from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # every file under configs/ is a preset (tests/test_config.py holds them equal)
 PRESETS = tuple(sorted(path.stem for path in (ROOT / "configs").glob("*.cfg")))
+NUMBERS = "zero one two three four five six seven eight nine ten".split()
 
 
 def preset_commands(preset: str, out: Path) -> list[list[str]]:
@@ -99,6 +104,12 @@ def main(argv: list[str]) -> int:
             step = Path(args[args.index("--out") + 1]).name
             print(f"peak_rss_mb={peak_mb:.1f}  {preset}/{step}", file=sys.stderr)
     files = sorted(p for p in out.rglob("*") if p.is_file())
+    count = NUMBERS[len(PRESETS)] if len(PRESETS) < len(NUMBERS) else len(PRESETS)
+    scope = (f"all {count} presets" if set(presets) == set(PRESETS)
+             else f"the presets {', '.join(presets)}")
+    print(f"# sha256  path of the {len(files)} files that tools/artifact_manifest.py "
+          f"writes for {scope}")
+    print(f"# made under python {platform.python_version()}, numpy {version('numpy')}")
     for path in files:
         print(f"{sha256(path)}  {path.relative_to(out).as_posix()}")
     return 0
