@@ -18,8 +18,8 @@ from .metrics import (ChshResult, chsh_assessment, concurrence,
                       entanglement_of_formation, fidelity)
 from .qubits import (PHI_PLUS, check_density_matrix, convert_timebin_qubit,
                      end_to_end_state, entangled_pair_state, timebin_to_pol)
-from .sources import (EventStream, expected_hbt_rates, generate_hbt_stream,
-                      generate_mzi_stream, pair_distribution)
+from .sources import (ChannelClicks, EventStream, expected_hbt_rates,
+                      generate_hbt_stream, generate_mzi_stream, pair_distribution)
 from .tomography import (MeasurementSetting, MleResult, load_records,
                          mle_reconstruct, save_records, simulate_counts,
                          standard_settings, subtract_background)
@@ -27,7 +27,7 @@ from .tomography import (MeasurementSetting, MleResult, load_records,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChshResult", "CoincidenceWindow", "ConfigError",
+    "ChannelClicks", "ChshResult", "CoincidenceWindow", "ConfigError",
     "CountSummary", "DelayHistogram", "EfficiencyFit", "EfficiencyModel",
     "EventStream", "ExperimentConfig", "FirstClicks", "InsufficientEventsError",
     "MeasurementSetting", "MleResult", "PHI_PLUS", "PRESETS",

@@ -105,7 +105,7 @@ def _cmd_g2(args) -> int:
     paths = write_g2(result, args.out)
     if args.save_stream:
         stream_path = Path(args.out) / "events.csv"
-        result.stream.save(stream_path)
+        result.stream.to_stream().save(stream_path)
         paths.append(stream_path)
     for p in paths:
         print(p)

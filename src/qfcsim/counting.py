@@ -1,8 +1,9 @@
 """Coincidence counting and normalized intensity correlations.
 
-All estimators work on a ``FirstClicks`` index, built once per stream.
-Clicks are paired by pulse: the first click per pulse on each channel
-counts, matching start-stop electronics with one valid event per gate.
+All estimators work on a ``FirstClicks`` index, built once per run from
+its generated ``ChannelClicks`` or a loaded ``EventStream``.  Clicks are
+paired by pulse: the first click per pulse on each channel counts,
+matching start-stop electronics with one valid event per gate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .artifacts import write_table
 from .config import ConfigError
-from .sources import EventStream, START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL
+from .sources import (ChannelClicks, EventStream, START_CHANNEL, STOP_CHANNEL,
+                      TRIGGER_CHANNEL)
 
 
 class InsufficientEventsError(ValueError):
@@ -82,12 +84,12 @@ class DelayHistogram:
 
 @dataclass(frozen=True)
 class FirstClicks:
-    """First click per pulse on the trigger, start and stop channels of one stream.
+    """First click per pulse on the trigger, start and stop channels of one run.
 
     Every pulse list is sorted and unique (uint32 up to 2**32 pulses), and
     each times array holds the earliest click of the matching pulse in ps.
     The trigger side is a pulse list alone, since only its length and its
-    pulse gaps are counted.  Built once per stream by ``first_clicks``, it
+    pulse gaps are counted.  Built once per run by ``first_clicks``, it
     serves every offset through joins on sorted lists.
     """
 
@@ -98,11 +100,16 @@ class FirstClicks:
     stop_times: np.ndarray
     rep_ps: float
 
+    def summary(self, n_coincidence: int) -> CountSummary:
+        """The singles of this index with ``n_coincidence`` coincidences."""
+        return CountSummary(len(self.trigger_pulses), len(self.start_pulses),
+                            len(self.stop_pulses), n_coincidence)
 
-def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
+
+def first_clicks(stream: ChannelClicks | EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
     """Index the first clicks of ``stream`` on the trigger, start and stop
-    channels, each extracted once by ``EventStream.first_event_times``."""
+    channels, each extracted once by its ``first_event_times``."""
     # a channel named twice (such as the trigger as start) is extracted once
     firsts = {ch: stream.first_event_times(ch)
               for ch in dict.fromkeys((start_channel, stop_channel))}
@@ -135,28 +142,43 @@ def opportunities(clicks: FirstClicks, offset: int) -> int:
     return count
 
 
-def pair_delays(clicks: FirstClicks, offset: int = 0) -> np.ndarray:
+def pair_delays(clicks: FirstClicks, offset: int = 0, reach: int = 0,
+                window: CoincidenceWindow | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Stop-minus-start delays in ps, in start-pulse order, of the start
     clicks at pulse p with a stop click at pulse p + ``offset``, less the
-    nominal ``offset``-pulse separation.
+    nominal ``offset``-pulse separation; and how many delays ``window``
+    contains (all without a window) at each offset ``offset`` +- ``reach``.
 
-    The join runs per ``_JOIN_BLOCK`` start entries, so only the delays
-    grow with the run.  A block's keys are widened to int64 before the offset (a
-    negative key, or one past the last uint32 pulse, needs it).  The stop
-    list is searched for them clipped to its own dtype and compared with
-    them unclipped, so it is never cast.
+    One join serves the window of offsets, per ``_JOIN_BLOCK`` start
+    entries, so only the kept delays grow with the run.  A block's keys p +
+    ``offset`` - ``reach`` are widened to int64 (a negative key, or one past
+    the last uint32 pulse, needs it), and the stop list is searched once,
+    for them clipped to its own dtype, so it is never cast.  The stop pulses
+    are sorted and unique, so the stop at key + d, if any, is among the
+    2 ``reach`` + 1 entries from there on.
     """
     stops, bounds = clicks.stop_pulses, np.iinfo(clicks.stop_pulses.dtype)
-    parts = [np.zeros(0)]
+    low, span = offset - reach, 2 * reach + 1
+    parts, counts = [np.zeros(0)], np.zeros(span, dtype=np.int64)
     for lo in range(0, len(clicks.start_pulses), _JOIN_BLOCK):
-        keys = clicks.start_pulses[lo:lo + _JOIN_BLOCK].astype(np.int64) + offset
+        keys = clicks.start_pulses[lo:lo + _JOIN_BLOCK].astype(np.int64) + low
         j = np.searchsorted(stops, np.clip(keys, bounds.min, bounds.max).astype(stops.dtype))
-        hit = j < len(stops)
-        hit[hit] = stops[j[hit]] == keys[hit]
-        i = np.flatnonzero(hit)
-        parts.append(clicks.stop_times[j[i]] - clicks.start_times[lo + i]
-                     - offset * clicks.rep_ps)
-    return np.concatenate(parts)
+        start_times = clicks.start_times[lo:lo + len(keys)]
+        kept, found = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
+        for k in range(span):
+            # j is nondecreasing, so the candidates inside the stop list are a
+            # prefix; a key clipped onto the last stop gives d < 0, which wraps
+            n = int(np.searchsorted(j, len(stops) - k))
+            d = stops[k:][j[:n]] - keys[:n]
+            i = np.flatnonzero(d.view(np.uint64) < span)
+            d = d[i]
+            delays = clicks.stop_times[k:][j[i]] - start_times[i] - (low + d) * clicks.rep_ps
+            counts += np.bincount(d if window is None else d[window.contains_ps(delays)],
+                                  minlength=span)
+            own = i[d == reach]
+            kept[own], found[own] = delays[d == reach], True
+        parts.append(kept[found])
+    return np.concatenate(parts), counts
 
 
 def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHistogram:
@@ -188,11 +210,8 @@ def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 
                   ) -> tuple[CountSummary, np.ndarray]:
     """Triggers, singles, and windowed coincidences at a pulse offset, and the
     joined delays in ps, which ``delay_histogram`` takes as they are."""
-    delays = pair_delays(clicks, offset)
-    n_coinc = int(np.count_nonzero(window.contains_ps(delays)))
-    summary = CountSummary(len(clicks.trigger_pulses), len(clicks.start_pulses),
-                           len(clicks.stop_pulses), n_coinc)
-    return summary, delays
+    delays, (n_coinc,) = pair_delays(clicks, offset, window=window)
+    return clicks.summary(int(n_coinc)), delays
 
 
 def g2_zero_from_counts(summary: CountSummary) -> tuple[float, float]:

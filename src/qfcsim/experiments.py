@@ -21,16 +21,16 @@ from .artifacts import write_pairs, write_table
 from .config import ExperimentConfig
 from .conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstClicks,
-                       InsufficientEventsError, count_summary, delay_histogram,
-                       first_clicks, g2_offset_from_counts, g2_zero_from_counts,
-                       opportunities, pair_delays, sideband_mean_from_counts)
+                       InsufficientEventsError, delay_histogram, first_clicks,
+                       g2_offset_from_counts, g2_zero_from_counts, opportunities,
+                       pair_delays, sideband_mean_from_counts)
 # unused here, but perfbench/child.py TARGETS traces them under these names
 # (reconstruct fits through mle_reconstruct_batch, not mle_reconstruct)
-from .counting import g2_at_offset, select_window
+from .counting import count_summary, g2_at_offset, select_window
 from .tomography import mle_reconstruct
 from .metrics import ChshResult, chsh_assessment, concurrence, eof_of_concurrence
 from .qubits import end_to_end_state
-from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
+from .sources import (ChannelClicks, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
                          mle_reconstruct_batch, save_records, save_report,
@@ -108,7 +108,7 @@ class G2Result:
     histogram: DelayHistogram
     sidebands: dict[int, float] = field(default_factory=dict)
     insufficient: bool = False
-    stream: Optional[EventStream] = None
+    stream: Optional[ChannelClicks] = None
     sideband_mean: float = math.nan
     sideband_mean_error: float = math.nan
 
@@ -119,49 +119,46 @@ class G2Result:
 
 
 def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
-               bin_width: float = 50e-12) -> G2Result:
-    """Zero-delay g2, its error, and the delay histogram of one first-click index.
-
-    When the run is too short for a meaningful estimate the result carries
-    NaN values and the ``insufficient`` flag instead of raising.  The
-    histogram bins the delays that the zero-offset count joined.
+               bin_width: float = 50e-12, reach: int = 0) -> G2Result:
+    """Zero-delay g2, its error, the histogram of its delays and, with
+    ``reach``, the sidebands at pulse offsets +-1 .. +-``reach``, all from
+    one join of a first-click index.  The sidebands probe the accidental
+    level: for uncorrelated pulses they sit at 1, and so does their pooled
+    mean.  A run too short for a meaningful estimate gives NaN values and
+    the ``insufficient`` flag instead of raising.
     """
-    summary, delays = count_summary(clicks, window)
+    delays, coincidences = pair_delays(clicks, 0, reach, window)
+    summary = clicks.summary(int(coincidences[reach]))
     try:
         value, err = g2_zero_from_counts(summary)
         insufficient = False
     except InsufficientEventsError:
         value, err, insufficient = math.nan, math.nan, True
-    return G2Result(value, err, summary, delay_histogram(delays, bin_width),
-                    insufficient=insufficient)
-
-
-def run_g2_experiment(config: ExperimentConfig) -> G2Result:
-    """Generate a heralded correlation stream and estimate g2.
-
-    ``analyze_g2`` gives the zero-delay result.  Sideband estimates at
-    pulse offsets +-1 .. +-5 probe the accidental level; for uncorrelated
-    pulses they sit at 1, and so does their pooled mean.  Every offset is
-    counted from one first-click index, and the opportunities once for each
-    +-n pair.  The result keeps the stream.
-    """
-    stream = generate_hbt_stream(config)
-    window = CoincidenceWindow(config.coincidence_window)
-    clicks = first_clicks(stream)
-    result = analyze_g2(clicks, window)
+    result = G2Result(value, err, summary, delay_histogram(delays, bin_width),
+                      insufficient=insufficient)
     estimated = []
-    for n in range(1, 6):
+    for n in range(1, reach + 1):
         trigger_pairs = opportunities(clicks, n)
         for offset in (n, -n):
-            counts, _ = count_summary(clicks, window, offset)
+            counts = clicks.summary(int(coincidences[reach + offset]))
             try:
                 result.sidebands[offset] = g2_offset_from_counts(counts, trigger_pairs)
             except InsufficientEventsError:
                 continue
             estimated.append((counts.n_coincidence, trigger_pairs))
     result.sideband_mean, result.sideband_mean_error = sideband_mean_from_counts(
-        result.summary, estimated)
-    result.stream = stream
+        summary, estimated)
+    return result
+
+
+def run_g2_experiment(config: ExperimentConfig) -> G2Result:
+    """Generate a heralded correlation run and estimate g2 and the
+    sidebands at offsets +-1 .. +-5.  The result keeps the generated clicks,
+    from which ``ChannelClicks.to_stream`` builds the stream to save."""
+    clicks = generate_hbt_stream(config)
+    result = analyze_g2(first_clicks(clicks), CoincidenceWindow(config.coincidence_window),
+                        reach=5)
+    result.stream = clicks
     return result
 
 
@@ -193,8 +190,8 @@ def run_mzi_histogram(config: ExperimentConfig, postselect: bool = False) -> Del
     combinations pile up at -delay, 0, +delay with weights 1:2:1.
     ``postselect`` bins only the delays in the configured window (the central slot).
     """
-    stream = generate_mzi_stream(config)
-    delays = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    clicks = generate_mzi_stream(config)
+    delays, _ = pair_delays(first_clicks(clicks, TRIGGER_CHANNEL, START_CHANNEL))
     if postselect:
         delays = delays[CoincidenceWindow(config.postselect_window).contains_ps(delays)]
     return delay_histogram(delays, bin_width=50e-12)

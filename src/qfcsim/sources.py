@@ -10,7 +10,7 @@ keyed by (seed, chunk_index) over fixed 2**19-pulse chunks, so results are
 reproducible bit for bit however the chunks are scheduled.  A run of at
 least ``parallel.MIN_TASKS`` chunks, on a machine with 2 CPUs or more, runs
 them on a thread pool (numpy releases the GIL in the draws and ufuncs) and
-joins them in chunk order, so its stream equals the serial one.  A
+keeps them in chunk order, so its clicks equal the serial ones.  A
 heralded chunk draws only what its heralds need: the gaps between heralds
 from Geometric(p_herald), then one uniform per herald for its pair number,
 whose law given a herald is p_k h_k / p_herald.  That is exact in
@@ -18,16 +18,14 @@ distribution, and since the geometric law is memoryless each chunk restarts
 its gaps, so a longer run still extends a shorter one.
 
 Memory: a pair-source chunk's draws hold one entry per herald, not per
-pulse, and each is dropped once used; the time-sorted chunks are joined one
-column at a time, dropping that column's chunk parts.  So the generation peak
-holds the stream's 18 bytes per event plus a copy of one column: in the join
-of the timestamp column once a run has three chunks or more (about 1.50
-times the stream's bytes), and in the time sort of the one chunk, which also
-holds its sort order, in a run of one chunk (below 2 times).
-On the thread pool one chunk per worker is in flight, and that peak is 1.62
-times (``calibrated_g2``'s 39 chunks, traced); as each column is joined, the
-memory the worker threads freed is handed back to the system, since their
-malloc arenas would otherwise keep it through the copy of the next column.
+pulse, and each is dropped once used.  A generated run is kept as
+``ChannelClicks``, each chunk's clicks per channel in generation order, at
+16 bytes per click: nothing is sorted or joined until ``to_stream``, which
+only a saved run and the tests call.  ``to_stream`` consumes the chunks one
+at a time into columns allocated for the whole stream, so the clicks and
+the stream are never both whole.  On the thread pool one chunk per worker
+is in flight; the memory the worker threads freed into their malloc arenas
+is handed back to the system as ``to_stream`` drops each chunk.
 """
 
 from __future__ import annotations
@@ -81,8 +79,37 @@ def pair_distribution(config: ExperimentConfig) -> np.ndarray:
 def _click_prob(efficiency: float, dark: float, n: np.ndarray) -> np.ndarray:
     """Threshold-detector click probability given n incident photons, each
     registered with probability ``efficiency``, plus a dark count with
-    probability ``dark`` per gate."""
+    probability ``dark`` per gate.  For integer n up to its length, the
+    powers come from a table of them: the same ``pow`` on the same inputs."""
+    if n.dtype.kind in "iu" and 0 < len(n) and n.max() <= len(n):
+        return 1.0 - (1.0 - dark) * ((1.0 - efficiency) ** np.arange(n.max() + 1))[n]
     return 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
+
+
+def _first_per_pulse(pulses: np.ndarray, stamps: np.ndarray, times: bool
+                     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The start-stop rule, the one place it is applied: from one channel's
+    clicks in time order, the sorted unique pulses and, with ``times``, the
+    earliest click time of each.  Every generator emits a channel's pulses
+    in nondecreasing order (jitter and slot offsets are far below the
+    period), so the first of each run of equal pulses is the answer in O(n);
+    other orders, such as a hand-edited file's, fall back to ``np.unique``.
+    """
+    # compared in place: a diff array would be the largest temporary here
+    later = pulses[1:] > pulses[:-1]
+    if later.all():
+        first = slice(None)  # no repeated pulse: every click is its pulse's first
+    elif np.all(pulses[1:] >= pulses[:-1]):
+        first = np.concatenate(([True], later))
+    else:
+        first = np.unique(pulses, return_index=True)[1]
+    pulses = pulses[first]
+    return (pulses, stamps[first]) if times else pulses
+
+
+def _pulse_dtype(n_pulses: int) -> type:
+    """The dtype of a first-click pulse list: uint32 while every index fits."""
+    return np.uint32 if n_pulses <= 1 << 32 else np.int64
 
 
 @dataclass
@@ -127,22 +154,14 @@ class EventStream:
     def first_event_times(self, channel: int, times: bool = True
                           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The sorted unique pulses with a click on ``channel`` and, with
-        ``times``, the earliest click time of each in ps: the one place the
-        start-stop rule is applied.  Pulses are uint32 while every index fits
-        (``n_pulses <= 2**32``), int64 past it, read ``_SLICE_EVENTS``
-        events at a time into arrays of the result's size, so no
-        stream-long mask or int64 copy exists.
-
-        The stream is time-sorted, so the first click of a pulse is its
-        earliest.  Every generator emits a channel's pulses in
-        nondecreasing order (jitter and slot offsets are far below the
-        period), which makes the first entry of each run of equal pulses
-        the answer in O(n); a stream that breaks that order, such as a
-        hand-edited file, falls back to ``np.unique``.
+        ``times``, the earliest click time of each in ps (``_first_per_pulse``).
+        Pulses are uint32 while every index fits (``n_pulses <= 2**32``),
+        int64 past it, read ``_SLICE_EVENTS`` events at a time into arrays
+        of the result's size, so no stream-long mask or int64 copy exists.
         """
         slices = [slice(lo, lo + _SLICE_EVENTS) for lo in range(0, len(self), _SLICE_EVENTS)]
         size = sum(int(np.count_nonzero(self.channels[s] == channel)) for s in slices)
-        pulses = np.empty(size, dtype=np.uint32 if self.n_pulses <= 1 << 32 else np.int64)
+        pulses = np.empty(size, dtype=_pulse_dtype(self.n_pulses))
         stamps = np.empty(size if times else 0)
         end = 0
         for s in slices:
@@ -152,16 +171,7 @@ class EventStream:
             if times:
                 stamps[end:end + len(part)] = self.timestamps_ps[s][mask]
             end += len(part)
-        # compared in place: a diff array would be the largest temporary here
-        later = pulses[1:] > pulses[:-1]
-        if later.all():
-            first = slice(None)  # no repeated pulse: every click is its pulse's first
-        elif np.all(pulses[1:] >= pulses[:-1]):
-            first = np.concatenate(([True], later))
-        else:
-            first = np.unique(pulses, return_index=True)[1]
-        pulses = pulses[first]
-        return (pulses, stamps[first]) if times else pulses
+        return _first_per_pulse(pulses, stamps, times)
 
     def save(self, path) -> None:
         meta = {"n_pulses": self.n_pulses, "seed": self.seed,
@@ -178,6 +188,74 @@ class EventStream:
         channels, pulses, times = read_table(path, _STREAM_DTYPE)
         return cls(channels, pulses, times, n_pulses=int(meta["n_pulses"]),
                    seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
+
+
+@dataclass
+class ChannelClicks:
+    """Generated clicks of one run, per chunk and channel, in generation order.
+
+    ``chunks[i]`` maps each channel of chunk i to its (pulses, times in ps),
+    in the order trigger, start, stop.  The first-click index reads them
+    with no time sort; ``to_stream`` builds the time-sorted stream.
+    """
+
+    chunks: list[dict[int, tuple[np.ndarray, np.ndarray]]]
+    n_pulses: int
+    seed: int
+    rep_period: float
+
+    def __len__(self) -> int:
+        return sum(len(pulses) for chunk in self.chunks for pulses, _ in chunk.values())
+
+    def first_event_times(self, channel: int, times: bool = True
+                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """``EventStream.first_event_times`` of ``to_stream()``, with no
+        stream built.  Only a channel on which a pulse clicks more than once
+        (the interferometer's start channel) is put in time order, by the
+        stream's own stable sort."""
+        pulses, stamps = zip(*[chunk[channel] for chunk in self.chunks if channel in chunk]
+                             or [(np.zeros(0, dtype=np.int64), np.zeros(0))])
+        pulses = np.concatenate(pulses, dtype=_pulse_dtype(self.n_pulses), casting="unsafe")
+        stamps = np.concatenate(stamps) if times else None
+        if times and not np.all(pulses[1:] > pulses[:-1]):
+            order = np.argsort(stamps, kind="stable")
+            pulses, stamps = pulses[order], stamps[order]
+        return _first_per_pulse(pulses, stamps, times)
+
+    def to_stream(self) -> EventStream:
+        """The time-sorted stream of these clicks, consuming them chunk by
+        chunk: each chunk's events, concatenated channel by channel, are
+        stably sorted by time into columns allocated once, and each column's
+        chunk parts are dropped (and the heap trimmed, as the worker threads'
+        arenas hold them if pooled) once it is joined.  Only a click past the
+        next chunk's first click makes the stream be sorted again."""
+        columns = [np.empty(len(self), dtype=dtype) for dtype in (np.int16, np.int64, float)]
+        end = 0
+        self.chunks.reverse()
+        while self.chunks:
+            chunk = self.chunks.pop()
+            channels = np.repeat(np.array(list(chunk), dtype=np.int16),
+                                 [len(part) for part, _ in chunk.values()])
+            pulses, times = zip(*chunk.values())
+            times = np.concatenate(times)
+            del chunk
+            trim_heap()
+            order = np.argsort(times, kind="stable")
+            out = slice(end, end + len(order))
+            np.take(times, order, out=columns[2][out])
+            del times
+            np.take(channels, order, out=columns[0][out])
+            pulses = np.concatenate(pulses)
+            trim_heap()
+            np.take(pulses, order, out=columns[1][out])
+            end += len(order)
+            del channels, pulses, order
+        if not np.all(columns[2][1:] >= columns[2][:-1]):
+            order = np.argsort(columns[2], kind="stable")
+            for i in range(len(columns)):
+                columns[i] = columns[i][order]  # one column copied at a time
+        return EventStream(*columns, n_pulses=self.n_pulses, seed=self.seed,
+                           rep_period=self.rep_period)
 
 
 def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
@@ -219,50 +297,29 @@ def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
     return hidx, np.minimum(k, support[-1])
 
 
-def _generate(config: ExperimentConfig, chunk_events: Callable) -> EventStream:
-    """Run ``chunk_events(rng, start, m)`` over fixed chunks and join the results.
-
-    ``chunk_events`` simulates pulses ``start .. start + m - 1`` and returns
-    their (channels, pulse indices, timestamps) in any order.  Each chunk
-    draws from its own Philox substream keyed by (seed, chunk_index), and
-    its events are stably sorted by time before the chunks are joined in
-    chunk order, so the chunks may run on ``parallel.ordered_map``'s thread
-    pool without changing a draw.  A click far from its pulse can land past
-    the next chunk's first click, and only then is the joined stream sorted
-    again.
+def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> ChannelClicks:
+    """Run ``chunk_clicks(rng, start, m)``, which simulates pulses ``start ..
+    start + m - 1`` and returns each channel's (pulses, timestamps) by
+    channel, over fixed chunks.  Each chunk draws from its own Philox
+    substream keyed by (seed, chunk_index), and the chunks are kept in chunk
+    order, so they may run on ``parallel.ordered_map``'s thread pool
+    without changing a draw.
     """
     seed = config.require_seed()
 
-    def sorted_chunk(task):
+    def run_chunk(task):
         index, start = task
         m = min(CHUNK_PULSES, config.n_pulses - start)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-        chunk = list(chunk_events(rng, start, m))
-        order = np.argsort(chunk[-1], kind="stable")
-        # each unsorted column is dropped once its sorted copy exists
-        return [chunk.pop(0)[order] for _ in range(len(chunk))]
+        return chunk_clicks(rng, start, m)
 
     tasks = list(enumerate(range(0, config.n_pulses, CHUNK_PULSES)))
-    columns = [list(parts) for parts in zip(*ordered_map(sorted_chunk, tasks))]
-    # each column's parts are dropped once it is joined, and a re-sort
-    # replaces one column at a time
-    joined = []
-    for parts in columns:
-        joined.append(np.concatenate(parts))
-        parts.clear()
-        # freed into the worker threads' malloc arenas if pooled: trim before the next copy
-        trim_heap()
-    if not np.all(joined[-1][1:] >= joined[-1][:-1]):
-        order = np.argsort(joined[-1], kind="stable")
-        for i in range(len(joined)):
-            joined[i] = joined[i][order]
-    channels, pulses, times = joined
-    return EventStream(channels=channels, pulse_indices=pulses, timestamps_ps=times,
-                       n_pulses=config.n_pulses, seed=seed,
-                       rep_period=config.rep_period)
+    chunks = list(ordered_map(run_chunk, tasks))
+    trim_heap()  # the worker threads' malloc arenas hold what their chunks freed
+    return ChannelClicks(chunks, config.n_pulses, seed, config.rep_period)
 
 
-def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
+def generate_hbt_stream(config: ExperimentConfig) -> ChannelClicks:
     """Simulate a heralded intensity-correlation run.
 
     Channel 1 triggers (herald click for pair sources, laser clock for the
@@ -277,7 +334,7 @@ def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     nu = config.noise_mean()
     classical = config.source_kind in _CLASSICAL_KINDS
 
-    def chunk_events(rng, start, m):
+    def chunk_clicks(rng, start, m):
         # each draw is dropped once used, and jitter takes its pulse time in place
         if classical:
             pulses = np.arange(m, dtype=np.int64)
@@ -302,27 +359,18 @@ def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
         del n_band
 
         base = pulses * rep_ps
-        clicked = (slice(None), click2, click3)
-        times = []
-        for keep in clicked:
+        clicks = {}
+        for channel, keep in ((TRIGGER_CHANNEL, slice(None)), (START_CHANNEL, click2),
+                              (STOP_CHANNEL, click3)):
             jitter = rng.normal(0.0, sigma_ps, nh)
             jitter += base
-            times.append(jitter[keep])
-        del base, jitter
-        time_arr = np.concatenate(times)
-        del times
-        channels = np.concatenate([
-            np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
-            np.full(int(click2.sum()), START_CHANNEL, dtype=np.int16),
-            np.full(int(click3.sum()), STOP_CHANNEL, dtype=np.int16),
-        ])
-        pulse_arr = np.concatenate([pulses, pulses[click2], pulses[click3]])
-        return channels, pulse_arr, time_arr
+            clicks[channel] = (pulses[keep], jitter[keep])
+        return clicks
 
-    return _generate(config, chunk_events)
+    return _generate(config, chunk_clicks)
 
 
-def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
+def generate_mzi_stream(config: ExperimentConfig) -> ChannelClicks:
     """Simulate arrival-time analysis behind the decoding interferometer.
 
     The heralded photon takes the short or long arm of the encoder and then
@@ -346,7 +394,7 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     nu = config.noise_mean()
     eff2, dark2 = config.det2_efficiency, config.det2_dark
 
-    def chunk_events(rng, start, m):
+    def chunk_clicks(rng, start, m):
         # each draw is dropped once used, and jitter takes its pulse time in place
         pulses, _ = _herald(rng, config, m)
         pulses += start
@@ -384,17 +432,10 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
 
         jitter = rng.normal(0.0, sigma_ps, nh)
         jitter += base
-        del base
-        time_arr = np.concatenate([jitter, *cand_times])
-        del jitter, cand_times
-        channels = np.concatenate([
-            np.full(nh, TRIGGER_CHANNEL, dtype=np.int16),
-            np.full(len(time_arr) - nh, START_CHANNEL, dtype=np.int16),
-        ])
-        pulse_arr = np.concatenate([pulses, *cand_pulses])
-        return channels, pulse_arr, time_arr
+        return {TRIGGER_CHANNEL: (pulses, jitter),
+                START_CHANNEL: (np.concatenate(cand_pulses), np.concatenate(cand_times))}
 
-    return _generate(config, chunk_events)
+    return _generate(config, chunk_clicks)
 
 
 class HbtRates(NamedTuple):

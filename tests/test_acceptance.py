@@ -237,8 +237,8 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     t0 = time.time()
     cfg = calibrated_g2_config(seed=14)
     cfg.n_pulses = 400_000
-    a = generate_hbt_stream(cfg)
-    b = generate_hbt_stream(cfg)
+    a = generate_hbt_stream(cfg).to_stream()
+    b = generate_hbt_stream(cfg).to_stream()
     ok = (np.array_equal(a.channels, b.channels)
           and np.array_equal(a.pulse_indices, b.pulse_indices)
           and np.array_equal(a.timestamps_ps, b.timestamps_ps))

@@ -20,7 +20,7 @@ from qfcsim import cli, experiments, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
-from qfcsim.sources import EventStream
+from qfcsim.sources import ChannelClicks, EventStream
 from qfcsim.tomography import RECORD_HEADER, load_records, save_records, standard_settings
 
 
@@ -88,10 +88,10 @@ def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monk
     # every offset is counted from one index: three extractions per command,
     # the trigger channel's as a pulse list alone
     calls = []
-    extract = EventStream.first_event_times
-    monkeypatch.setattr(EventStream, "first_event_times",
-                        lambda self, channel, times=True:
-                        calls.append((channel, times)) or extract(self, channel, times))
+    for source in (ChannelClicks, EventStream):
+        monkeypatch.setattr(source, "first_event_times",
+                            lambda self, channel, times=True, extract=source.first_event_times:
+                            calls.append((channel, times)) or extract(self, channel, times))
     out = tmp_path / "run"
     assert main(["g2", "--config", str(g2_cfg_path), "--out", str(out),
                  "--save-stream"]) == 0

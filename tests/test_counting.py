@@ -74,7 +74,7 @@ def test_window_edges_are_inclusive():
 
 def test_pair_delays_on_toy_stream():
     stream = _toy_stream()
-    delays = pair_delays(first_clicks(stream))
+    delays, _ = pair_delays(first_clicks(stream))
     assert len(delays) == 2
     assert_allclose(delays, [40.0, 2500.0])
 
@@ -83,7 +83,7 @@ def test_pair_delays_with_offset():
     # start at pulse 0 pairs with stop at pulse 2 under offset 2, and the
     # two-pulse separation is removed from the delay
     stream = _toy_stream()
-    delays = pair_delays(first_clicks(stream), offset=2)
+    delays, _ = pair_delays(first_clicks(stream), offset=2)
     assert len(delays) == 1
     assert_allclose(delays, [2 * REP_PS + 2500.0 - 10.0 - 2 * REP_PS])
 
@@ -108,7 +108,7 @@ def test_count_summary_on_toy_stream():
     clicks = first_clicks(stream)
     summary, delays = count_summary(clicks, CoincidenceWindow(1e-9))
     assert summary == CountSummary(3, 3, 2, 1)
-    assert_array_equal(delays, pair_delays(clicks))
+    assert_array_equal(delays, pair_delays(clicks)[0])
     assert opportunities(clicks, 0) == 3
     assert opportunities(clicks, 1) == opportunities(clicks, -1) == 2
 
@@ -175,7 +175,7 @@ def test_count_summary_validation():
 
 
 def test_delay_histogram_zero_centered_bins(tmp_path):
-    delays = pair_delays(first_clicks(_toy_stream()))
+    delays, _ = pair_delays(first_clicks(_toy_stream()))
     hist = delay_histogram(delays, bin_width=50e-12)
     assert hist.mass == 2
     # 40 ps rounds to bin center 50 ps, 2500 ps to its own bin
@@ -207,9 +207,8 @@ def test_delay_histogram_refuses_unbounded_spans():
 def test_histogram_mass_equals_pairs():
     cfg = calibrated_g2_config(seed=21)
     cfg.n_pulses = 200_000
-    stream = generate_hbt_stream(cfg)
-    clicks = first_clicks(stream)
-    delays = pair_delays(clicks)
+    clicks = first_clicks(generate_hbt_stream(cfg))
+    delays, _ = pair_delays(clicks)
     hist = delay_histogram(delays)
     assert hist.mass == len(delays)
 
@@ -235,23 +234,23 @@ def test_select_window_keeps_central_peak():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=100_000, seed=9,
     )
-    stream = generate_mzi_stream(cfg)
+    stream = generate_mzi_stream(cfg).to_stream()
     window = CoincidenceWindow(cfg.postselect_window)
     kept = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                          stop_channel=START_CHANNEL)
-    delays = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
+    delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))
     half_ps = cfg.postselect_window * 1e12 / 2.0
     assert len(delays) > 0
     assert np.max(np.abs(delays)) <= half_ps
     # the +-1 ns side peaks are gone entirely
-    all_delays = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
+    all_delays, _ = pair_delays(first_clicks(stream, TRIGGER_CHANNEL, START_CHANNEL))
     assert np.max(np.abs(all_delays)) > 500.0
 
 
 def test_select_window_is_idempotent():
     cfg = calibrated_g2_config(seed=77)
     cfg.n_pulses = 100_000
-    stream = generate_hbt_stream(cfg)
+    stream = generate_hbt_stream(cfg).to_stream()
     window = CoincidenceWindow(cfg.coincidence_window)
     once = select_window(stream, window)
     twice = select_window(once, window)
@@ -278,8 +277,8 @@ def test_counting_edges_give_zero_counts():
         clicks = first_clicks(stream)
         for offset in (-1, 0, 1):
             assert count_summary(clicks, window, offset)[0] == singles
-            assert len(pair_delays(clicks, offset)) == 0
-        assert delay_histogram(pair_delays(clicks)).mass == 0
+            assert len(pair_delays(clicks, offset)[0]) == 0
+        assert delay_histogram(pair_delays(clicks)[0]).mass == 0
     assert opportunities(first_clicks(empty), 0) == 0
     # an offset past the end of the run has no trigger pair to count
     toy = first_clicks(_toy_stream())
@@ -340,7 +339,10 @@ def test_first_event_times_equal_sort_based_reference(generate):
     # the interferometer stream gives a pulse several start candidates
     cfg = calibrated_g2_config(seed=41)
     cfg.n_pulses, cfg.mean_pairs, cfg.noise_coeff = 100_000, 0.2, 40.0
-    stream = generate(cfg)
+    clicks = generate(cfg)
+    generated = {ch: clicks.first_event_times(ch)
+                 for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL)}
+    stream = clicks.to_stream()
     repeated = []
     for channel in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
         pulses = stream.pulse_indices[stream.channels == channel]
@@ -351,6 +353,8 @@ def test_first_event_times_equal_sort_based_reference(generate):
         assert_array_equal(got_times, times, strict=True)
         assert_array_equal(stream.first_event_times(channel, times=False), got_pulses,
                            strict=True)
+        for got, want in zip(generated[channel], (got_pulses, got_times)):
+            assert_array_equal(got, want, strict=True)
     assert repeated == [False, generate is generate_mzi_stream, False]
 
 
@@ -458,9 +462,9 @@ def test_trigger_list_widens_past_2_32_pulses(n_pulses, dtype):
     assert_array_equal(clicks.trigger_pulses, pulses)
     # the offset keys are signed and wide: the last pulse plus one is no
     # pulse, though a uint32 search clips it onto the last stop pulse
-    assert len(pair_delays(clicks, 1)) == 0
+    assert len(pair_delays(clicks, 1)[0]) == 0
     # the start at the last pulse (4 ps) pairs with the stop at pulse 0 (3 ps)
-    assert_array_equal(pair_delays(clicks, 1 - n_pulses),
+    assert_array_equal(pair_delays(clicks, 1 - n_pulses)[0],
                        [3.0 - 4.0 - (1 - n_pulses) * clicks.rep_ps], strict=True)
     # the widest gap of the list, and one past it
     assert opportunities(clicks, n_pulses - 1) == 1

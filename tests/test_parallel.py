@@ -104,8 +104,8 @@ def _mzi_config(kind):
 
 
 def _streams_on_both_schedules(cpus, monkeypatch, generate, cfg):
-    """The stream on the serial and the pooled schedule, and the threads
-    that ran each schedule's chunks."""
+    """The stream of the clicks generated on the serial and the pooled
+    schedule, and the threads that ran each schedule's chunks."""
     ran_on = []
     inner = sources._generate
 
@@ -120,7 +120,7 @@ def _streams_on_both_schedules(cpus, monkeypatch, generate, cfg):
     for n in (SERIAL, POOLED):
         cpus(n)
         ran_on.append(set())
-        streams.append(generate(cfg))
+        streams.append(generate(cfg).to_stream())
     return streams, ran_on
 
 

@@ -158,12 +158,12 @@ def test_first_event_times_picks_earliest(monkeypatch):
 def test_stream_determinism_same_seed():
     cfg = calibrated_g2_config(seed=909)
     cfg.n_pulses = 150_000
-    a = generate_hbt_stream(cfg)
-    b = generate_hbt_stream(cfg)
+    a = generate_hbt_stream(cfg).to_stream()
+    b = generate_hbt_stream(cfg).to_stream()
     assert_array_equal(a.channels, b.channels)
     assert_array_equal(a.pulse_indices, b.pulse_indices)
     assert_array_equal(a.timestamps_ps, b.timestamps_ps)
-    c = generate_hbt_stream(replace(cfg, seed=910))
+    c = generate_hbt_stream(replace(cfg, seed=910)).to_stream()
     assert len(c) != len(a) or not np.array_equal(c.timestamps_ps, a.timestamps_ps)
 
 
@@ -172,10 +172,10 @@ def test_stream_chunks_are_extension_stable():
     # with a shorter one event for event over the shared prefix
     cfg = calibrated_g2_config(seed=33)
     cfg.n_pulses = CHUNK_PULSES
-    short = generate_hbt_stream(cfg)
+    short = generate_hbt_stream(cfg).to_stream()
     cfg_long = calibrated_g2_config(seed=33)
     cfg_long.n_pulses = CHUNK_PULSES + 1000
-    long = generate_hbt_stream(cfg_long)
+    long = generate_hbt_stream(cfg_long).to_stream()
     head = long.pulse_indices < CHUNK_PULSES
     assert_array_equal(long.channels[head], short.channels)
     assert_array_equal(long.pulse_indices[head], short.pulse_indices)
@@ -186,7 +186,7 @@ def test_stream_singles_match_enumeration():
     cfg = calibrated_g2_config(seed=55)
     cfg.n_pulses = 300_000
     rates = expected_hbt_rates(cfg)
-    stream = generate_hbt_stream(cfg)
+    stream = generate_hbt_stream(cfg).to_stream()
     n_trig = int(np.sum(stream.channels == TRIGGER_CHANNEL))
     mean = cfg.n_pulses * rates.p_trigger
     assert abs(n_trig - mean) < 4.0 * math.sqrt(mean)
@@ -261,21 +261,29 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     monkeypatch.setattr("qfcsim.sources.CHUNK_PULSES", 100)
     bodies, generate = [], sources._generate
 
-    def capture(config, chunk_events):
-        bodies.append(chunk_events)
-        return generate(config, chunk_events)
+    def capture(config, chunk_clicks):
+        bodies.append(chunk_clicks)
+        return generate(config, chunk_clicks)
 
     monkeypatch.setattr(sources, "_generate", capture)
-    stream = generate_mzi_stream(cfg)
+    clicks = generate_mzi_stream(cfg)
+    assert len(clicks.chunks) == 100
+    stream = clicks.to_stream()
+    assert clicks.chunks == [] and len(clicks) == 0  # consumed chunk by chunk
     chunk = stream.pulse_indices // 100
     assert np.any(chunk[1:] < chunk[:-1])
     assert np.all(np.diff(stream.timestamps_ps) >= 0.0)
     assert np.unique(chunk).tolist() == list(range(100))
-    # the re-sort is a stable argsort of the joined time-sorted chunks
+    # the re-sort is a stable argsort of the joined chunks, each stably
+    # time-sorted from its trigger clicks followed by its start clicks
     parts = []
     for index in range(100):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, index))))
-        events = bodies[0](rng, 100 * index, 100)
+        by_channel = bodies[0](rng, 100 * index, 100)
+        assert list(by_channel) == [TRIGGER_CHANNEL, START_CHANNEL]
+        events = [np.concatenate([np.full(len(p), ch, dtype=np.int16)
+                                  for ch, (p, _) in by_channel.items()]),
+                  *(np.concatenate(column) for column in zip(*by_channel.values()))]
         order = np.argsort(events[-1], kind="stable")
         parts.append([column[order] for column in events])
     joined = [np.concatenate(column) for column in zip(*parts)]
@@ -295,7 +303,7 @@ def test_mzi_stream_peak_positions():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=40_000, seed=8,
     )
-    stream = generate_mzi_stream(cfg)
+    stream = generate_mzi_stream(cfg).to_stream()
     # with zero jitter every start click sits exactly on a slot boundary
     starts = stream.channels == START_CHANNEL
     pulses = stream.pulse_indices[starts]
@@ -542,7 +550,7 @@ def test_timebin_slots_match_oracle(kind, mu, eff1, dark1, eff2, dark2, transmit
                            jitter_sigma=jitter_frac * delay_frac * rep,
                            n_pulses=200_000, seed=seed)
     clicks = first_clicks(generate_mzi_stream(cfg), TRIGGER_CHANNEL, START_CHANNEL)
-    delays = pair_delays(clicks)
+    delays, _ = pair_delays(clicks)
     n_trigger = len(clicks.trigger_pulses)
     slot = np.round(delays / (cfg.mzi_delay * 1e12))
     # a slot's edges, delay / 2 from its centre, lie 7 or more deviations of
