@@ -25,7 +25,7 @@ only a saved run and the tests call.  ``to_stream`` consumes the chunks one
 at a time into columns allocated for the whole stream, so the clicks and
 the stream are never both whole.  On the thread pool one chunk per worker
 is in flight; the memory the worker threads freed into their malloc arenas
-is handed back to the system as ``to_stream`` drops each chunk.
+is handed back to the system as ``to_stream`` drops the chunks.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ START_CHANNEL = 2
 STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
+
+#: bytes that ``to_stream`` drops between two heap trims: a trim costs
+#: page faults later, so small chunks share one, and a large chunk's two
+#: columns are each trimmed as they are dropped
+_TRIM_BYTES = 1 << 20
 
 #: stream events per slice of the first-click extraction
 _SLICE_EVENTS = 1 << 16
@@ -226,11 +231,12 @@ class ChannelClicks:
         """The time-sorted stream of these clicks, consuming them chunk by
         chunk: each chunk's events, concatenated channel by channel, are
         stably sorted by time into columns allocated once, and each column's
-        chunk parts are dropped (and the heap trimmed, as the worker threads'
-        arenas hold them if pooled) once it is joined.  Only a click past the
+        chunk parts are dropped once it is joined.  The heap is trimmed each
+        time ``_TRIM_BYTES`` more are dropped and once at the end, as the
+        worker threads' arenas hold them if pooled.  Only a click past the
         next chunk's first click makes the stream be sorted again."""
         columns = [np.empty(len(self), dtype=dtype) for dtype in (np.int16, np.int64, float)]
-        end = 0
+        end = freed = 0
         self.chunks.reverse()
         while self.chunks:
             chunk = self.chunks.pop()
@@ -238,24 +244,35 @@ class ChannelClicks:
                                  [len(part) for part, _ in chunk.values()])
             pulses, times = zip(*chunk.values())
             times = np.concatenate(times)
-            del chunk
-            trim_heap()
+            freed += times.nbytes
+            del chunk  # and with it the chunk's time parts
+            freed = _trim_past(freed)
             order = np.argsort(times, kind="stable")
             out = slice(end, end + len(order))
             np.take(times, order, out=columns[2][out])
             del times
             np.take(channels, order, out=columns[0][out])
             pulses = np.concatenate(pulses)
-            trim_heap()
+            freed = _trim_past(freed + pulses.nbytes)
             np.take(pulses, order, out=columns[1][out])
             end += len(order)
             del channels, pulses, order
+        trim_heap()  # and what the last chunks left, before the stream is saved
         if not np.all(columns[2][1:] >= columns[2][:-1]):
             order = np.argsort(columns[2], kind="stable")
             for i in range(len(columns)):
                 columns[i] = columns[i][order]  # one column copied at a time
         return EventStream(*columns, n_pulses=self.n_pulses, seed=self.seed,
                            rep_period=self.rep_period)
+
+
+def _trim_past(freed: int) -> int:
+    """Trims the heap once ``freed``, the bytes dropped since the last trim,
+    reach ``_TRIM_BYTES``; the bytes dropped since the last trim after it."""
+    if freed < _TRIM_BYTES:
+        return freed
+    trim_heap()
+    return 0
 
 
 def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int

@@ -134,9 +134,10 @@ def test_opportunities_peak(dense_clicks):
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
 def test_stream_save_peak(cpus, monkeypatch, tmp_path):
-    """A save holds a few blocks and their text at once, never the table:
-    the bound of 20 blocks' bytes is below the 16-block table's own text
-    (about 24), so a save whose peak grew with the table would fail it."""
+    """A save holds one block and its text at once, never the table, on
+    either schedule (it formats in the calling process): the bound of 20
+    blocks' bytes is below the 16-block table's own text (about 24), so a
+    save whose peak grew with the table would fail it."""
     n = 16 * BLOCK_ROWS
     pulses = np.arange(n, dtype=np.int64) * 3
     stream = EventStream(pulses % 3 + 1, pulses, pulses * 12195.0 + 1 / 3, n_pulses=3 * n,

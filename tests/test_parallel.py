@@ -2,11 +2,9 @@
 
 The serial schedule is forced by reporting one usable CPU, the pooled one
 by reporting two, so every check runs on any machine.  After each pooled
-call no worker process and no extra thread may be left running.
+call no extra thread may be left running.
 """
 
-import multiprocessing
-import os
 import threading
 from dataclasses import replace
 
@@ -24,16 +22,14 @@ from test_artifacts import _reference
 from test_experiments import _long_delay_mzi_config
 
 SERIAL, POOLED = 1, 2
-TEST_PID = os.getpid()
-_format_rows = artifacts._format_rows
 
 
 class TaskError(Exception):
     pass
 
 
-def _pid(task):
-    return task, os.getpid()
+def _thread(task):
+    return task, threading.get_ident()
 
 
 def _fail(task):
@@ -42,53 +38,38 @@ def _fail(task):
     return task
 
 
-def _die_in_worker(columns):
-    """Formats the rows in this process; a forked worker exits at once."""
-    if os.getpid() != TEST_PID:
-        os._exit(1)
-    return _format_rows(columns)
-
-
 @pytest.fixture()
 def cpus(monkeypatch):
     """Sets the CPU count the pool rule sees; checks that the pooled calls
-    of the test left no worker process or thread behind."""
+    of the test left no thread behind."""
     threads = threading.active_count()
     yield lambda n: monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
-    assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
 
-def test_pool_rule_reads_only_task_count_and_cpus(cpus, monkeypatch):
+def test_pool_rule_reads_only_task_count_and_cpus(cpus):
     cpus(2)
     assert pool_size(MIN_TASKS - 1) == 1
-    assert pool_size(MIN_TASKS) == pool_size(MIN_TASKS, processes=True) == 2
+    assert pool_size(MIN_TASKS) == 2
     cpus(8)
     assert pool_size(5) == 5
     assert pool_size(10**9) == 8
     cpus(1)
     assert pool_size(10**9) == 1
-    cpus(8)
-    monkeypatch.setattr(parallel.sys, "platform", "darwin")
-    assert pool_size(10) == 8
-    assert pool_size(10, processes=True) == 1
 
 
-@pytest.mark.parametrize("processes", [False, True])
-def test_ordered_map_keeps_task_order(cpus, processes):
+def test_ordered_map_keeps_task_order(cpus):
     cpus(POOLED)
-    results = list(ordered_map(_pid, range(9), processes=processes))
+    results = list(ordered_map(_thread, range(9)))
     assert [task for task, _ in results] == list(range(9))
-    # processes are forked workers; threads share this process
-    assert all((pid != os.getpid()) == processes for _, pid in results)
+    assert threading.get_ident() not in {thread for _, thread in results}
 
 
-@pytest.mark.parametrize("processes", [False, True])
 @pytest.mark.parametrize("n_cpus", [SERIAL, POOLED])
-def test_task_exception_keeps_its_type(cpus, processes, n_cpus):
+def test_task_exception_keeps_its_type(cpus, n_cpus):
     cpus(n_cpus)
     with pytest.raises(TaskError):
-        list(ordered_map(_fail, range(6), processes=processes))
+        list(ordered_map(_fail, range(6)))
 
 
 def _hbt_config(kind):
@@ -158,6 +139,7 @@ def test_overlapping_chunks_do_not_depend_on_schedule(cpus, monkeypatch):
 
 
 def test_table_bytes_do_not_depend_on_schedule(cpus, monkeypatch, tmp_path):
+    # tables are formatted in the calling process whatever the CPU count
     monkeypatch.setattr(artifacts, "BLOCK_ROWS", 16)
     rows = np.arange(16 * MIN_TASKS + 5)
     columns = ((rows % 3 + 1).astype(np.int16), rows * 7919 - 2**40,
@@ -171,17 +153,15 @@ def test_table_bytes_do_not_depend_on_schedule(cpus, monkeypatch, tmp_path):
     assert texts[0] == texts[1] == _reference("a,b,c", columns).encode()
 
 
-def _pooled_g2_args(tmp_path, monkeypatch):
-    # 1,000-row blocks: the stream of about 9,000 rows is written in 9 blocks
+def test_pooled_save_stream_equals_serial(cpus, monkeypatch, tmp_path, capsys):
+    # 40,000-pulse chunks and 1,000-row blocks: the generation of 200,000
+    # pulses is pooled, and its stream of about 9,000 rows written in 9 blocks
+    monkeypatch.setattr(sources, "CHUNK_PULSES", 40_000)
     monkeypatch.setattr(artifacts, "BLOCK_ROWS", 1_000)
     cfg = replace(calibrated_g2_config(seed=43), n_pulses=200_000)
     path = tmp_path / "g2.cfg"
     cfg.to_file(path)
-    return ["g2", "--config", str(path), "--out", str(tmp_path / "out"), "--save-stream"]
-
-
-def test_pooled_save_stream_equals_serial(cpus, monkeypatch, tmp_path, capsys):
-    args = _pooled_g2_args(tmp_path, monkeypatch)
+    args = ["g2", "--config", str(path), "--out", str(tmp_path / "out"), "--save-stream"]
     texts = []
     for n in (SERIAL, POOLED):
         cpus(n)
@@ -189,15 +169,3 @@ def test_pooled_save_stream_equals_serial(cpus, monkeypatch, tmp_path, capsys):
         texts.append((tmp_path / "out" / "events.csv").read_bytes())
     assert texts[0].count(b"\n") > 4 * 1_000
     assert texts[0] == texts[1]
-
-
-def test_failing_pooled_save_stream_exits_1(cpus, monkeypatch, tmp_path, capsys):
-    args = _pooled_g2_args(tmp_path, monkeypatch)
-    cpus(POOLED)
-    # a worker that dies breaks the pool: a failure of the system, not of
-    # the numbers, although BrokenProcessPool is a RuntimeError
-    monkeypatch.setattr(artifacts, "_format_rows", _die_in_worker)
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("system failure: a pool worker died: ")
-    assert err.count("\n") == 1

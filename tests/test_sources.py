@@ -351,6 +351,22 @@ def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
     assert_array_equal(loaded.timestamps_ps, stream.timestamps_ps)
 
 
+def test_loaded_period_keeps_its_ps_value(tmp_path):
+    """The header holds the period in ps, ``rep_period * 1e12``, which is
+    all the analysis reads of it.  For 400 random periods from 1 ns to 1 us
+    the loaded period gives that value back exactly, and it is the saved
+    period itself unless its float neighbour has the same ps value (about 8%
+    of periods), which the header cannot tell apart."""
+    rng = np.random.default_rng(49)
+    path = tmp_path / "events.csv"
+    empty = np.zeros(0)
+    for period in rng.uniform(1e-9, 1e-6, 400):
+        EventStream(empty, empty, empty, n_pulses=1, seed=0, rep_period=period).save(path)
+        loaded = EventStream.load(path).rep_period
+        assert loaded * 1e12 == period * 1e12
+        assert loaded in (period, np.nextafter(period, 0.0), np.nextafter(period, 1.0))
+
+
 def test_stream_load_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,0,0.0\n")
