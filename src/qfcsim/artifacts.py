@@ -83,10 +83,15 @@ def format_pairs(pairs: dict, sep: str = "\n") -> str:
 
 
 def parse_header(line: str) -> dict[str, str]:
-    """The ``key=value`` items of a ``# key=value ...`` header line, as strings."""
+    """The ``key=value`` items of a ``# key=value ...`` header line, as strings;
+    a key given twice is refused, as neither value can be trusted."""
     if not line.startswith("#"):
         raise ValueError("missing header line")
-    return dict(item.split("=", 1) for item in line[1:].split())
+    items = line[1:].split()
+    pairs = dict(item.split("=", 1) for item in items)
+    if len(pairs) < len(items):
+        raise ValueError(f"header repeats a key: {line}")
+    return pairs
 
 
 def write_pairs(path, pairs: dict) -> None:

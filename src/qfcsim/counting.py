@@ -1,7 +1,7 @@
 """Coincidence counting and normalized intensity correlations.
 
 All estimators work on a ``FirstClicks`` index, built once per run from
-its generated ``ChannelClicks`` or a loaded ``EventStream``.  Clicks are
+its generated or loaded ``EventStream``.  Clicks are
 paired by pulse: the first click per pulse on each channel counts,
 matching start-stop electronics with one valid event per gate.
 """
@@ -15,8 +15,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .config import ConfigError
-from .sources import (ChannelClicks, EventStream, START_CHANNEL, STOP_CHANNEL,
-                      TRIGGER_CHANNEL)
+from .sources import EventStream, START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL
 
 
 class InsufficientEventsError(ValueError):
@@ -106,7 +105,7 @@ class FirstClicks:
                             len(self.stop_pulses), n_coincidence)
 
 
-def first_clicks(stream: ChannelClicks | EventStream, start_channel: int = START_CHANNEL,
+def first_clicks(stream: EventStream, start_channel: int = START_CHANNEL,
                  stop_channel: int = STOP_CHANNEL) -> FirstClicks:
     """Index the first clicks of ``stream`` on the trigger, start and stop
     channels, each extracted once by its ``first_event_times``."""
@@ -278,31 +277,17 @@ def select_window(stream: EventStream, window: CoincidenceWindow,
                   stop_channel: int = STOP_CHANNEL) -> EventStream:
     """Keep only first clicks paired in one pulse whose delay falls inside the window.
 
-    Trigger-channel events are preserved; unpaired or out-of-window start
-    and stop clicks are dropped, and kept ones keep their times.  Applying
-    the same window twice is a no-op.
+    Clicks on the other channels are kept as they are; unpaired or
+    out-of-window start and stop clicks are dropped, and kept ones keep
+    their times, in one last chunk.  Applying the same window twice is a no-op.
     """
     clicks = first_clicks(stream, start_channel, stop_channel)
     pulses, i_start, i_stop = np.intersect1d(clicks.start_pulses, clicks.stop_pulses,
                                              assume_unique=True, return_indices=True)
     kept_start, kept_stop = clicks.start_times[i_start], clicks.stop_times[i_stop]
     keep = window.contains_ps(kept_stop - kept_start)
-    kept_pulses, kept_start, kept_stop = pulses[keep], kept_start[keep], kept_stop[keep]
-
-    other = ~np.isin(stream.channels, [start_channel, stop_channel])
-    channels = np.concatenate([
-        stream.channels[other],
-        np.full(len(kept_pulses), start_channel, dtype=np.int16),
-        np.full(len(kept_pulses), stop_channel, dtype=np.int16),
-    ])
-    pulse_arr = np.concatenate([stream.pulse_indices[other], kept_pulses, kept_pulses])
-    time_arr = np.concatenate([stream.timestamps_ps[other], kept_start, kept_stop])
-    order = np.argsort(time_arr, kind="stable")
-    return EventStream(
-        channels=channels[order],
-        pulse_indices=pulse_arr[order],
-        timestamps_ps=time_arr[order],
-        n_pulses=stream.n_pulses,
-        seed=stream.seed,
-        rep_period=stream.rep_period,
-    )
+    pulses = pulses[keep].astype(np.int64)
+    others = [{ch: part for ch, part in chunk.items() if ch not in (start_channel, stop_channel)}
+              for chunk in stream.chunks]
+    kept = {start_channel: (pulses, kept_start[keep]), stop_channel: (pulses, kept_stop[keep])}
+    return EventStream([*others, kept], stream.n_pulses, stream.seed, stream.rep_period)

@@ -30,7 +30,7 @@ from .counting import count_summary, g2_at_offset, select_window
 from .tomography import mle_reconstruct
 from .metrics import ChshResult, chsh_assessment, concurrence, eof_of_concurrence
 from .qubits import end_to_end_state
-from .sources import (ChannelClicks, START_CHANNEL, TRIGGER_CHANNEL,
+from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
                          mle_reconstruct_batch, save_records, save_report,
@@ -108,7 +108,7 @@ class G2Result:
     histogram: DelayHistogram
     sidebands: dict[int, float] = field(default_factory=dict)
     insufficient: bool = False
-    stream: Optional[ChannelClicks] = None
+    stream: Optional[EventStream] = None
     sideband_mean: float = math.nan
     sideband_mean_error: float = math.nan
 
@@ -153,8 +153,8 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
 
 def run_g2_experiment(config: ExperimentConfig) -> G2Result:
     """Generate a heralded correlation run and estimate g2 and the
-    sidebands at offsets +-1 .. +-5.  The result keeps the generated clicks,
-    from which ``ChannelClicks.to_stream`` builds the stream to save."""
+    sidebands at offsets +-1 .. +-5.  The result keeps the generated
+    stream, for ``EventStream.save``."""
     clicks = generate_hbt_stream(config)
     result = analyze_g2(first_clicks(clicks), CoincidenceWindow(config.coincidence_window),
                         reach=5)

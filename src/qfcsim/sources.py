@@ -18,25 +18,27 @@ distribution, and since the geometric law is memoryless each chunk restarts
 its gaps, so a longer run still extends a shorter one.
 
 Memory: a pair-source chunk's draws hold one entry per herald, not per
-pulse, and each is dropped once used.  A generated run is kept as
-``ChannelClicks``, each chunk's clicks per channel in generation order, at
-16 bytes per click: nothing is sorted or joined until ``to_stream``, which
-only a saved run and the tests call.  ``to_stream`` consumes the chunks one
-at a time into columns allocated for the whole stream, so the clicks and
-the stream are never both whole.  On the thread pool one chunk per worker
-is in flight; the memory the worker threads freed into their malloc arenas
-is handed back to the system as ``to_stream`` drops the chunks.
+pulse, and each is dropped once used.  A run is kept as an ``EventStream``,
+each chunk's clicks per channel, at 16 bytes per click: nothing is sorted
+or joined until ``take_columns``, which only a save and the tests call.  It
+consumes the chunks one at a time into columns allocated for the whole
+stream, so the clicks and the columns are never both whole.  On the thread
+pool one chunk per worker is in flight; the memory the worker threads freed
+into their malloc arenas is handed back to the system as ``take_columns``
+drops the chunks.  A loaded stream is read one block of lines at a time, each
+block one chunk, so the file's text is never whole either.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .artifacts import format_pairs, parse_header, read_table, write_table
+from .artifacts import BLOCK_ROWS, format_pairs, parse_header, read_table, write_table
 from .config import ConfigError, ExperimentConfig
 from .parallel import ordered_map, trim_heap
 
@@ -46,13 +48,10 @@ STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
 
-#: bytes that ``to_stream`` drops between two heap trims: a trim costs
+#: bytes that ``take_columns`` drops between two heap trims: a trim costs
 #: page faults later, so small chunks share one, and a large chunk's two
 #: columns are each trimmed as they are dropped
 _TRIM_BYTES = 1 << 20
-
-#: stream events per slice of the first-click extraction
-_SLICE_EVENTS = 1 << 16
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
@@ -119,89 +118,14 @@ def _pulse_dtype(n_pulses: int) -> type:
 
 @dataclass
 class EventStream:
-    """Time-ordered detector clicks from one simulated run.
+    """Detector clicks of one run, per chunk and channel.
 
-    Stored as parallel arrays (channel, pulse index, timestamp in ps).
-    Timestamps are absolute (pulse index times repetition period, plus path
-    delay and jitter) and nondecreasing.
-    """
-
-    channels: np.ndarray
-    pulse_indices: np.ndarray
-    timestamps_ps: np.ndarray
-    n_pulses: int
-    seed: int
-    rep_period: float
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.int16)
-        self.pulse_indices = np.asarray(self.pulse_indices, dtype=np.int64)
-        self.timestamps_ps = np.asarray(self.timestamps_ps, dtype=np.float64)
-        n = len(self.channels)
-        if len(self.pulse_indices) != n or len(self.timestamps_ps) != n:
-            raise ValueError("channel, pulse, and timestamp arrays must have equal length")
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be >= 0, got {self.n_pulses}")
-        if n and (self.pulse_indices.min() < 0
-                  or self.pulse_indices.max() >= self.n_pulses):
-            raise ValueError("pulse index outside [0, n_pulses)")
-        # NaN fails the >= test, and sorted infinities can only sit at the ends;
-        # compared in place: a diff array would add 8 bytes per event to the peak
-        t = self.timestamps_ps
-        if n and not (np.isfinite(t[[0, -1]]).all() and np.all(t[1:] >= t[:-1])):
-            raise ValueError("timestamps must be finite and nondecreasing")
-        if not (math.isfinite(self.rep_period) and self.rep_period > 0.0):
-            raise ValueError(f"rep_period must be finite and > 0, got {self.rep_period}")
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    def first_event_times(self, channel: int, times: bool = True
-                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """The sorted unique pulses with a click on ``channel`` and, with
-        ``times``, the earliest click time of each in ps (``_first_per_pulse``).
-        Pulses are uint32 while every index fits (``n_pulses <= 2**32``),
-        int64 past it, read ``_SLICE_EVENTS`` events at a time into arrays
-        of the result's size, so no stream-long mask or int64 copy exists.
-        """
-        slices = [slice(lo, lo + _SLICE_EVENTS) for lo in range(0, len(self), _SLICE_EVENTS)]
-        size = sum(int(np.count_nonzero(self.channels[s] == channel)) for s in slices)
-        pulses = np.empty(size, dtype=_pulse_dtype(self.n_pulses))
-        stamps = np.empty(size if times else 0)
-        end = 0
-        for s in slices:
-            mask = self.channels[s] == channel
-            part = self.pulse_indices[s][mask]
-            pulses[end:end + len(part)] = part
-            if times:
-                stamps[end:end + len(part)] = self.timestamps_ps[s][mask]
-            end += len(part)
-        return _first_per_pulse(pulses, stamps, times)
-
-    def save(self, path) -> None:
-        meta = {"n_pulses": self.n_pulses, "seed": self.seed,
-                "rep_period_ps": float(self.rep_period * 1e12)}
-        write_table(path, "# " + format_pairs(meta, " "),
-                    (self.channels, self.pulse_indices, self.timestamps_ps))
-
-    @classmethod
-    def load(cls, path) -> "EventStream":
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = parse_header(fh.readline().strip())
-        # the header is a '#' comment, which the reader skips; numpy reads a
-        # path faster than the open handle
-        channels, pulses, times = read_table(path, _STREAM_DTYPE)
-        return cls(channels, pulses, times, n_pulses=int(meta["n_pulses"]),
-                   seed=int(meta["seed"]), rep_period=float(meta["rep_period_ps"]) / 1e12)
-
-
-@dataclass
-class ChannelClicks:
-    """Generated clicks of one run, per chunk and channel, in generation order.
-
-    ``chunks[i]`` maps each channel of chunk i to its (pulses, times in ps),
-    in the order trigger, start, stop.  The first-click index reads them
-    with no time sort; ``to_stream`` builds the time-sorted stream.
+    ``chunks[i]`` maps each channel of chunk i to its (pulses, times in ps):
+    a generated chunk's in generation order (trigger, start, stop), a loaded
+    block's in file order.  The first-click index reads them with no time
+    sort; ``take_columns`` builds the time-sorted stream that ``save``
+    writes.  Times are absolute (pulse index times repetition period, plus
+    path delay and jitter).
     """
 
     chunks: list[dict[int, tuple[np.ndarray, np.ndarray]]]
@@ -214,10 +138,13 @@ class ChannelClicks:
 
     def first_event_times(self, channel: int, times: bool = True
                           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """``EventStream.first_event_times`` of ``to_stream()``, with no
-        stream built.  Only a channel on which a pulse clicks more than once
+        """The sorted unique pulses with a click on ``channel`` and, with
+        ``times``, the earliest click time of each in ps (``_first_per_pulse``).
+        Pulses are uint32 while every index fits (``n_pulses <= 2**32``),
+        int64 past it.  Only a channel on which a pulse clicks more than once
         (the interferometer's start channel) is put in time order, by the
-        stream's own stable sort."""
+        saved stream's own stable sort, so the index is that of the saved
+        stream, array for array."""
         pulses, stamps = zip(*[chunk[channel] for chunk in self.chunks if channel in chunk]
                              or [(np.zeros(0, dtype=np.int64), np.zeros(0))])
         pulses = np.concatenate(pulses, dtype=_pulse_dtype(self.n_pulses), casting="unsafe")
@@ -227,19 +154,22 @@ class ChannelClicks:
             pulses, stamps = pulses[order], stamps[order]
         return _first_per_pulse(pulses, stamps, times)
 
-    def to_stream(self) -> EventStream:
-        """The time-sorted stream of these clicks, consuming them chunk by
-        chunk: each chunk's events, concatenated channel by channel, are
-        stably sorted by time into columns allocated once, and each column's
-        chunk parts are dropped once it is joined.  The heap is trimmed each
-        time ``_TRIM_BYTES`` more are dropped and once at the end, as the
-        worker threads' arenas hold them if pooled.  Only a click past the
-        next chunk's first click makes the stream be sorted again."""
+    def take_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The time-sorted (channel, pulse, time in ps) columns of these
+        clicks, consuming them chunk by chunk: each chunk's events,
+        concatenated channel by channel, are stably sorted by time into
+        columns allocated once, and each column's chunk parts are dropped
+        once it is joined.  The heap is trimmed each time ``_TRIM_BYTES``
+        more are dropped and once at the end, as the worker threads' arenas
+        hold them if pooled.  Only a click past the next chunk's first click
+        makes the columns be sorted again."""
         columns = [np.empty(len(self), dtype=dtype) for dtype in (np.int16, np.int64, float)]
         end = freed = 0
         self.chunks.reverse()
         while self.chunks:
             chunk = self.chunks.pop()
+            if not chunk:
+                continue
             channels = np.repeat(np.array(list(chunk), dtype=np.int16),
                                  [len(part) for part, _ in chunk.values()])
             pulses, times = zip(*chunk.values())
@@ -262,8 +192,48 @@ class ChannelClicks:
             order = np.argsort(columns[2], kind="stable")
             for i in range(len(columns)):
                 columns[i] = columns[i][order]  # one column copied at a time
-        return EventStream(*columns, n_pulses=self.n_pulses, seed=self.seed,
-                           rep_period=self.rep_period)
+        return tuple(columns)
+
+    def save(self, path) -> None:
+        """Write the ``take_columns`` stream, consuming the chunks: a ``#``
+        header of ``n_pulses``, ``seed`` and ``rep_period_ps``, then one
+        ``channel,pulse,time_ps`` row per click."""
+        meta = {"n_pulses": self.n_pulses, "seed": self.seed,
+                "rep_period_ps": float(self.rep_period * 1e12)}
+        write_table(path, "# " + format_pairs(meta, " "), self.take_columns())
+
+    @classmethod
+    def load(cls, path) -> "EventStream":
+        """The stream in a saved file, read ``BLOCK_ROWS`` lines at a time,
+        each block one chunk split by channel, so each channel keeps its
+        file order.  A file that no run could have written, with
+        ``n_pulses`` < 0, a period that is not finite and > 0, a pulse
+        outside [0, n_pulses), or times that are not finite and
+        nondecreasing (across blocks too), raises ValueError."""
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = parse_header(fh.readline().strip())
+            stream = cls([], int(meta["n_pulses"]), int(meta["seed"]),
+                         float(meta["rep_period_ps"]) / 1e12)
+            if stream.n_pulses < 0:
+                raise ValueError(f"n_pulses must be >= 0, got {stream.n_pulses}")
+            if not (math.isfinite(stream.rep_period) and stream.rep_period > 0.0):
+                raise ValueError(f"rep_period must be finite and > 0, got {stream.rep_period}")
+            last = -math.inf
+            while lines := list(itertools.islice(fh, BLOCK_ROWS)):
+                channels, pulses, t = read_table(lines, _STREAM_DTYPE)
+                if not len(t):
+                    continue
+                if pulses.min() < 0 or pulses.max() >= stream.n_pulses:
+                    raise ValueError("pulse index outside [0, n_pulses)")
+                # NaN fails the >= tests, and sorted infinities can only sit at
+                # the ends; compared in place, as a diff array would be larger
+                if not (t[0] >= last and np.isfinite(t[[0, -1]]).all()
+                        and np.all(t[1:] >= t[:-1])):
+                    raise ValueError("timestamps must be finite and nondecreasing")
+                last = t[-1]
+                stream.chunks.append({int(ch): (pulses[channels == ch], t[channels == ch])
+                                      for ch in np.unique(channels)})
+        return stream
 
 
 def _trim_past(freed: int) -> int:
@@ -314,7 +284,7 @@ def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
     return hidx, np.minimum(k, support[-1])
 
 
-def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> ChannelClicks:
+def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> EventStream:
     """Run ``chunk_clicks(rng, start, m)``, which simulates pulses ``start ..
     start + m - 1`` and returns each channel's (pulses, timestamps) by
     channel, over fixed chunks.  Each chunk draws from its own Philox
@@ -333,10 +303,10 @@ def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> ChannelClicks
     tasks = list(enumerate(range(0, config.n_pulses, CHUNK_PULSES)))
     chunks = list(ordered_map(run_chunk, tasks))
     trim_heap()  # the worker threads' malloc arenas hold what their chunks freed
-    return ChannelClicks(chunks, config.n_pulses, seed, config.rep_period)
+    return EventStream(chunks, config.n_pulses, seed, config.rep_period)
 
 
-def generate_hbt_stream(config: ExperimentConfig) -> ChannelClicks:
+def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     """Simulate a heralded intensity-correlation run.
 
     Channel 1 triggers (herald click for pair sources, laser clock for the
@@ -387,7 +357,7 @@ def generate_hbt_stream(config: ExperimentConfig) -> ChannelClicks:
     return _generate(config, chunk_clicks)
 
 
-def generate_mzi_stream(config: ExperimentConfig) -> ChannelClicks:
+def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     """Simulate arrival-time analysis behind the decoding interferometer.
 
     The heralded photon takes the short or long arm of the encoder and then

@@ -114,11 +114,11 @@ def test_calibrated_stream_takes_the_integer_path(monkeypatch, tmp_path):
     right, only slower."""
     cfg = calibrated_g2_config(seed=1701)
     cfg.n_pulses = 2_000_000
-    stream = generate_hbt_stream(cfg).to_stream()
+    stream = generate_hbt_stream(cfg)
+    assert len(stream) > 4 * BLOCK_ROWS
     fallbacks = []
     repr_rows = artifacts._repr_rows
     monkeypatch.setattr(artifacts, "_repr_rows",
                         lambda columns: fallbacks.append(1) or repr_rows(columns))
     stream.save(tmp_path / "events.csv")
-    assert len(stream) > 4 * BLOCK_ROWS
     assert len(fallbacks) <= 1

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import qfcsim
-from qfcsim import cli, experiments, tomography
+from qfcsim import cli, experiments, sources, tomography
 from qfcsim.cli import main
 from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
                            coherent_g2_config, ideal_g2_config)
-from qfcsim.sources import ChannelClicks, EventStream
+from qfcsim.sources import EventStream
 from qfcsim.tomography import RECORD_HEADER, load_records, save_records, standard_settings
+
+from test_sources import BAD_STREAMS
 
 
 def _pairs(path):
@@ -86,12 +88,11 @@ def test_analyze_stream_matches_run(tmp_path, g2_cfg_path, capsys):
 def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monkeypatch,
                                                      capsys):
     # every offset is counted from one index: three extractions per command,
-    # the trigger channel's as a pulse list alone
+    # generated or loaded, the trigger channel's as a pulse list alone
     calls = []
-    for source in (ChannelClicks, EventStream):
-        monkeypatch.setattr(source, "first_event_times",
-                            lambda self, channel, times=True, extract=source.first_event_times:
-                            calls.append((channel, times)) or extract(self, channel, times))
+    extract = EventStream.first_event_times
+    monkeypatch.setattr(EventStream, "first_event_times", lambda self, channel, times=True:
+                        calls.append((channel, times)) or extract(self, channel, times))
     out = tmp_path / "run"
     assert main(["g2", "--config", str(g2_cfg_path), "--out", str(out),
                  "--save-stream"]) == 0
@@ -99,7 +100,7 @@ def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monk
     calls.clear()
     assert main(["analyze", "--stream", str(out / "events.csv"),
                  "--out", str(tmp_path / "an")]) == 0
-    assert len(calls) <= 3
+    assert sorted(calls) == [(1, False), (2, True), (3, True)]
 
 
 def test_analyze_refused_flag_leaves_no_directory(tmp_path, capsys):
@@ -450,6 +451,18 @@ def test_analyze_stream_refuses_negative_n_pulses(tmp_path, capsys):
         stream.write_text(f"# n_pulses={n_pulses} seed=1 rep_period_ps=12195.0\n")
         assert main(["analyze", "--stream", str(stream), "--out",
                      str(tmp_path / f"out_{n_pulses}")]) == code
+
+
+def test_analyze_stream_refuses_what_load_refuses(tmp_path, monkeypatch, capsys):
+    # two-line blocks, so a time or pulse can go wrong at a block edge or in a later block
+    monkeypatch.setattr(sources, "BLOCK_ROWS", 2)
+    for name, text, _ in BAD_STREAMS:
+        stream = tmp_path / f"{name}.csv"
+        stream.write_text(text)
+        out = tmp_path / name
+        assert main(["analyze", "--stream", str(stream), "--out", str(out)]) == 2, name
+        _assert_one_line_error(capsys, "config error: cannot analyze stream file")
+        assert not out.exists()
 
 
 def test_analyze_short_streams_report_nan(tmp_path, capsys):

@@ -5,6 +5,8 @@ pulse, offset pairing, window edges) without any Monte Carlo noise.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,15 @@ from qfcsim.sources import (
 REP_PS = 12195.121951219512
 
 
+def stream_of(channels, pulses, times, n_pulses, seed=0, rep_period=1e-9):
+    """A one-chunk stream of the time-sorted events in these columns, split
+    by channel as ``EventStream.load`` splits a block."""
+    channels = np.asarray(channels, dtype=np.int16)
+    pulses, times = np.asarray(pulses, dtype=np.int64), np.asarray(times, dtype=float)
+    return EventStream([{int(ch): (pulses[channels == ch], times[channels == ch])
+                         for ch in np.unique(channels)}], n_pulses, seed, rep_period)
+
+
 def _toy_stream():
     """Three pulses: both clicks at pulse 0 (40 ps apart), start-only at 1,
     both at pulse 2 but 2.5 ns apart (outside a 1 ns window)."""
@@ -57,9 +68,7 @@ def _toy_stream():
         (STOP_CHANNEL, 2, 2 * REP_PS + 2500.0),
     ]
     rows.sort(key=lambda r: r[2])
-    ch, pu, ts = zip(*rows)
-    return EventStream(np.array(ch), np.array(pu), np.array(ts, dtype=float),
-                       n_pulses=3, seed=0, rep_period=REP_PS * 1e-12)
+    return stream_of(*zip(*rows), n_pulses=3, rep_period=REP_PS * 1e-12)
 
 
 def test_window_edges_are_inclusive():
@@ -234,7 +243,7 @@ def test_select_window_keeps_central_peak():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=100_000, seed=9,
     )
-    stream = generate_mzi_stream(cfg).to_stream()
+    stream = generate_mzi_stream(cfg)
     window = CoincidenceWindow(cfg.postselect_window)
     kept = select_window(stream, window, start_channel=TRIGGER_CHANNEL,
                          stop_channel=START_CHANNEL)
@@ -250,28 +259,28 @@ def test_select_window_keeps_central_peak():
 def test_select_window_is_idempotent():
     cfg = calibrated_g2_config(seed=77)
     cfg.n_pulses = 100_000
-    stream = generate_hbt_stream(cfg).to_stream()
+    stream = generate_hbt_stream(cfg)
     window = CoincidenceWindow(cfg.coincidence_window)
     once = select_window(stream, window)
     twice = select_window(once, window)
-    assert_array_equal(once.channels, twice.channels)
-    assert_array_equal(once.pulse_indices, twice.pulse_indices)
-    assert_array_equal(once.timestamps_ps, twice.timestamps_ps)
+    once, twice = once.take_columns(), twice.take_columns()
+    for got, want in zip(twice, once):
+        assert_array_equal(got, want, strict=True)
+    assert np.all(np.diff(once[2]) >= 0.0)
     # trigger events pass through untouched
-    n_trig_before = int(np.sum(stream.channels == TRIGGER_CHANNEL))
-    n_trig_after = int(np.sum(once.channels == TRIGGER_CHANNEL))
-    assert n_trig_before == n_trig_after
+    channels, pulses, times = stream.take_columns()
+    trigger = channels == TRIGGER_CHANNEL
+    assert_array_equal(once[1][once[0] == TRIGGER_CHANNEL], pulses[trigger])
+    assert_array_equal(once[2][once[0] == TRIGGER_CHANNEL], times[trigger])
 
 
 def test_counting_edges_give_zero_counts():
     window = CoincidenceWindow(1e-9)
     # start clicks but no stop clicks: nothing pairs at any offset
-    no_stop = EventStream(
-        np.array([TRIGGER_CHANNEL, START_CHANNEL, TRIGGER_CHANNEL, START_CHANNEL]),
-        np.array([0, 0, 1, 1]), np.array([0.0, 10.0, REP_PS, REP_PS + 10.0]),
-        n_pulses=2, seed=0, rep_period=REP_PS * 1e-12)
-    empty = EventStream(np.zeros(0), np.zeros(0), np.zeros(0),
-                        n_pulses=5, seed=0, rep_period=REP_PS * 1e-12)
+    no_stop = stream_of([TRIGGER_CHANNEL, START_CHANNEL, TRIGGER_CHANNEL, START_CHANNEL],
+                        [0, 0, 1, 1], [0.0, 10.0, REP_PS, REP_PS + 10.0],
+                        n_pulses=2, rep_period=REP_PS * 1e-12)
+    empty = EventStream([], n_pulses=5, seed=0, rep_period=REP_PS * 1e-12)
     for stream, singles in ((no_stop, CountSummary(2, 2, 0, 0)),
                             (empty, CountSummary(0, 0, 0, 0))):
         clicks = first_clicks(stream)
@@ -287,11 +296,13 @@ def test_counting_edges_give_zero_counts():
         assert opportunities(toy, offset) == 0 and summary.n_coincidence == 0
 
 
-def _reference_first(stream, channel):
-    """The sort-based first-click extraction the O(n) path replaced."""
-    mask = stream.channels == channel
-    uniq, first = np.unique(stream.pulse_indices[mask], return_index=True)
-    return uniq, stream.timestamps_ps[mask][first]
+def _reference_first(columns, channel):
+    """The sort-based first-click extraction the O(n) path replaced, from
+    the time-sorted (channel, pulse, time) columns of a stream."""
+    channels, pulses, times = columns
+    mask = channels == channel
+    uniq, first = np.unique(pulses[mask], return_index=True)
+    return uniq, times[mask][first]
 
 
 def _documented(pulses, stream):
@@ -300,15 +311,15 @@ def _documented(pulses, stream):
     return pulses.astype(np.uint32 if stream.n_pulses <= 2**32 else np.int64)
 
 
-def _reference_counts(stream, window, offset):
+def _reference_counts(columns, rep_period, window, offset):
     """Counts, opportunities and delays by the np.unique + intersect1d code
     the first-click index replaced."""
-    trig, _ = _reference_first(stream, TRIGGER_CHANNEL)
-    p_start, t_start = _reference_first(stream, START_CHANNEL)
-    p_stop, t_stop = _reference_first(stream, STOP_CHANNEL)
+    trig, _ = _reference_first(columns, TRIGGER_CHANNEL)
+    p_start, t_start = _reference_first(columns, START_CHANNEL)
+    p_stop, t_stop = _reference_first(columns, STOP_CHANNEL)
     _, i_start, i_stop = np.intersect1d(
         p_start, p_stop - offset, assume_unique=True, return_indices=True)
-    delays = t_stop[i_stop] - t_start[i_start] - offset * (stream.rep_period * 1e12)
+    delays = t_stop[i_stop] - t_start[i_start] - offset * (rep_period * 1e12)
     summary = CountSummary(len(trig), len(p_start), len(p_stop),
                            int(np.count_nonzero(window.contains_ps(delays))))
     opportunities = len(np.intersect1d(trig, trig - offset, assume_unique=True))
@@ -342,12 +353,14 @@ def test_first_event_times_equal_sort_based_reference(generate):
     clicks = generate(cfg)
     generated = {ch: clicks.first_event_times(ch)
                  for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL)}
-    stream = clicks.to_stream()
+    columns = clicks.take_columns()
+    # the sorted stream in one chunk, as a file of one block loads
+    stream = stream_of(*columns, n_pulses=cfg.n_pulses)
     repeated = []
     for channel in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
-        pulses = stream.pulse_indices[stream.channels == channel]
+        pulses = columns[1][columns[0] == channel]
         repeated.append(len(np.unique(pulses)) < len(pulses))
-        pulses, times = _reference_first(stream, channel)
+        pulses, times = _reference_first(columns, channel)
         got_pulses, got_times = stream.first_event_times(channel)
         assert_array_equal(got_pulses, _documented(pulses, stream), strict=True)
         assert_array_equal(got_times, times, strict=True)
@@ -371,8 +384,7 @@ def _small_streams(draw):
                                      st.integers(0, n_pulses - 1),
                                      st.integers(-jitter, jitter)), max_size=40))
     rows = sorted(((ch, p, p * 1000.0 + j) for ch, p, j in events), key=lambda r: r[2])
-    ch, pu, ts = (np.array(col) for col in zip(*rows)) if rows else (np.zeros(0),) * 3
-    return EventStream(ch, pu, ts, n_pulses=n_pulses, seed=0, rep_period=1e-9)
+    return stream_of(*(zip(*rows) if rows else ([],) * 3), n_pulses=n_pulses)
 
 
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)
@@ -380,8 +392,9 @@ def _small_streams(draw):
 def test_first_click_index_equals_sort_based_reference(stream):
     window = CoincidenceWindow(1e-9)
     clicks = first_clicks(stream)
+    columns = stream.take_columns()
     for offset in range(-5, 6):
-        summary, pairs, delays = _reference_counts(stream, window, offset)
+        summary, pairs, delays = _reference_counts(columns, stream.rep_period, window, offset)
         assert opportunities(clicks, offset) == pairs
         # blocks down to one start entry put join block edges inside these short lists
         for block in (1, 2, 3, 7, counting._JOIN_BLOCK):
@@ -390,7 +403,7 @@ def test_first_click_index_equals_sort_based_reference(stream):
                 got_summary, got_delays = count_summary(clicks, window, offset)
             assert got_summary == summary
             assert_array_equal(got_delays, delays, strict=True)
-    _, _, delays = _reference_counts(stream, window, 0)
+    _, _, delays = _reference_counts(columns, stream.rep_period, window, 0)
     hist = delay_histogram(count_summary(clicks, window)[1], bin_width=50e-12)
     bins = np.rint(delays / 50.0).astype(np.int64)
     if len(bins):
@@ -404,17 +417,15 @@ def test_first_click_index_equals_sort_based_reference(stream):
 def _hand_stream(n_pulses, events):
     """A stream of (channel, pulse) events in list order, 1 ps apart, so the
     stream is time-sorted whatever the order of its pulses."""
-    ch, pu = (np.array(col, dtype=np.int64) for col in zip(*events)) if events \
-        else (np.zeros(0, dtype=np.int64),) * 2
-    return EventStream(ch, pu, np.arange(len(events), dtype=float), n_pulses=n_pulses,
-                       seed=0, rep_period=1e-9)
+    ch, pu = zip(*events) if events else ([], [])
+    return stream_of(ch, pu, np.arange(len(events)), n_pulses)
 
 
 @st.composite
 def _trigger_events(draw):
     """0 to 300 pulses and up to 60 clicks on them, each channel's clicks
     repeated and out of order, in order, or strictly increasing; and the
-    slice length of the first-click extraction, down to one event."""
+    lines per block of the stream loader, down to one line."""
     n_pulses = draw(st.integers(0, 300))
     click = st.tuples(st.sampled_from([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL]),
                       st.integers(0, max(n_pulses - 1, 0)))
@@ -431,16 +442,20 @@ def _trigger_events(draw):
 @example((300, [(TRIGGER_CHANNEL, p) for p in range(300)], 7))
 @example((300, [(TRIGGER_CHANNEL, p) for p in range(299, -1, -2)], 1))
 def test_trigger_list_counts_equal_brute_force(case):
-    n_pulses, events, slice_events = case
-    stream = _hand_stream(n_pulses, events)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sources, "_SLICE_EVENTS", slice_events)
-        clicks = first_clicks(stream)
+    n_pulses, events, block_rows = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "events.csv"
+        _hand_stream(n_pulses, events).save(path)
+        patch.setattr(sources, "BLOCK_ROWS", block_rows)
+        stream = EventStream.load(path)
+    assert len(stream.chunks) == -(-len(events) // block_rows)
+    clicks = first_clicks(stream)
     assert clicks.trigger_pulses.dtype == np.uint32
-    # the start and stop sides cross the same slice boundaries
+    # the start and stop sides cross the same block boundaries
+    columns = _hand_stream(n_pulses, events).take_columns()
     for channel, pulses, times in [(START_CHANNEL, clicks.start_pulses, clicks.start_times),
                                    (STOP_CHANNEL, clicks.stop_pulses, clicks.stop_times)]:
-        want_pulses, want_times = _reference_first(stream, channel)
+        want_pulses, want_times = _reference_first(columns, channel)
         assert_array_equal(pulses, _documented(want_pulses, stream), strict=True)
         assert_array_equal(times, want_times, strict=True)
     trig = {p for ch, p in events if ch == TRIGGER_CHANNEL}

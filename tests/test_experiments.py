@@ -164,19 +164,19 @@ def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
     # the reference keeps the earliest candidate per pulse by lexsort + unique,
     # the step the generator once did itself
     cfg = make_config()
-    stream = generate_mzi_stream(cfg).to_stream()
-    start = stream.channels == START_CHANNEL
-    pulses, times = stream.pulse_indices[start], stream.timestamps_ps[start]
+    channels, stream_pulses, stream_times = generate_mzi_stream(cfg).take_columns()
+    start = channels == START_CHANNEL
+    pulses, times = stream_pulses[start], stream_times[start]
     assert len(np.unique(pulses)) < len(pulses)  # pulses with more than one click
     # the long delay takes the sort fallback of first_event_times
     assert np.any(pulses[1:] < pulses[:-1]) == (make_config is _long_delay_mzi_config)
     order = np.lexsort((times, pulses))
     pulses, times = pulses[order], times[order]
     _, first = np.unique(pulses, return_index=True)
-    trig = stream.channels == TRIGGER_CHANNEL
-    _, i_trig, i_start = np.intersect1d(stream.pulse_indices[trig], pulses[first],
+    trig = channels == TRIGGER_CHANNEL
+    _, i_trig, i_start = np.intersect1d(stream_pulses[trig], pulses[first],
                                         assume_unique=True, return_indices=True)
-    delays = times[first][i_start] - stream.timestamps_ps[trig][i_trig]
+    delays = times[first][i_start] - stream_times[trig][i_trig]
     want = delay_histogram(delays, bin_width=50e-12)
     got = run_mzi_histogram(cfg)
     assert_array_equal(got.centers_ps, want.centers_ps, strict=True)
@@ -186,7 +186,7 @@ def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
 @pytest.mark.parametrize("make_config", [_noisy_mzi_config, _long_delay_mzi_config])
 def test_mzi_postselection_equals_select_window(make_config):
     cfg = make_config()
-    kept = select_window(generate_mzi_stream(cfg).to_stream(),
+    kept = select_window(generate_mzi_stream(cfg),
                          CoincidenceWindow(cfg.postselect_window),
                          start_channel=TRIGGER_CHANNEL, stop_channel=START_CHANNEL)
     delays, _ = pair_delays(first_clicks(kept, TRIGGER_CHANNEL, START_CHANNEL))

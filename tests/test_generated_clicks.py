@@ -1,9 +1,10 @@
 """Generated clicks, indexed with no time sort, against the stream they make.
 
-A run is generated as ``ChannelClicks``, each chunk's clicks per channel in
-generation order.  Its first-click index must equal the index of the
-time-sorted stream ``to_stream`` builds, and that stream must equal the
-stable time sort of the chunks' concatenated events.  The one join that
+A run is generated as an ``EventStream``, each chunk's clicks per channel
+in generation order.  Its first-click index must equal the sort-based
+first clicks of the time-sorted columns ``take_columns`` builds (the ones
+a save writes), and those columns must equal the stable time sort of the
+chunks' concatenated events.  The one join that
 counts a window of offsets must give the delays and in-window counts of
 one ``searchsorted`` per offset.  Configs are drawn within the range rules
 of ``test_config.RANGE_RULES``, on runs of several short chunks, with
@@ -79,6 +80,16 @@ def _dense(generate):
     return generate, cfg, 100
 
 
+def _reference_first(columns, channel):
+    """The sorted unique pulses with a click on ``channel`` in the time-sorted
+    ``columns``, as uint32 (these runs are far below 2**32 pulses), and the
+    time of each one's first click, by ``np.unique``."""
+    channels, pulses, times = columns
+    mask = channels == channel
+    unique, first = np.unique(pulses[mask], return_index=True)
+    return unique.astype(np.uint32), times[mask][first]
+
+
 def _stable_time_sort(clicks):
     """The stream the chunks make: each chunk's events in the order of its
     channels, stably sorted by time, joined in chunk order and stably
@@ -108,17 +119,18 @@ def test_generated_index_equals_stream_index(run):
     want_events = _stable_time_sort(clicks)
     pairings = [(START_CHANNEL, STOP_CHANNEL), (TRIGGER_CHANNEL, START_CHANNEL)]
     indexes = [first_clicks(clicks, *pairing) for pairing in pairings]
-    stream = clicks.to_stream()
+    columns = clicks.take_columns()
     assert len(clicks) == 0
-    for column, want in zip((stream.channels, stream.pulse_indices, stream.timestamps_ps),
-                            want_events):
+    for column, want in zip(columns, want_events):
         assert_array_equal(column, want, strict=True)
-    for pairing, got in zip(pairings, indexes):
-        want = first_clicks(stream, *pairing)
-        for field in ("trigger_pulses", "start_pulses", "start_times", "stop_pulses",
-                      "stop_times"):
-            assert_array_equal(getattr(got, field), getattr(want, field), strict=True)
-        assert got.rep_ps == want.rep_ps
+    firsts = {ch: _reference_first(columns, ch)
+              for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL)}
+    for (start, stop), got in zip(pairings, indexes):
+        want = (firsts[TRIGGER_CHANNEL][0], *firsts[start], *firsts[stop])
+        for field, want_field in zip(("trigger_pulses", "start_pulses", "start_times",
+                                      "stop_pulses", "stop_times"), want):
+            assert_array_equal(getattr(got, field), want_field, strict=True)
+        assert got.rep_ps == cfg.rep_period * 1e12
 
 
 def _searchsorted_join(clicks, offset):

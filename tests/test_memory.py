@@ -4,10 +4,11 @@ tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
 clicks' (and the stream's) bytes for generation, one chunk's stream bytes
-for building the stream above the stream itself, the index's bytes for
-first-click extraction and the pulse join, the trigger list's bytes for
-the opportunity count, and one ``BLOCK_ROWS`` block's bytes for the stream
-save, whatever the stream's length.  Every bound holds on the serial and on
+for building the sorted columns above the columns themselves, the index's
+bytes for first-click extraction and the pulse join, the trigger list's
+bytes for the opportunity count, and one ``BLOCK_ROWS`` block's bytes for
+writing the columns and, above the clicks it returns, for loading them,
+whatever the stream's length.  Every bound holds on the serial and on
 the pooled schedule.  Buffers that numpy's sorts take from plain malloc are
 not counted.
 """
@@ -19,11 +20,13 @@ import numpy as np
 import pytest
 
 from qfcsim import parallel
-from qfcsim.artifacts import BLOCK_ROWS
+from qfcsim.artifacts import BLOCK_ROWS, write_table
 from qfcsim.config import ExperimentConfig
 from qfcsim.counting import (CoincidenceWindow, count_summary, first_clicks, opportunities,
                              pair_delays)
 from qfcsim.sources import EventStream, generate_hbt_stream
+
+from test_counting import stream_of
 
 IDEAL_G2 = Path(__file__).resolve().parent.parent / "configs" / "ideal_g2.cfg"
 
@@ -35,6 +38,11 @@ def _index_bytes(clicks):
     return sum(column.nbytes for column in (clicks.trigger_pulses, clicks.start_pulses,
                                             clicks.start_times, clicks.stop_pulses,
                                             clicks.stop_times))
+
+
+def _click_bytes(stream):
+    return sum(pulses.nbytes + times.nbytes
+               for chunk in stream.chunks for pulses, times in chunk.values())
 
 
 def _traced_peak(step):
@@ -76,24 +84,23 @@ def test_generation_peak(dense_clicks):
     (16 bytes each) plus the chunks in flight, 1.23 times the clicks'
     bytes serial and 1.43 pooled, below the stream's own bytes pooled."""
     clicks, peak, _ = dense_clicks
-    nbytes = sum(pulses.nbytes + times.nbytes
-                 for chunk in clicks.chunks for pulses, times in chunk.values())
+    nbytes = _click_bytes(clicks)
     assert nbytes == 16 * len(clicks)
     assert peak <= 2.0 * EVENT_BYTES * len(clicks)
     assert peak <= 1.5 * nbytes
 
 
-def test_to_stream_peak(dense_clicks):
-    """The stream's columns are allocated once, and one chunk at a time is
-    sorted into them: above the stream, the peak is that chunk's own
+def test_take_columns_peak(dense_clicks):
+    """The sorted columns are allocated once, and one chunk at a time is
+    sorted into them: above the columns, the peak is that chunk's own
     times, their concatenation and its channels, one chunk's stream bytes
     (measured at 1.00 times), however many chunks the run has."""
     clicks = dense_clicks[2]()
     chunk_events = max(sum(len(pulses) for pulses, _ in chunk.values())
                        for chunk in clicks.chunks)
     n_events = len(clicks)
-    stream, peak = _traced_peak(clicks.to_stream)
-    assert len(stream) == n_events and len(clicks) == 0
+    columns, peak = _traced_peak(clicks.take_columns)
+    assert len(columns[0]) == n_events and len(clicks) == 0
     assert peak - EVENT_BYTES * n_events <= 1.1 * EVENT_BYTES * chunk_events
 
 
@@ -132,24 +139,49 @@ def test_opportunities_peak(dense_clicks):
     assert peak <= 0.1 * clicks.trigger_pulses.nbytes
 
 
+def _sixteen_block_stream():
+    """A one-chunk stream of 16 ``BLOCK_ROWS`` blocks of rows."""
+    pulses = np.arange(16 * BLOCK_ROWS, dtype=np.int64) * 3
+    return stream_of(pulses % 3 + 1, pulses, pulses * 12195.0 + 1 / 3,
+                     n_pulses=3 * len(pulses), seed=1, rep_period=12195e-12)
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
 def test_stream_save_peak(cpus, monkeypatch, tmp_path):
-    """A save holds one block and its text at once, never the table, on
-    either schedule (it formats in the calling process): the bound of 20
-    blocks' bytes is below the 16-block table's own text (about 24), so a
-    save whose peak grew with the table would fail it."""
-    n = 16 * BLOCK_ROWS
-    pulses = np.arange(n, dtype=np.int64) * 3
-    stream = EventStream(pulses % 3 + 1, pulses, pulses * 12195.0 + 1 / 3, n_pulses=3 * n,
-                         seed=1, rep_period=12195e-12)
-    block_bytes = BLOCK_ROWS * (2 + 8 + 8)
+    """Writing the sorted columns of a save holds one block and its text at
+    once, never the table, on either schedule (it formats in the calling
+    process): the bound of 20 blocks' bytes is below the 16-block table's
+    own text (about 24), so a write whose peak grew with the table would
+    fail it."""
+    columns = _sixteen_block_stream().take_columns()
+    block_bytes = BLOCK_ROWS * EVENT_BYTES
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        _, peak = _traced_peak(lambda: stream.save(tmp_path / "events.csv"))
+        _, peak = _traced_peak(lambda: write_table(tmp_path / "events.csv", "# n_pulses=1",
+                                                   columns))
     finally:
         if started:
             tracemalloc.stop()
     assert peak <= 20 * block_bytes
+
+
+def test_stream_load_peak(tmp_path):
+    """A load holds the clicks it returns, 16 bytes each, plus one block's
+    lines, their parse and its split by channel: measured at 9.6 blocks'
+    bytes above the clicks.  The bound of 12 is below the 16-block file's
+    own columns, so a load whose peak grew with the file would fail it."""
+    path = tmp_path / "events.csv"
+    _sixteen_block_stream().save(path)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        stream, peak = _traced_peak(lambda: EventStream.load(path))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(stream) == 16 * BLOCK_ROWS and len(stream.chunks) == 16
+    assert peak - _click_bytes(stream) <= 12 * BLOCK_ROWS * EVENT_BYTES

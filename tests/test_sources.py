@@ -45,6 +45,8 @@ from qfcsim.sources import (
     _herald,
 )
 
+from test_counting import stream_of
+
 THERMAL_ORACLE_G2 = 1.990484087843
 
 
@@ -115,40 +117,52 @@ def test_entangled_pair_state_limits():
         entangled_pair_state(1.1)
 
 
-def test_event_stream_validation():
-    with pytest.raises(ValueError):
-        EventStream(np.array([1]), np.array([0, 1]), np.array([0.0]),
-                    n_pulses=2, seed=0, rep_period=1e-8)
-    with pytest.raises(ValueError):
-        EventStream(np.array([1]), np.array([5]), np.array([0.0]),
-                    n_pulses=2, seed=0, rep_period=1e-8)
-    with pytest.raises(ValueError):
-        EventStream(np.array([1, 1]), np.array([0, 1]), np.array([1.0, 0.0]),
-                    n_pulses=2, seed=0, rep_period=1e-8)
+_HEADER = "# n_pulses=2 seed=0 rep_period_ps=10000.0\n"
+
+#: stream files that no run could have written, read in blocks of two lines:
+#: (name, text, what ``EventStream.load``'s ValueError says)
+BAD_STREAMS = [
+    ("short_row", _HEADER + "1,0,0.0\n1,1\n", "columns"),
+    ("pulse_past_n", _HEADER + "1,5,0.0\n", "pulse index"),
+    ("negative_pulse", _HEADER + "1,-1,0.0\n", "pulse index"),
+    ("pulse_past_n_in_later_block", _HEADER + "1,0,0.0\n2,0,1.0\n1,1,2.0\n3,2,3.0\n",
+     "pulse index"),
+    ("time_steps_back", _HEADER + "1,0,1.0\n1,1,0.0\n", "nondecreasing"),
+    ("time_steps_back_at_block_edge", _HEADER + "1,0,0.0\n2,0,5.0\n1,1,4.0\n2,1,6.0\n",
+     "nondecreasing"),
+    ("nan_time", _HEADER + "1,0,0.0\n2,0,nan\n", "finite"),
+    ("nan_time_at_block_start", _HEADER + "1,0,0.0\n2,0,1.0\n3,0,nan\n", "finite"),
+    ("inf_time", _HEADER + "1,0,0.0\n2,0,inf\n", "finite"),
+    ("minus_inf_time", _HEADER + "1,0,-inf\n", "finite"),
+    ("negative_n_pulses", _HEADER.replace("n_pulses=2", "n_pulses=-5"), "n_pulses"),
+    ("nan_period", _HEADER.replace("10000.0", "nan") + "1,0,0.0\n", "rep_period"),
+    ("repeated_key", _HEADER.replace(" seed", " n_pulses=20 seed") + "1,0,0.0\n",
+     "repeats a key"),
+]
+
+
+def test_event_stream_validation(tmp_path, monkeypatch):
+    monkeypatch.setattr(sources, "BLOCK_ROWS", 2)
+    for name, text, message in BAD_STREAMS:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            EventStream.load(path)
 
 
 def test_first_event_times_picks_earliest(monkeypatch):
+    stream = stream_of([2, 2, 2], [3, 5, 5], [100.0, 200.0, 201.0], n_pulses=10)
+    # pulse 5 clicks before pulse 3 here, so the run-boundary rule would be
+    # wrong; the out-of-order list takes the sort-based fallback
+    shuffled = stream_of([2, 1, 2, 2, 2], [5, 3, 3, 5, 3],
+                         [100.0, 120.0, 150.0, 180.0, 200.0], n_pulses=10)
     sorts = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
-    stream = EventStream(
-        channels=np.array([2, 2, 2]),
-        pulse_indices=np.array([3, 5, 5]),
-        timestamps_ps=np.array([100.0, 200.0, 201.0]),
-        n_pulses=10, seed=1, rep_period=1e-8,
-    )
     pulses, times = stream.first_event_times(2)
     assert_array_equal(pulses, [3, 5])
     assert_allclose(times, [100.0, 200.0])
     assert not sorts  # pulses in order: one pass, no sort
-    # pulse 5 clicks before pulse 3 here, so the run-boundary rule would be
-    # wrong; the out-of-order list takes the sort-based fallback
-    shuffled = EventStream(
-        channels=np.array([2, 1, 2, 2, 2]),
-        pulse_indices=np.array([5, 3, 3, 5, 3]),
-        timestamps_ps=np.array([100.0, 120.0, 150.0, 180.0, 200.0]),
-        n_pulses=10, seed=1, rep_period=1e-8,
-    )
     pulses, times = shuffled.first_event_times(2)
     assert_array_equal(pulses, [3, 5])
     assert_allclose(times, [150.0, 100.0])
@@ -158,13 +172,12 @@ def test_first_event_times_picks_earliest(monkeypatch):
 def test_stream_determinism_same_seed():
     cfg = calibrated_g2_config(seed=909)
     cfg.n_pulses = 150_000
-    a = generate_hbt_stream(cfg).to_stream()
-    b = generate_hbt_stream(cfg).to_stream()
-    assert_array_equal(a.channels, b.channels)
-    assert_array_equal(a.pulse_indices, b.pulse_indices)
-    assert_array_equal(a.timestamps_ps, b.timestamps_ps)
-    c = generate_hbt_stream(replace(cfg, seed=910)).to_stream()
-    assert len(c) != len(a) or not np.array_equal(c.timestamps_ps, a.timestamps_ps)
+    a = generate_hbt_stream(cfg).take_columns()
+    b = generate_hbt_stream(cfg).take_columns()
+    for column_a, column_b in zip(a, b):
+        assert_array_equal(column_a, column_b, strict=True)
+    c = generate_hbt_stream(replace(cfg, seed=910)).take_columns()
+    assert len(c[2]) != len(a[2]) or not np.array_equal(c[2], a[2])
 
 
 def test_stream_chunks_are_extension_stable():
@@ -172,28 +185,27 @@ def test_stream_chunks_are_extension_stable():
     # with a shorter one event for event over the shared prefix
     cfg = calibrated_g2_config(seed=33)
     cfg.n_pulses = CHUNK_PULSES
-    short = generate_hbt_stream(cfg).to_stream()
+    short = generate_hbt_stream(cfg).take_columns()
     cfg_long = calibrated_g2_config(seed=33)
     cfg_long.n_pulses = CHUNK_PULSES + 1000
-    long = generate_hbt_stream(cfg_long).to_stream()
-    head = long.pulse_indices < CHUNK_PULSES
-    assert_array_equal(long.channels[head], short.channels)
-    assert_array_equal(long.pulse_indices[head], short.pulse_indices)
-    assert_array_equal(long.timestamps_ps[head], short.timestamps_ps)
+    long = generate_hbt_stream(cfg_long).take_columns()
+    head = long[1] < CHUNK_PULSES
+    for column_long, column_short in zip(long, short):
+        assert_array_equal(column_long[head], column_short)
 
 
 def test_stream_singles_match_enumeration():
     cfg = calibrated_g2_config(seed=55)
     cfg.n_pulses = 300_000
     rates = expected_hbt_rates(cfg)
-    stream = generate_hbt_stream(cfg).to_stream()
-    n_trig = int(np.sum(stream.channels == TRIGGER_CHANNEL))
+    channels, pulses, _ = generate_hbt_stream(cfg).take_columns()
+    n_trig = int(np.sum(channels == TRIGGER_CHANNEL))
     mean = cfg.n_pulses * rates.p_trigger
     assert abs(n_trig - mean) < 4.0 * math.sqrt(mean)
-    n_start = len(np.unique(stream.pulse_indices[stream.channels == START_CHANNEL]))
+    n_start = len(np.unique(pulses[channels == START_CHANNEL]))
     mean_start = n_trig * rates.p_start
     assert abs(n_start - mean_start) < 4.0 * math.sqrt(mean_start)
-    n_stop = len(np.unique(stream.pulse_indices[stream.channels == STOP_CHANNEL]))
+    n_stop = len(np.unique(pulses[channels == STOP_CHANNEL]))
     mean_stop = n_trig * rates.p_stop
     assert abs(n_stop - mean_stop) < 4.0 * math.sqrt(mean_stop)
 
@@ -268,11 +280,11 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     monkeypatch.setattr(sources, "_generate", capture)
     clicks = generate_mzi_stream(cfg)
     assert len(clicks.chunks) == 100
-    stream = clicks.to_stream()
+    got = clicks.take_columns()
     assert clicks.chunks == [] and len(clicks) == 0  # consumed chunk by chunk
-    chunk = stream.pulse_indices // 100
+    chunk = got[1] // 100
     assert np.any(chunk[1:] < chunk[:-1])
-    assert np.all(np.diff(stream.timestamps_ps) >= 0.0)
+    assert np.all(np.diff(got[2]) >= 0.0)
     assert np.unique(chunk).tolist() == list(range(100))
     # the re-sort is a stable argsort of the joined chunks, each stably
     # time-sorted from its trigger clicks followed by its start clicks
@@ -288,7 +300,6 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
         parts.append([column[order] for column in events])
     joined = [np.concatenate(column) for column in zip(*parts)]
     order = np.argsort(joined[-1], kind="stable")
-    got = (stream.channels, stream.pulse_indices, stream.timestamps_ps)
     for column, want in zip(got, joined):
         assert_array_equal(column, want[order], strict=True)
 
@@ -303,11 +314,11 @@ def test_mzi_stream_peak_positions():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=40_000, seed=8,
     )
-    stream = generate_mzi_stream(cfg).to_stream()
+    channels, pulses, times = generate_mzi_stream(cfg).take_columns()
     # with zero jitter every start click sits exactly on a slot boundary
-    starts = stream.channels == START_CHANNEL
-    pulses = stream.pulse_indices[starts]
-    rel = stream.timestamps_ps[starts] - pulses * cfg.rep_period * 1e12
+    starts = channels == START_CHANNEL
+    pulses = pulses[starts]
+    rel = times[starts] - pulses * cfg.rep_period * 1e12
     delay_ps = cfg.mzi_delay * 1e12
     slots = np.unique(np.round(rel / delay_ps).astype(int))
     assert set(slots.tolist()) <= {-1, 0, 1}
@@ -323,14 +334,12 @@ def test_mzi_stream_peak_positions():
 def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
     # two-row blocks, so the five rows are written across three blocks
     monkeypatch.setattr("qfcsim.artifacts.BLOCK_ROWS", 2)
-    stream = EventStream(
-        channels=np.array([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL,
-                           TRIGGER_CHANNEL, START_CHANNEL]),
-        pulse_indices=np.array([0, 0, 0, 9, 9]),
-        timestamps_ps=np.array([-35.5, 1e-05, 0.30000000000000004, 1e+16, 1e+16]),
-        n_pulses=10, seed=7, rep_period=12.5e-9)
+    columns = ([TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL, START_CHANNEL],
+               [0, 0, 0, 9, 9], [-35.5, 1e-05, 0.30000000000000004, 1e+16, 1e+16])
+    stream = stream_of(*columns, n_pulses=10, seed=7, rep_period=12.5e-9)
     path = tmp_path / "events.csv"
     stream.save(path)
+    assert len(stream) == 0  # saving consumed the chunks
     assert path.read_text() == (
         "# n_pulses=10 seed=7 rep_period_ps=12500.0\n"
         "1,0,-35.5\n"
@@ -341,14 +350,16 @@ def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
     # blank and comment lines between rows are skipped on reading
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:3] + ["\n", "# note\n"] + lines[3:] + ["\n"]))
+    # three lines a block, those skipped included: each block is one chunk,
+    # split by channel in file order
+    monkeypatch.setattr(sources, "BLOCK_ROWS", 3)
     loaded = EventStream.load(path)
-    assert loaded.n_pulses == stream.n_pulses
-    assert loaded.seed == stream.seed
-    assert loaded.rep_period == stream.rep_period
-    assert_array_equal(loaded.channels, stream.channels)
-    assert_array_equal(loaded.pulse_indices, stream.pulse_indices)
+    assert (loaded.n_pulses, loaded.seed, loaded.rep_period) == (10, 7, 12.5e-9)
+    assert [list(chunk) for chunk in loaded.chunks] == [[1, 2], [1, 3], [2]]
+    assert_array_equal(loaded.chunks[1][TRIGGER_CHANNEL][0], [9], strict=True)
     # repr-based serialization is lossless for float64
-    assert_array_equal(loaded.timestamps_ps, stream.timestamps_ps)
+    for got, want in zip(loaded.take_columns(), columns):
+        assert_array_equal(got, want)
 
 
 def test_loaded_period_keeps_its_ps_value(tmp_path):
@@ -359,9 +370,8 @@ def test_loaded_period_keeps_its_ps_value(tmp_path):
     of periods), which the header cannot tell apart."""
     rng = np.random.default_rng(49)
     path = tmp_path / "events.csv"
-    empty = np.zeros(0)
     for period in rng.uniform(1e-9, 1e-6, 400):
-        EventStream(empty, empty, empty, n_pulses=1, seed=0, rep_period=period).save(path)
+        EventStream([], n_pulses=1, seed=0, rep_period=period).save(path)
         loaded = EventStream.load(path).rep_period
         assert loaded * 1e12 == period * 1e12
         assert loaded in (period, np.nextafter(period, 0.0), np.nextafter(period, 1.0))
