@@ -6,18 +6,20 @@ written with ``str`` and floats with ``repr``, so a float64 reads back bit
 for bit.  Table readers skip blank and ``#`` lines and raise ValueError on a
 malformed or out-of-range field.
 
-Table rows are formatted in ``BLOCK_ROWS`` blocks, one block at a time in
-the calling process, so a stream save holds a few MB however long the
-stream is.  A block of integer and float columns is formatted by numpy
-integer arithmetic over the whole block, with the bytes ``repr`` gives:
-digits come from a table of the 10,000 four-digit groups, and a float
-takes the fewest fraction digits whose nearest decimal reads back to it,
-rounded half to even as Python's shortest-repr search (Gay's dtoa) does.
-A block with a bool or other column, or with a float that is not zero and
-not in [2**23, 2**53) in magnitude (non-finite or subnormal values, small
-values whose exact products would overflow int64, large ones that ``repr``
-may write with an exponent), is formatted by ``repr`` itself, so every
-byte is right by construction.
+A table's rows come as a sequence of column blocks, which a stream save
+makes one chunk at a time, and are formatted ``BLOCK_ROWS`` rows at a time
+in the calling process, so a save holds one chunk's block and a few MB of
+text however long the stream is.  A row block of integer and float
+columns is formatted by numpy integer arithmetic over the whole block,
+with the bytes ``repr`` gives: digits come from a table of the 10,000
+four-digit groups, and a float takes the fewest fraction digits whose
+nearest decimal reads back to it, rounded half to even as Python's
+shortest-repr search (Gay's dtoa) does.  A row block with a bool or other
+column, or with a float that is not zero and not in [2**23, 2**53) in
+magnitude (non-finite or subnormal values, small values whose exact
+products would overflow int64, large ones that ``repr`` may write with an
+exponent), is formatted by ``repr`` itself, so every byte is right by
+construction.
 """
 
 from __future__ import annotations
@@ -213,14 +215,16 @@ def _format_rows(columns) -> bytes:
     return np.take(_glyph_table(), np.stack(glyphs, axis=1)).tobytes().translate(None, b"\0")
 
 
-def write_table(path, header: str, columns) -> None:
-    """The ``header`` line, then row i from the i-th entries of ``columns``,
-    formatted one ``BLOCK_ROWS`` block at a time."""
-    columns = [np.asarray(col) for col in columns]
+def write_table(path, header: str, blocks) -> None:
+    """The ``header`` line, then row i of each block from the i-th entries of
+    its columns, the blocks in order, formatted ``BLOCK_ROWS`` rows at a time."""
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for lo in range(0, len(columns[0]), BLOCK_ROWS):
-            fh.write(_format_rows([c[lo:lo + BLOCK_ROWS] for c in columns]))
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            for lo in range(0, len(columns[0]), BLOCK_ROWS):
+                fh.write(_format_rows([c[lo:lo + BLOCK_ROWS] for c in columns]))
+            del columns  # before the next block is made
 
 
 def read_table(lines, dtype: np.dtype, skip: str | None = None) -> list[np.ndarray]:

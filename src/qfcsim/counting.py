@@ -1,9 +1,9 @@
 """Coincidence counting and normalized intensity correlations.
 
 All estimators work on a ``FirstClicks`` index, built once per run from
-its generated or loaded ``EventStream``.  Clicks are
-paired by pulse: the first click per pulse on each channel counts,
-matching start-stop electronics with one valid event per gate.
+its generated or loaded ``EventStream``.  Clicks are paired by pulse: the
+first click per pulse on each channel counts, matching start-stop
+electronics with one valid event per gate.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class DelayHistogram:
         return int(self.counts.sum())
 
     def save(self, path) -> None:
-        write_table(path, "delay_ps,count", (self.centers_ps, self.counts))
+        write_table(path, "delay_ps,count", [(self.centers_ps, self.counts)])
 
 
 @dataclass(frozen=True)

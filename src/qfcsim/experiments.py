@@ -80,7 +80,7 @@ def write_sweep(result: SweepResult, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table = outdir / "sweep.csv"
-    write_table(table, "power_w,efficiency", (result.powers_w, result.efficiencies))
+    write_table(table, "power_w,efficiency", [(result.powers_w, result.efficiencies)])
     fit = result.fit
     if fit is None:
         pairs = {"fit_error": result.fit_error}

@@ -20,13 +20,14 @@ its gaps, so a longer run still extends a shorter one.
 Memory: a pair-source chunk's draws hold one entry per herald, not per
 pulse, and each is dropped once used.  A run is kept as an ``EventStream``,
 each chunk's clicks per channel, at 16 bytes per click: nothing is sorted
-or joined until ``take_columns``, which only a save and the tests call.  It
-consumes the chunks one at a time into columns allocated for the whole
-stream, so the clicks and the columns are never both whole.  On the thread
-pool one chunk per worker is in flight; the memory the worker threads freed
-into their malloc arenas is handed back to the system as ``take_columns``
-drops the chunks.  A loaded stream is read one block of lines at a time, each
-block one chunk, so the file's text is never whole either.
+or joined until ``sorted_blocks``, which only a save and the tests call.  It
+sorts one chunk at a time and leaves the chunks as they are, and a save
+writes each chunk's block before the next is sorted, so the sorted stream
+is never whole.  On the thread pool one chunk per worker is in flight; the
+memory the worker threads freed into their malloc arenas is handed back to
+the system once the run is generated.  A loaded stream is read one block of
+lines at a time, each block one chunk, so the file's text is never whole
+either.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,11 +48,6 @@ START_CHANNEL = 2
 STOP_CHANNEL = 3
 
 CHUNK_PULSES = 1 << 19
-
-#: bytes that ``take_columns`` drops between two heap trims: a trim costs
-#: page faults later, so small chunks share one, and a large chunk's two
-#: columns are each trimmed as they are dropped
-_TRIM_BYTES = 1 << 20
 
 _CLASSICAL_KINDS = ("coherent", "thermal")
 
@@ -123,9 +119,10 @@ class EventStream:
     ``chunks[i]`` maps each channel of chunk i to its (pulses, times in ps):
     a generated chunk's in generation order (trigger, start, stop), a loaded
     block's in file order.  The first-click index reads them with no time
-    sort; ``take_columns`` builds the time-sorted stream that ``save``
-    writes.  Times are absolute (pulse index times repetition period, plus
-    path delay and jitter).
+    sort; ``sorted_blocks`` yields the time-sorted stream that ``save``
+    writes, one chunk at a time.  Neither changes the chunks.  Times are
+    absolute (pulse index times repetition period, plus path delay and
+    jitter).
     """
 
     chunks: list[dict[int, tuple[np.ndarray, np.ndarray]]]
@@ -154,53 +151,42 @@ class EventStream:
             pulses, stamps = pulses[order], stamps[order]
         return _first_per_pulse(pulses, stamps, times)
 
-    def take_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sorted_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The time-sorted (channel, pulse, time in ps) columns of these
-        clicks, consuming them chunk by chunk: each chunk's events,
-        concatenated channel by channel, are stably sorted by time into
-        columns allocated once, and each column's chunk parts are dropped
-        once it is joined.  The heap is trimmed each time ``_TRIM_BYTES``
-        more are dropped and once at the end, as the worker threads' arenas
-        hold them if pooled.  Only a click past the next chunk's first click
-        makes the columns be sorted again."""
-        columns = [np.empty(len(self), dtype=dtype) for dtype in (np.int16, np.int64, float)]
-        end = freed = 0
-        self.chunks.reverse()
-        while self.chunks:
-            chunk = self.chunks.pop()
-            if not chunk:
-                continue
+        clicks, one block per chunk, leaving the chunks as they are.  Each
+        chunk's clicks, concatenated channel by channel, are stably sorted
+        by time behind those carried from earlier chunks; a click at or past
+        the first click of any later chunk is carried on, so the blocks join
+        into the stable time sort of all clicks in chunk order."""
+        firsts = [min((times.min() for _, times in chunk.values() if len(times)),
+                      default=math.inf) for chunk in self.chunks]
+        bounds = np.minimum.accumulate([*firsts[1:], math.inf][::-1])[::-1]
+        carry = (np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.int64), np.zeros(0))
+        for chunk, bound in zip(self.chunks, bounds):
             channels = np.repeat(np.array(list(chunk), dtype=np.int16),
-                                 [len(part) for part, _ in chunk.values()])
-            pulses, times = zip(*chunk.values())
-            times = np.concatenate(times)
-            freed += times.nbytes
-            del chunk  # and with it the chunk's time parts
-            freed = _trim_past(freed)
+                                 [len(pulses) for pulses, _ in chunk.values()])
+            pulses, times = zip(*chunk.values()) if chunk else ((), ())
+            times = np.concatenate([carry[2], *times])
             order = np.argsort(times, kind="stable")
-            out = slice(end, end + len(order))
-            np.take(times, order, out=columns[2][out])
-            del times
-            np.take(channels, order, out=columns[0][out])
-            pulses = np.concatenate(pulses)
-            freed = _trim_past(freed + pulses.nbytes)
-            np.take(pulses, order, out=columns[1][out])
-            end += len(order)
+            times = times[order]
+            # each column is joined and gathered in turn, so one unsorted column is alive at a time
+            block = (np.concatenate([carry[0], channels])[order],
+                     np.concatenate([carry[1], *pulses])[order], times)
             del channels, pulses, order
-        trim_heap()  # and what the last chunks left, before the stream is saved
-        if not np.all(columns[2][1:] >= columns[2][:-1]):
-            order = np.argsort(columns[2], kind="stable")
-            for i in range(len(columns)):
-                columns[i] = columns[i][order]  # one column copied at a time
-        return tuple(columns)
+            cut = np.searchsorted(times, bound)
+            carry = tuple(column[cut:].copy() for column in block)
+            yield tuple(column[:cut] for column in block)
+            del block, times  # before the next chunk's block is built
+        if len(carry[0]):
+            yield carry  # clicks at an infinite or NaN time, which no bound passes
 
     def save(self, path) -> None:
-        """Write the ``take_columns`` stream, consuming the chunks: a ``#``
-        header of ``n_pulses``, ``seed`` and ``rep_period_ps``, then one
-        ``channel,pulse,time_ps`` row per click."""
+        """Write the ``sorted_blocks`` stream: a ``#`` header of ``n_pulses``,
+        ``seed`` and ``rep_period_ps``, then one ``channel,pulse,time_ps``
+        row per click."""
         meta = {"n_pulses": self.n_pulses, "seed": self.seed,
                 "rep_period_ps": float(self.rep_period * 1e12)}
-        write_table(path, "# " + format_pairs(meta, " "), self.take_columns())
+        write_table(path, "# " + format_pairs(meta, " "), self.sorted_blocks())
 
     @classmethod
     def load(cls, path) -> "EventStream":
@@ -234,15 +220,6 @@ class EventStream:
                 stream.chunks.append({int(ch): (pulses[channels == ch], t[channels == ch])
                                       for ch in np.unique(channels)})
         return stream
-
-
-def _trim_past(freed: int) -> int:
-    """Trims the heap once ``freed``, the bytes dropped since the last trim,
-    reach ``_TRIM_BYTES``; the bytes dropped since the last trim after it."""
-    if freed < _TRIM_BYTES:
-        return freed
-    trim_heap()
-    return 0
 
 
 def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int

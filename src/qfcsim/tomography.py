@@ -320,7 +320,7 @@ RECORD_HEADER = ",".join(_RECORD_DTYPE.names)
 def save_records(settings: list[MeasurementSetting], counts, durations_s, path) -> None:
     angles = [[math.degrees(getattr(s, attr)) for s in settings]
               for attr in ("qwp_a", "hwp_a", "qwp_b", "hwp_b")]
-    write_table(path, RECORD_HEADER, (*angles, np.asarray(counts, dtype=np.int64), durations_s))
+    write_table(path, RECORD_HEADER, [(*angles, np.asarray(counts, dtype=np.int64), durations_s)])
 
 
 def load_records(path) -> tuple[list[MeasurementSetting], np.ndarray, np.ndarray]:

@@ -55,6 +55,8 @@ from qfcsim.sources import (
 )
 from qfcsim.tomography import mle_reconstruct, standard_settings
 
+from test_counting import columns_of
+
 
 def _report(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -244,11 +246,11 @@ def test_criterion_8_determinism_and_roundtrips(tmp_path):
     path = tmp_path / "events.csv"
     a.save(path)
     loaded = EventStream.load(path)
-    columns = generate_hbt_stream(cfg).take_columns()
+    columns = columns_of(generate_hbt_stream(cfg))
     ok = loaded.seed == cfg.seed and loaded.n_pulses == cfg.n_pulses
     # counting the reloaded stream reproduces the counts exactly
     summary_l, delays_l = count_summary(first_clicks(loaded), window)
-    ok = ok and all(np.array_equal(x, y) for x, y in zip(loaded.take_columns(), columns))
+    ok = ok and all(np.array_equal(x, y) for x, y in zip(columns_of(loaded), columns))
     ok = ok and summary_a == summary_l and np.array_equal(delays_a, delays_l)
     # config file round trip is lossless
     cfg_path = tmp_path / "run.cfg"

@@ -41,7 +41,7 @@ def test_write_table_equals_per_row_repr(tmp_path, n_rows):
         np.resize(np.array(FLOATS), n_rows),
     )
     path = tmp_path / "table.csv"
-    write_table(path, "a,b,c,d", columns)
+    write_table(path, "a,b,c,d", [columns])
     assert path.read_text() == _reference("a,b,c,d", columns)
 
 
@@ -104,7 +104,7 @@ def test_write_table_equals_repr_on_random_columns(tmp_path_factory, seed, with_
     path = tmp_path_factory.mktemp("table") / "table.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(artifacts, "BLOCK_ROWS", block)
-        write_table(path, "a,b,c", columns)
+        write_table(path, "a,b,c", [columns])
     assert path.read_text() == _reference("a,b,c", columns)
 
 

@@ -54,6 +54,13 @@ def stream_of(channels, pulses, times, n_pulses, seed=0, rep_period=1e-9):
                          for ch in np.unique(channels)}], n_pulses, seed, rep_period)
 
 
+def columns_of(stream):
+    """The time-sorted (channel, pulse, time in ps) columns of a stream's
+    clicks: its ``sorted_blocks`` joined."""
+    empty = (np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.int64), np.zeros(0))
+    return tuple(map(np.concatenate, zip(empty, *stream.sorted_blocks())))
+
+
 def _toy_stream():
     """Three pulses: both clicks at pulse 0 (40 ps apart), start-only at 1,
     both at pulse 2 but 2.5 ns apart (outside a 1 ns window)."""
@@ -263,12 +270,12 @@ def test_select_window_is_idempotent():
     window = CoincidenceWindow(cfg.coincidence_window)
     once = select_window(stream, window)
     twice = select_window(once, window)
-    once, twice = once.take_columns(), twice.take_columns()
+    once, twice = columns_of(once), columns_of(twice)
     for got, want in zip(twice, once):
         assert_array_equal(got, want, strict=True)
     assert np.all(np.diff(once[2]) >= 0.0)
     # trigger events pass through untouched
-    channels, pulses, times = stream.take_columns()
+    channels, pulses, times = columns_of(stream)
     trigger = channels == TRIGGER_CHANNEL
     assert_array_equal(once[1][once[0] == TRIGGER_CHANNEL], pulses[trigger])
     assert_array_equal(once[2][once[0] == TRIGGER_CHANNEL], times[trigger])
@@ -353,7 +360,7 @@ def test_first_event_times_equal_sort_based_reference(generate):
     clicks = generate(cfg)
     generated = {ch: clicks.first_event_times(ch)
                  for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL)}
-    columns = clicks.take_columns()
+    columns = columns_of(clicks)
     # the sorted stream in one chunk, as a file of one block loads
     stream = stream_of(*columns, n_pulses=cfg.n_pulses)
     repeated = []
@@ -392,7 +399,7 @@ def _small_streams(draw):
 def test_first_click_index_equals_sort_based_reference(stream):
     window = CoincidenceWindow(1e-9)
     clicks = first_clicks(stream)
-    columns = stream.take_columns()
+    columns = columns_of(stream)
     for offset in range(-5, 6):
         summary, pairs, delays = _reference_counts(columns, stream.rep_period, window, offset)
         assert opportunities(clicks, offset) == pairs
@@ -452,7 +459,7 @@ def test_trigger_list_counts_equal_brute_force(case):
     clicks = first_clicks(stream)
     assert clicks.trigger_pulses.dtype == np.uint32
     # the start and stop sides cross the same block boundaries
-    columns = _hand_stream(n_pulses, events).take_columns()
+    columns = columns_of(_hand_stream(n_pulses, events))
     for channel, pulses, times in [(START_CHANNEL, clicks.start_pulses, clicks.start_times),
                                    (STOP_CHANNEL, clicks.stop_pulses, clicks.stop_times)]:
         want_pulses, want_times = _reference_first(columns, channel)

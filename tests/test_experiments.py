@@ -34,6 +34,8 @@ from qfcsim.counting import (CoincidenceWindow, CountSummary, delay_histogram, f
                              pair_delays, select_window)
 from qfcsim.sources import START_CHANNEL, TRIGGER_CHANNEL, generate_mzi_stream
 
+from test_counting import columns_of
+
 
 def test_sweep_default_grid_and_fit():
     cfg = ExperimentConfig()
@@ -164,7 +166,7 @@ def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
     # the reference keeps the earliest candidate per pulse by lexsort + unique,
     # the step the generator once did itself
     cfg = make_config()
-    channels, stream_pulses, stream_times = generate_mzi_stream(cfg).take_columns()
+    channels, stream_pulses, stream_times = columns_of(generate_mzi_stream(cfg))
     start = channels == START_CHANNEL
     pulses, times = stream_pulses[start], stream_times[start]
     assert len(np.unique(pulses)) < len(pulses)  # pulses with more than one click

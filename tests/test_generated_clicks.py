@@ -2,11 +2,11 @@
 
 A run is generated as an ``EventStream``, each chunk's clicks per channel
 in generation order.  Its first-click index must equal the sort-based
-first clicks of the time-sorted columns ``take_columns`` builds (the ones
-a save writes), and those columns must equal the stable time sort of the
-chunks' concatenated events.  The one join that
-counts a window of offsets must give the delays and in-window counts of
-one ``searchsorted`` per offset.  Configs are drawn within the range rules
+first clicks of the time-sorted columns that ``sorted_blocks`` yields (the
+ones a save writes), and those columns must equal the stable time sort of
+the chunks' concatenated events.  The one join that counts a window of
+offsets must give the delays and in-window counts of one ``searchsorted``
+per offset.  Configs are drawn within the range rules
 of ``test_config.RANGE_RULES``, on runs of several short chunks, with
 jitter and noise wide enough to carry clicks across chunk boundaries.
 """
@@ -23,6 +23,7 @@ from qfcsim.sources import (START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL,
                             generate_hbt_stream, generate_mzi_stream)
 
 from test_config import RANGE_RULES, _valid_value
+from test_counting import columns_of
 
 HERALDED_KINDS = ("spdc", "spdc_thermal", "single_photon")
 
@@ -119,8 +120,8 @@ def test_generated_index_equals_stream_index(run):
     want_events = _stable_time_sort(clicks)
     pairings = [(START_CHANNEL, STOP_CHANNEL), (TRIGGER_CHANNEL, START_CHANNEL)]
     indexes = [first_clicks(clicks, *pairing) for pairing in pairings]
-    columns = clicks.take_columns()
-    assert len(clicks) == 0
+    columns = columns_of(clicks)
+    assert len(clicks) == len(columns[0])  # the chunks are left as they are
     for column, want in zip(columns, want_events):
         assert_array_equal(column, want, strict=True)
     firsts = {ch: _reference_first(columns, ch)

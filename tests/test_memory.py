@@ -3,13 +3,13 @@
 tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
-clicks' (and the stream's) bytes for generation, one chunk's stream bytes
-for building the sorted columns above the columns themselves, the index's
-bytes for first-click extraction and the pulse join, the trigger list's
-bytes for the opportunity count, and one ``BLOCK_ROWS`` block's bytes for
-writing the columns and, above the clicks it returns, for loading them,
-whatever the stream's length.  Every bound holds on the serial and on
-the pooled schedule.  Buffers that numpy's sorts take from plain malloc are
+clicks' (and the stream's) bytes for generation, the index's bytes for
+first-click extraction and the pulse join, the trigger list's bytes for
+the opportunity count, one chunk's stream bytes for a save above the
+clicks it holds, whatever the chunk count, and one ``BLOCK_ROWS`` block's
+bytes for a load above the clicks it returns, whatever the stream's
+length.  The generated run's bounds hold on the serial and on the pooled
+schedule.  Buffers that numpy's sorts take from plain malloc are
 not counted.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qfcsim import parallel
-from qfcsim.artifacts import BLOCK_ROWS, write_table
+from qfcsim.artifacts import BLOCK_ROWS
 from qfcsim.config import ExperimentConfig
 from qfcsim.counting import (CoincidenceWindow, count_summary, first_clicks, opportunities,
                              pair_delays)
@@ -56,8 +56,7 @@ def _traced_peak(step):
 @pytest.fixture(scope="module", params=[1, 2], ids=["serial", "pooled"])
 def dense_clicks(request):
     """The ``ideal_g2`` clicks at 2M pulses (every pulse heralds, about 1.5
-    clicks per pulse) and their generation peak, under tracing, and a
-    function that generates them again on the same schedule.
+    clicks per pulse) and their generation peak, under tracing.
 
     The run has four chunks.  Reporting one usable CPU runs them serially;
     reporting two runs them on the thread pool, two at a time.
@@ -74,7 +73,7 @@ def dense_clicks(request):
             return generate_hbt_stream(cfg)
 
     clicks, peak = _traced_peak(generate)
-    yield clicks, peak, generate
+    yield clicks, peak
     if started:
         tracemalloc.stop()
 
@@ -83,25 +82,11 @@ def test_generation_peak(dense_clicks):
     """Nothing is sorted or joined: generation peaks at the clicks it keeps
     (16 bytes each) plus the chunks in flight, 1.23 times the clicks'
     bytes serial and 1.43 pooled, below the stream's own bytes pooled."""
-    clicks, peak, _ = dense_clicks
+    clicks, peak = dense_clicks
     nbytes = _click_bytes(clicks)
     assert nbytes == 16 * len(clicks)
     assert peak <= 2.0 * EVENT_BYTES * len(clicks)
     assert peak <= 1.5 * nbytes
-
-
-def test_take_columns_peak(dense_clicks):
-    """The sorted columns are allocated once, and one chunk at a time is
-    sorted into them: above the columns, the peak is that chunk's own
-    times, their concatenation and its channels, one chunk's stream bytes
-    (measured at 1.00 times), however many chunks the run has."""
-    clicks = dense_clicks[2]()
-    chunk_events = max(sum(len(pulses) for pulses, _ in chunk.values())
-                       for chunk in clicks.chunks)
-    n_events = len(clicks)
-    columns, peak = _traced_peak(clicks.take_columns)
-    assert len(columns[0]) == n_events and len(clicks) == 0
-    assert peak - EVENT_BYTES * n_events <= 1.1 * EVENT_BYTES * chunk_events
 
 
 def test_first_clicks_peak(dense_clicks):
@@ -139,33 +124,36 @@ def test_opportunities_peak(dense_clicks):
     assert peak <= 0.1 * clicks.trigger_pulses.nbytes
 
 
-def _sixteen_block_stream():
-    """A one-chunk stream of 16 ``BLOCK_ROWS`` blocks of rows."""
-    pulses = np.arange(16 * BLOCK_ROWS, dtype=np.int64) * 3
-    return stream_of(pulses % 3 + 1, pulses, pulses * 12195.0 + 1 / 3,
-                     n_pulses=3 * len(pulses), seed=1, rep_period=12195e-12)
+def _block_stream(n_chunks):
+    """A stream of ``n_chunks`` chunks of four ``BLOCK_ROWS`` blocks of rows
+    each, every chunk split by channel."""
+    rows = 4 * BLOCK_ROWS
+    pulses = np.arange(n_chunks * rows, dtype=np.int64) * 3
+    channels, times = pulses % 3 + 1, pulses * 12195.0 + 1 / 3
+    chunks = [stream_of(channels[part], pulses[part], times[part], n_pulses=0).chunks[0]
+              for part in (slice(lo, lo + rows) for lo in range(0, len(pulses), rows))]
+    return EventStream(chunks, n_pulses=3 * len(pulses), seed=1, rep_period=12195e-12)
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
-def test_stream_save_peak(cpus, monkeypatch, tmp_path):
-    """Writing the sorted columns of a save holds one block and its text at
-    once, never the table, on either schedule (it formats in the calling
-    process): the bound of 20 blocks' bytes is below the 16-block table's
-    own text (about 24), so a write whose peak grew with the table would
-    fail it."""
-    columns = _sixteen_block_stream().take_columns()
-    block_bytes = BLOCK_ROWS * EVENT_BYTES
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+@pytest.mark.parametrize("n_chunks", [2, 8])
+def test_stream_save_peak(n_chunks, tmp_path):
+    """A save sorts and writes one chunk at a time: above the clicks it
+    holds, it peaks at one chunk's sorted block plus the text of one of its
+    ``BLOCK_ROWS`` blocks, measured at 3.75 times one chunk's stream bytes
+    at either chunk count.  The bound of 5 is below the 8-chunk stream's
+    own columns, so a save whose peak grew with the stream would fail it."""
+    stream = _block_stream(n_chunks)
+    chunk_bytes = 4 * BLOCK_ROWS * EVENT_BYTES
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        _, peak = _traced_peak(lambda: write_table(tmp_path / "events.csv", "# n_pulses=1",
-                                                   columns))
+        _, peak = _traced_peak(lambda: stream.save(tmp_path / "events.csv"))
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 20 * block_bytes
+    assert len(stream) == 4 * n_chunks * BLOCK_ROWS
+    assert peak <= 5 * chunk_bytes
 
 
 def test_stream_load_peak(tmp_path):
@@ -174,7 +162,7 @@ def test_stream_load_peak(tmp_path):
     bytes above the clicks.  The bound of 12 is below the 16-block file's
     own columns, so a load whose peak grew with the file would fail it."""
     path = tmp_path / "events.csv"
-    _sixteen_block_stream().save(path)
+    _block_stream(4).save(path)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

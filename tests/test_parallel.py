@@ -19,6 +19,7 @@ from qfcsim.parallel import MIN_TASKS, ordered_map, pool_size
 from qfcsim.sources import generate_hbt_stream, generate_mzi_stream
 
 from test_artifacts import _reference
+from test_counting import columns_of
 from test_experiments import _long_delay_mzi_config
 
 SERIAL, POOLED = 1, 2
@@ -109,8 +110,8 @@ def _assert_same_stream(got, want):
     """Asserts that two streams sort into the same columns, and returns them."""
     assert (got.n_pulses, got.seed, got.rep_period) == (want.n_pulses, want.seed,
                                                          want.rep_period)
-    columns = want.take_columns()
-    for column, want_column in zip(got.take_columns(), columns):
+    columns = columns_of(want)
+    for column, want_column in zip(columns_of(got), columns):
         assert_array_equal(column, want_column, strict=True)
     return columns
 
@@ -132,7 +133,7 @@ def test_stream_does_not_depend_on_schedule(cpus, monkeypatch, generate, cfg):
 
 
 def test_overlapping_chunks_do_not_depend_on_schedule(cpus, monkeypatch):
-    # the joined chunks leave time order, so the pooled run takes the re-sort too
+    # the joined chunks leave time order, so the pooled run carries clicks across chunks too
     monkeypatch.setattr(sources, "CHUNK_PULSES", 100)
     (serial, pooled), _ = _streams_on_both_schedules(
         cpus, monkeypatch, generate_mzi_stream, _long_delay_mzi_config())
@@ -150,7 +151,7 @@ def test_table_bytes_do_not_depend_on_schedule(cpus, monkeypatch, tmp_path):
     for n in (SERIAL, POOLED):
         cpus(n)
         path = tmp_path / f"table{n}.csv"
-        artifacts.write_table(path, "a,b,c", columns)
+        artifacts.write_table(path, "a,b,c", [columns])
         texts.append(path.read_bytes())
     assert texts[0] == texts[1] == _reference("a,b,c", columns).encode()
 

@@ -45,7 +45,7 @@ from qfcsim.sources import (
     _herald,
 )
 
-from test_counting import stream_of
+from test_counting import columns_of, stream_of
 
 THERMAL_ORACLE_G2 = 1.990484087843
 
@@ -172,11 +172,11 @@ def test_first_event_times_picks_earliest(monkeypatch):
 def test_stream_determinism_same_seed():
     cfg = calibrated_g2_config(seed=909)
     cfg.n_pulses = 150_000
-    a = generate_hbt_stream(cfg).take_columns()
-    b = generate_hbt_stream(cfg).take_columns()
+    a = columns_of(generate_hbt_stream(cfg))
+    b = columns_of(generate_hbt_stream(cfg))
     for column_a, column_b in zip(a, b):
         assert_array_equal(column_a, column_b, strict=True)
-    c = generate_hbt_stream(replace(cfg, seed=910)).take_columns()
+    c = columns_of(generate_hbt_stream(replace(cfg, seed=910)))
     assert len(c[2]) != len(a[2]) or not np.array_equal(c[2], a[2])
 
 
@@ -185,10 +185,10 @@ def test_stream_chunks_are_extension_stable():
     # with a shorter one event for event over the shared prefix
     cfg = calibrated_g2_config(seed=33)
     cfg.n_pulses = CHUNK_PULSES
-    short = generate_hbt_stream(cfg).take_columns()
+    short = columns_of(generate_hbt_stream(cfg))
     cfg_long = calibrated_g2_config(seed=33)
     cfg_long.n_pulses = CHUNK_PULSES + 1000
-    long = generate_hbt_stream(cfg_long).take_columns()
+    long = columns_of(generate_hbt_stream(cfg_long))
     head = long[1] < CHUNK_PULSES
     for column_long, column_short in zip(long, short):
         assert_array_equal(column_long[head], column_short)
@@ -198,7 +198,7 @@ def test_stream_singles_match_enumeration():
     cfg = calibrated_g2_config(seed=55)
     cfg.n_pulses = 300_000
     rates = expected_hbt_rates(cfg)
-    channels, pulses, _ = generate_hbt_stream(cfg).take_columns()
+    channels, pulses, _ = columns_of(generate_hbt_stream(cfg))
     n_trig = int(np.sum(channels == TRIGGER_CHANNEL))
     mean = cfg.n_pulses * rates.p_trigger
     assert abs(n_trig - mean) < 4.0 * math.sqrt(mean)
@@ -280,14 +280,14 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     monkeypatch.setattr(sources, "_generate", capture)
     clicks = generate_mzi_stream(cfg)
     assert len(clicks.chunks) == 100
-    got = clicks.take_columns()
-    assert clicks.chunks == [] and len(clicks) == 0  # consumed chunk by chunk
+    got = columns_of(clicks)
+    assert len(clicks.chunks) == 100 and len(clicks) == len(got[0])  # left as they are
     chunk = got[1] // 100
     assert np.any(chunk[1:] < chunk[:-1])
     assert np.all(np.diff(got[2]) >= 0.0)
     assert np.unique(chunk).tolist() == list(range(100))
-    # the re-sort is a stable argsort of the joined chunks, each stably
-    # time-sorted from its trigger clicks followed by its start clicks
+    # the blocks join into a stable argsort of the joined chunks, each
+    # stably time-sorted from its trigger clicks followed by its start clicks
     parts = []
     for index in range(100):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, index))))
@@ -304,6 +304,66 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
         assert_array_equal(column, want[order], strict=True)
 
 
+def _hand_chunk(*clicks):
+    """One chunk of (channel, pulse, time in ps) clicks, split by channel in
+    first-seen channel order, each channel in the order given."""
+    chunk = {}
+    for channel, pulse, time_ps in clicks:
+        chunk.setdefault(channel, ([], []))
+        chunk[channel][0].append(pulse)
+        chunk[channel][1].append(time_ps)
+    return {ch: (np.array(pulses, dtype=np.int64), np.array(times))
+            for ch, (pulses, times) in chunk.items()}
+
+
+def test_sorted_blocks_carry_clicks_past_later_chunks():
+    # chunk 0's clicks at 30 and 50 ps follow chunk 2's first click (25 ps),
+    # so they are carried through chunk 1 into chunk 2's block; 40 ps is a
+    # click time of chunks 1, 2 and 4, whose ties keep chunk order; chunk 3
+    # is empty, as ``select_window`` leaves a chunk of only start and stop
+    # clicks, and so is the last
+    chunks = [_hand_chunk((TRIGGER_CHANNEL, 0, 0.0), (TRIGGER_CHANNEL, 1, 50.0),
+                          (START_CHANNEL, 0, 30.0)),
+              _hand_chunk((TRIGGER_CHANNEL, 2, 40.0), (STOP_CHANNEL, 2, 60.0)),
+              _hand_chunk((START_CHANNEL, 3, 25.0), (TRIGGER_CHANNEL, 3, 40.0)),
+              {},
+              _hand_chunk((STOP_CHANNEL, 4, 40.0), (TRIGGER_CHANNEL, 4, 70.0),
+                          (TRIGGER_CHANNEL, 5, 40.0)),
+              {}]
+    stream = EventStream(chunks, n_pulses=6, seed=0, rep_period=1e-9)
+    parts = [(ch, pulses, times) for chunk in chunks for ch, (pulses, times) in chunk.items()]
+    clicks = [(i, ch, pulses.tolist(), times.tolist())
+              for i, chunk in enumerate(chunks) for ch, (pulses, times) in chunk.items()]
+    joined = [np.concatenate([np.full(len(pulses), ch, dtype=np.int16)
+                              for ch, pulses, _ in parts]),
+              *(np.concatenate(column) for column in list(zip(*parts))[1:])]
+    order = np.argsort(joined[-1], kind="stable")
+    blocks = list(stream.sorted_blocks())
+    assert [block[1].tolist() for block in blocks] == [[0], [], [3, 0], [], [2, 3, 4, 5, 1, 2, 4],
+                                                       []]
+    for column, want in zip(columns_of(stream), joined):
+        assert_array_equal(column, want[order], strict=True)
+    assert [(i, ch, pulses.tolist(), times.tolist()) for i, chunk in enumerate(stream.chunks)
+            for ch, (pulses, times) in chunk.items()] == clicks  # left as they are
+
+
+def test_save_leaves_the_stream_intact(tmp_path, monkeypatch):
+    # a library caller may save a run, then save it again or index it
+    monkeypatch.setattr(sources, "CHUNK_PULSES", 50_000)
+    cfg = calibrated_g2_config(seed=21)
+    cfg.n_pulses = 200_000
+    stream = generate_hbt_stream(cfg)
+    assert len(stream.chunks) == 4
+    before = first_clicks(stream)
+    stream.save(tmp_path / "once.csv")
+    stream.save(tmp_path / "twice.csv")
+    assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "twice.csv").read_bytes()
+    after = first_clicks(stream)
+    assert len(after.trigger_pulses) > 0
+    for name in ("trigger_pulses", "start_pulses", "start_times", "stop_pulses", "stop_times"):
+        assert_array_equal(getattr(after, name), getattr(before, name), strict=True)
+
+
 def test_mzi_stream_peak_positions():
     cfg = ExperimentConfig(
         source_kind="single_photon",
@@ -314,7 +374,7 @@ def test_mzi_stream_peak_positions():
         det2_efficiency=1.0, det2_dark=0.0,
         n_pulses=40_000, seed=8,
     )
-    channels, pulses, times = generate_mzi_stream(cfg).take_columns()
+    channels, pulses, times = columns_of(generate_mzi_stream(cfg))
     # with zero jitter every start click sits exactly on a slot boundary
     starts = channels == START_CHANNEL
     pulses = pulses[starts]
@@ -339,7 +399,7 @@ def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
     stream = stream_of(*columns, n_pulses=10, seed=7, rep_period=12.5e-9)
     path = tmp_path / "events.csv"
     stream.save(path)
-    assert len(stream) == 0  # saving consumed the chunks
+    assert len(stream) == 5  # saving leaves the chunks as they are
     assert path.read_text() == (
         "# n_pulses=10 seed=7 rep_period_ps=12500.0\n"
         "1,0,-35.5\n"
@@ -358,7 +418,7 @@ def test_stream_save_load_roundtrip(tmp_path, monkeypatch):
     assert [list(chunk) for chunk in loaded.chunks] == [[1, 2], [1, 3], [2]]
     assert_array_equal(loaded.chunks[1][TRIGGER_CHANNEL][0], [9], strict=True)
     # repr-based serialization is lossless for float64
-    for got, want in zip(loaded.take_columns(), columns):
+    for got, want in zip(columns_of(loaded), columns):
         assert_array_equal(got, want)
 
 
