@@ -5,14 +5,15 @@ unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
 clicks' (and the stream's) bytes for generation, the index's bytes for
 first-click extraction and the pulse join, the trigger list's bytes for
-the opportunity count, one chunk's stream bytes for a save above the
-clicks it holds, whatever the chunk count, and one ``BLOCK_ROWS`` block's
-bytes for a load above the clicks it returns, whatever the stream's
-length.  The generated run's bounds hold on the serial and on the pooled
-schedule.  Buffers that numpy's sorts take from plain malloc are
+the opportunity count, the largest chunk's stream bytes for taking the
+sorted columns and for a save above the clicks it holds, whatever the
+chunk count, and one ``BLOCK_ROWS`` block's bytes for a load above the
+clicks it returns, whatever the stream's length.  The generated run's
+bounds hold on the serial and on the pooled schedule.  Buffers that numpy's sorts take from plain malloc are
 not counted.
 """
 
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +44,11 @@ def _index_bytes(clicks):
 def _click_bytes(stream):
     return sum(pulses.nbytes + times.nbytes
                for chunk in stream.chunks for pulses, times in chunk.values())
+
+
+def _largest_chunk_bytes(stream):
+    return EVENT_BYTES * max(sum(len(pulses) for pulses, _ in chunk.values())
+                             for chunk in stream.chunks)
 
 
 def _traced_peak(step):
@@ -87,6 +93,39 @@ def test_generation_peak(dense_clicks):
     assert nbytes == 16 * len(clicks)
     assert peak <= 2.0 * EVENT_BYTES * len(clicks)
     assert peak <= 1.5 * nbytes
+
+
+def test_take_columns_peak(dense_clicks):
+    """The sorted columns are taken one ``sorted_blocks`` block at a time,
+    each dropped before the next is built: the peak is one chunk's sorted
+    block and the sort that builds it, measured at 2.00 times the largest
+    chunk's stream bytes.  The bound of 2.2 is below the run's own stream
+    bytes (3.8 chunks), so taking all columns at once would fail it."""
+    clicks = dense_clicks[0]
+    n_events = len(clicks)
+
+    def take():
+        n_rows = 0
+        for block in clicks.sorted_blocks():
+            n_rows += len(block[0])
+            del block
+        return n_rows
+
+    n_rows, peak = _traced_peak(take)
+    assert n_rows == n_events and len(clicks) == n_events
+    assert peak <= 2.2 * _largest_chunk_bytes(clicks)
+
+
+def test_stream_save_peak(dense_clicks):
+    """The whole save of the generated run (four chunks) adds the text of
+    one ``BLOCK_ROWS`` block to taking its sorted columns: measured at 2.01
+    times the largest chunk's stream bytes, under the same bound of 2.2.
+    Only the memory counts, so the text goes to ``os.devnull``."""
+    clicks = dense_clicks[0]
+    n_events = len(clicks)
+    _, peak = _traced_peak(lambda: clicks.save(os.devnull))
+    assert len(clicks) == n_events
+    assert peak <= 2.2 * _largest_chunk_bytes(clicks)
 
 
 def test_first_clicks_peak(dense_clicks):
@@ -136,7 +175,7 @@ def _block_stream(n_chunks):
 
 
 @pytest.mark.parametrize("n_chunks", [2, 8])
-def test_stream_save_peak(n_chunks, tmp_path):
+def test_stream_save_peak_per_chunk(n_chunks, tmp_path):
     """A save sorts and writes one chunk at a time: above the clicks it
     holds, it peaks at one chunk's sorted block plus the text of one of its
     ``BLOCK_ROWS`` blocks, measured at 3.75 times one chunk's stream bytes
