@@ -86,7 +86,9 @@ class FirstClicks:
     """First click per pulse on the trigger, start and stop channels of one run.
 
     Every pulse list is sorted and unique (uint32 up to 2**32 pulses), and
-    each times array holds the earliest click of the matching pulse in ps.
+    each times array holds the earliest click of the matching pulse in ps,
+    whatever the order of the stream's clicks (the start-stop rule of
+    ``EventStream.first_event_times``).
     The trigger side is a pulse list alone, since only its length and its
     pulse gaps are counted.  Built once per run by ``first_clicks``, it
     serves every offset through joins on sorted lists.

@@ -86,27 +86,6 @@ def _click_prob(efficiency: float, dark: float, n: np.ndarray) -> np.ndarray:
     return 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
 
 
-def _first_per_pulse(pulses: np.ndarray, stamps: np.ndarray, times: bool
-                     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The start-stop rule, the one place it is applied: from one channel's
-    clicks in time order, the sorted unique pulses and, with ``times``, the
-    earliest click time of each.  Every generator emits a channel's pulses
-    in nondecreasing order (jitter and slot offsets are far below the
-    period), so the first of each run of equal pulses is the answer in O(n);
-    other orders, such as a hand-edited file's, fall back to ``np.unique``.
-    """
-    # compared in place: a diff array would be the largest temporary here
-    later = pulses[1:] > pulses[:-1]
-    if later.all():
-        first = slice(None)  # no repeated pulse: every click is its pulse's first
-    elif np.all(pulses[1:] >= pulses[:-1]):
-        first = np.concatenate(([True], later))
-    else:
-        first = np.unique(pulses, return_index=True)[1]
-    pulses = pulses[first]
-    return (pulses, stamps[first]) if times else pulses
-
-
 def _pulse_dtype(n_pulses: int) -> type:
     """The dtype of a first-click pulse list: uint32 while every index fits."""
     return np.uint32 if n_pulses <= 1 << 32 else np.int64
@@ -135,21 +114,25 @@ class EventStream:
 
     def first_event_times(self, channel: int, times: bool = True
                           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """The sorted unique pulses with a click on ``channel`` and, with
-        ``times``, the earliest click time of each in ps (``_first_per_pulse``).
-        Pulses are uint32 while every index fits (``n_pulses <= 2**32``),
-        int64 past it.  Only a channel on which a pulse clicks more than once
-        (the interferometer's start channel) is put in time order, by the
-        saved stream's own stable sort, so the index is that of the saved
-        stream, array for array."""
+        """The start-stop rule: the sorted unique pulses with a click on
+        ``channel`` and, with ``times``, the earliest click time of each in
+        ps, whatever the order of the clicks.  Pulses are uint32 while every
+        index fits (``n_pulses <= 2**32``), int64 past it.  Pulses that are
+        strictly increasing (every g2 channel) are their own index; any other
+        channel is put in pulse order, time order within a pulse, by one
+        stable sort."""
         pulses, stamps = zip(*[chunk[channel] for chunk in self.chunks if channel in chunk]
                              or [(np.zeros(0, dtype=np.int64), np.zeros(0))])
         pulses = np.concatenate(pulses, dtype=_pulse_dtype(self.n_pulses), casting="unsafe")
         stamps = np.concatenate(stamps) if times else None
-        if times and not np.all(pulses[1:] > pulses[:-1]):
-            order = np.argsort(stamps, kind="stable")
-            pulses, stamps = pulses[order], stamps[order]
-        return _first_per_pulse(pulses, stamps, times)
+        # compared in place: a diff array would be the largest temporary here
+        if not np.all(pulses[1:] > pulses[:-1]):
+            order = np.lexsort((stamps, pulses)) if times else np.argsort(pulses)
+            pulses = pulses[order]
+            first = np.concatenate(([True], pulses[1:] != pulses[:-1]))
+            pulses = pulses[first]
+            stamps = stamps[order[first]] if times else None
+        return (pulses, stamps) if times else pulses
 
     def sorted_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The time-sorted (channel, pulse, time in ps) columns of these
@@ -342,7 +325,7 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     +delay relative to the pulse-locked reference; short-short and long-long
     paths both land in the central slot.  Pump-induced noise photons arrive
     uniformly across the gate, +-2 delay around the pulse.  Every click is
-    kept, and ``counting.first_clicks`` applies the start-stop rule.  From a
+    kept, and ``first_event_times`` keeps each pulse's earliest.  From a
     delay of rep_period / 4 the gates of neighbouring pulses overlap, so a
     pulse's noise click can arrive inside its neighbour's gate; that overlap
     is intended.  ``ExperimentConfig.validate`` refuses a delay of

@@ -304,7 +304,7 @@ def test_counting_edges_give_zero_counts():
 
 
 def _reference_first(columns, channel):
-    """The sort-based first-click extraction the O(n) path replaced, from
+    """The first clicks by ``np.unique``, as the index once took them, from
     the time-sorted (channel, pulse, time) columns of a stream."""
     channels, pulses, times = columns
     mask = channels == channel

@@ -170,7 +170,7 @@ def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
     start = channels == START_CHANNEL
     pulses, times = stream_pulses[start], stream_times[start]
     assert len(np.unique(pulses)) < len(pulses)  # pulses with more than one click
-    # the long delay takes the sort fallback of first_event_times
+    # in time order, only the long delay's start clicks leave pulse order
     assert np.any(pulses[1:] < pulses[:-1]) == (make_config is _long_delay_mzi_config)
     order = np.lexsort((times, pulses))
     pulses, times = pulses[order], times[order]

@@ -4,12 +4,16 @@ A run is generated as an ``EventStream``, each chunk's clicks per channel
 in generation order.  Its first-click index must equal the sort-based
 first clicks of the time-sorted columns that ``sorted_blocks`` yields (the
 ones a save writes), and those columns must equal the stable time sort of
-the chunks' concatenated events.  The one join that counts a window of
-offsets must give the delays and in-window counts of one ``searchsorted``
-per offset.  Configs are drawn within the range rules
-of ``test_config.RANGE_RULES``, on runs of several short chunks, with
-jitter and noise wide enough to carry clicks across chunk boundaries.
+the chunks' concatenated events.  Permuting each channel's clicks within
+their chunks, and the chunks, must leave every first-click list as it
+is.  The one join that counts a window of offsets must give the delays
+and in-window counts of one ``searchsorted`` per offset.  Configs are
+drawn within the range rules of ``test_config.RANGE_RULES``, on runs of
+several short chunks, with jitter and noise wide enough to carry clicks
+across chunk boundaries.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from qfcsim.sources import (START_CHANNEL, STOP_CHANNEL, TRIGGER_CHANNEL,
                             generate_hbt_stream, generate_mzi_stream)
 
 from test_config import RANGE_RULES, _valid_value
-from test_counting import columns_of
+from test_counting import _documented, _reference_first, columns_of
 
 HERALDED_KINDS = ("spdc", "spdc_thermal", "single_photon")
 
@@ -81,16 +85,6 @@ def _dense(generate):
     return generate, cfg, 100
 
 
-def _reference_first(columns, channel):
-    """The sorted unique pulses with a click on ``channel`` in the time-sorted
-    ``columns``, as uint32 (these runs are far below 2**32 pulses), and the
-    time of each one's first click, by ``np.unique``."""
-    channels, pulses, times = columns
-    mask = channels == channel
-    unique, first = np.unique(pulses[mask], return_index=True)
-    return unique.astype(np.uint32), times[mask][first]
-
-
 def _stable_time_sort(clicks):
     """The stream the chunks make: each chunk's events in the order of its
     channels, stably sorted by time, joined in chunk order and stably
@@ -124,14 +118,46 @@ def test_generated_index_equals_stream_index(run):
     assert len(clicks) == len(columns[0])  # the chunks are left as they are
     for column, want in zip(columns, want_events):
         assert_array_equal(column, want, strict=True)
-    firsts = {ch: _reference_first(columns, ch)
-              for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL)}
+    firsts = {}
+    for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
+        pulses, times = _reference_first(columns, ch)
+        firsts[ch] = (_documented(pulses, clicks), times)
     for (start, stop), got in zip(pairings, indexes):
         want = (firsts[TRIGGER_CHANNEL][0], *firsts[start], *firsts[stop])
         for field, want_field in zip(("trigger_pulses", "start_pulses", "start_times",
                                       "stop_pulses", "stop_times"), want):
             assert_array_equal(getattr(got, field), want_field, strict=True)
         assert got.rep_ps == cfg.rep_period * 1e12
+
+
+def _permuted(clicks, rng):
+    """``clicks`` with each channel's clicks permuted within their chunk
+    and the chunks in permuted order."""
+    chunks = []
+    for chunk in clicks.chunks:
+        orders = {ch: rng.permutation(len(pulses)) for ch, (pulses, _) in chunk.items()}
+        chunks.append({ch: (pulses[orders[ch]], times[orders[ch]])
+                       for ch, (pulses, times) in chunk.items()})
+    chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+    return replace(clicks, chunks=chunks)
+
+
+@settings(derandomize=True, max_examples=40, database=None, deadline=None)
+@given(st.sampled_from([generate_hbt_stream, generate_mzi_stream]),
+       st.integers(0, 2**63), st.sampled_from([1, 7, 100, 400]), st.integers(0, 2**63))
+def test_first_event_times_ignore_click_order(generate, seed, chunk_pulses, shuffle_seed):
+    # the dense runs: on the interferometer a 0.49-period delay and heavy
+    # noise overlap the gates, so a pulse clicks several times, out of order
+    generate, cfg, _ = _dense(generate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sources, "CHUNK_PULSES", chunk_pulses)
+        clicks = generate(replace(cfg, seed=seed))
+    permuted = _permuted(clicks, np.random.default_rng(shuffle_seed))
+    for ch in (TRIGGER_CHANNEL, START_CHANNEL, STOP_CHANNEL):
+        for got, want in zip(permuted.first_event_times(ch), clicks.first_event_times(ch)):
+            assert_array_equal(got, want, strict=True)
+        assert_array_equal(permuted.first_event_times(ch, times=False),
+                           clicks.first_event_times(ch, times=False), strict=True)
 
 
 def _searchsorted_join(clicks, offset):

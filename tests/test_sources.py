@@ -151,22 +151,25 @@ def test_event_stream_validation(tmp_path, monkeypatch):
 
 
 def test_first_event_times_picks_earliest(monkeypatch):
-    stream = stream_of([2, 2, 2], [3, 5, 5], [100.0, 200.0, 201.0], n_pulses=10)
-    # pulse 5 clicks before pulse 3 here, so the run-boundary rule would be
-    # wrong; the out-of-order list takes the sort-based fallback
+    in_order = stream_of([2, 2, 2], [3, 5, 7], [100.0, 200.0, 300.0], n_pulses=10)
+    # on channel 2 pulse 5 clicks before pulse 3, and each clicks twice:
+    # each pulse's earliest click counts, after one sort
     shuffled = stream_of([2, 1, 2, 2, 2], [5, 3, 3, 5, 3],
                          [100.0, 120.0, 150.0, 180.0, 200.0], n_pulses=10)
     sorts = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
-    pulses, times = stream.first_event_times(2)
-    assert_array_equal(pulses, [3, 5])
-    assert_allclose(times, [100.0, 200.0])
-    assert not sorts  # pulses in order: one pass, no sort
+    for name in ("lexsort", "argsort"):
+        sort = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _sort=sort, **k: sorts.append(1) or _sort(*a, **k))
+    pulses, times = in_order.first_event_times(2)
+    assert_array_equal(pulses, [3, 5, 7])
+    assert_allclose(times, [100.0, 200.0, 300.0])
+    assert not sorts  # pulses strictly increasing: one pass, no sort
     pulses, times = shuffled.first_event_times(2)
     assert_array_equal(pulses, [3, 5])
     assert_allclose(times, [150.0, 100.0])
     assert sorts == [1]
+    assert_array_equal(shuffled.first_event_times(2, times=False), [3, 5])
+    assert sorts == [1, 1]
 
 
 def test_stream_determinism_same_seed():
