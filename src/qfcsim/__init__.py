@@ -14,8 +14,7 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        FirstClicks, InsufficientEventsError, count_summary,
                        delay_histogram, first_clicks, g2_at_offset,
                        g2_zero_from_counts, select_window)
-from .metrics import (ChshResult, chsh_assessment, concurrence,
-                      entanglement_of_formation, fidelity)
+from .metrics import ChshResult, chsh_assessment, concurrence, fidelity
 from .qubits import (PHI_PLUS, check_density_matrix, convert_timebin_qubit,
                      end_to_end_state, entangled_pair_state, timebin_to_pol)
 from .sources import (EventStream, expected_hbt_rates, generate_hbt_stream,
@@ -34,7 +33,7 @@ __all__ = [
     "check_density_matrix",
     "chsh_assessment", "concurrence", "conversion_efficiency",
     "convert_timebin_qubit", "count_summary", "delay_histogram",
-    "end_to_end_state", "entangled_pair_state", "entanglement_of_formation",
+    "end_to_end_state", "entangled_pair_state",
     "expected_hbt_rates", "fidelity", "fit_efficiency_curve",
     "first_clicks", "g2_at_offset",
     "g2_zero_from_counts", "generate_hbt_stream", "generate_mzi_stream",

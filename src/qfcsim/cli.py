@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, check_range, parse_scalar
 # count_summary, delay_histogram, chsh_assessment and mle_reconstruct are
 # unused here, but perfbench/child.py traces them under these names
 from .counting import CoincidenceWindow, count_summary, delay_histogram, first_clicks
-from .experiments import (analyze_g2, reconstruct, run_efficiency_sweep,
+from .experiments import (analyze_g2, g2_report, reconstruct, run_efficiency_sweep,
                           run_g2_experiment, run_mzi_histogram,
                           run_tomography_experiment, tomography_report,
                           write_g2, write_sweep, write_tomography)
@@ -145,8 +144,7 @@ def _cmd_analyze(args) -> int:
         hist_path = outdir / "histogram.csv"
         result.histogram.save(hist_path)
         summary_path = outdir / "count_summary.txt"
-        write_pairs(summary_path, {**asdict(result.summary), "g2_zero": result.value,
-                                   "std_error": result.std_error})
+        write_pairs(summary_path, g2_report(result))
         print(hist_path)
         print(summary_path)
         return 0

@@ -3,9 +3,10 @@
 Each driver takes an ExperimentConfig, runs the simulation and analysis,
 and returns a result object; the matching writer lays the result down as
 deterministic text artifacts (same config and seed, same bytes).  The
-analysis steps ``analyze_g2`` and ``reconstruct`` are shared with the
-``analyze`` command, which runs them on saved files; ``reconstruct`` is the
-one fit and score of a count table, with or without bootstrap replicates.
+analysis steps ``analyze_g2`` and ``reconstruct`` and the reports
+``g2_report`` and ``tomography_report`` are shared with the ``analyze``
+command, which runs them on saved files; ``reconstruct`` is the one fit and
+score of a count table, with or without bootstrap replicates.
 """
 
 from __future__ import annotations
@@ -118,15 +119,20 @@ class G2Result:
         return (self.sideband_mean - 1.0) / self.sideband_mean_error
 
 
+#: the sidebands are the pulse offsets +-1 .. +-SIDEBAND_REACH
+SIDEBAND_REACH = 5
+
+
 def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
-               bin_width: float = 50e-12, reach: int = 0) -> G2Result:
-    """Zero-delay g2, its error, the histogram of its delays and, with
-    ``reach``, the sidebands at pulse offsets +-1 .. +-``reach``, all from
-    one join of a first-click index.  The sidebands probe the accidental
+               bin_width: float = 50e-12) -> G2Result:
+    """Zero-delay g2, its error, the histogram of its delays and the
+    sidebands at pulse offsets +-1 .. +-``SIDEBAND_REACH``, all from one
+    join of a first-click index.  The sidebands probe the accidental
     level: for uncorrelated pulses they sit at 1, and so does their pooled
     mean.  A run too short for a meaningful estimate gives NaN values and
     the ``insufficient`` flag instead of raising.
     """
+    reach = SIDEBAND_REACH
     delays, coincidences = pair_delays(clicks, 0, reach, window)
     summary = clicks.summary(int(coincidences[reach]))
     try:
@@ -152,28 +158,33 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
 
 
 def run_g2_experiment(config: ExperimentConfig) -> G2Result:
-    """Generate a heralded correlation run and estimate g2 and the
-    sidebands at offsets +-1 .. +-5.  The result keeps the generated
-    stream, for ``EventStream.save``."""
+    """Generate a heralded correlation run and analyze it.  The result
+    keeps the generated stream, for ``EventStream.save``."""
     clicks = generate_hbt_stream(config)
-    result = analyze_g2(first_clicks(clicks), CoincidenceWindow(config.coincidence_window),
-                        reach=5)
+    result = analyze_g2(first_clicks(clicks), CoincidenceWindow(config.coincidence_window))
     result.stream = clicks
     return result
+
+
+def g2_report(result: G2Result) -> dict:
+    """Summary dict in file key order: the counts, g2(0), its error, the
+    ``insufficient`` flag, each estimated sideband, and their pooled mean,
+    its error and pull."""
+    report = {**asdict(result.summary), "g2_zero": result.value,
+              "std_error": result.std_error, "insufficient": result.insufficient}
+    for offset in sorted(result.sidebands):
+        report[f"g2_offset_{offset}"] = result.sidebands[offset]
+    report["sideband_mean"] = result.sideband_mean
+    report["sideband_mean_error"] = result.sideband_mean_error
+    report["sideband_pull"] = result.sideband_pull
+    return report
 
 
 def write_g2(result: G2Result, outdir) -> list[Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "g2_summary.txt"
-    pairs = {**asdict(result.summary), "g2_zero": result.value,
-             "std_error": result.std_error, "insufficient": result.insufficient}
-    for offset in sorted(result.sidebands):
-        pairs[f"g2_offset_{offset}"] = result.sidebands[offset]
-    pairs["sideband_mean"] = result.sideband_mean
-    pairs["sideband_mean_error"] = result.sideband_mean_error
-    pairs["sideband_pull"] = result.sideband_pull
-    write_pairs(summary_path, pairs)
+    write_pairs(summary_path, g2_report(result))
     hist_path = outdir / "g2_histogram.csv"
     result.histogram.save(hist_path)
     return [summary_path, hist_path]

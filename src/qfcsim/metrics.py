@@ -58,23 +58,8 @@ def eof_of_concurrence(c: float) -> float:
     return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
-def entanglement_of_formation(rho: np.ndarray) -> float:
-    """Entanglement of formation in ebits, monotone in concurrence."""
-    return eof_of_concurrence(concurrence(rho))
-
-
 #: sigma_i x sigma_j for i, j over X, Y, Z, row-major
 _PAULI_PAIRS = [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
-
-
-def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 matrix of Pauli correlations T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    return _correlations(check_density_matrix(rho, dim=4))
-
-
-def _correlations(rho: np.ndarray) -> np.ndarray:
-    """``correlation_matrix`` of a checked two-qubit state."""
-    return np.array([np.trace(rho @ pair).real for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
 class ChshResult(NamedTuple):
@@ -87,13 +72,14 @@ def chsh_assessment(rho: np.ndarray) -> ChshResult:
     """Largest CHSH value over measurement settings, plus the fidelity witness.
 
     s_max = 2 sqrt(m1 + m2) where m1, m2 are the two largest eigenvalues of
-    T^T T; the state admits settings violating the classical bound 2 exactly
-    when s_max > 2.  The fidelity witness flags entanglement whenever the
+    T^T T, for the Pauli correlations T_ij = Tr[rho (sigma_i x sigma_j)];
+    the state admits settings violating the classical bound 2 exactly when
+    s_max > 2.  The fidelity witness flags entanglement whenever the
     overlap with the maximally entangled target exceeds 1/sqrt(2); the two
     tests can disagree, and both are reported.  ``rho`` is checked once.
     """
     rho = check_density_matrix(rho, dim=4)
-    t = _correlations(rho)
+    t = np.array([np.trace(rho @ pair).real for pair in _PAULI_PAIRS]).reshape(3, 3)
     eigs = np.linalg.eigvalsh(t.T @ t)
     s_max = 2.0 * math.sqrt(float(eigs[-1] + eigs[-2]))
     f = _overlap(rho, PHI_PLUS)  # a complex128 ket, as fidelity takes it

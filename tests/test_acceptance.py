@@ -46,7 +46,7 @@ from qfcsim.experiments import (
     run_mzi_histogram,
     run_tomography_experiment,
 )
-from qfcsim.metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
+from qfcsim.metrics import chsh_assessment, concurrence, eof_of_concurrence, fidelity
 from qfcsim.qubits import PHI_PLUS, density, end_to_end_state
 from qfcsim.sources import (
     EventStream,
@@ -172,13 +172,13 @@ def test_criterion_5_closed_form_metrics():
     bell = density(PHI_PLUS)
     ok = abs(fidelity(bell, PHI_PLUS) - 1.0) < 1e-12
     ok = ok and abs(concurrence(bell) - 1.0) < 1e-12
-    ok = ok and abs(entanglement_of_formation(bell) - 1.0) < 1e-12
+    ok = ok and abs(eof_of_concurrence(concurrence(bell)) - 1.0) < 1e-12
     ok = ok and abs(chsh_assessment(bell).s_max - 2.0 * math.sqrt(2.0)) < 1e-12
     # the calibrated end-to-end state hits its closed forms
     rho = end_to_end_state(calibrated_tomo_config())
     ok = ok and abs(fidelity(rho, PHI_PLUS) - 0.75) < 1e-12
     ok = ok and abs(concurrence(rho) - 0.5) < 1e-12
-    ok = ok and abs(entanglement_of_formation(rho) - 0.35457890266526954) < 1e-12
+    ok = ok and abs(eof_of_concurrence(concurrence(rho)) - 0.35457890266526954) < 1e-12
     chsh = chsh_assessment(rho)
     ok = ok and abs(chsh.s_max - 1.8859145312699188) < 1e-12
     ok = ok and chsh.witness_violated and chsh.s_max < 2.0

@@ -77,12 +77,9 @@ def test_analyze_stream_matches_run(tmp_path, g2_cfg_path, capsys):
     an = tmp_path / "an"
     assert main(["analyze", "--stream", str(out / "events.csv"),
                  "--out", str(an)]) == 0
-    run_vals = _pairs(out / "g2_summary.txt")
-    an_vals = _pairs(an / "count_summary.txt")
-    assert list(an_vals) == ["n_trigger", "n_start", "n_stop", "n_coincidence",
-                             "g2_zero", "std_error"]
-    for key in an_vals:
-        assert an_vals[key] == run_vals[key]
+    # at the run's own 1 ns window the saved stream gives the run's report
+    assert (an / "count_summary.txt").read_bytes() == (out / "g2_summary.txt").read_bytes()
+    assert (an / "histogram.csv").read_bytes() == (out / "g2_histogram.csv").read_bytes()
 
 
 def test_first_clicks_are_extracted_once_per_channel(tmp_path, g2_cfg_path, monkeypatch,
@@ -476,6 +473,11 @@ def test_analyze_short_streams_report_nan(tmp_path, capsys):
         assert main(["analyze", "--stream", str(stream), "--out", str(out)]) == 0
         vals = _pairs(out / "count_summary.txt")
         assert vals["g2_zero"] == vals["std_error"] == "nan"
+        # too short for any sideband: flagged, not raised
+        assert vals["insufficient"] == "True"
+        assert vals["sideband_mean"] == vals["sideband_mean_error"] == "nan"
+        assert vals["sideband_pull"] == "nan"
+        assert not any(key.startswith("g2_offset_") for key in vals)
     header_only = _pairs(tmp_path / "header_only" / "count_summary.txt")
     assert [header_only[k] for k in ("n_trigger", "n_start", "n_stop", "n_coincidence")] \
         == ["0"] * 4

@@ -27,7 +27,7 @@ from qfcsim.experiments import (
     write_sweep,
     write_tomography,
 )
-from qfcsim.metrics import chsh_assessment, concurrence, entanglement_of_formation, fidelity
+from qfcsim.metrics import chsh_assessment, concurrence, eof_of_concurrence, fidelity
 from qfcsim.qubits import PHI_PLUS
 from qfcsim.tomography import load_records, mle_reconstruct, subtract_background
 from qfcsim.counting import (CoincidenceWindow, CountSummary, delay_histogram, first_clicks,
@@ -332,7 +332,7 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
         assert fit.iterations == res.bootstrap[b].iterations
         samples["fidelity"].append(fidelity(fit.rho, PHI_PLUS))
         samples["concurrence"].append(concurrence(fit.rho))
-        samples["eof"].append(entanglement_of_formation(fit.rho))
+        samples["eof"].append(eof_of_concurrence(concurrence(fit.rho)))
         samples["s_max"].append(chsh_assessment(fit.rho).s_max)
     assert res.errors == {key: float(np.std(vals)) for key, vals in samples.items()}
 

@@ -44,3 +44,17 @@ def test_preset_artifacts_match_golden_listing():
         f"{len(moved)} artifact(s) differ from {LISTING.name}: {', '.join(moved)}. "
         f"The listing was {made_under[2:]}; this run used python "
         f"{platform.python_version()}, numpy {np.__version__}.")
+
+
+def test_analyze_stream_listing_equals_the_g2_run():
+    # analyze --stream at its default 1 ns window and 50 ps bins writes the
+    # report of the run that saved the stream; reads the listing, runs nothing
+    hashes = _hashes(LISTING.read_text(encoding="utf-8").splitlines())
+    presets = sorted({path.split("/", 1)[0] for path in hashes
+                      if path.split("/", 1)[0].endswith("_g2")})
+    assert presets == ["calibrated_g2", "coherent_g2", "ideal_g2", "thermal_g2"]
+    for preset in presets:
+        for analyzed, run in (("count_summary.txt", "g2_summary.txt"),
+                              ("histogram.csv", "g2_histogram.csv")):
+            assert hashes[f"{preset}/analyze_stream/{analyzed}"] == \
+                hashes[f"{preset}/g2/{run}"], (preset, analyzed)

@@ -95,7 +95,7 @@ def test_generation_peak(dense_clicks):
     assert peak <= 1.5 * nbytes
 
 
-def test_take_columns_peak(dense_clicks):
+def test_sorted_blocks_peak(dense_clicks):
     """The sorted columns are taken one ``sorted_blocks`` block at a time,
     each dropped before the next is built: the peak is one chunk's sorted
     block and the sort that builds it, measured at 2.00 times the largest

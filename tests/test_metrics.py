@@ -19,8 +19,7 @@ from qfcsim.metrics import (
     binary_entropy,
     chsh_assessment,
     concurrence,
-    correlation_matrix,
-    entanglement_of_formation,
+    eof_of_concurrence,
     fidelity,
 )
 from qfcsim.qubits import (KET_H, KET_V, PAULIS, PHI_PLUS, PSI_MINUS, SIGMA_Y, density,
@@ -41,6 +40,12 @@ def _random_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _pauli_correlations(rho):
+    """T_ij = Tr[rho (sigma_i x sigma_j)] over X, Y, Z, one trace per entry."""
+    return np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
+                     for si in PAULIS])
+
+
 def _chsh_by_search(rho):
     """Maximize S over measurement directions, independent of eigenvalues.
 
@@ -48,7 +53,7 @@ def _chsh_by_search(rho):
     directions are known in closed form, leaving a 4-angle search over the
     two unit vectors: S = |T(b+b')| + |T(b-b')|.
     """
-    t = correlation_matrix(rho)
+    t = _pauli_correlations(rho)
 
     def neg_s(angles):
         tb, pb, tc, pc = angles
@@ -141,27 +146,22 @@ def test_binary_entropy_and_eof():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert abs(binary_entropy(0.5) - 1.0) < 1e-12
-    assert abs(entanglement_of_formation(density(PHI_PLUS)) - 1.0) < 1e-12
-    assert entanglement_of_formation(np.eye(4) / 4.0) == 0.0
+    assert abs(eof_of_concurrence(concurrence(density(PHI_PLUS))) - 1.0) < 1e-12
+    assert eof_of_concurrence(concurrence(np.eye(4) / 4.0)) == 0.0
     # frozen value at concurrence 1/2 (the calibrated conversion point)
     rho = entangled_pair_state(2.0 / 3.0)
     assert abs(concurrence(rho) - 0.5) < 1e-12
-    assert abs(entanglement_of_formation(rho) - EOF_AT_HALF_CONCURRENCE) < 1e-12
+    assert abs(eof_of_concurrence(concurrence(rho)) - EOF_AT_HALF_CONCURRENCE) < 1e-12
 
 
 def test_eof_monotone_in_weight():
-    values = [entanglement_of_formation(entangled_pair_state(float(w)))
+    values = [eof_of_concurrence(concurrence(entangled_pair_state(float(w))))
               for w in np.linspace(1.0 / 3.0, 1.0, 15)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_correlation_matrix_of_bell_state():
-    t = correlation_matrix(density(PHI_PLUS))
-    np.testing.assert_allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-
-
 def test_tabled_metrics_equal_the_direct_formulas(monkeypatch):
-    # correlation_matrix looks its Pauli products up in a table built once,
+    # chsh_assessment looks its Pauli products up in a table built once,
     # and the tomography scores derive the EoF from the concurrence they
     # already hold; both must match the direct formulas bit for bit.  A
     # scored state is checked twice, by concurrence and chsh_assessment.
@@ -172,14 +172,10 @@ def test_tabled_metrics_equal_the_direct_formulas(monkeypatch):
     rng = np.random.default_rng(57)
     for k in range(300):
         rho = _random_state(rng, rank=1 + k % 4)
-        direct = np.empty((3, 3))
-        for i, si in enumerate(PAULIS):
-            for j, sj in enumerate(PAULIS):
-                direct[i, j] = np.trace(rho @ np.kron(si, sj)).real
-        assert np.array_equal(correlation_matrix(rho), direct)
+        direct = _pauli_correlations(rho)
         c = concurrence(rho)
         eof = binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
-        assert entanglement_of_formation(rho) == eof
+        assert eof_of_concurrence(concurrence(rho)) == eof
         checks.clear()
         fid, conc, scored_eof, chsh = _metrics_of(rho)
         assert len(checks) == 2
