@@ -5,9 +5,10 @@ signal mode and the converted mode exactly like a beamsplitter: a photon
 stays in its band with probability cos^2(theta) and hops to the other band
 with probability sin^2(theta), where theta = sqrt(coeff * P) grows with the
 pump power P.  The pipeline applies that physics in closed form, as the
-pump-power efficiency law here and as binomial thinning of the photons in
-``sources``; the tests check the law against the exponentiated mixing
-generator.
+pump-power efficiency law here and as the chain efficiency with which
+each photon survives in ``sources``: a factor of the correlation run's
+closed-form click law, and one draw per herald in the time-bin run; the
+tests check the law against the exponentiated mixing generator.
 
 This module carries that law, its curve fit, and pump phase diffusion.
 """

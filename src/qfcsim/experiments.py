@@ -108,6 +108,7 @@ class G2Result:
     summary: CountSummary
     histogram: DelayHistogram
     sidebands: dict[int, float] = field(default_factory=dict)
+    sideband_errors: dict[int, float] = field(default_factory=dict)
     insufficient: bool = False
     stream: Optional[EventStream] = None
     sideband_mean: float = math.nan
@@ -152,6 +153,8 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
             except InsufficientEventsError:
                 continue
             estimated.append((counts.n_coincidence, trigger_pairs))
+            # one sideband pooled alone is itself, with its own Poisson error
+            result.sideband_errors[offset] = sideband_mean_from_counts(summary, estimated[-1:])[1]
     result.sideband_mean, result.sideband_mean_error = sideband_mean_from_counts(
         summary, estimated)
     return result
@@ -168,12 +171,13 @@ def run_g2_experiment(config: ExperimentConfig) -> G2Result:
 
 def g2_report(result: G2Result) -> dict:
     """Summary dict in file key order: the counts, g2(0), its error, the
-    ``insufficient`` flag, each estimated sideband, and their pooled mean,
-    its error and pull."""
+    ``insufficient`` flag, each estimated sideband and its error, and their
+    pooled mean, its error and pull."""
     report = {**asdict(result.summary), "g2_zero": result.value,
               "std_error": result.std_error, "insufficient": result.insufficient}
     for offset in sorted(result.sidebands):
         report[f"g2_offset_{offset}"] = result.sidebands[offset]
+        report[f"g2_offset_{offset}_error"] = result.sideband_errors[offset]
     report["sideband_mean"] = result.sideband_mean
     report["sideband_mean_error"] = result.sideband_mean_error
     report["sideband_pull"] = result.sideband_pull

@@ -13,9 +13,12 @@ them on a thread pool (numpy releases the GIL in the draws and ufuncs) and
 keeps them in chunk order, so its clicks equal the serial ones.  A
 heralded chunk draws only what its heralds need: the gaps between heralds
 from Geometric(p_herald), then one uniform per herald for its pair number,
-whose law given a herald is p_k h_k / p_herald.  That is exact in
-distribution, and since the geometric law is memoryless each chunk restarts
-its gaps, so a longer run still extends a shorter one.
+whose law given a herald is p_k h_k / p_herald.  A correlation trigger
+then takes its (start, stop) outcome by one uniform from the closed-form
+click law of its class, ``_outcome_table``, which ``expected_hbt_rates``
+averages, and draws a time only for each click it keeps.  That is all
+exact in distribution, and since the geometric law is memoryless each
+chunk restarts its gaps, so a longer run still extends a shorter one.
 
 Memory: a pair-source chunk's draws hold one entry per herald, not per
 pulse, and each is dropped once used.  A run is kept as an ``EventStream``,
@@ -79,10 +82,7 @@ def pair_distribution(config: ExperimentConfig) -> np.ndarray:
 def _click_prob(efficiency: float, dark: float, n: np.ndarray) -> np.ndarray:
     """Threshold-detector click probability given n incident photons, each
     registered with probability ``efficiency``, plus a dark count with
-    probability ``dark`` per gate.  For integer n up to its length, the
-    powers come from a table of them: the same ``pow`` on the same inputs."""
-    if n.dtype.kind in "iu" and 0 < len(n) and n.max() <= len(n):
-        return 1.0 - (1.0 - dark) * ((1.0 - efficiency) ** np.arange(n.max() + 1))[n]
+    probability ``dark`` per gate."""
     return 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
 
 
@@ -266,52 +266,76 @@ def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> EventStream:
     return EventStream(chunks, config.n_pulses, seed, config.rep_period)
 
 
+def _outcome_table(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The click law of the intensity-correlation run, per herald class.
+
+    A class is a pair number k (weight p_k h_k, whose sum is the trigger
+    probability), or for the coherent/thermal stand-ins the one laser pulse
+    (weight 1).  Its row holds the probabilities of no click, a start click
+    only, a stop click only and both, so the outcome's bit 0 is the start
+    click and bit 1 the stop click.  Threshold detectors factorize over
+    independent photons: each band photon goes either way at the balanced
+    splitter, so a detector of efficiency e misses it with 1 - q (q = e/2)
+    and both miss it with 1 - q2 - q3.  So a row follows from the survival
+    terms (1 - d) E[(1 - q)^n]: E over the k pairs thinned by the chain,
+    (1 - s_chain q)^k, or over the Poisson or Bose-Einstein band of the
+    stand-ins, times exp(-nu q) for the Poissonian pump noise.
+    """
+    s_chain, nu = config.chain_efficiency(), config.noise_mean()
+    # the survival terms' q of the start, the stop and both detectors, as a column
+    q2, q3 = config.det2_efficiency / 2.0, config.det3_efficiency / 2.0
+    q = np.array([[q2], [q3], [q2 + q3]])
+    keep = np.array([[1.0 - config.det2_dark], [1.0 - config.det3_dark],
+                     [(1.0 - config.det2_dark) * (1.0 - config.det3_dark)]])
+    if config.source_kind == "coherent":
+        weights, band = np.ones(1), np.exp(-config.mean_pairs * s_chain * q)
+    elif config.source_kind == "thermal":
+        weights, band = np.ones(1), 1.0 / (1.0 + config.mean_pairs * s_chain * q)
+    else:
+        p_k = pair_distribution(config)
+        k = np.arange(len(p_k))
+        weights = p_k * _click_prob(config.det1_efficiency, config.det1_dark, k)
+        band = (1.0 - s_chain * q) ** k
+    no2, no3, no23 = keep * band * np.exp(-nu * q)
+    # every entry is >= 0 in exact arithmetic, so one below 0 is a rounded zero
+    table = np.stack([no23, no3 - no23, no2 - no23, 1.0 - no2 - no3 + no23], axis=1)
+    return weights, np.maximum(table, 0.0)
+
+
 def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     """Simulate a heralded intensity-correlation run.
 
     Channel 1 triggers (herald click for pair sources, laser clock for the
     coherent/thermal stand-ins), and the surviving converted-band light is
-    split on a balanced splitter onto channels 2 and 3.  Dark counts share
-    the pulse-locked timing of photon clicks, so a window as wide as the
-    timing spread captures every same-pulse coincidence.
+    split on a balanced splitter onto channels 2 and 3.  Each trigger's
+    (start, stop) outcome is drawn by one uniform from its class's row of
+    ``_outcome_table``, which is exact in distribution; normals are drawn
+    for the trigger and the kept clicks only.  Dark counts share the
+    pulse-locked timing of photon clicks, so a window as wide as the timing
+    spread captures every same-pulse coincidence.
     """
     rep_ps = config.rep_period * 1e12
     sigma_ps = config.jitter_sigma * 1e12
-    s_chain = config.chain_efficiency()
-    nu = config.noise_mean()
     classical = config.source_kind in _CLASSICAL_KINDS
+    # a trigger's outcome is the number of its class's edges at or below its uniform
+    edges = np.cumsum(_outcome_table(config)[1][:, :3], axis=1).T
 
     def chunk_clicks(rng, start, m):
-        # each draw is dropped once used, and jitter takes its pulse time in place
         if classical:
-            pulses = np.arange(m, dtype=np.int64)
-            mean_eff = config.mean_pairs * s_chain
-            if config.source_kind == "coherent":
-                n_band = rng.poisson(mean_eff, m)
-            else:
-                n_band = rng.geometric(1.0 / (1.0 + mean_eff), m) - 1
+            pulses, k = np.arange(m, dtype=np.int64), 0
         else:
             pulses, k = _herald(rng, config, m)
-            n_band = rng.binomial(k, s_chain)
-            del k
         pulses += start
-        nh = len(pulses)
-        if nu > 0.0:
-            n_band += rng.poisson(nu, nh)
-        n_start = rng.binomial(n_band, 0.5)
-        n_band -= n_start
-        click2 = rng.random(nh) < _click_prob(config.det2_efficiency, config.det2_dark, n_start)
-        del n_start
-        click3 = rng.random(nh) < _click_prob(config.det3_efficiency, config.det3_dark, n_band)
-        del n_band
-
-        base = pulses * rep_ps
+        u = rng.random(len(pulses))
+        outcome = sum(u >= edge[k] for edge in edges)
+        del u, k
         clicks = {}
-        for channel, keep in ((TRIGGER_CHANNEL, slice(None)), (START_CHANNEL, click2),
-                              (STOP_CHANNEL, click3)):
-            jitter = rng.normal(0.0, sigma_ps, nh)
-            jitter += base
-            clicks[channel] = (pulses[keep], jitter[keep])
+        for channel, keep in ((TRIGGER_CHANNEL, slice(None)), (START_CHANNEL, outcome % 2 == 1),
+                              (STOP_CHANNEL, outcome >= 2)):
+            kept = pulses[keep]
+            times = rng.normal(0.0, sigma_ps, len(kept))
+            times += kept * rep_ps
+            clicks[channel] = (kept, times)
         return clicks
 
     return _generate(config, chunk_clicks)
@@ -396,51 +420,17 @@ class HbtRates(NamedTuple):
 def expected_hbt_rates(config: ExperimentConfig) -> HbtRates:
     """Exact per-pulse click probabilities for the intensity-correlation run.
 
-    Computed by enumerating pair numbers (threshold detectors factorize over
-    independent photons, so only generating functions are needed), with
-    Poissonian pump noise folded in analytically.  Serves as the analytic
-    oracle the Monte Carlo stream is checked against and as the target
-    function when calibrating the noise coefficient.
+    The weighted mean of the ``_outcome_table`` rows that the generator
+    draws from, so the trigger probability and the start, stop and
+    coincidence probabilities per trigger.  Serves as the analytic oracle
+    the Monte Carlo stream is checked against and as the target function
+    when calibrating the noise coefficient.
     """
-    s_chain = config.chain_efficiency()
-    nu = config.noise_mean()
-    dark2, dark3 = config.det2_dark, config.det3_dark
-    q2 = config.det2_efficiency / 2.0
-    q3 = config.det3_efficiency / 2.0
-
-    def poisson_noise_factor(q: float) -> float:
-        return math.exp(-nu * q)
-
-    if config.source_kind in _CLASSICAL_KINDS:
-        mean_eff = config.mean_pairs * s_chain
-
-        def survival(q: float) -> float:
-            # E[(1-q)^n] for the band photon number n
-            if config.source_kind == "coherent":
-                band = math.exp(-mean_eff * q)
-            else:
-                band = 1.0 / (1.0 + mean_eff * q)
-            return band * poisson_noise_factor(q)
-
-        p_trig = 1.0
-    else:
-        p_k = pair_distribution(config)
-        k = np.arange(len(p_k))
-        h_k = _click_prob(config.det1_efficiency, config.det1_dark, k)
-        p_trig = float(np.sum(p_k * h_k))
-        if p_trig <= 0.0:
-            raise ValueError("trigger never fires for this configuration")
-        w_k = p_k * h_k / p_trig
-
-        def survival(q: float) -> float:
-            # E[(1-q)^n] for the band photon number n, averaged over heralded k
-            return float(np.sum(w_k * (1.0 - s_chain * q) ** k)) * poisson_noise_factor(q)
-
-    no2 = (1.0 - dark2) * survival(q2)
-    no3 = (1.0 - dark3) * survival(q3)
-    no23 = (1.0 - dark2) * (1.0 - dark3) * survival(q2 + q3)
-    # the weights sum to 1 only up to rounding, so a zero can come out an ulp below 0
-    p2, p3, pc = (max(p, 0.0) for p in (1.0 - no2, 1.0 - no3, 1.0 - no2 - no3 + no23))
+    weights, table = _outcome_table(config)
+    p_trig = float(weights.sum())
+    if p_trig <= 0.0:
+        raise ValueError("trigger never fires for this configuration")
+    _, start_only, stop_only, both = weights @ table / p_trig
+    p2, p3, pc = start_only + both, stop_only + both, both
     g2 = pc / (p2 * p3) if p2 > 0.0 and p3 > 0.0 else math.nan
-    return HbtRates(p_trig, p2, p3, pc, g2)
-
+    return HbtRates(p_trig, float(p2), float(p3), float(pc), float(g2))

@@ -477,6 +477,7 @@ def test_analyze_short_streams_report_nan(tmp_path, capsys):
         assert vals["insufficient"] == "True"
         assert vals["sideband_mean"] == vals["sideband_mean_error"] == "nan"
         assert vals["sideband_pull"] == "nan"
+        # no sideband, so no g2_offset_<n> and no g2_offset_<n>_error
         assert not any(key.startswith("g2_offset_") for key in vals)
     header_only = _pairs(tmp_path / "header_only" / "count_summary.txt")
     assert [header_only[k] for k in ("n_trigger", "n_start", "n_stop", "n_coincidence")] \

@@ -17,6 +17,8 @@ from qfcsim.config import (
     source_only_tomo_config,
 )
 from qfcsim.experiments import (
+    analyze_g2,
+    g2_report,
     reconstruct,
     run_efficiency_sweep,
     run_g2_experiment,
@@ -30,8 +32,8 @@ from qfcsim.experiments import (
 from qfcsim.metrics import chsh_assessment, concurrence, eof_of_concurrence, fidelity
 from qfcsim.qubits import PHI_PLUS
 from qfcsim.tomography import load_records, mle_reconstruct, subtract_background
-from qfcsim.counting import (CoincidenceWindow, CountSummary, delay_histogram, first_clicks,
-                             pair_delays, select_window)
+from qfcsim.counting import (CoincidenceWindow, CountSummary, FirstClicks, count_summary,
+                             delay_histogram, first_clicks, pair_delays, select_window)
 from qfcsim.sources import START_CHANNEL, TRIGGER_CHANNEL, generate_mzi_stream
 
 from test_counting import columns_of
@@ -122,6 +124,28 @@ def test_pooled_sideband_pull_is_small():
         assert abs(res.sideband_pull) <= 5.0, (cfg.source_kind, res.sideband_pull)
 
 
+def test_sideband_errors_are_first_order_poisson():
+    # every pulse triggers and only the even ones click, 40 ps apart: the
+    # odd offsets pair no clicks, so their g2 is 0 with no error bar
+    trigger = np.arange(1000, dtype=np.uint32)
+    even = trigger[::2]
+    clicks = FirstClicks(trigger, even, even * 1e3 + 10.0, even, even * 1e3 + 50.0, 1e3)
+    window = CoincidenceWindow(1e-9)
+    report = g2_report(analyze_g2(clicks, window))
+    keys = list(report)
+    for n in (1, -1, 2, -2, 5, -5):
+        counts = count_summary(clicks, window, n)[0]
+        value, error = report[f"g2_offset_{n}"], report[f"g2_offset_{n}_error"]
+        assert keys.index(f"g2_offset_{n}_error") == keys.index(f"g2_offset_{n}") + 1
+        if n % 2:
+            assert counts.n_coincidence == 0 and value == 0.0 and math.isnan(error)
+        else:
+            assert counts.n_coincidence > 0
+            assert error == pytest.approx(value * math.sqrt(
+                1.0 / counts.n_coincidence + 1.0 / counts.n_start + 1.0 / counts.n_stop),
+                rel=1e-14)
+
+
 def test_write_g2_files(tmp_path):
     cfg = calibrated_g2_config(seed=121)
     cfg.n_pulses = 300_000
@@ -135,6 +159,10 @@ def test_write_g2_files(tmp_path):
     assert values["insufficient"] == "False"
     # the pooled sideband keys come after every other key
     assert list(values)[-3:] == ["sideband_mean", "sideband_mean_error", "sideband_pull"]
+    # each estimated sideband's error follows it
+    offsets = [key for key in values if key.startswith("g2_offset_")]
+    assert offsets == [f"g2_offset_{n}{end}" for n in sorted(res.sidebands)
+                       for end in ("", "_error")]
     assert float(values["sideband_mean"]) == res.sideband_mean
     assert float(values["sideband_pull"]) == res.sideband_pull
     hist_lines = (tmp_path / "g2_histogram.csv").read_text().splitlines()

@@ -2,7 +2,9 @@
 
 Monte Carlo checks compare empirical rates against the exact enumeration
 in expected_hbt_rates within a few binomial standard deviations; all runs
-are seeded, so the margins never flap.  Determinism checks rely on the
+are seeded, so the margins never flap.  The generator draws each trigger's
+clicks from the same table the oracle sums, so that table is checked on
+its own against a photon-by-photon reference of the detector chain.  Determinism checks rely on the
 chunked counter-based substreams: the events of a chunk depend only on
 (seed, chunk index), not on how many pulses follow.
 """
@@ -26,6 +28,7 @@ from qfcsim.config import (
     calibrated_g2_config,
     calibrated_tomo_config,
     coherent_g2_config,
+    ideal_g2_config,
     thermal_g2_config,
 )
 from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks, pair_delays
@@ -43,6 +46,7 @@ from qfcsim.sources import (
     pair_distribution,
     _click_prob,
     _herald,
+    _outcome_table,
 )
 
 from test_counting import columns_of, stream_of
@@ -172,8 +176,13 @@ def test_first_event_times_picks_earliest(monkeypatch):
     assert sorts == [1, 1]
 
 
-def test_stream_determinism_same_seed():
-    cfg = calibrated_g2_config(seed=909)
+# the pair source and both classical stand-ins, whose triggers are every pulse
+STREAM_CONFIGS = [calibrated_g2_config, coherent_g2_config, thermal_g2_config]
+
+
+@pytest.mark.parametrize("make_config", STREAM_CONFIGS)
+def test_stream_determinism_same_seed(make_config):
+    cfg = make_config(seed=909)
     cfg.n_pulses = 150_000
     a = columns_of(generate_hbt_stream(cfg))
     b = columns_of(generate_hbt_stream(cfg))
@@ -183,13 +192,14 @@ def test_stream_determinism_same_seed():
     assert len(c[2]) != len(a[2]) or not np.array_equal(c[2], a[2])
 
 
-def test_stream_chunks_are_extension_stable():
+@pytest.mark.parametrize("make_config", STREAM_CONFIGS)
+def test_stream_chunks_are_extension_stable(make_config):
     # adding pulses must not disturb earlier chunks: a longer run agrees
     # with a shorter one event for event over the shared prefix
-    cfg = calibrated_g2_config(seed=33)
+    cfg = make_config(seed=33)
     cfg.n_pulses = CHUNK_PULSES
     short = columns_of(generate_hbt_stream(cfg))
-    cfg_long = calibrated_g2_config(seed=33)
+    cfg_long = make_config(seed=33)
     cfg_long.n_pulses = CHUNK_PULSES + 1000
     long = columns_of(generate_hbt_stream(cfg_long))
     head = long[1] < CHUNK_PULSES
@@ -580,6 +590,71 @@ def _pull(observed: int, trials: int, p: float) -> float:
     if var == 0.0:
         return 0.0 if observed == mean else math.inf
     return (observed - mean) / math.sqrt(var)
+
+
+def _per_photon_outcomes(rng, config, k):
+    """The (start, stop) outcome of each trigger of class ``k`` (its pair
+    number, or 0 for a stand-in's laser pulse), coded start + 2 stop, drawn
+    photon by photon: the band photons (the k pairs thinned by the chain,
+    or the stand-in's Poisson or Bose-Einstein band) plus the Poissonian
+    pump noise, each sent either way at the balanced splitter, then each
+    detector's threshold click."""
+    s_chain, nu, n = config.chain_efficiency(), config.noise_mean(), len(k)
+    mean_eff = config.mean_pairs * s_chain
+    if config.source_kind == "coherent":
+        n_band = rng.poisson(mean_eff, n)
+    elif config.source_kind == "thermal":
+        n_band = rng.geometric(1.0 / (1.0 + mean_eff), n) - 1
+    else:
+        n_band = rng.binomial(k, s_chain)
+    if nu > 0.0:
+        n_band += rng.poisson(nu, n)
+    n_start = rng.binomial(n_band, 0.5)
+    click2 = rng.random(n) < _click_prob(config.det2_efficiency, config.det2_dark, n_start)
+    click3 = rng.random(n) < _click_prob(config.det3_efficiency, config.det3_dark,
+                                         n_band - n_start)
+    return click2 + 2 * click3
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(kind=st.sampled_from(SOURCE_KINDS),
+       mu=st.floats(1e-3, 3.0),
+       truncation=st.integers(1, 6),
+       transmittance=st.floats(0.05, 1.0),
+       eff=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.just(1.0))] * 2),
+       dark=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-6, 0.2))] * 2),
+       noise=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_outcome_table_matches_per_photon_chain(kind, mu, truncation, transmittance, eff,
+                                                dark, noise, seed):
+    # every class's row against the outcome counts of the photon-by-photon
+    # chain for triggers of that class; the class weights are the herald's
+    cfg = ExperimentConfig(source_kind=kind, mean_pairs=mu, pair_truncation=truncation,
+                           extra_transmittance=transmittance, det2_efficiency=eff[0],
+                           det3_efficiency=eff[1], det2_dark=dark[0], det3_dark=dark[1],
+                           noise_coeff=noise / 0.7, pump_power=0.7)
+    weights, table = _outcome_table(cfg)
+    classical = kind in ("coherent", "thermal")
+    assert_array_equal(weights, [1.0] if classical else _herald_weights(cfg), strict=True)
+    assert table.shape == (len(weights), 4) and np.all(table >= 0.0)
+    assert_allclose(table.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = 10_000
+    for k in np.flatnonzero(weights):
+        observed = np.bincount(_per_photon_outcomes(rng, cfg, np.full(n, k)), minlength=4)
+        expected = n * table[k]
+        # outcomes expected fewer than 5 times share one bin, which an
+        # outcome of probability 0 must leave empty
+        rare = expected < 5.0
+        obs = np.append(observed[~rare], observed[rare].sum())
+        exp = np.append(expected[~rare], expected[rare].sum())
+        assert np.all(obs[exp == 0.0] == 0), (k, observed, table[k])
+        obs, exp = obs[exp > 0.0], exp[exp > 0.0]
+        if len(exp) > 1:
+            chi2 = float(np.sum((obs - exp) ** 2 / exp))
+            assert stats.chi2.sf(chi2, len(exp) - 1) > 1e-6, (k, observed, table[k])
+    # the lossless single photon never clicks on both sides, by construction
+    assert _outcome_table(ideal_g2_config())[1][1].tolist() == [0.5, 0.25, 0.25, 0.0]
 
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)
