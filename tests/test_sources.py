@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.optimize import brentq
@@ -700,30 +700,47 @@ def test_stream_counts_match_oracle(kind, mu, eff1, eff2, eff3, dark, noise, see
        transmittance=st.floats(0.05, 1.0),
        delay_frac=st.floats(0.01, 0.49),
        jitter_frac=st.floats(0.0, 0.05),
+       noise=st.one_of(st.just(0.0), st.floats(1e-3, 40.0)),
        seed=st.integers(0, 2**32 - 1))
+@example(kind="spdc", mu=2.0, eff1=1.0, dark1=0.0, eff2=1.0, dark2=0.2, transmittance=1.0,
+         delay_frac=0.49, jitter_frac=0.05, noise=40.0, seed=0)
 def test_timebin_slots_match_oracle(kind, mu, eff1, dark1, eff2, dark2, transmittance,
-                                    delay_frac, jitter_frac, seed):
-    # noise-free, a herald's signal reaches channel 2 with q = s_chain * eff2 / 2
-    # at -delay, 0, +delay in the ratio 1:2:1, and a dark count (d) lands in
-    # the central slot; the first click per trigger falls in each slot as below
+                                    delay_frac, jitter_frac, noise, seed):
+    # a herald's signal reaches channel 2 with q = s_chain * eff2 / 2 at
+    # -delay, 0, +delay in the ratio 1:2:1, a dark count (d) lands at 0, and
+    # the detected pump noise, Poisson of mean lam = noise * eff2 / 2, is
+    # uniform over +-2 delay; so the earliest start click comes after t
+    # (in delays) with S(t) = exp(-lam (t + 2) / 4) P(no signal or dark by t),
+    # and its slot, the delay rounded to whole delays, is -2 .. 2 with the
+    # probability S(a) - S(b) over its edges a, b; at lam = 0 that is
+    # q/4, q/2 + d (1 - 3q/4), q/4 (1 - d) over slots -1, 0, 1
     rep = ExperimentConfig().rep_period
     cfg = ExperimentConfig(source_kind=kind, mean_pairs=mu, det1_efficiency=eff1,
                            det1_dark=dark1, det2_efficiency=eff2, det2_dark=dark2,
-                           extra_transmittance=transmittance, noise_coeff=0.0,
-                           mzi_delay=delay_frac * rep,
+                           extra_transmittance=transmittance, mzi_delay=delay_frac * rep,
                            jitter_sigma=jitter_frac * delay_frac * rep,
                            n_pulses=200_000, seed=seed)
+    cfg.noise_coeff = noise / cfg.pump_power
     clicks = first_clicks(generate_mzi_stream(cfg), TRIGGER_CHANNEL, START_CHANNEL)
     delays, _ = pair_delays(clicks)
     n_trigger = len(clicks.trigger_pulses)
     slot = np.round(delays / (cfg.mzi_delay * 1e12))
     # a slot's edges, delay / 2 from its centre, lie 7 or more deviations of
     # the trigger and start jitter combined away from it
-    assert set(slot.tolist()) <= {-1.0, 0.0, 1.0}
-    q, d = 0.5 * cfg.chain_efficiency() * eff2, dark2
-    want = {"early": q / 4.0, "central": q / 2.0 + d * (1.0 - 0.75 * q),
-            "late": q / 4.0 * (1.0 - d), "none": (1.0 - q) * (1.0 - d)}
-    got = {"early": int(np.sum(slot == -1.0)), "central": int(np.sum(slot == 0.0)),
-           "late": int(np.sum(slot == 1.0)), "none": n_trigger - len(delays)}
+    assert set(slot.tolist()) <= ({-2.0, -1.0, 0.0, 1.0, 2.0} if noise else {-1.0, 0.0, 1.0})
+    q, d, lam = 0.5 * cfg.chain_efficiency() * eff2, dark2, 0.5 * cfg.noise_mean() * eff2
+    # a noise click has no jitter of its own, so the trigger's (jitter_frac
+    # delays) shifts it across the edges: averaged over it, the noise
+    # factor exp(-lam t / 4) gains exp((lam jitter_frac / 4)^2 / 2)
+    shift = math.exp(0.5 * (lam * jitter_frac / 4.0) ** 2)
+    edges = [shift * math.exp(-lam * (t + 2.0) / 4.0) * quiet
+             for t, quiet in ((-1.5, 1.0), (-0.5, 1.0 - q / 4.0),
+                              (0.5, (1.0 - 0.75 * q) * (1.0 - d)), (1.5, (1.0 - q) * (1.0 - d)))]
+    survival = [1.0, *edges, math.exp(-lam) * (1.0 - q) * (1.0 - d)]
+    want = {name: survival[i] - survival[i + 1]
+            for i, name in enumerate((-2.0, -1.0, 0.0, 1.0, 2.0))}
+    want["none"] = survival[-1]
+    got = {name: int(np.sum(slot == name)) for name in (-2.0, -1.0, 0.0, 1.0, 2.0)}
+    got["none"] = n_trigger - len(delays)
     pulls = {name: _pull(got[name], n_trigger, p) for name, p in want.items()}
     assert all(abs(pull) <= 5.0 for pull in pulls.values()), (pulls, want, got, n_trigger)
