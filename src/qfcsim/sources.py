@@ -21,16 +21,17 @@ exact in distribution, and since the geometric law is memoryless each
 chunk restarts its gaps, so a longer run still extends a shorter one.
 
 Memory: a pair-source chunk's draws hold one entry per herald, not per
-pulse, and each is dropped once used.  A run is kept as an ``EventStream``,
-each chunk's clicks per channel, at 16 bytes per click: nothing is sorted
-or joined until ``sorted_blocks``, which only a save and the tests call.  It
-sorts one chunk at a time and leaves the chunks as they are, and a save
-writes each chunk's block before the next is sorted, so the sorted stream
-is never whole.  On the thread pool one chunk per worker is in flight; the
-memory the worker threads freed into their malloc arenas is handed back to
-the system once the run is generated.  A loaded stream is read one block of
-lines at a time, each block one chunk, so the file's text is never whole
-either.
+pulse, and a time-bin herald draws its earliest start click, so its pump
+noise is one exponential, not one click per photon.  A run is kept as an
+``EventStream``, each chunk's clicks per channel, at 16 bytes per click:
+nothing is sorted or joined until ``sorted_blocks``, which only a save and
+the tests call.  It sorts one chunk at a time and leaves the chunks as
+they are, and a save writes each chunk's block before the next is sorted,
+so the sorted stream is never whole.  On the thread pool one chunk per
+worker is in flight; the memory the worker threads freed into their malloc
+arenas is handed back to the system once the run is generated.  A loaded
+stream is read one block of lines at a time, each block one chunk, so the
+file's text is never whole either.
 """
 
 from __future__ import annotations
@@ -348,11 +349,15 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     of the decoder, so its arrival at channel 2 is offset by -delay, 0, or
     +delay relative to the pulse-locked reference; short-short and long-long
     paths both land in the central slot.  Pump-induced noise photons arrive
-    uniformly across the gate, +-2 delay around the pulse.  Every click is
-    kept, and ``first_event_times`` keeps each pulse's earliest.  From a
-    delay of rep_period / 4 the gates of neighbouring pulses overlap, so a
-    pulse's noise click can arrive inside its neighbour's gate; that overlap
-    is intended.  ``ExperimentConfig.validate`` refuses a delay of
+    uniformly across the gate, +-2 delay around the pulse.  Each herald
+    keeps only its earliest start click, the one the start-stop rule reads,
+    drawn from its exact law: a signal click with q = s_chain eff2 / 2, by
+    one uniform u < q whose quarter picks the slot (1:2:1); a pulse-locked
+    dark count; and the first of Poisson(lam = noise_mean eff2 / 2) noise
+    clicks, at (4 E / lam - 2) delay for one standard exponential E < lam.
+    From a delay of rep_period / 4 the gates of neighbouring pulses overlap,
+    so a pulse's noise click can arrive inside its neighbour's gate; that
+    overlap is intended.  ``ExperimentConfig.validate`` refuses a delay of
     rep_period / 2 or more, where the +-delay slots themselves would land in
     a neighbouring pulse.
     """
@@ -361,50 +366,33 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     rep_ps = config.rep_period * 1e12
     sigma_ps = config.jitter_sigma * 1e12
     delay_ps = config.mzi_delay * 1e12
-    s_chain = config.chain_efficiency()
-    nu = config.noise_mean()
-    eff2, dark2 = config.det2_efficiency, config.det2_dark
+    q = 0.5 * config.chain_efficiency() * config.det2_efficiency
+    lam = 0.5 * config.noise_mean() * config.det2_efficiency
 
     def chunk_clicks(rng, start, m):
-        # each draw is dropped once used, and jitter takes its pulse time in place
         pulses, _ = _herald(rng, config, m)
         pulses += start
         nh = len(pulses)
-        base = pulses * rep_ps
-
-        sig_det = rng.random(nh) < 0.5 * s_chain
-        long_enc = rng.random(nh) < 0.5
-        long_dec = rng.random(nh) < 0.5
-        sig_det &= rng.random(nh) < eff2
-        offset = (long_enc.astype(np.float64) + long_dec - 1.0) * delay_ps
-        offset += base
-        sig_time = rng.normal(0.0, sigma_ps, nh)
-        sig_time += offset
-        del offset
-
-        cand_pulses = [pulses[sig_det]]
-        cand_times = [sig_time[sig_det]]
-        del sig_det, sig_time
-        if nu > 0.0:
-            n_noise = rng.binomial(rng.poisson(nu, nh), 0.5 * eff2)
-            total = int(n_noise.sum())
-            if total:
-                cand_pulses.append(np.repeat(pulses, n_noise))
-                noise = rng.uniform(-2.0 * delay_ps, 2.0 * delay_ps, total)
-                noise += np.repeat(base, n_noise)
-                cand_times.append(noise)
-        if dark2 > 0.0:
-            dark = rng.random(nh) < dark2
-            cand_pulses.append(pulses[dark])
-            jitter = rng.normal(0.0, sigma_ps, nh)
-            jitter += base
-            cand_times.append(jitter[dark])
-            del jitter
-
-        jitter = rng.normal(0.0, sigma_ps, nh)
-        jitter += base
-        return {TRIGGER_CHANNEL: (pulses, jitter),
-                START_CHANNEL: (np.concatenate(cand_pulses), np.concatenate(cand_times))}
+        trigger = rng.normal(0.0, sigma_ps, nh)
+        trigger += pulses * rep_ps
+        # each herald's earliest start click relative to its pulse, inf for none
+        first = np.full(nh, np.inf)
+        u = rng.random(nh)
+        hit = np.flatnonzero(u < q)
+        first[hit] = (np.digitize(u[hit], [0.25 * q, 0.75 * q]) - 1.0) * delay_ps
+        first[hit] += rng.normal(0.0, sigma_ps, len(hit))
+        if config.det2_dark > 0.0:
+            hit = np.flatnonzero(rng.random(nh) < config.det2_dark)
+            first[hit] = np.minimum(first[hit], rng.normal(0.0, sigma_ps, len(hit)))
+        if lam > 0.0:
+            e = rng.standard_exponential(nh)
+            hit = np.flatnonzero(e < lam)
+            first[hit] = np.minimum(first[hit], (4.0 * e[hit] / lam - 2.0) * delay_ps)
+        keep = first < np.inf
+        kept = pulses[keep]
+        first = first[keep]
+        first += kept * rep_ps
+        return {TRIGGER_CHANNEL: (pulses, trigger), START_CHANNEL: (kept, first)}
 
     return _generate(config, chunk_clicks)
 

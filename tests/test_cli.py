@@ -651,26 +651,46 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):
     assert report == ["import False"] + [f"{argv[0]} 0 False" for argv in commands]
 
 
-def test_run_beyond_memory_exits_2_with_one_line(tmp_path):
-    # One candidate click per noise photon: at this noise the time-bin
-    # histogram asks for about 27 GiB.  Under a 2 GB address-space limit that
-    # allocation fails, which is bad input (exit 2), not a traceback (exit 1).
-    cfg = calibrated_tomo_config()
-    cfg.noise_coeff, cfg.pump_power, cfg.n_pulses, cfg.n_bootstrap = 1e6, 70.0, 20_000, 0
-    path = tmp_path / "noisy.cfg"
+def _run_under_2_gb(tmp_path, cfg, command, *flags):
+    """Run the CLI ``command`` on ``cfg`` in a child interpreter whose
+    address space is limited to 2 GB."""
+    path = tmp_path / "limited.cfg"
     cfg.to_file(path)
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
               "from qfcsim.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
     src = Path(qfcsim.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "tomo", "--config", str(path),
-         "--out", str(tmp_path / "out"), "--timebin-histogram"],
+    return subprocess.run(
+        [sys.executable, "-c", script, command, "--config", str(path), *flags],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_heavy_noise_timebin_run_fits_in_memory(tmp_path):
+    # 5.25e6 detected noise photons per herald: one candidate click per
+    # photon asked for about 27 GiB; each herald's earliest click alone fits
+    cfg = calibrated_tomo_config()
+    cfg.noise_coeff, cfg.pump_power, cfg.n_pulses, cfg.n_bootstrap = 1e6, 70.0, 20_000, 0
+    out = tmp_path / "out"
+    proc = _run_under_2_gb(tmp_path, cfg, "tomo", "--out", str(out), "--timebin-histogram")
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "timebin_histogram.csv").read_text().splitlines()
+    counts = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert len(counts) and np.all(np.isfinite(counts)) and counts.sum() > 0
+
+
+def test_run_beyond_memory_exits_2_with_one_line(tmp_path):
+    # the sweep's power grid, 2 mW steps up to 1e12 W, asks for 3.55 PiB;
+    # that allocation fails, which is bad input (exit 2), not a traceback
+    # (exit 1), and it leaves no artifact
+    cfg = calibrated_tomo_config()
+    cfg.pump_power = 1e12
+    out = tmp_path / "out"
+    proc = _run_under_2_gb(tmp_path, cfg, "sweep", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: Unable to allocate "), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    _assert_no_artifact(out)
 
 
 def test_sweep_writes_per_watt_fit_and_refuses_eff_coeff_unit(tmp_path, capsys):

@@ -3,11 +3,13 @@ histogram, and tomography, including their output files."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from qfcsim import experiments
 from qfcsim.config import (
     ExperimentConfig,
     calibrated_g2_config,
@@ -173,7 +175,7 @@ def test_write_g2_files(tmp_path):
 
 def _noisy_mzi_config():
     """Calibrated tomography run with strong pump noise and dark counts, so
-    many pulses carry several start clicks."""
+    a pulse's earliest start click is often a noise or dark click."""
     cfg = calibrated_tomo_config(seed=31)
     cfg.source_kind = "spdc_thermal"
     cfg.noise_coeff, cfg.det2_dark, cfg.n_pulses = 3.0, 1e-2, 300_000
@@ -189,20 +191,38 @@ def _long_delay_mzi_config():
     return cfg
 
 
+def _with_second_start_clicks(stream):
+    """``stream`` with a copy of every start click appended to its chunk,
+    500 ps earlier for an even pulse and later for an odd one."""
+    chunks = []
+    for chunk in stream.chunks:
+        pulses, times = chunk[START_CHANNEL]
+        copies = times + np.where(pulses % 2 == 0, -500.0, 500.0)
+        chunks.append({**chunk, START_CHANNEL: (np.concatenate([pulses, pulses]),
+                                                np.concatenate([times, copies]))})
+    return replace(stream, chunks=chunks)
+
+
 @pytest.mark.parametrize("make_config", [_noisy_mzi_config, _long_delay_mzi_config])
-def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config):
-    # the reference keeps the earliest candidate per pulse by lexsort + unique,
-    # the step the generator once did itself
+def test_mzi_histogram_bins_the_earliest_start_click_per_pulse(make_config, monkeypatch):
+    # the generator keeps one start click per herald; a stream whose pulses
+    # click twice is binned at each pulse's earliest click, as the reference
+    # keeps it by lexsort + unique
     cfg = make_config()
     channels, stream_pulses, stream_times = columns_of(generate_mzi_stream(cfg))
     start = channels == START_CHANNEL
-    pulses, times = stream_pulses[start], stream_times[start]
-    assert len(np.unique(pulses)) < len(pulses)  # pulses with more than one click
+    assert len(np.unique(stream_pulses[start])) == np.count_nonzero(start)
     # in time order, only the long delay's start clicks leave pulse order
-    assert np.any(pulses[1:] < pulses[:-1]) == (make_config is _long_delay_mzi_config)
+    assert np.any(np.diff(stream_pulses[start]) < 0) == (make_config is _long_delay_mzi_config)
+    monkeypatch.setattr(experiments, "generate_mzi_stream",
+                        lambda config: _with_second_start_clicks(generate_mzi_stream(config)))
+    channels, stream_pulses, stream_times = columns_of(experiments.generate_mzi_stream(cfg))
+    start = channels == START_CHANNEL
+    pulses, times = stream_pulses[start], stream_times[start]
     order = np.lexsort((times, pulses))
     pulses, times = pulses[order], times[order]
     _, first = np.unique(pulses, return_index=True)
+    assert len(first) == len(pulses) // 2
     trig = channels == TRIGGER_CHANNEL
     _, i_trig, i_start = np.intersect1d(stream_pulses[trig], pulses[first],
                                         assume_unique=True, return_indices=True)

@@ -147,7 +147,9 @@ def _permuted(clicks, rng):
        st.integers(0, 2**63), st.sampled_from([1, 7, 100, 400]), st.integers(0, 2**63))
 def test_first_event_times_ignore_click_order(generate, seed, chunk_pulses, shuffle_seed):
     # the dense runs: on the interferometer a 0.49-period delay and heavy
-    # noise overlap the gates, so a pulse clicks several times, out of order
+    # noise overlap the gates and the chunks; each herald keeps one start
+    # click, so only the permutation takes a channel out of pulse order, and
+    # pulses that click more than once are _small_streams' part in test_counting
     generate, cfg, _ = _dense(generate)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sources, "CHUNK_PULSES", chunk_pulses)

@@ -3,7 +3,8 @@
 tracemalloc counts the bytes numpy allocates for array data exactly, so
 unlike RSS these bounds do not depend on the allocator or the machine.
 Each bound is a multiple of the data the step produces or reads: the
-clicks' (and the stream's) bytes for generation, the index's bytes for
+clicks' (and the stream's) bytes for generation, the heralds for the
+time-bin generation whatever its noise, the index's bytes for
 first-click extraction and the pulse join, the trigger list's bytes for
 the opportunity count, the largest chunk's stream bytes for taking the
 sorted columns and for a save above the clicks it holds, whatever the
@@ -22,10 +23,11 @@ import pytest
 
 from qfcsim import parallel
 from qfcsim.artifacts import BLOCK_ROWS
-from qfcsim.config import ExperimentConfig
+from qfcsim.config import ExperimentConfig, calibrated_tomo_config
 from qfcsim.counting import (CoincidenceWindow, count_summary, first_clicks, opportunities,
                              pair_delays)
-from qfcsim.sources import EventStream, generate_hbt_stream
+from qfcsim.sources import (START_CHANNEL, TRIGGER_CHANNEL, EventStream, generate_hbt_stream,
+                            generate_mzi_stream)
 
 from test_counting import stream_of
 
@@ -212,3 +214,33 @@ def test_stream_load_peak(tmp_path):
             tracemalloc.stop()
     assert len(stream) == 16 * BLOCK_ROWS and len(stream.chunks) == 16
     assert peak - _click_bytes(stream) <= 12 * BLOCK_ROWS * EVENT_BYTES
+
+
+def test_timebin_generation_peak_does_not_grow_with_noise():
+    """Each herald keeps only its earliest start click, so with 50 detected
+    noise photons per herald the time-bin stream holds at most one start
+    click per herald, and generation peaks at a fixed number of bytes per
+    herald whatever the noise: measured at 49 with no noise and 80 with it.
+    One candidate click per noise photon peaked at 1,645."""
+    cfg = calibrated_tomo_config(seed=5)
+    cfg.mean_pairs, cfg.det1_efficiency, cfg.n_pulses = 3.0, 1.0, 50_000
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        generate_mzi_stream(cfg)  # the first run's one-off allocations are not the run's
+        peaks = {}
+        for lam in (0.0, 50.0):
+            cfg.noise_coeff = 2.0 * lam / (cfg.pump_power * cfg.det2_efficiency)
+            stream, peak = _traced_peak(lambda: generate_mzi_stream(cfg))
+            trigger = stream.first_event_times(TRIGGER_CHANNEL, times=False)
+            start = stream.first_event_times(START_CHANNEL, times=False)
+            assert len(start) == sum(len(chunk[START_CHANNEL][0]) for chunk in stream.chunks)
+            assert np.all(np.isin(start, trigger))
+            peaks[lam] = peak / len(trigger)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(start) > 0.99 * len(trigger)  # at 50 noise photons nearly every herald clicks
+    assert max(peaks.values()) <= 100.0, peaks
+    assert peaks[50.0] <= 2.0 * peaks[0.0], peaks

@@ -278,7 +278,8 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     # noise over +-12 ns around a 12.2 ns period lets the last clicks of one
     # chunk follow the first clicks of the next, which the time-order check
     # of EventStream refused when chunks were only concatenated; with 95% of
-    # pulses heralded and about 3 noise clicks each, 28-48 of the 99 chunk
+    # pulses heralded and 3.15 noise clicks each on average, of which each
+    # herald keeps only its earliest start click, 3-12 of the 99 chunk
     # boundaries overlapped in each of 20 seeded runs, so none is out of reach
     cfg = calibrated_tomo_config(seed=1)
     cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 0.49 * cfg.rep_period, 3.0, 1.0
