@@ -69,7 +69,6 @@ class CountSummary:
 class DelayHistogram:
     """Histogram of stop-minus-start delays, bin centers in picoseconds."""
 
-    bin_width_ps: float
     centers_ps: np.ndarray
     counts: np.ndarray
 
@@ -194,7 +193,7 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
         raise ValueError("bin_width must be > 0")
     width_ps = bin_width * 1e12
     if len(delays_ps) == 0:
-        return DelayHistogram(width_ps, np.zeros(0), np.zeros(0, dtype=np.int64))
+        return DelayHistogram(np.zeros(0), np.zeros(0, dtype=np.int64))
     scaled = np.rint(delays_ps / width_ps)
     lo, hi = scaled.min(), scaled.max()
     # NaN fails every comparison, and each bin index must fit in int64
@@ -204,7 +203,7 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
     lo, hi = int(lo), int(hi)
     counts = np.bincount(scaled.astype(np.int64) - lo, minlength=hi - lo + 1)
     centers = np.arange(lo, hi + 1) * width_ps
-    return DelayHistogram(width_ps, centers, counts.astype(np.int64))
+    return DelayHistogram(centers, counts.astype(np.int64))
 
 
 def count_summary(clicks: FirstClicks, window: CoincidenceWindow, offset: int = 0

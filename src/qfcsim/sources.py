@@ -10,15 +10,16 @@ keyed by (seed, chunk_index) over fixed 2**19-pulse chunks, so results are
 reproducible bit for bit however the chunks are scheduled.  A run of at
 least ``parallel.MIN_TASKS`` chunks, on a machine with 2 CPUs or more, runs
 them on a thread pool (numpy releases the GIL in the draws and ufuncs) and
-keeps them in chunk order, so its clicks equal the serial ones.  A
-heralded chunk draws only what its heralds need: the gaps between heralds
-from Geometric(p_herald), then one uniform per herald for its pair number,
-whose law given a herald is p_k h_k / p_herald.  A correlation trigger
-then takes its (start, stop) outcome by one uniform from the closed-form
-click law of its class, ``_outcome_table``, which ``expected_hbt_rates``
-averages, and draws a time only for each click it keeps.  That is all
-exact in distribution, and since the geometric law is memoryless each
-chunk restarts its gaps, so a longer run still extends a shorter one.
+keeps them in chunk order, so its clicks equal the serial ones.  A chunk
+first draws its triggers from ``_herald_weights``, the one trigger law:
+Geometric(p_herald) gaps, none when every pulse triggers, then one uniform
+per trigger for its class (pair number k, of law p_k h_k / p_herald), none
+for a one-class law.  A correlation trigger then takes its (start, stop)
+outcome by one uniform from its class's closed-form click law,
+``_outcome_table``, which ``expected_hbt_rates`` averages, and draws a time
+only for each click it keeps.  That is all exact in distribution, and since
+the geometric law is memoryless each chunk restarts its gaps, so a longer
+run still extends a shorter one.
 
 Memory: a pair-source chunk's draws hold one entry per herald, not per
 pulse, and a time-bin herald draws its earliest start click, so its pump
@@ -80,11 +81,17 @@ def pair_distribution(config: ExperimentConfig) -> np.ndarray:
     return w / w.sum()
 
 
-def _click_prob(efficiency: float, dark: float, n: np.ndarray) -> np.ndarray:
-    """Threshold-detector click probability given n incident photons, each
-    registered with probability ``efficiency``, plus a dark count with
-    probability ``dark`` per gate."""
-    return 1.0 - (1.0 - dark) * (1.0 - efficiency) ** n
+def _herald_weights(config: ExperimentConfig) -> np.ndarray:
+    """The trigger law: each trigger class's weight, summing to the trigger
+    probability per pulse.  A pair source's class is its pair number k, of
+    weight p_k h_k, where h_k = 1 - (1 - det1_dark)(1 - det1_efficiency)^k
+    is the threshold herald detector's click probability; the
+    coherent/thermal stand-ins' one class is the laser pulse, of weight 1."""
+    if config.source_kind in _CLASSICAL_KINDS:
+        return np.ones(1)
+    p_k = pair_distribution(config)
+    k = np.arange(len(p_k))
+    return p_k * (1.0 - (1.0 - config.det1_dark) * (1.0 - config.det1_efficiency) ** k)
 
 
 def _pulse_dtype(n_pulses: int) -> type:
@@ -206,19 +213,17 @@ class EventStream:
         return stream
 
 
-def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded pulse offsets of an m-pulse chunk and their pair numbers k.
+def _herald(rng: np.random.Generator, w: np.ndarray, m: int
+            ) -> tuple[np.ndarray, np.ndarray | int]:
+    """Triggered pulse offsets of an m-pulse chunk and their classes k.
 
-    Each pulse heralds on its own with p = sum_k w_k, where w_k = p_k h_k
-    for the pair probability p_k and the herald click probability h_k.  So
-    the gaps between heralds are Geometric(p), drawn in blocks until they
-    pass the chunk's end, and a herald's k has law w_k / p, drawn by one
-    uniform per herald (none when a single k has weight).  That is exact in
-    distribution.  At p >= 1 every pulse heralds and no gap is drawn.
+    Each pulse triggers on its own with p = sum_k w_k, so the gaps between
+    triggers are Geometric(p), drawn in blocks until they pass the chunk's
+    end, and a trigger's k has law w_k / p, drawn by one uniform per
+    trigger.  That is exact in distribution.  At p >= 1 every pulse
+    triggers and no gap is drawn; a one-class law returns its k as an int
+    and draws no uniform.
     """
-    p_k = pair_distribution(config)
-    w = p_k * _click_prob(config.det1_efficiency, config.det1_dark, np.arange(len(p_k)))
     p = float(w.sum())
     if p <= 0.0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -238,7 +243,7 @@ def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
         hidx = hidx[:np.searchsorted(hidx, m)]
     support = np.flatnonzero(w)
     if len(support) == 1:
-        return hidx, np.full(len(hidx), support[0], dtype=np.int64)
+        return hidx, int(support[0])
     # rounding can leave the cdf's end below 1, and no draw may pick a zero weight
     cdf = np.cumsum(w) / p
     k = np.searchsorted(cdf, rng.random(len(hidx)), side="right")
@@ -246,20 +251,23 @@ def _herald(rng: np.random.Generator, config: ExperimentConfig, m: int
 
 
 def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> EventStream:
-    """Run ``chunk_clicks(rng, start, m)``, which simulates pulses ``start ..
-    start + m - 1`` and returns each channel's (pulses, timestamps) by
-    channel, over fixed chunks.  Each chunk draws from its own Philox
-    substream keyed by (seed, chunk_index), and the chunks are kept in chunk
-    order, so they may run on ``parallel.ordered_map``'s thread pool
-    without changing a draw.
+    """Simulate the run over fixed chunks.  Each chunk draws from its own
+    Philox substream keyed by (seed, chunk_index): first its triggers, by
+    ``_herald`` from the run's ``_herald_weights``, then
+    ``chunk_clicks(rng, pulses, k)`` for the triggers' absolute pulses and
+    classes, which returns each channel's (pulses, timestamps) by channel.
+    The chunks are kept in chunk order, so they may run on
+    ``parallel.ordered_map``'s thread pool without changing a draw.
     """
     seed = config.require_seed()
+    weights = _herald_weights(config)
 
     def run_chunk(task):
         index, start = task
-        m = min(CHUNK_PULSES, config.n_pulses - start)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-        return chunk_clicks(rng, start, m)
+        pulses, k = _herald(rng, weights, min(CHUNK_PULSES, config.n_pulses - start))
+        pulses += start
+        return chunk_clicks(rng, pulses, k)
 
     tasks = list(enumerate(range(0, config.n_pulses, CHUNK_PULSES)))
     chunks = list(ordered_map(run_chunk, tasks))
@@ -270,11 +278,11 @@ def _generate(config: ExperimentConfig, chunk_clicks: Callable) -> EventStream:
 def _outcome_table(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The click law of the intensity-correlation run, per herald class.
 
-    A class is a pair number k (weight p_k h_k, whose sum is the trigger
-    probability), or for the coherent/thermal stand-ins the one laser pulse
-    (weight 1).  Its row holds the probabilities of no click, a start click
-    only, a stop click only and both, so the outcome's bit 0 is the start
-    click and bit 1 the stop click.  Threshold detectors factorize over
+    A class is one of ``_herald_weights``, whose weights it returns: a pair
+    number k, or the coherent/thermal stand-ins' one laser pulse.  Its row
+    holds the probabilities of no click, a start click only, a stop click
+    only and both, so the outcome's bit 0 is the start click and bit 1 the
+    stop click.  Threshold detectors factorize over
     independent photons: each band photon goes either way at the balanced
     splitter, so a detector of efficiency e misses it with 1 - q (q = e/2)
     and both miss it with 1 - q2 - q3.  So a row follows from the survival
@@ -288,15 +296,13 @@ def _outcome_table(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     q = np.array([[q2], [q3], [q2 + q3]])
     keep = np.array([[1.0 - config.det2_dark], [1.0 - config.det3_dark],
                      [(1.0 - config.det2_dark) * (1.0 - config.det3_dark)]])
+    weights = _herald_weights(config)
     if config.source_kind == "coherent":
-        weights, band = np.ones(1), np.exp(-config.mean_pairs * s_chain * q)
+        band = np.exp(-config.mean_pairs * s_chain * q)
     elif config.source_kind == "thermal":
-        weights, band = np.ones(1), 1.0 / (1.0 + config.mean_pairs * s_chain * q)
+        band = 1.0 / (1.0 + config.mean_pairs * s_chain * q)
     else:
-        p_k = pair_distribution(config)
-        k = np.arange(len(p_k))
-        weights = p_k * _click_prob(config.det1_efficiency, config.det1_dark, k)
-        band = (1.0 - s_chain * q) ** k
+        band = (1.0 - s_chain * q) ** np.arange(len(weights))
     no2, no3, no23 = keep * band * np.exp(-nu * q)
     # every entry is >= 0 in exact arithmetic, so one below 0 is a rounded zero
     table = np.stack([no23, no3 - no23, no2 - no23, 1.0 - no2 - no3 + no23], axis=1)
@@ -306,8 +312,8 @@ def _outcome_table(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     """Simulate a heralded intensity-correlation run.
 
-    Channel 1 triggers (herald click for pair sources, laser clock for the
-    coherent/thermal stand-ins), and the surviving converted-band light is
+    Channel 1 triggers, as ``_generate`` draws them (herald click for pair
+    sources, laser clock for the stand-ins), and the surviving light is
     split on a balanced splitter onto channels 2 and 3.  Each trigger's
     (start, stop) outcome is drawn by one uniform from its class's row of
     ``_outcome_table``, which is exact in distribution; normals are drawn
@@ -317,19 +323,13 @@ def generate_hbt_stream(config: ExperimentConfig) -> EventStream:
     """
     rep_ps = config.rep_period * 1e12
     sigma_ps = config.jitter_sigma * 1e12
-    classical = config.source_kind in _CLASSICAL_KINDS
     # a trigger's outcome is the number of its class's edges at or below its uniform
     edges = np.cumsum(_outcome_table(config)[1][:, :3], axis=1).T
 
-    def chunk_clicks(rng, start, m):
-        if classical:
-            pulses, k = np.arange(m, dtype=np.int64), 0
-        else:
-            pulses, k = _herald(rng, config, m)
-        pulses += start
+    def chunk_clicks(rng, pulses, k):
         u = rng.random(len(pulses))
         outcome = sum(u >= edge[k] for edge in edges)
-        del u, k
+        del u
         clicks = {}
         for channel, keep in ((TRIGGER_CHANNEL, slice(None)), (START_CHANNEL, outcome % 2 == 1),
                               (STOP_CHANNEL, outcome >= 2)):
@@ -369,9 +369,7 @@ def generate_mzi_stream(config: ExperimentConfig) -> EventStream:
     q = 0.5 * config.chain_efficiency() * config.det2_efficiency
     lam = 0.5 * config.noise_mean() * config.det2_efficiency
 
-    def chunk_clicks(rng, start, m):
-        pulses, _ = _herald(rng, config, m)
-        pulses += start
+    def chunk_clicks(rng, pulses, _):
         nh = len(pulses)
         trigger = rng.normal(0.0, sigma_ps, nh)
         trigger += pulses * rep_ps

@@ -88,8 +88,9 @@ def dense_clicks(request):
 
 def test_generation_peak(dense_clicks):
     """Nothing is sorted or joined: generation peaks at the clicks it keeps
-    (16 bytes each) plus the chunks in flight, 1.17 times the clicks'
-    bytes serial and 1.34 pooled, below the stream's own bytes pooled."""
+    (16 bytes each) plus the chunks in flight, 1.12 times the clicks'
+    bytes serial and 1.11-1.25 pooled, as the chunks in flight interleave,
+    below the stream's own bytes pooled."""
     clicks, peak = dense_clicks
     nbytes = _click_bytes(clicks)
     assert nbytes == 16 * len(clicks)

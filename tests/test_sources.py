@@ -44,8 +44,8 @@ from qfcsim.sources import (
     generate_hbt_stream,
     generate_mzi_stream,
     pair_distribution,
-    _click_prob,
     _herald,
+    _herald_weights,
     _outcome_table,
 )
 
@@ -102,12 +102,22 @@ def test_pair_distribution_single_photon():
 
 
 def test_detector_click_probabilities():
-    n = np.arange(4)
-    assert_allclose(_click_prob(0.6, 0.0, n), [0.0, 0.6, 1.0 - 0.4 ** 2, 1.0 - 0.4 ** 3],
-                    atol=1e-12)
-    assert_allclose(_click_prob(0.0, 1e-3, np.array([5])), [1e-3], atol=1e-15)
-    assert_allclose(_click_prob(0.25, 1e-4, n),
-                    1.0 - (1.0 - 1e-4) * (1.0 - 0.25) ** n, rtol=0, atol=0)
+    # a single photon heralds with one photon's threshold click probability,
+    # 1 - (1 - dark)(1 - eff), and no pulse goes without its photon
+    for eff, dark, click in ((0.6, 0.0, 0.6), (0.0, 1e-3, 1e-3), (1.0, 0.0, 1.0),
+                             (0.25, 1e-4, 1.0 - (1.0 - 1e-4) * (1.0 - 0.25))):
+        single = ExperimentConfig(source_kind="single_photon", det1_efficiency=eff,
+                                  det1_dark=dark)
+        assert_allclose(_herald_weights(single), [0.0, click], rtol=1e-12, atol=0)
+    # k pairs herald with 1 - (1 - eff)^k, weighted by their probability
+    spdc = ExperimentConfig(mean_pairs=1.0, pair_truncation=3, det1_efficiency=0.6,
+                            det1_dark=0.0)
+    assert_allclose(_herald_weights(spdc) / pair_distribution(spdc),
+                    [0.0, 0.6, 1.0 - 0.4 ** 2, 1.0 - 0.4 ** 3], atol=1e-12)
+    # the stand-ins' one class is the laser pulse, which always triggers
+    for kind in ("coherent", "thermal"):
+        assert_array_equal(_herald_weights(ExperimentConfig(source_kind=kind)), [1.0],
+                           strict=True)
 
 
 def test_entangled_pair_state_limits():
@@ -176,8 +186,9 @@ def test_first_event_times_picks_earliest(monkeypatch):
     assert sorts == [1, 1]
 
 
-# the pair source and both classical stand-ins, whose triggers are every pulse
-STREAM_CONFIGS = [calibrated_g2_config, coherent_g2_config, thermal_g2_config]
+# the pair source, both classical stand-ins, whose triggers are every pulse,
+# and the ideal single photon, which heralds every pulse with one class
+STREAM_CONFIGS = [calibrated_g2_config, coherent_g2_config, thermal_g2_config, ideal_g2_config]
 
 
 @pytest.mark.parametrize("make_config", STREAM_CONFIGS)
@@ -305,7 +316,8 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     parts = []
     for index in range(100):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, index))))
-        by_channel = bodies[0](rng, 100 * index, 100)
+        pulses, k = _herald(rng, _herald_weights(cfg), 100)
+        by_channel = bodies[0](rng, pulses + 100 * index, k)
         assert list(by_channel) == [TRIGGER_CHANNEL, START_CHANNEL]
         events = [np.concatenate([np.full(len(p), ch, dtype=np.int16)
                                   for ch, (p, _) in by_channel.items()]),
@@ -461,12 +473,6 @@ def test_stream_load_rejects_missing_header(tmp_path):
 _HERALDED_KINDS = ("spdc", "spdc_thermal", "single_photon")
 
 
-def _herald_weights(config):
-    """w_k = P(k pairs) P(herald | k), whose sum is the herald probability."""
-    p_k = pair_distribution(config)
-    return p_k * _click_prob(config.det1_efficiency, config.det1_dark, np.arange(len(p_k)))
-
-
 @settings(derandomize=True, max_examples=150, database=None, deadline=None)
 @given(kind=st.sampled_from(_HERALDED_KINDS),
        eff=st.one_of(st.just(0.0), st.floats(1e-3, 0.999), st.just(1.0)),
@@ -480,10 +486,14 @@ def test_herald_matches_its_law(kind, eff, dark, mu, truncation, seed):
     cfg = ExperimentConfig(source_kind=kind, det1_efficiency=eff, det1_dark=dark,
                            mean_pairs=mu, pair_truncation=truncation)
     m = 50_000
-    hidx, k = _herald(np.random.Generator(np.random.Philox(seed)), cfg, m)
+    w = _herald_weights(cfg)
+    hidx, k = _herald(np.random.Generator(np.random.Philox(seed)), w, m)
+    if np.count_nonzero(w) == 1:
+        # a one-class law gives its class as one int
+        assert type(k) is int
+        k = np.full(len(hidx), k)
     assert hidx.dtype == np.int64 and k.dtype == np.int64 and len(hidx) == len(k)
     assert np.all(np.diff(hidx) > 0) and (not len(hidx) or 0 <= hidx[0] <= hidx[-1] < m)
-    w = _herald_weights(cfg)
     p = min(float(w.sum()), 1.0)
     # the first half's count against the whole's catches heralds piled at the end
     assert abs(_pull(len(hidx), m, p)) <= 5.0
@@ -511,22 +521,26 @@ def test_herald_never_fires_at_zero_probability():
              # p = 1e-30: numpy saturates every gap at int64 max, which must not wrap
              ExperimentConfig(mean_pairs=1e-30, det1_efficiency=1.0, det1_dark=0.0)]
     for cfg in never:
-        hidx, k = _herald(np.random.Generator(np.random.Philox(7)), cfg, CHUNK_PULSES)
+        hidx, k = _herald(np.random.Generator(np.random.Philox(7)), _herald_weights(cfg),
+                          CHUNK_PULSES)
         assert hidx.dtype == np.int64 and k.dtype == np.int64
         assert len(hidx) == 0 and len(k) == 0
 
 
 def test_herald_at_certain_click_takes_every_pulse():
-    # the ideal source heralds every pulse with one pair and draws nothing
+    # the ideal source heralds every pulse with one pair, and the stand-ins'
+    # laser pulse triggers every pulse as class 0; neither draws anything
     ideal = ExperimentConfig(source_kind="single_photon", det1_efficiency=1.0, det1_dark=0.0)
-    rng = np.random.Generator(np.random.Philox(5))
-    hidx, k = _herald(rng, ideal, 1000)
-    assert_array_equal(hidx, np.arange(1000), strict=True)
-    assert_array_equal(k, np.ones(1000, dtype=np.int64), strict=True)
-    assert rng.random() == np.random.Generator(np.random.Philox(5)).random()
+    for cfg, cls in ((ideal, 1), (ExperimentConfig(source_kind="coherent"), 0),
+                     (ExperimentConfig(source_kind="thermal"), 0)):
+        rng = np.random.Generator(np.random.Philox(5))
+        hidx, k = _herald(rng, _herald_weights(cfg), 1000)
+        assert_array_equal(hidx, np.arange(1000), strict=True)
+        assert type(k) is int and k == cls
+        assert rng.random() == np.random.Generator(np.random.Philox(5)).random()
     # a dark count in every gate heralds every pulse too, with k drawn from p_k
     dark = ExperimentConfig(mean_pairs=0.5, det1_efficiency=0.3, det1_dark=1.0)
-    hidx, k = _herald(np.random.Generator(np.random.Philox(5)), dark, 1000)
+    hidx, k = _herald(np.random.Generator(np.random.Philox(5)), _herald_weights(dark), 1000)
     assert_array_equal(hidx, np.arange(1000), strict=True)
     assert set(k.tolist()) <= set(range(dark.pair_truncation + 1)) and len(set(k.tolist())) > 1
 
@@ -562,7 +576,8 @@ def test_herald_at_cdf_edges(kind):
                                mean_pairs=2.0, pair_truncation=3)
         w = _herald_weights(cfg)
         uniforms, _ = _cdf_edge_uniforms(w)
-        _, k = _herald(_EdgeUniforms(uniforms), cfg, 20_000)
+        hidx, k = _herald(_EdgeUniforms(uniforms), w, 20_000)
+        k = np.broadcast_to(k, hidx.shape)  # the single photon's one class is an int
         assert len(k) > len(uniforms)
         # the edges reach every pair number with weight and no other
         assert_array_equal(np.unique(k), np.flatnonzero(w))
@@ -576,7 +591,7 @@ def test_herald_never_picks_a_zero_weight(kind, mu, dark, truncation):
                            mean_pairs=mu, pair_truncation=truncation)
     w = _herald_weights(cfg)
     uniforms, cdf = _cdf_edge_uniforms(w)
-    _, k = _herald(_EdgeUniforms(uniforms), cfg, 20_000)
+    _, k = _herald(_EdgeUniforms(uniforms), w, 20_000)
     assert len(k) > 0
     assert np.all(w[k] > 0.0)
     if cdf[-1] < 1.0:
@@ -611,9 +626,13 @@ def _per_photon_outcomes(rng, config, k):
     if nu > 0.0:
         n_band += rng.poisson(nu, n)
     n_start = rng.binomial(n_band, 0.5)
-    click2 = rng.random(n) < _click_prob(config.det2_efficiency, config.det2_dark, n_start)
-    click3 = rng.random(n) < _click_prob(config.det3_efficiency, config.det3_dark,
-                                         n_band - n_start)
+
+    def click(efficiency, dark, photons):
+        # a threshold detector: a dark count or any photon registered
+        return rng.random(n) < 1.0 - (1.0 - dark) * (1.0 - efficiency) ** photons
+
+    click2 = click(config.det2_efficiency, config.det2_dark, n_start)
+    click3 = click(config.det3_efficiency, config.det3_dark, n_band - n_start)
     return click2 + 2 * click3
 
 
@@ -635,8 +654,7 @@ def test_outcome_table_matches_per_photon_chain(kind, mu, truncation, transmitta
                            det3_efficiency=eff[1], det2_dark=dark[0], det3_dark=dark[1],
                            noise_coeff=noise / 0.7, pump_power=0.7)
     weights, table = _outcome_table(cfg)
-    classical = kind in ("coherent", "thermal")
-    assert_array_equal(weights, [1.0] if classical else _herald_weights(cfg), strict=True)
+    assert_array_equal(weights, _herald_weights(cfg), strict=True)
     assert table.shape == (len(weights), 4) and np.all(table >= 0.0)
     assert_allclose(table.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     rng = np.random.Generator(np.random.Philox(seed))
