@@ -12,7 +12,7 @@ witness still certifies entanglement.  Subtracting the measured
 background rate from the counts recovers the source-limited state.
 """
 
-from qfcsim.config import calibrated_tomo_config, source_only_tomo_config
+from qfcsim.config import PRESETS
 from qfcsim.experiments import run_tomography_experiment
 from qfcsim.metrics import chsh_assessment, fidelity
 from qfcsim.qubits import PHI_PLUS, end_to_end_state
@@ -28,7 +28,7 @@ def show(tag, res):
     print(f"  CHSH (S > 2)          {'violated' if res.chsh.s_max > 2.0 else 'not violated'}")
 
 
-cfg = calibrated_tomo_config(seed=22)
+cfg = PRESETS["calibrated_tomo"]()
 rho_true = end_to_end_state(cfg)
 print(f"true end-to-end state: F = {fidelity(rho_true, PHI_PLUS):.4f}, "
       f"S_max = {chsh_assessment(rho_true).s_max:.4f}")
@@ -42,7 +42,7 @@ sub = run_tomography_experiment(cfg, subtract_bg=True)
 show("after background subtraction", sub)
 print()
 
-src = run_tomography_experiment(source_only_tomo_config(seed=23))
+src = run_tomography_experiment(PRESETS["source_only_tomo"]())
 show("source only (interface bypassed)", src)
 print()
 

@@ -12,12 +12,7 @@ accuracy against runtime.
 import argparse
 import time
 
-from qfcsim.config import (
-    calibrated_g2_config,
-    coherent_g2_config,
-    ideal_g2_config,
-    thermal_g2_config,
-)
+from qfcsim.config import PRESETS
 from qfcsim.experiments import run_g2_experiment
 from qfcsim.sources import expected_hbt_rates
 
@@ -30,17 +25,16 @@ def main():
     args = ap.parse_args()
 
     presets = [
-        ("heralded single photon", ideal_g2_config()),
-        ("coherent (Poissonian)", coherent_g2_config()),
-        ("single-mode thermal", thermal_g2_config()),
-        ("calibrated device", calibrated_g2_config()),
+        ("heralded single photon", "ideal_g2"),
+        ("coherent (Poissonian)", "coherent_g2"),
+        ("single-mode thermal", "thermal_g2"),
+        ("calibrated device", "calibrated_g2"),
     ]
     print("source                    g2(0)      +-       analytic   pulses    time")
-    for label, cfg in presets:
+    for label, name in presets:
+        cfg = PRESETS[name](seed=args.seed)
         if args.pulses is not None:
             cfg.n_pulses = args.pulses
-        if args.seed is not None:
-            cfg.seed = args.seed
         t0 = time.time()
         result = run_g2_experiment(cfg)
         dt = time.time() - t0

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_pairs
-from .config import ConfigError, ExperimentConfig, check_range, parse_scalar
+from .config import ConfigError, check_range, load_config, parse_scalar
 # count_summary, delay_histogram, chsh_assessment and mle_reconstruct are
 # unused here, but perfbench/child.py traces them under these names
 from .counting import CoincidenceWindow, count_summary, delay_histogram, first_clicks
@@ -81,16 +81,8 @@ def _flag_value(flag: str, text: str, unit: str, rule: str = "> 0") -> float:
     return value
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        config.validate()
-    return config
-
-
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config)
     result = run_efficiency_sweep(config)
     paths = write_sweep(result, args.out)
     for p in paths:
@@ -99,7 +91,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_g2(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config, args.seed)
     result = run_g2_experiment(config)
     paths = write_g2(result, args.out)
     if args.save_stream:
@@ -112,7 +104,7 @@ def _cmd_g2(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    config = _load_config(args)
+    config = load_config(args.config, args.seed)
     result = run_tomography_experiment(config, subtract_bg=args.subtract_bg)
     paths = write_tomography(result, args.out)
     if args.timebin_histogram:

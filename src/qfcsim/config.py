@@ -11,9 +11,11 @@ config round-trips through its file losslessly.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Optional
 
 from .conversion import EfficiencyModel, conversion_efficiency
@@ -244,129 +246,17 @@ class ExperimentConfig:
         return cls.from_text(text)
 
 
-# ---------------------------------------------------------------------------
-# Frozen calibration constants for the preset configs: noise coefficients
-# calibrated so the presets land on the benchmark observables.
-# ---------------------------------------------------------------------------
-
-#: noise photons per pulse per watt for the calibrated tomography preset; its
-#: white-noise admixture drags the converted fidelity of the default source
-#: and chain to 0.75 (oracle re-derived in the tests)
-NOISE_COEFF_TOMO_CAL = 0.21911353214504486
-
-#: noise photons per pulse per watt for the calibrated intensity-correlation
-#: preset; root-found against the exact click-probability enumeration so the
-#: heralded g2(0) lands on 0.17 (oracle re-derived in the tests)
-NOISE_COEFF_G2_CAL = 0.02917789025203381
+def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
+    """A fresh config read from the file ``path``, at ``seed`` if given and
+    otherwise at the file's own seed."""
+    config = ExperimentConfig.from_file(path)
+    if seed is not None:
+        config.seed = seed
+        config.validate()
+    return config
 
 
-def ideal_g2_config(seed: int = 11) -> ExperimentConfig:
-    """Lossless heralded single-photon run: g2(0) is exactly zero."""
-    return ExperimentConfig(
-        source_kind="single_photon",
-        mean_pairs=1.0,
-        pump_power=(math.pi / 2.0) ** 2 / 3.6,
-        eff_peak=1.0,
-        extra_transmittance=1.0,
-        noise_coeff=0.0,
-        pump_linewidth=0.0,
-        det1_efficiency=1.0, det1_dark=0.0,
-        det2_efficiency=0.5, det2_dark=0.0,
-        det3_efficiency=0.5, det3_dark=0.0,
-        n_pulses=10_000_000,
-        seed=seed,
-    )
-
-
-def coherent_g2_config(seed: int = 12) -> ExperimentConfig:
-    """Attenuated laser in place of the heralded source: g2 = 1."""
-    return ExperimentConfig(
-        source_kind="coherent",
-        mean_pairs=0.08,
-        det2_efficiency=0.5, det2_dark=1e-4,
-        det3_efficiency=0.5, det3_dark=1e-4,
-        noise_coeff=0.0,
-        n_pulses=2_000_000,
-        seed=seed,
-    )
-
-
-def thermal_g2_config(seed: int = 13) -> ExperimentConfig:
-    """Single-mode thermal light: g2 = 2 (minus a small saturation bias)."""
-    return ExperimentConfig(
-        source_kind="thermal",
-        mean_pairs=0.05,
-        det2_efficiency=0.5, det2_dark=0.0,
-        det3_efficiency=0.5, det3_dark=0.0,
-        noise_coeff=0.0,
-        n_pulses=4_000_000,
-        seed=seed,
-    )
-
-
-def calibrated_g2_config(seed: int = 14) -> ExperimentConfig:
-    """Heralded run with the calibrated conversion chain and pump noise."""
-    return ExperimentConfig(
-        source_kind="spdc",
-        mean_pairs=0.06,
-        det1_efficiency=0.6, det1_dark=1e-5,
-        det2_efficiency=0.25, det2_dark=1e-4,
-        det3_efficiency=0.25, det3_dark=1e-4,
-        noise_coeff=NOISE_COEFF_G2_CAL,
-        n_pulses=20_000_000,
-        seed=seed,
-    )
-
-
-def ideal_tomo_config(seed: int = 21) -> ExperimentConfig:
-    """Perfect pair source through a lossless, noiseless, quiet-pump chain."""
-    return ExperimentConfig(
-        werner_weight=1.0,
-        pump_power=(math.pi / 2.0) ** 2 / 3.6,
-        eff_peak=1.0,
-        extra_transmittance=1.0,
-        noise_coeff=0.0,
-        pump_linewidth=0.0,
-        n_per_setting=100_000.0,
-        duration_per_setting=100.0,
-        n_bootstrap=16,
-        seed=seed,
-    )
-
-
-def calibrated_tomo_config(seed: int = 22) -> ExperimentConfig:
-    """Calibrated entanglement-conversion run.
-
-    The noise coefficient pins the converted fidelity at 0.75, and the
-    setting duration is chosen so the flat in-state noise shows up at the
-    configured 0.2 Hz background rate (28000 * nu / (4 (s + nu)) = 1997
-    counts over 10000 s per setting).
-    """
-    return ExperimentConfig(
-        noise_coeff=NOISE_COEFF_TOMO_CAL,
-        n_per_setting=28_000.0,
-        duration_per_setting=10_000.0,
-        bg_rate=0.2,
-        n_bootstrap=32,
-        seed=seed,
-    )
-
-
-def source_only_tomo_config(seed: int = 23) -> ExperimentConfig:
-    """Tomography of the pair source itself, skipping the interface."""
-    cfg = calibrated_tomo_config(seed=seed)
-    cfg.interface = False
-    cfg.n_per_setting = 20_000.0
-    cfg.duration_per_setting = 500.0
-    return cfg
-
-
-PRESETS = {
-    "ideal_g2": ideal_g2_config,
-    "coherent_g2": coherent_g2_config,
-    "thermal_g2": thermal_g2_config,
-    "calibrated_g2": calibrated_g2_config,
-    "ideal_tomo": ideal_tomo_config,
-    "calibrated_tomo": calibrated_tomo_config,
-    "source_only_tomo": source_only_tomo_config,
-}
+#: the shipped operating points, one ``presets/<name>.cfg`` file each; the
+#: comment lines at the top of each file say where its values come from
+PRESETS = {path.stem: functools.partial(load_config, path)
+           for path in sorted(Path(__file__).with_name("presets").glob("*.cfg"))}

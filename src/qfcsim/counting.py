@@ -41,7 +41,7 @@ class CoincidenceWindow:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0.0:
+        if not self.width > 0.0:
             raise ValueError("window width must be > 0")
 
     def contains_ps(self, delays_ps: np.ndarray) -> np.ndarray:
@@ -189,7 +189,7 @@ def delay_histogram(delays_ps: np.ndarray, bin_width: float = 50e-12) -> DelayHi
     finite or span more than ``MAX_HISTOGRAM_BINS`` bins come from bad input
     (a stream file, or a config's jitter): ``ConfigError``, a ValueError.
     """
-    if bin_width <= 0.0:
+    if not bin_width > 0.0:
         raise ValueError("bin_width must be > 0")
     width_ps = bin_width * 1e12
     if len(delays_ps) == 0:

@@ -115,7 +115,7 @@ def convert_timebin_qubit(rho: np.ndarray, efficiency: float, coherence: float,
     rho = check_density_matrix(rho, dim=4)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
-    if noise_mean < 0.0:
+    if not noise_mean >= 0.0:
         raise ValueError("noise_mean must be >= 0")
     total = efficiency + noise_mean
     if total <= 0.0:

@@ -89,7 +89,7 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
 def subtract_background(counts, durations_s, bg_rate: float) -> np.ndarray:
     """Remove a flat accidental floor: count -> max(0, count - round(rate * t)),
     on each row of ``counts`` when it holds one row per fit."""
-    if bg_rate < 0.0:
+    if not bg_rate >= 0.0:
         raise ValueError("bg_rate must be >= 0")
     counts = np.asarray(counts, dtype=np.int64)
     # a floor beyond int64, inf included, exceeds every count and must not reach the cast

@@ -23,14 +23,7 @@ import time
 
 import numpy as np
 
-from qfcsim.config import (
-    ExperimentConfig,
-    calibrated_g2_config,
-    calibrated_tomo_config,
-    coherent_g2_config,
-    ideal_g2_config,
-    thermal_g2_config,
-)
+from qfcsim.config import PRESETS, ExperimentConfig
 from qfcsim.conversion import EfficiencyModel, conversion_efficiency, fit_efficiency_curve
 from qfcsim.counting import (
     CoincidenceWindow,
@@ -102,7 +95,7 @@ def test_criterion_2_benchmark_correlations():
     ideal, coherent, thermal = (
         analyze_g2(first_clicks(generate_hbt_stream(cfg)),
                    CoincidenceWindow(cfg.coincidence_window))
-        for cfg in (ideal_g2_config(), coherent_g2_config(), thermal_g2_config()))
+        for cfg in (PRESETS["ideal_g2"](), PRESETS["coherent_g2"](), PRESETS["thermal_g2"]()))
     # a true single photon can never produce a same-pulse coincidence
     ok = ideal.value == 0.0 and ideal.summary.n_coincidence == 0
     # Poissonian light is uncorrelated
@@ -110,7 +103,7 @@ def test_criterion_2_benchmark_correlations():
     ok = ok and abs(coherent.value - 1.0) < 4.0 * coherent.std_error
     # single-mode thermal light bunches toward 2
     ok = ok and abs(thermal.value - 2.0) < 0.5
-    oracle = expected_hbt_rates(thermal_g2_config()).g2
+    oracle = expected_hbt_rates(PRESETS["thermal_g2"]()).g2
     ok = ok and abs(thermal.value - oracle) < 4.0 * thermal.std_error
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
@@ -120,7 +113,7 @@ def test_criterion_2_benchmark_correlations():
 
 def test_criterion_3_calibrated_g2():
     t0 = time.time()
-    cfg = calibrated_g2_config(seed=14)
+    cfg = PRESETS["calibrated_g2"](seed=14)
     # the frozen noise coefficient puts the analytic value exactly on target
     ok = abs(expected_hbt_rates(cfg).g2 - 0.17) < 1e-10
     result = run_g2_experiment(cfg)
@@ -175,7 +168,7 @@ def test_criterion_5_closed_form_metrics():
     ok = ok and abs(eof_of_concurrence(concurrence(bell)) - 1.0) < 1e-12
     ok = ok and abs(chsh_assessment(bell).s_max - 2.0 * math.sqrt(2.0)) < 1e-12
     # the calibrated end-to-end state hits its closed forms
-    rho = end_to_end_state(calibrated_tomo_config())
+    rho = end_to_end_state(PRESETS["calibrated_tomo"]())
     ok = ok and abs(fidelity(rho, PHI_PLUS) - 0.75) < 1e-12
     ok = ok and abs(concurrence(rho) - 0.5) < 1e-12
     ok = ok and abs(eof_of_concurrence(concurrence(rho)) - 0.35457890266526954) < 1e-12
@@ -190,7 +183,7 @@ def test_criterion_5_closed_form_metrics():
 
 def test_criterion_6_calibrated_tomography():
     t0 = time.time()
-    cfg = calibrated_tomo_config(seed=22)
+    cfg = PRESETS["calibrated_tomo"](seed=22)
     raw = run_tomography_experiment(cfg)
     sub = run_tomography_experiment(cfg, subtract_bg=True)
     ok = abs(raw.fidelity - 0.75) < 0.03
@@ -237,7 +230,7 @@ def test_criterion_7_arrival_slots_and_postselection():
 
 def test_criterion_8_determinism_and_roundtrips(tmp_path):
     t0 = time.time()
-    cfg = calibrated_g2_config(seed=14)
+    cfg = PRESETS["calibrated_g2"](seed=14)
     cfg.n_pulses = 400_000
     a = generate_hbt_stream(cfg)
     window = CoincidenceWindow(cfg.coincidence_window)

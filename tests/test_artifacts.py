@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from qfcsim import artifacts
 from qfcsim.artifacts import BLOCK_ROWS, write_table
-from qfcsim.config import calibrated_g2_config
+from qfcsim.config import PRESETS
 from qfcsim.sources import generate_hbt_stream
 
 FLOATS = [-0.0, 1e16, 1e-05, 5e-324, 2.4e11 + 0.1, -35.5, 0.30000000000000004, 1.0]
@@ -112,7 +112,7 @@ def test_calibrated_stream_takes_the_integer_path(monkeypatch, tmp_path):
     """Only the block that holds the first 2**23 ps of a calibrated stream
     goes through ``repr``; a save that fell back on more would still be
     right, only slower."""
-    cfg = calibrated_g2_config(seed=1701)
+    cfg = PRESETS["calibrated_g2"](seed=1701)
     cfg.n_pulses = 2_000_000
     stream = generate_hbt_stream(cfg)
     assert len(stream) > 4 * BLOCK_ROWS

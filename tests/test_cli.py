@@ -18,8 +18,7 @@ import pytest
 import qfcsim
 from qfcsim import cli, experiments, sources, tomography
 from qfcsim.cli import main
-from qfcsim.config import (ExperimentConfig, calibrated_g2_config, calibrated_tomo_config,
-                           coherent_g2_config, ideal_g2_config)
+from qfcsim.config import PRESETS, ExperimentConfig
 from qfcsim.sources import EventStream
 from qfcsim.tomography import RECORD_HEADER, load_records, save_records, standard_settings
 
@@ -32,7 +31,7 @@ def _pairs(path):
 
 @pytest.fixture()
 def g2_cfg_path(tmp_path):
-    cfg = calibrated_g2_config(seed=14)
+    cfg = PRESETS["calibrated_g2"](seed=14)
     cfg.n_pulses = 120_000
     path = tmp_path / "g2.cfg"
     cfg.to_file(path)
@@ -41,7 +40,7 @@ def g2_cfg_path(tmp_path):
 
 @pytest.fixture()
 def tomo_cfg_path(tmp_path):
-    cfg = calibrated_tomo_config(seed=22)
+    cfg = PRESETS["calibrated_tomo"](seed=22)
     cfg.n_per_setting = 2000.0
     cfg.duration_per_setting = 714.0
     cfg.n_bootstrap = 2
@@ -118,7 +117,7 @@ def test_analyze_refused_flag_leaves_no_directory(tmp_path, capsys):
 def test_jitter_far_above_rep_period_exits_2(tmp_path, command, capsys):
     # a valid jitter of 8200 periods spreads the delays over more than the
     # histogram's 2^20 bins of 50 ps; that was a numerical failure, exit 3
-    cfg = calibrated_g2_config(seed=14)
+    cfg = PRESETS["calibrated_g2"](seed=14)
     cfg.jitter_sigma, cfg.n_pulses, cfg.n_bootstrap = 1e-4, 200_000, 2
     path = tmp_path / "jitter.cfg"
     cfg.to_file(path)
@@ -348,7 +347,7 @@ def _assert_insufficient(report):
 def test_zero_rows_of_one_count_tomo_are_flagged_not_fatal(tmp_path, capsys):
     # at one count per setting the counts or some replicates are all zero;
     # that made the whole batch fail (exit 3) for 14 of these 30 seeds
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.n_per_setting = 1.0
     path = tmp_path / "one.cfg"
     cfg.to_file(path)
@@ -375,7 +374,7 @@ def test_zero_rows_of_one_count_tomo_are_flagged_not_fatal(tmp_path, capsys):
 def test_analyze_counts_of_all_zero_tomo_is_insufficient(tmp_path, capsys):
     # seed 29 of the test above writes no count at all; analyze --counts
     # reports that file as tomo did, where it refused it as bad input (exit 2)
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.n_per_setting = 1.0
     path = tmp_path / "one.cfg"
     cfg.to_file(path)
@@ -389,7 +388,7 @@ def test_analyze_counts_of_all_zero_tomo_is_insufficient(tmp_path, capsys):
 def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
     # the preset's floor is round(0.2 Hz * 10,000 s) = 2,000 counts per
     # setting, so at 400 per setting no count is left to fit
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.n_per_setting = 400.0
     path = tmp_path / "short.cfg"
     cfg.to_file(path)
@@ -427,7 +426,7 @@ def test_g2_on_empty_run_exits_zero(tmp_path, capsys):
 
 def test_g2_and_analyze_stream_share_sufficiency_rule(tmp_path, capsys):
     # 60 triggers: too few for g2(0) in both the run and the re-analysis
-    cfg = ideal_g2_config(seed=3)
+    cfg = PRESETS["ideal_g2"](seed=3)
     cfg.n_pulses = 60
     path = tmp_path / "short.cfg"
     cfg.to_file(path)
@@ -511,7 +510,7 @@ def test_analyze_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
 def test_g2_refuses_a_histogram_of_unbounded_span(tmp_path, capsys):
     # 1 s of jitter spreads the zero-offset delays over about 1e11 bins: a
     # config the histogram cannot hold
-    cfg = coherent_g2_config(seed=5)
+    cfg = PRESETS["coherent_g2"](seed=5)
     cfg.mean_pairs, cfg.jitter_sigma, cfg.n_pulses = 5.0, 1.0, 2000
     path = tmp_path / "wide.cfg"
     cfg.to_file(path)
@@ -669,7 +668,7 @@ def _run_under_2_gb(tmp_path, cfg, command, *flags):
 def test_heavy_noise_timebin_run_fits_in_memory(tmp_path):
     # 5.25e6 detected noise photons per herald: one candidate click per
     # photon asked for about 27 GiB; each herald's earliest click alone fits
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.noise_coeff, cfg.pump_power, cfg.n_pulses, cfg.n_bootstrap = 1e6, 70.0, 20_000, 0
     out = tmp_path / "out"
     proc = _run_under_2_gb(tmp_path, cfg, "tomo", "--out", str(out), "--timebin-histogram")
@@ -683,7 +682,7 @@ def test_run_beyond_memory_exits_2_with_one_line(tmp_path):
     # the sweep's power grid, 2 mW steps up to 1e12 W, asks for 3.55 PiB;
     # that allocation fails, which is bad input (exit 2), not a traceback
     # (exit 1), and it leaves no artifact
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.pump_power = 1e12
     out = tmp_path / "out"
     proc = _run_under_2_gb(tmp_path, cfg, "sweep", "--out", str(out))

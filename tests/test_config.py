@@ -1,4 +1,4 @@
-"""Config parsing, serialization, and the frozen calibration constants."""
+"""Config parsing, serialization, and the shipped preset files."""
 
 import math
 from dataclasses import fields
@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qfcsim.config
 from qfcsim.config import (
     ConfigError,
     ExperimentConfig,
-    NOISE_COEFF_G2_CAL,
-    NOISE_COEFF_TOMO_CAL,
     PRESETS,
     SOURCE_KINDS,
     parse_scalar,
@@ -56,7 +55,7 @@ def test_default_config_is_valid():
 
 def test_text_roundtrip_is_lossless():
     cfg = ExperimentConfig(seed=5, pump_power=0.123456789012345,
-                           noise_coeff=NOISE_COEFF_G2_CAL)
+                           noise_coeff=PRESETS["calibrated_g2"]().noise_coeff)
     back = ExperimentConfig.from_text(cfg.to_text())
     assert back == cfg
 
@@ -274,18 +273,18 @@ def test_tomo_noise_constant_hits_target_fidelity():
     cfg = PRESETS["calibrated_tomo"]()
     s, d, p = _chain(cfg)
     f_source = (1.0 + p) / 4.0 + p * d / 2.0
-    assert NOISE_COEFF_TOMO_CAL == s * (f_source - 0.75) / (0.75 - 0.25) / cfg.pump_power
+    assert cfg.noise_coeff == s * (f_source - 0.75) / (0.75 - 0.25) / cfg.pump_power
     nu = cfg.noise_mean()
     w = nu / (s + nu)
     f_out = (1.0 - w) * f_source + w * 0.25
     assert abs(f_out - 0.75) < 1e-12
-    assert abs(NOISE_COEFF_TOMO_CAL - 0.21911353214504486) < 1e-15
+    assert abs(cfg.noise_coeff - 0.21911353214504486) < 1e-15
 
 
 def test_presets_validate_and_are_distinct():
     seen = set()
-    for name, factory in PRESETS.items():
-        cfg = factory()
+    for name, preset in PRESETS.items():
+        cfg = preset()
         cfg.validate()
         assert cfg.seed is not None
         key = (cfg.source_kind, cfg.seed, cfg.n_pulses, cfg.noise_coeff)
@@ -294,11 +293,14 @@ def test_presets_validate_and_are_distinct():
 
 
 def test_config_files_match_presets():
-    # configs/ holds exactly the presets, each as to_text writes it
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
-    assert sorted(p.stem for p in config_dir.glob("*.cfg")) == sorted(PRESETS)
-    for name, factory in PRESETS.items():
-        assert (config_dir / f"{name}.cfg").read_text() == factory().to_text()
+    # the preset directory holds exactly the presets, each, below its
+    # comment lines, as to_text writes it
+    preset_dir = Path(qfcsim.config.__file__).with_name("presets")
+    assert sorted(p.stem for p in preset_dir.glob("*.cfg")) == sorted(PRESETS)
+    for name, preset in PRESETS.items():
+        lines = (preset_dir / f"{name}.cfg").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "".join(line for line in lines if not line.startswith("#")) == preset().to_text()
+        assert preset(seed=987).seed == 987
 
 
 def test_noise_mean_and_helpers():

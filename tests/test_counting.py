@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qfcsim import counting, sources
-from qfcsim.config import calibrated_g2_config, ExperimentConfig
+from qfcsim import convert_timebin_qubit, counting, sources, subtract_background
+from qfcsim.config import PRESETS, ExperimentConfig
 from qfcsim.counting import (
     CoincidenceWindow,
     CountSummary,
@@ -206,6 +206,23 @@ def test_delay_histogram_zero_centered_bins(tmp_path):
         delay_histogram(delays, bin_width=0.0)
 
 
+def test_public_guards_refuse_nan():
+    # every range guard is written so that NaN fails it: a NaN window counts
+    # nothing, a NaN bin width makes an empty or misleadingly refused
+    # histogram, a NaN background zeroes every count, and a NaN noise mean
+    # makes a NaN state
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        CoincidenceWindow(nan)
+    for delays in (np.zeros(0), np.array([0.0, 40.0])):
+        with pytest.raises(ValueError, match="bin_width"):
+            delay_histogram(delays, bin_width=nan)
+    with pytest.raises(ValueError):
+        subtract_background([25, 10], [100.0, 100.0], nan)
+    with pytest.raises(ValueError):
+        convert_timebin_qubit(np.eye(4) / 4.0, 0.5, 1.0, nan)
+
+
 def test_delay_histogram_refuses_unbounded_spans():
     # the widest span allowed is MAX_HISTOGRAM_BINS bins, edge bins included
     width_ps = 50.0
@@ -221,7 +238,7 @@ def test_delay_histogram_refuses_unbounded_spans():
 
 
 def test_histogram_mass_equals_pairs():
-    cfg = calibrated_g2_config(seed=21)
+    cfg = PRESETS["calibrated_g2"](seed=21)
     cfg.n_pulses = 200_000
     clicks = first_clicks(generate_hbt_stream(cfg))
     delays, _ = pair_delays(clicks)
@@ -231,7 +248,7 @@ def test_histogram_mass_equals_pairs():
 
 def test_g2_at_offset_near_one_for_uncorrelated():
     # distant pulses share no physics, so the sideband estimator sits at 1
-    cfg = calibrated_g2_config(seed=42)
+    cfg = PRESETS["calibrated_g2"](seed=42)
     cfg.n_pulses = 2_000_000
     stream = generate_hbt_stream(cfg)
     window = CoincidenceWindow(cfg.coincidence_window)
@@ -264,7 +281,7 @@ def test_select_window_keeps_central_peak():
 
 
 def test_select_window_is_idempotent():
-    cfg = calibrated_g2_config(seed=77)
+    cfg = PRESETS["calibrated_g2"](seed=77)
     cfg.n_pulses = 100_000
     stream = generate_hbt_stream(cfg)
     window = CoincidenceWindow(cfg.coincidence_window)
@@ -356,7 +373,7 @@ def test_first_event_times_equal_sort_based_reference(generate):
     # both generators give at most one click per pulse and channel, even
     # under pump noise; a loaded stream may repeat a pulse, which
     # test_first_event_times_picks_earliest and _small_streams cover
-    cfg = calibrated_g2_config(seed=41)
+    cfg = PRESETS["calibrated_g2"](seed=41)
     cfg.n_pulses, cfg.mean_pairs, cfg.noise_coeff = 100_000, 0.2, 40.0
     clicks = generate(cfg)
     generated = {ch: clicks.first_event_times(ch)

@@ -10,14 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qfcsim import experiments
-from qfcsim.config import (
-    ExperimentConfig,
-    calibrated_g2_config,
-    calibrated_tomo_config,
-    ideal_g2_config,
-    ideal_tomo_config,
-    source_only_tomo_config,
-)
+from qfcsim.config import PRESETS, ExperimentConfig
 from qfcsim.experiments import (
     analyze_g2,
     g2_report,
@@ -87,7 +80,7 @@ def test_write_sweep_files(tmp_path):
 
 
 def test_g2_experiment_is_deterministic():
-    cfg = calibrated_g2_config(seed=121)
+    cfg = PRESETS["calibrated_g2"](seed=121)
     cfg.n_pulses = 300_000
     a = run_g2_experiment(cfg)
     b = run_g2_experiment(cfg)
@@ -99,7 +92,7 @@ def test_g2_experiment_is_deterministic():
 
 
 def test_g2_insufficient_run_yields_nan():
-    cfg = calibrated_g2_config(seed=3)
+    cfg = PRESETS["calibrated_g2"](seed=3)
     cfg.n_pulses = 2000  # ~70 triggers, below the opportunity floor
     # no events at all: the herald never fires
     empty = ExperimentConfig(det1_efficiency=0.0, det1_dark=0.0, n_pulses=50, seed=1)
@@ -118,9 +111,9 @@ def test_g2_insufficient_run_yields_nan():
 def test_pooled_sideband_pull_is_small():
     # distant pulses are uncorrelated, so the pooled sideband level sits at 1
     # within its Poisson error bar, heralded-sparse and dense alike
-    dense = ideal_g2_config()
+    dense = PRESETS["ideal_g2"]()
     dense.n_pulses = 400_000
-    for cfg in (calibrated_g2_config(), dense):
+    for cfg in (PRESETS["calibrated_g2"](), dense):
         res = run_g2_experiment(cfg)
         assert len(res.sidebands) == 10
         assert abs(res.sideband_pull) <= 5.0, (cfg.source_kind, res.sideband_pull)
@@ -149,7 +142,7 @@ def test_sideband_errors_are_first_order_poisson():
 
 
 def test_write_g2_files(tmp_path):
-    cfg = calibrated_g2_config(seed=121)
+    cfg = PRESETS["calibrated_g2"](seed=121)
     cfg.n_pulses = 300_000
     res = run_g2_experiment(cfg)
     write_g2(res, tmp_path)
@@ -176,7 +169,7 @@ def test_write_g2_files(tmp_path):
 def _noisy_mzi_config():
     """Calibrated tomography run with strong pump noise and dark counts, so
     a pulse's earliest start click is often a noise or dark click."""
-    cfg = calibrated_tomo_config(seed=31)
+    cfg = PRESETS["calibrated_tomo"](seed=31)
     cfg.source_kind = "spdc_thermal"
     cfg.noise_coeff, cfg.det2_dark, cfg.n_pulses = 3.0, 1e-2, 300_000
     return cfg
@@ -185,7 +178,7 @@ def _noisy_mzi_config():
 def _long_delay_mzi_config():
     """A 4 ns interferometer delay spreads the noise over +-8 ns, more than
     half the 12.2 ns period, so start clicks leave pulse order."""
-    cfg = calibrated_tomo_config(seed=32)
+    cfg = PRESETS["calibrated_tomo"](seed=32)
     cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 4e-9, 0.5, 1.0
     cfg.noise_coeff, cfg.n_pulses = 20.0, 200_000
     return cfg
@@ -275,7 +268,7 @@ def test_mzi_histogram_slot_weights():
 
 
 def test_tomography_source_only_fidelity():
-    cfg = source_only_tomo_config()
+    cfg = PRESETS["source_only_tomo"]()
     cfg.n_bootstrap = 6
     res = run_tomography_experiment(cfg)
     assert abs(res.fidelity - 0.95) < 0.02
@@ -285,7 +278,7 @@ def test_tomography_source_only_fidelity():
 
 
 def test_tomography_determinism_and_rate():
-    cfg = calibrated_tomo_config(seed=400)
+    cfg = PRESETS["calibrated_tomo"](seed=400)
     cfg.n_bootstrap = 0
     a = run_tomography_experiment(cfg)
     b = run_tomography_experiment(cfg)
@@ -299,7 +292,7 @@ def test_tomography_determinism_and_rate():
 
 
 def test_tomography_subtraction_uses_configured_rate():
-    cfg = calibrated_tomo_config(seed=401)
+    cfg = PRESETS["calibrated_tomo"](seed=401)
     cfg.n_bootstrap = 0
     raw = run_tomography_experiment(cfg)
     sub = run_tomography_experiment(cfg, subtract_bg=True)
@@ -311,13 +304,13 @@ def test_tomography_subtraction_uses_configured_rate():
     assert sub.fidelity > raw.fidelity + 0.1
 
 
-@pytest.mark.parametrize("make_config",
-                         [ideal_tomo_config, calibrated_tomo_config, source_only_tomo_config])
+@pytest.mark.parametrize("preset", ["ideal_tomo", "calibrated_tomo", "source_only_tomo"],
+                         ids="{}_config".format)
 @pytest.mark.parametrize("subtract", [False, True])
-def test_tomo_point_fit_equals_the_one_row_fit(make_config, subtract):
+def test_tomo_point_fit_equals_the_one_row_fit(preset, subtract):
     # tomo fits its counts as row 0 of the bootstrap batch and analyze
     # --counts fits them alone; their reports must agree exactly
-    cfg = make_config()
+    cfg = PRESETS[preset]()
     res = run_tomography_experiment(cfg, subtract_bg=subtract)
     fitted = subtract_background(res.counts, res.durations_s, cfg.bg_rate) if subtract else res.counts
     alone = mle_reconstruct(res.settings, fitted)
@@ -329,7 +322,7 @@ def test_tomo_point_fit_equals_the_one_row_fit(make_config, subtract):
 
 
 def test_tomography_report_and_files(tmp_path):
-    cfg = calibrated_tomo_config(seed=402)
+    cfg = PRESETS["calibrated_tomo"](seed=402)
     cfg.n_bootstrap = 4
     res = run_tomography_experiment(cfg)
     report = tomography_report(res)
@@ -358,7 +351,7 @@ def test_subtracted_bootstrap_has_no_long_fit_tail():
     # Subtraction zeroes counts and puts the replicates' optima on the
     # boundary of the state set, where a slow fit shows as one long row
     # (an iteration count, so the check is deterministic).
-    res = run_tomography_experiment(calibrated_tomo_config(seed=22), subtract_bg=True)
+    res = run_tomography_experiment(PRESETS["calibrated_tomo"](seed=22), subtract_bg=True)
     iterations = tomography_report(res)["bootstrap_mle_iterations"]
     assert len(iterations) == 32
     assert max(iterations) <= 2_000
@@ -366,7 +359,7 @@ def test_subtracted_bootstrap_has_no_long_fit_tail():
 
 @pytest.mark.parametrize("subtract", [False, True])
 def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
-    cfg = calibrated_tomo_config(seed=402)
+    cfg = PRESETS["calibrated_tomo"](seed=402)
     cfg.n_bootstrap = 4
     res = run_tomography_experiment(cfg, subtract_bg=subtract)
     samples = {"fidelity": [], "concurrence": [], "eof": [], "s_max": []}
@@ -388,7 +381,7 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
 def test_zero_replicate_is_left_out_of_the_errors():
     # an all-zero replicate is counted, not fitted: the result equals the
     # one without it, and a row that only subtraction zeroes counts too
-    cfg = calibrated_tomo_config(seed=402)
+    cfg = PRESETS["calibrated_tomo"](seed=402)
     cfg.n_bootstrap = 3
     res = run_tomography_experiment(cfg)
     # the floor is round(0.1 Hz * 10,000 s) = 1,000 counts per setting

@@ -23,7 +23,7 @@ import pytest
 
 from qfcsim import parallel
 from qfcsim.artifacts import BLOCK_ROWS
-from qfcsim.config import ExperimentConfig, calibrated_tomo_config
+from qfcsim.config import PRESETS, ExperimentConfig
 from qfcsim.counting import (CoincidenceWindow, count_summary, first_clicks, opportunities,
                              pair_delays)
 from qfcsim.sources import (START_CHANNEL, TRIGGER_CHANNEL, EventStream, generate_hbt_stream,
@@ -31,7 +31,7 @@ from qfcsim.sources import (START_CHANNEL, TRIGGER_CHANNEL, EventStream, generat
 
 from test_counting import stream_of
 
-IDEAL_G2 = Path(__file__).resolve().parent.parent / "configs" / "ideal_g2.cfg"
+IDEAL_G2 = Path(__file__).resolve().parent.parent / "src" / "qfcsim" / "presets" / "ideal_g2.cfg"
 
 #: bytes per stream event: int16 channel, int64 pulse, float64 time
 EVENT_BYTES = 2 + 8 + 8
@@ -223,7 +223,7 @@ def test_timebin_generation_peak_does_not_grow_with_noise():
     click per herald, and generation peaks at a fixed number of bytes per
     herald whatever the noise: measured at 49 with no noise and 80 with it.
     One candidate click per noise photon peaked at 1,645."""
-    cfg = calibrated_tomo_config(seed=5)
+    cfg = PRESETS["calibrated_tomo"](seed=5)
     cfg.mean_pairs, cfg.det1_efficiency, cfg.n_pulses = 3.0, 1.0, 50_000
     started = not tracemalloc.is_tracing()
     if started:

@@ -14,7 +14,7 @@ from numpy.testing import assert_array_equal
 
 from qfcsim import artifacts, parallel, sources
 from qfcsim.cli import main
-from qfcsim.config import SOURCE_KINDS, calibrated_g2_config, calibrated_tomo_config
+from qfcsim.config import PRESETS, SOURCE_KINDS
 from qfcsim.parallel import MIN_TASKS, ordered_map, pool_size
 from qfcsim.sources import generate_hbt_stream, generate_mzi_stream
 
@@ -74,13 +74,13 @@ def test_task_exception_keeps_its_type(cpus, n_cpus):
 
 
 def _hbt_config(kind):
-    cfg = calibrated_g2_config(seed=41)
+    cfg = PRESETS["calibrated_g2"](seed=41)
     cfg.source_kind, cfg.mean_pairs, cfg.n_pulses = kind, 0.3, 20_000
     return cfg
 
 
 def _mzi_config(kind):
-    cfg = calibrated_tomo_config(seed=42)
+    cfg = PRESETS["calibrated_tomo"](seed=42)
     cfg.source_kind, cfg.n_pulses = kind, 20_000
     return cfg
 
@@ -161,7 +161,7 @@ def test_pooled_save_stream_equals_serial(cpus, monkeypatch, tmp_path, capsys):
     # pulses is pooled, and its stream of about 9,000 rows written in 9 blocks
     monkeypatch.setattr(sources, "CHUNK_PULSES", 40_000)
     monkeypatch.setattr(artifacts, "BLOCK_ROWS", 1_000)
-    cfg = replace(calibrated_g2_config(seed=43), n_pulses=200_000)
+    cfg = replace(PRESETS["calibrated_g2"](seed=43), n_pulses=200_000)
     path = tmp_path / "g2.cfg"
     cfg.to_file(path)
     args = ["g2", "--config", str(path), "--out", str(tmp_path / "out"), "--save-stream"]

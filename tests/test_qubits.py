@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qfcsim.config import calibrated_tomo_config, source_only_tomo_config
+from qfcsim.config import PRESETS
 from qfcsim.qubits import (
     KET_D,
     KET_H,
@@ -135,7 +135,7 @@ def test_decode_phase_selects_bell_state():
 
 
 def test_end_to_end_calibrated_fidelity():
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     rho = end_to_end_state(cfg)
     check_density_matrix(rho, dim=4)
     f = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
@@ -143,7 +143,7 @@ def test_end_to_end_calibrated_fidelity():
 
 
 def test_end_to_end_source_only():
-    cfg = source_only_tomo_config()
+    cfg = PRESETS["source_only_tomo"]()
     rho = end_to_end_state(cfg)
     f = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
     # (1 + 3 w)/4 at w = 14/15
@@ -151,7 +151,7 @@ def test_end_to_end_source_only():
 
 
 def test_end_to_end_noiseless_chain_preserves_werner():
-    cfg = calibrated_tomo_config()
+    cfg = PRESETS["calibrated_tomo"]()
     cfg.noise_coeff = 0.0
     cfg.pump_linewidth = 0.0
     rho = end_to_end_state(cfg)

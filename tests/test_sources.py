@@ -24,12 +24,7 @@ from qfcsim.config import (
     ConfigError,
     SOURCE_KINDS,
     ExperimentConfig,
-    NOISE_COEFF_G2_CAL,
-    calibrated_g2_config,
-    calibrated_tomo_config,
-    coherent_g2_config,
-    ideal_g2_config,
-    thermal_g2_config,
+    PRESETS,
 )
 from qfcsim.counting import CoincidenceWindow, count_summary, first_clicks, pair_delays
 from qfcsim import sources
@@ -188,12 +183,12 @@ def test_first_event_times_picks_earliest(monkeypatch):
 
 # the pair source, both classical stand-ins, whose triggers are every pulse,
 # and the ideal single photon, which heralds every pulse with one class
-STREAM_CONFIGS = [calibrated_g2_config, coherent_g2_config, thermal_g2_config, ideal_g2_config]
+STREAM_PRESETS = ["calibrated_g2", "coherent_g2", "thermal_g2", "ideal_g2"]
 
 
-@pytest.mark.parametrize("make_config", STREAM_CONFIGS)
-def test_stream_determinism_same_seed(make_config):
-    cfg = make_config(seed=909)
+@pytest.mark.parametrize("preset", STREAM_PRESETS, ids="{}_config".format)
+def test_stream_determinism_same_seed(preset):
+    cfg = PRESETS[preset](seed=909)
     cfg.n_pulses = 150_000
     a = columns_of(generate_hbt_stream(cfg))
     b = columns_of(generate_hbt_stream(cfg))
@@ -203,14 +198,14 @@ def test_stream_determinism_same_seed(make_config):
     assert len(c[2]) != len(a[2]) or not np.array_equal(c[2], a[2])
 
 
-@pytest.mark.parametrize("make_config", STREAM_CONFIGS)
-def test_stream_chunks_are_extension_stable(make_config):
+@pytest.mark.parametrize("preset", STREAM_PRESETS, ids="{}_config".format)
+def test_stream_chunks_are_extension_stable(preset):
     # adding pulses must not disturb earlier chunks: a longer run agrees
     # with a shorter one event for event over the shared prefix
-    cfg = make_config(seed=33)
+    cfg = PRESETS[preset](seed=33)
     cfg.n_pulses = CHUNK_PULSES
     short = columns_of(generate_hbt_stream(cfg))
-    cfg_long = make_config(seed=33)
+    cfg_long = PRESETS[preset](seed=33)
     cfg_long.n_pulses = CHUNK_PULSES + 1000
     long = columns_of(generate_hbt_stream(cfg_long))
     head = long[1] < CHUNK_PULSES
@@ -219,7 +214,7 @@ def test_stream_chunks_are_extension_stable(make_config):
 
 
 def test_stream_singles_match_enumeration():
-    cfg = calibrated_g2_config(seed=55)
+    cfg = PRESETS["calibrated_g2"](seed=55)
     cfg.n_pulses = 300_000
     rates = expected_hbt_rates(cfg)
     channels, pulses, _ = columns_of(generate_hbt_stream(cfg))
@@ -237,23 +232,23 @@ def test_stream_singles_match_enumeration():
 def test_expected_rates_coherent_is_uncorrelated():
     # for Poissonian light the two split detectors are independent, so the
     # enumeration must give g2 = 1 identically
-    rates = expected_hbt_rates(coherent_g2_config())
+    rates = expected_hbt_rates(PRESETS["coherent_g2"]())
     assert abs(rates.g2 - 1.0) < 1e-9
     # and it stays 1 across powers of the stand-in
-    cfg = coherent_g2_config()
+    cfg = PRESETS["coherent_g2"]()
     for mean in (0.01, 0.2, 1.0):
         cfg.mean_pairs = mean
         assert abs(expected_hbt_rates(cfg).g2 - 1.0) < 1e-9
 
 
 def test_expected_rates_thermal_bunches():
-    rates = expected_hbt_rates(thermal_g2_config())
+    rates = expected_hbt_rates(PRESETS["thermal_g2"]())
     assert abs(rates.g2 - THERMAL_ORACLE_G2) < 1e-9
     assert 1.9 < rates.g2 < 2.0
 
 
 def test_expected_rates_heralded_antibunches():
-    rates = expected_hbt_rates(calibrated_g2_config())
+    rates = expected_hbt_rates(PRESETS["calibrated_g2"]())
     assert rates.g2 < 0.2
     assert rates.p_coincidence < rates.p_start * rates.p_stop
 
@@ -270,19 +265,19 @@ def noise_coeff_for_g2(config: ExperimentConfig, target: float, upper: float = 2
 
 
 def test_noise_calibration_reproduces_frozen_coefficient():
-    cfg = calibrated_g2_config()
-    cfg.noise_coeff = 0.0
+    cfg = PRESETS["calibrated_g2"]()
+    shipped, cfg.noise_coeff = cfg.noise_coeff, 0.0
     found = noise_coeff_for_g2(cfg, 0.17)
-    assert abs(found - NOISE_COEFF_G2_CAL) < 1e-12
+    assert abs(found - shipped) < 1e-12
     cfg.noise_coeff = found
     assert abs(expected_hbt_rates(cfg).g2 - 0.17) < 1e-10
     with pytest.raises(ValueError):
-        noise_coeff_for_g2(thermal_g2_config(), 0.17)
+        noise_coeff_for_g2(PRESETS["thermal_g2"](), 0.17)
 
 
 def test_mzi_stream_rejects_classical_source():
     with pytest.raises(ConfigError):
-        generate_mzi_stream(coherent_g2_config())
+        generate_mzi_stream(PRESETS["coherent_g2"]())
 
 
 def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
@@ -292,7 +287,7 @@ def test_chunks_whose_clicks_overlap_join_in_time_order(monkeypatch):
     # pulses heralded and 3.15 noise clicks each on average, of which each
     # herald keeps only its earliest start click, 3-12 of the 99 chunk
     # boundaries overlapped in each of 20 seeded runs, so none is out of reach
-    cfg = calibrated_tomo_config(seed=1)
+    cfg = PRESETS["calibrated_tomo"](seed=1)
     cfg.mzi_delay, cfg.mean_pairs, cfg.det1_efficiency = 0.49 * cfg.rep_period, 3.0, 1.0
     cfg.noise_coeff, cfg.n_pulses = 60.0, 10_000
     monkeypatch.setattr("qfcsim.sources.CHUNK_PULSES", 100)
@@ -376,7 +371,7 @@ def test_sorted_blocks_carry_clicks_past_later_chunks():
 def test_save_leaves_the_stream_intact(tmp_path, monkeypatch):
     # a library caller may save a run, then save it again or index it
     monkeypatch.setattr(sources, "CHUNK_PULSES", 50_000)
-    cfg = calibrated_g2_config(seed=21)
+    cfg = PRESETS["calibrated_g2"](seed=21)
     cfg.n_pulses = 200_000
     stream = generate_hbt_stream(cfg)
     assert len(stream.chunks) == 4
@@ -673,7 +668,7 @@ def test_outcome_table_matches_per_photon_chain(kind, mu, truncation, transmitta
             chi2 = float(np.sum((obs - exp) ** 2 / exp))
             assert stats.chi2.sf(chi2, len(exp) - 1) > 1e-6, (k, observed, table[k])
     # the lossless single photon never clicks on both sides, by construction
-    assert _outcome_table(ideal_g2_config())[1][1].tolist() == [0.5, 0.25, 0.25, 0.0]
+    assert _outcome_table(PRESETS["ideal_g2"]())[1][1].tolist() == [0.5, 0.25, 0.25, 0.0]
 
 
 @settings(derandomize=True, max_examples=60, database=None, deadline=None)

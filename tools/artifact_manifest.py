@@ -3,17 +3,17 @@
 Usage: python3 tools/artifact_manifest.py OUT [PRESET ...]
 
 Runs each command of the set in a fresh interpreter on the ``src`` tree
-next to this script, with the preset's file under ``configs/`` at that
-file's seed, and writes into ``OUT/<preset>/<step>/``.  For every preset
-the set is ``sweep``; for a ``*_g2`` preset also ``g2 --save-stream`` and
-``analyze --stream`` on its stream; for a ``*_tomo`` preset also ``tomo``,
-``tomo --subtract-bg --timebin-histogram``, and ``analyze --counts`` on
-the raw counts with and without ``--subtract-bg``.  The seven presets under
-``configs/`` give 55 files.  The output is two ``#`` lines (the file count,
-and the python and numpy versions), then ``sha256  path`` per file, sorted
-by the path relative to OUT, so the manifests of two checkouts compare with
-``diff``.  With no PRESET, every preset under ``configs/`` runs, and the
-output is ``tests/golden_artifacts.sha256`` line for line.  Each
+next to this script, with the preset's file under ``src/qfcsim/presets/``
+at that file's seed, and writes into ``OUT/<preset>/<step>/``.  For every
+preset the set is ``sweep``; for a ``*_g2`` preset also ``g2
+--save-stream`` and ``analyze --stream`` on its stream; for a ``*_tomo``
+preset also ``tomo``, ``tomo --subtract-bg --timebin-histogram``, and
+``analyze --counts`` on the raw counts with and without ``--subtract-bg``.
+The seven preset files give 55 files.  The output is two ``#`` lines (the
+file count, and the python and numpy versions), then ``sha256  path`` per
+file, sorted by the path relative to OUT, so the manifests of two
+checkouts compare with ``diff``.  With no PRESET, every preset file runs,
+and the output is ``tests/golden_artifacts.sha256`` line for line.  Each
 command's peak RSS goes to stderr as ``peak_rss_mb=X  <preset>/<step>``,
 taken from the rusage ``os.wait4`` reports for that command.  No command
 forks a worker, so that is the command's own peak.
@@ -30,14 +30,15 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# every file under configs/ is a preset (tests/test_config.py holds them equal)
-PRESETS = tuple(sorted(path.stem for path in (ROOT / "configs").glob("*.cfg")))
+PRESET_DIR = ROOT / "src" / "qfcsim" / "presets"
+# the files qfcsim.config.PRESETS is read from, listed without importing it
+PRESETS = tuple(sorted(path.stem for path in PRESET_DIR.glob("*.cfg")))
 NUMBERS = "zero one two three four five six seven eight nine ten".split()
 
 
 def preset_commands(preset: str, out: Path) -> list[list[str]]:
     """CLI argument lists of one preset, in run order."""
-    cfg = str(ROOT / "configs" / f"{preset}.cfg")
+    cfg = str(PRESET_DIR / f"{preset}.cfg")
     commands = [["sweep", "--config", cfg, "--out", str(out / "sweep")]]
     if preset.endswith("_g2"):
         commands += [
