@@ -8,8 +8,10 @@ maximum likelihood.
 The interesting part is the noise floor.  Pump-induced photons admix an
 unpolarized background that drags the raw fidelity to ~0.75, low enough
 that no measurement settings violate the CHSH bound, while the fidelity
-witness still certifies entanglement.  Subtracting the measured
-background rate from the counts recovers the source-limited state.
+witness still certifies entanglement.  That background is white noise of
+weight w in the state, so it puts the same n w / 4 counts on every
+setting; subtracting that floor from the counts recovers the
+source-limited state.
 """
 
 from qfcsim.config import PRESETS

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo = sub.add_parser("tomo", help="two-qubit tomography of the converted state")
     add_common(p_tomo)
     p_tomo.add_argument("--subtract-bg", action="store_true",
-                        help="subtract the configured flat background before MLE")
+                        help="subtract the pump-noise floor of the state before MLE")
     p_tomo.add_argument("--timebin-histogram", action="store_true",
                         help="also simulate and write the arrival-time histogram")
 
@@ -66,10 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="histogram bin width in s (e.g. 50ps)")
     p_an.add_argument("--window", default="1ns",
                       help="coincidence window width in s (e.g. 1ns)")
-    p_an.add_argument("--subtract-bg", action="store_true",
-                      help="subtract a flat background from count records")
-    p_an.add_argument("--bg-rate", default="0.2Hz",
-                      help="background rate in Hz for --subtract-bg")
+    p_an.add_argument("--bg-rate", help="subtract a flat background of this rate "
+                      "in Hz (e.g. 0.2Hz) from count records")
     return parser
 
 
@@ -81,16 +79,12 @@ def _flag_value(flag: str, text: str, unit: str, rule: str = "> 0") -> float:
     return value
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> list[Path]:
     config = load_config(args.config)
-    result = run_efficiency_sweep(config)
-    paths = write_sweep(result, args.out)
-    for p in paths:
-        print(p)
-    return 0
+    return write_sweep(run_efficiency_sweep(config), args.out)
 
 
-def _cmd_g2(args) -> int:
+def _cmd_g2(args) -> list[Path]:
     config = load_config(args.config, args.seed)
     result = run_g2_experiment(config)
     paths = write_g2(result, args.out)
@@ -98,12 +92,10 @@ def _cmd_g2(args) -> int:
         stream_path = Path(args.out) / "events.csv"
         result.stream.save(stream_path)
         paths.append(stream_path)
-    for p in paths:
-        print(p)
-    return 0
+    return paths
 
 
-def _cmd_tomo(args) -> int:
+def _cmd_tomo(args) -> list[Path]:
     config = load_config(args.config, args.seed)
     result = run_tomography_experiment(config, subtract_bg=args.subtract_bg)
     paths = write_tomography(result, args.out)
@@ -112,12 +104,10 @@ def _cmd_tomo(args) -> int:
         hist_path = Path(args.out) / "timebin_histogram.csv"
         hist.save(hist_path)
         paths.append(hist_path)
-    for p in paths:
-        print(p)
-    return 0
+    return paths
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> list[Path]:
     if bool(args.stream) == bool(args.counts):
         raise ConfigError("analyze needs exactly one of --stream or --counts")
     # --out is made once every flag and input has passed, so a refused one leaves no directory
@@ -137,12 +127,10 @@ def _cmd_analyze(args) -> int:
         result.histogram.save(hist_path)
         summary_path = outdir / "count_summary.txt"
         write_pairs(summary_path, g2_report(result))
-        print(hist_path)
-        print(summary_path)
-        return 0
+        return [hist_path, summary_path]
 
-    bg_rate = (_flag_value("--bg-rate", args.bg_rate, "Hz", ">= 0")
-               if args.subtract_bg else None)
+    bg_rate = (None if args.bg_rate is None
+               else _flag_value("--bg-rate", args.bg_rate, "Hz", ">= 0"))
     try:
         settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
@@ -151,8 +139,7 @@ def _cmd_analyze(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)
-    print(report_path)
-    return 0
+    return [report_path]
 
 
 _COMMANDS = {
@@ -170,7 +157,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        paths = _COMMANDS[args.command](args)
     except (ConfigError, IncompleteSettingsError, MemoryError) as exc:
         # so are a count file whose settings cannot determine a state and a run beyond memory
         print(f"config error: {exc}", file=sys.stderr)
@@ -181,6 +168,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"system failure: {exc}", file=sys.stderr)
         return 1
+    print(*paths, sep="\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ class ExperimentConfig:
 
     Each ranged field declares its base unit and range rule with ``_field``
     in its own line: times are in seconds, the pump power in watts, the
-    linewidth and rates in Hz, and every other field is a bare number.
+    linewidth in Hz, and every other field is a bare number.
     ``seed`` may stay None for purely analytic work but is mandatory before
     any Monte Carlo run.  The channel 1 detector is the herald/trigger, 2
     and 3 sit after the balanced splitter (2 doubles as the single decode
@@ -134,7 +134,6 @@ class ExperimentConfig:
     interface: bool = True
     n_per_setting: float = _field(1400.0, "", "> 0")
     duration_per_setting: float = _field(500.0, "s", "> 0")
-    bg_rate: float = _field(0.2, "Hz", ">= 0")
     n_bootstrap: int = _field(32, "", ">= 0")
     # run
     n_pulses: int = _field(1_000_000, "", ">= 1")

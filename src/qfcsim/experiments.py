@@ -30,7 +30,7 @@ from .counting import (CoincidenceWindow, CountSummary, DelayHistogram, FirstCli
 from .counting import count_summary, g2_at_offset, select_window
 from .tomography import mle_reconstruct
 from .metrics import ChshResult, chsh_assessment, concurrence, eof_of_concurrence
-from .qubits import end_to_end_state
+from .qubits import end_to_end_state, noise_weight
 from .sources import (EventStream, START_CHANNEL, TRIGGER_CHANNEL,
                       generate_hbt_stream, generate_mzi_stream)
 from .tomography import (MeasurementSetting, MleResult, density_matrix_to_json,
@@ -283,15 +283,16 @@ def run_tomography_experiment(config: ExperimentConfig,
                               subtract_bg: bool = False) -> TomographyResult:
     """Simulate the 16-setting schedule on the end-to-end state and reconstruct.
 
-    Pump-induced noise photons enter the simulated state itself (an
-    unpolarized admixture), which is what makes them look like a flat
-    accidental floor across settings; ``subtract_bg`` removes that floor at
-    the configured rate before reconstruction.  Errors on the reported
-    metrics come from a parametric bootstrap: ``n_bootstrap`` Poisson
-    replicates of the counts, which ``reconstruct`` fits in one batch with
-    the counts themselves.
+    Pump-induced noise photons enter the simulated state itself, as white
+    noise of weight w (``noise_weight``): a flat floor of n_per_setting w / 4
+    counts on every setting, which ``subtract_bg`` removes before
+    reconstruction.  Errors on the reported metrics come from a parametric
+    bootstrap: ``n_bootstrap`` Poisson replicates of the counts, which
+    ``reconstruct`` fits in one batch with the counts themselves.
     """
     seed = config.require_seed()
+    # noise_weight refuses a config with no converted state, before end_to_end_state fails
+    bg_rate = config.n_per_setting * noise_weight(config) / (4 * config.duration_per_setting)
     settings = standard_settings()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
     counts = simulate_counts(end_to_end_state(config), settings, config.n_per_setting, rng)
@@ -299,7 +300,7 @@ def run_tomography_experiment(config: ExperimentConfig,
         np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
         for b in range(config.n_bootstrap)]
     result = reconstruct(settings, counts, np.full(len(settings), config.duration_per_setting),
-                         config.bg_rate if subtract_bg else None, replicates)
+                         bg_rate if subtract_bg else None, replicates)
     result.mean_rate_hz = float(counts.sum()) / (len(counts) * config.duration_per_setting)
     return result
 

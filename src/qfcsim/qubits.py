@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .conversion import pump_dephasing_factor
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -154,6 +154,16 @@ def entangled_pair_state(werner_weight: float) -> np.ndarray:
         raise ValueError("werner_weight must lie in [0, 1]")
     return werner_weight * density(PHI_PLUS) \
         + (1.0 - werner_weight) * np.eye(4, dtype=complex) / 4.0
+
+
+def noise_weight(config: ExperimentConfig) -> float:
+    """Weight w = nu / (s + nu) of the white noise I/4 in ``end_to_end_state``, with
+    s the chain efficiency and nu the pump noise, or 0 with the interface off.  An
+    s + nu of 0 (no photon), inf or subnormal (an imprecise state) is refused."""
+    total = config.chain_efficiency() + config.noise_mean()
+    if config.interface and not np.finfo(float).tiny <= total < math.inf:
+        raise ConfigError(f"chain efficiency plus pump noise is {total!r}, not a normal float > 0")
+    return config.noise_mean() / total if config.interface else 0.0
 
 
 def end_to_end_state(config: ExperimentConfig) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import qfcsim
 from qfcsim import cli, experiments, sources, tomography
 from qfcsim.cli import main
 from qfcsim.config import PRESETS, ExperimentConfig
+from qfcsim.qubits import noise_weight
 from qfcsim.sources import EventStream
 from qfcsim.tomography import RECORD_HEADER, load_records, save_records, standard_settings
 
@@ -106,7 +108,7 @@ def test_analyze_refused_flag_leaves_no_directory(tmp_path, capsys):
     save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
     for args in (["--stream", str(stream), "--bin-width=0ps"],
                  ["--stream", str(stream), "--window=-1ns"],
-                 ["--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz"]):
+                 ["--counts", str(counts), "--bg-rate=-1Hz"]):
         out = tmp_path / "out"
         assert main(["analyze", *args, "--out", str(out)]) == 2
         assert not out.exists()
@@ -151,10 +153,9 @@ def test_tomo_command_and_analyze_counts(tmp_path, tomo_cfg_path, capsys):
     # only a bootstrapped run reports its replicate fits
     assert len(report["bootstrap_mle_iterations"]) == 2
     assert "bootstrap_mle_iterations" not in re_report
-    # subtraction path produces a different (cleaner) state
+    # a --bg-rate subtracts, and gives a different (cleaner) state
     an_sub = tmp_path / "an_sub"
-    assert main(["analyze", "--counts", str(out / "tomo_counts.csv"),
-                 "--subtract-bg", "--bg-rate", "0.2Hz",
+    assert main(["analyze", "--counts", str(out / "tomo_counts.csv"), "--bg-rate", "0.2Hz",
                  "--out", str(an_sub)]) == 0
     sub_report = json.loads((an_sub / "tomography.json").read_text())
     assert sub_report["fidelity"] > report["fidelity"]
@@ -163,13 +164,15 @@ def test_tomo_command_and_analyze_counts(tmp_path, tomo_cfg_path, capsys):
 @pytest.mark.parametrize("subtract", [False, True])
 def test_analyze_counts_report_equals_tomo_report(tmp_path, tomo_cfg_path, subtract, capsys):
     # analyze --counts fits tomo's raw count file through the same helper as
-    # tomo, so every key that both reports carry agrees exactly
-    bg = ["--subtract-bg"] if subtract else []
+    # tomo, so every key that both reports carry agrees exactly; given the
+    # rate of the state's noise floor, it subtracts what tomo --subtract-bg does
+    cfg = ExperimentConfig.from_file(tomo_cfg_path)
+    bg_rate = cfg.n_per_setting * noise_weight(cfg) / (4 * cfg.duration_per_setting)
     out, an = tmp_path / "tomo", tmp_path / "an"
-    assert main(["tomo", "--config", str(tomo_cfg_path), "--out", str(out), *bg]) == 0
-    bg_rate = repr(ExperimentConfig.from_file(tomo_cfg_path).bg_rate)
+    assert main(["tomo", "--config", str(tomo_cfg_path), "--out", str(out),
+                 *(["--subtract-bg"] if subtract else [])]) == 0
     assert main(["analyze", "--counts", str(out / "tomo_counts.csv"), "--out", str(an),
-                 *bg, "--bg-rate", bg_rate]) == 0
+                 *(["--bg-rate", repr(bg_rate)] if subtract else [])]) == 0
     tomo_report = json.loads((out / "tomography.json").read_text())
     an_report = json.loads((an / "tomography.json").read_text())
     shared = tomo_report.keys() & an_report.keys()
@@ -264,7 +267,7 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
     counts = tmp_path / "good_counts.csv"
     save_records(settings, [100] * 16, [1.0] * 16, counts)
-    assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate=-1Hz",
+    assert main(["analyze", "--counts", str(counts), "--bg-rate=-1Hz",
                  "--out", str(tmp_path / "o")]) == 2
     # non-finite numbers are refused where they enter: 1e999 parses to inf
     for name, line in (("pump", "pump_power=1e999"), ("delay", "mzi_delay=1e999s"),
@@ -294,7 +297,7 @@ def test_exit_code_on_config_errors(tmp_path, capsys):
                       ("nan_angle", "nan," + rows[1].split(",", 1)[1])):
         bad_file = tmp_path / f"{name}_counts.csv"
         bad_file.write_text("\n".join([rows[0], row] + rows[2:]) + "\n")
-        for extra in ([], ["--subtract-bg"]):
+        for extra in ([], ["--bg-rate", "0.2Hz"]):
             assert main(["analyze", "--counts", str(bad_file), "--out",
                          str(tmp_path / "o")] + extra) == 2
 
@@ -386,10 +389,11 @@ def test_analyze_counts_of_all_zero_tomo_is_insufficient(tmp_path, capsys):
 
 
 def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
-    # the preset's floor is round(0.2 Hz * 10,000 s) = 2,000 counts per
-    # setting, so at 400 per setting no count is left to fit
-    cfg = PRESETS["calibrated_tomo"]()
-    cfg.n_per_setting = 400.0
+    # with no converted signal the state is pure noise (w = 1), so its floor
+    # is round(2.04 / 4) = 1 count per setting; at seed 59 no count and no
+    # replicate count is above it, though some counts are not zero
+    cfg = PRESETS["calibrated_tomo"](seed=59)
+    cfg.extra_transmittance, cfg.n_per_setting, cfg.n_bootstrap = 0.0, 2.04, 3
     path = tmp_path / "short.cfg"
     cfg.to_file(path)
     out = tmp_path / "o"
@@ -400,6 +404,7 @@ def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
     assert report["bootstrap_zero_replicates"] == cfg.n_bootstrap
     # the raw counts and their rate are still written
     total = _written_counts(out).sum()
+    assert total > 0
     assert report["mean_count_rate_hz"] == total / (16 * cfg.duration_per_setting)
 
 
@@ -409,11 +414,28 @@ def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, capsys):
     path = tmp_path / "counts.csv"
     save_records(standard_settings(), [100] * 16, [1.0] * 16, path)
     out = tmp_path / "o"
-    assert main(["analyze", "--counts", str(path), "--subtract-bg", "--bg-rate=1kHz",
+    assert main(["analyze", "--counts", str(path), "--bg-rate=1kHz",
                  "--out", str(out)]) == 0
     report = json.loads((out / "tomography.json").read_text())
     _assert_insufficient(report)
     assert "bootstrap_zero_replicates" not in report
+
+
+@pytest.mark.parametrize("values", [{"pump_power": 0.0}, {"pump_power": 1e-310},
+                                    {"pump_power": 2.0, "noise_coeff": 1e308}],
+                         ids=["no_photon", "subnormal", "overflow"])
+def test_tomo_with_no_surviving_photon_exits_2(tmp_path, values, capsys):
+    # validate accepts these configs, and sweep and g2 run on them, but the
+    # converted state needs s + nu to be a normal float > 0: at 0 no photon
+    # survives, and a subnormal or infinite sum gave no density matrix; each
+    # was a numerical failure, exit 3
+    path = tmp_path / "dark.cfg"
+    replace(PRESETS["calibrated_tomo"](), n_bootstrap=2, **values).to_file(path)
+    for i, extra in enumerate(([], ["--subtract-bg"], ["--timebin-histogram"])):
+        out = tmp_path / f"o{i}"
+        assert main(["tomo", "--config", str(path), "--out", str(out), *extra]) == 2
+        _assert_one_line_error(capsys, "config error: chain efficiency plus pump noise is ")
+        _assert_no_artifact(out)
 
 
 def test_g2_on_empty_run_exits_zero(tmp_path, capsys):
@@ -610,7 +632,7 @@ def test_bad_config_text_exits_2_and_writes_nothing(tmp_path, capsys):
     save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
     for i, extra in enumerate((["--stream", str(stream), "--window", "1mW"],
                                ["--stream", str(stream), "--bin-width", "50MHz"],
-                               ["--counts", str(counts), "--subtract-bg", "--bg-rate", "3s"])):
+                               ["--counts", str(counts), "--bg-rate", "3s"])):
         out = tmp_path / f"flag_{i}"
         assert main(["analyze", *extra, "--out", str(out)]) == 2
         _assert_one_line_error(capsys, "config error: unit suffix ")
@@ -619,8 +641,16 @@ def test_bad_config_text_exits_2_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "own_units"
     assert main(["analyze", "--stream", str(stream), "--window", "1000ps",
                  "--bin-width", "0.05ns", "--out", str(out)]) == 0
-    assert main(["analyze", "--counts", str(counts), "--subtract-bg", "--bg-rate", "0.2Hz",
+    assert main(["analyze", "--counts", str(counts), "--bg-rate", "0.2Hz",
                  "--out", str(out)]) == 0
+    # bg_rate is no config key: tomo takes its floor from the state's noise
+    old = tmp_path / "bg_rate.cfg"
+    old.write_text("seed=1\nbg_rate=0.2Hz\n")
+    for command in ("sweep", "g2", "tomo"):
+        out = tmp_path / f"bg_rate_{command}"
+        assert main([command, "--config", str(old), "--out", str(out)]) == 2
+        _assert_one_line_error(capsys, "config error: unknown config key 'bg_rate'")
+        _assert_no_artifact(out)
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path, g2_cfg_path, tomo_cfg_path):

@@ -152,7 +152,7 @@ RANGE_RULES = {
     "extra_transmittance": "in [0, 1]", "noise_coeff": ">= 0",
     "pump_linewidth": ">= 0", **{name: "in [0, 1]" for name in _DETECTOR_FIELDS},
     "coincidence_window": "> 0", "postselect_window": "> 0", "n_per_setting": "> 0",
-    "duration_per_setting": "> 0", "bg_rate": ">= 0", "n_bootstrap": ">= 0",
+    "duration_per_setting": "> 0", "n_bootstrap": ">= 0",
     "n_pulses": ">= 1",
 }
 
@@ -162,8 +162,7 @@ UNRULED = ("source_kind", "mzi_phase", "interface", "seed")
 #: the base unit of every float field that has one; the others are bare numbers
 UNITS = {"rep_period": "s", "mzi_delay": "s", "jitter_sigma": "s",
          "coincidence_window": "s", "postselect_window": "s",
-         "duration_per_setting": "s", "pump_power": "W", "pump_linewidth": "Hz",
-         "bg_rate": "Hz"}
+         "duration_per_setting": "s", "pump_power": "W", "pump_linewidth": "Hz"}
 
 
 def _rule_edges(name, rule):

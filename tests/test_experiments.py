@@ -26,7 +26,7 @@ from qfcsim.experiments import (
 )
 from qfcsim.metrics import chsh_assessment, concurrence, eof_of_concurrence, fidelity
 from qfcsim.qubits import PHI_PLUS
-from qfcsim.tomography import load_records, mle_reconstruct, subtract_background
+from qfcsim.tomography import load_records, mle_reconstruct
 from qfcsim.counting import (CoincidenceWindow, CountSummary, FirstClicks, count_summary,
                              delay_histogram, first_clicks, pair_delays, select_window)
 from qfcsim.sources import START_CHANNEL, TRIGGER_CHANNEL, generate_mzi_stream
@@ -291,13 +291,23 @@ def test_tomography_determinism_and_rate():
     assert a.mean_rate_hz == pytest.approx(total / (16 * cfg.duration_per_setting))
 
 
-def test_tomography_subtraction_uses_configured_rate():
+def _noise_floor(cfg):
+    """round(n w / 4), the counts that the state's white noise of weight
+    w = nu / (s + nu) puts on each product setting; 0 with the interface off."""
+    s, nu = cfg.chain_efficiency(), cfg.noise_mean()
+    return round(cfg.n_per_setting * nu / (s + nu) / 4) if cfg.interface else 0
+
+
+def test_tomography_subtraction_floor_follows_the_noise_law():
     cfg = PRESETS["calibrated_tomo"](seed=401)
     cfg.n_bootstrap = 0
     raw = run_tomography_experiment(cfg)
     sub = run_tomography_experiment(cfg, subtract_bg=True)
+    # 28,000 w / 4 = 1,996.86 counts per setting; a flat 0.2 Hz over
+    # 10,000 s took 2,000
+    floor = _noise_floor(cfg)
+    assert floor == 1997
     # same simulated counts, reconstruction on the floored difference
-    floor = int(round(cfg.bg_rate * cfg.duration_per_setting))
     expected_counts = [max(0, count - floor) for count in raw.counts.tolist()]
     redone = mle_reconstruct(settings=raw.settings, counts=expected_counts)
     assert_allclose(sub.rho, redone.rho, atol=1e-12)
@@ -312,7 +322,7 @@ def test_tomo_point_fit_equals_the_one_row_fit(preset, subtract):
     # --counts fits them alone; their reports must agree exactly
     cfg = PRESETS[preset]()
     res = run_tomography_experiment(cfg, subtract_bg=subtract)
-    fitted = subtract_background(res.counts, res.durations_s, cfg.bg_rate) if subtract else res.counts
+    fitted = np.maximum(res.counts - _noise_floor(cfg), 0) if subtract else res.counts
     alone = mle_reconstruct(res.settings, fitted)
     assert np.array_equal(res.mle.rho, alone.rho)
     assert res.mle.iterations == alone.iterations
@@ -368,7 +378,7 @@ def test_bootstrap_errors_equal_one_fit_per_replicate(subtract):
         # one scalar draw per setting, in setting order
         resampled = [brng.poisson(count) for count in res.counts.tolist()]
         if subtract:
-            resampled = subtract_background(resampled, res.durations_s, cfg.bg_rate)
+            resampled = np.maximum(np.array(resampled) - _noise_floor(cfg), 0)
         fit = mle_reconstruct(res.settings, resampled)
         assert fit.iterations == res.bootstrap[b].iterations
         samples["fidelity"].append(fidelity(fit.rho, PHI_PLUS))

@@ -7,12 +7,14 @@ returns the maximally entangled target unchanged.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qfcsim.config import PRESETS
+from qfcsim.config import PRESETS, ConfigError
 from qfcsim.qubits import (
     KET_D,
     KET_H,
@@ -26,6 +28,7 @@ from qfcsim.qubits import (
     end_to_end_state,
     entangled_pair_state,
     half_wave_plate,
+    noise_weight,
     partial_trace_b,
     quarter_wave_plate,
     timebin_to_pol,
@@ -156,3 +159,35 @@ def test_end_to_end_noiseless_chain_preserves_werner():
     cfg.pump_linewidth = 0.0
     rho = end_to_end_state(cfg)
     assert_allclose(rho, entangled_pair_state(cfg.werner_weight), atol=1e-12)
+
+
+# pump powers over the physical range, subnormals included, and the noise
+# coefficient over its whole rule, so nu can overflow
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(mzi_phase=st.floats(allow_nan=False, allow_infinity=False),
+       pump_linewidth=st.floats(0.0, allow_infinity=False),
+       werner_weight=st.floats(0.0, 1.0), interface=st.booleans(),
+       pump_power=st.floats(0.0, 10.0), noise_coeff=st.floats(0.0, allow_infinity=False))
+@example(mzi_phase=0.7, pump_linewidth=150e3, werner_weight=14 / 15, interface=True,
+         pump_power=0.7, noise_coeff=0.21911353214504486)
+@example(mzi_phase=0.0, pump_linewidth=0.0, werner_weight=1.0, interface=True,
+         pump_power=0.0, noise_coeff=0.2)  # no photon leaves the converter
+@example(mzi_phase=0.0, pump_linewidth=0.0, werner_weight=1.0, interface=True,
+         pump_power=1e-310, noise_coeff=0.2)  # a subnormal s + nu
+@example(mzi_phase=0.0, pump_linewidth=0.0, werner_weight=1.0, interface=True,
+         pump_power=2.0, noise_coeff=1e308)  # nu overflows
+def test_pump_noise_is_white_noise_of_weight_w(**values):
+    # the floor that tomo --subtract-bg removes rests on this law: the state is
+    # its noiseless self mixed with I/4 at weight w = nu / (s + nu)
+    cfg = replace(PRESETS["calibrated_tomo"](), **values)
+    total = cfg.chain_efficiency() + cfg.noise_mean()
+    if cfg.interface and not np.finfo(float).tiny <= total < math.inf:
+        with pytest.raises(ConfigError, match="chain efficiency plus pump noise is "):
+            noise_weight(cfg)
+        return
+    w = noise_weight(cfg)
+    assert w == (cfg.noise_mean() / total if cfg.interface else 0.0)
+    expected = w * np.eye(4) / 4.0
+    if w < 1.0:  # at w = 1 the noiseless state has no photon to carry
+        expected = expected + (1.0 - w) * end_to_end_state(replace(cfg, noise_coeff=0.0))
+    assert_allclose(end_to_end_state(cfg), expected, rtol=0.0, atol=1e-15)

@@ -8,7 +8,7 @@ at that file's seed, and writes into ``OUT/<preset>/<step>/``.  For every
 preset the set is ``sweep``; for a ``*_g2`` preset also ``g2
 --save-stream`` and ``analyze --stream`` on its stream; for a ``*_tomo``
 preset also ``tomo``, ``tomo --subtract-bg --timebin-histogram``, and
-``analyze --counts`` on the raw counts with and without ``--subtract-bg``.
+``analyze --counts`` on the raw counts without and with ``--bg-rate 0.2Hz``.
 The seven preset files give 55 files.  The output is two ``#`` lines (the
 file count, and the python and numpy versions), then ``sha256  path`` per
 file, sorted by the path relative to OUT, so the manifests of two
@@ -54,7 +54,7 @@ def preset_commands(preset: str, out: Path) -> list[list[str]]:
              "--subtract-bg", "--timebin-histogram"],
             ["analyze", "--counts", counts, "--out", str(out / "analyze_counts")],
             ["analyze", "--counts", counts, "--out", str(out / "analyze_counts_bg"),
-             "--subtract-bg"],
+             "--bg-rate", "0.2Hz"],
         ]
     return commands
 
