@@ -62,10 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--stream", help="event stream file to analyze")
     p_an.add_argument("--counts", help="count-record file to reconstruct from")
     p_an.add_argument("--out", default="out", help="output directory")
-    p_an.add_argument("--bin-width", default="50ps",
-                      help="histogram bin width in s (e.g. 50ps)")
-    p_an.add_argument("--window", default="1ns",
-                      help="coincidence window width in s (e.g. 1ns)")
+    p_an.add_argument("--bin-width", help="histogram bin width in s of a stream "
+                      "(default 50ps)")
+    p_an.add_argument("--window", help="coincidence window width in s of a stream "
+                      "(default 1ns)")
     p_an.add_argument("--bg-rate", help="subtract a flat background of this rate "
                       "in Hz (e.g. 0.2Hz) from count records")
     return parser
@@ -110,11 +110,18 @@ def _cmd_tomo(args) -> list[Path]:
 def _cmd_analyze(args) -> list[Path]:
     if bool(args.stream) == bool(args.counts):
         raise ConfigError("analyze needs exactly one of --stream or --counts")
+    mode, other = (("--stream", {"--bg-rate": args.bg_rate}) if args.stream else
+                   ("--counts", {"--window": args.window, "--bin-width": args.bin_width}))
+    for flag, value in other.items():
+        if value is not None:
+            raise ConfigError(f"analyze {mode} takes no {flag}")
     # --out is made once every flag and input has passed, so a refused one leaves no directory
     outdir = Path(args.out)
     if args.stream:
-        bin_width = _flag_value("--bin-width", args.bin_width, "s")
-        window = CoincidenceWindow(_flag_value("--window", args.window, "s"))
+        bin_width = _flag_value("--bin-width", "50ps" if args.bin_width is None
+                                else args.bin_width, "s")
+        window = CoincidenceWindow(_flag_value("--window", "1ns" if args.window is None
+                                               else args.window, "s"))
         try:
             result = analyze_g2(first_clicks(EventStream.load(args.stream)), window, bin_width)
         except KeyError as exc:
@@ -135,7 +142,9 @@ def _cmd_analyze(args) -> list[Path]:
         settings, counts, durations = load_records(args.counts)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read count records: {exc}") from exc
-    result = reconstruct(settings, counts, durations, bg_rate)
+    with np.errstate(over="ignore"):  # a floor beyond float is inf, and exceeds every count
+        floor = None if bg_rate is None else bg_rate * durations
+    result = reconstruct(settings, counts, durations, floor)
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "tomography.json"
     save_report(tomography_report(result), report_path)

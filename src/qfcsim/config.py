@@ -150,6 +150,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if "rule" in f.metadata:
                 check_range(f.name, value, f.metadata["rule"])
+        # every command takes sin(sqrt(eff_coeff * P)) or the noise mean at the pump power P
+        for name in ("eff_coeff", "noise_coeff"):
+            if not math.isfinite(getattr(self, name) * self.pump_power):
+                raise ConfigError(f"{name} * pump_power={self.pump_power!r} W must be finite")
         if self.source_kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source_kind {self.source_kind!r}")
         # from rep_period / 4 the noise gates of neighbouring pulses overlap,

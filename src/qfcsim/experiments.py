@@ -66,7 +66,10 @@ def run_efficiency_sweep(config: ExperimentConfig) -> SweepResult:
     so the table is still produced.
     """
     top = max(config.pump_power, 1e-3)
-    powers_w = np.linspace(0.0, top, max(int(round(top / 2e-3)) + 1, 2))
+    try:
+        powers_w = np.linspace(0.0, top, max(int(round(top / 2e-3)) + 1, 2))
+    except ValueError as exc:  # numpy refuses outright a grid of more bytes than it can address
+        raise MemoryError(f"sweep grid up to {top!r} W: {exc}") from exc
     model = config.efficiency_model()
     effs = np.array([conversion_efficiency(p, model) for p in powers_w])
     try:
@@ -245,12 +248,12 @@ def _metrics_of(rho: np.ndarray) -> tuple[float, float, float, ChshResult]:
 
 
 def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
-                durations_s: np.ndarray, bg_rate: Optional[float] = None,
-                replicates=()) -> TomographyResult:
+                durations_s: np.ndarray, floor=None, replicates=()) -> TomographyResult:
     """Fit a count table and its bootstrap ``replicates`` by MLE in one batch,
     score row 0 against PHI_PLUS, and take error bars from the other rows.
 
-    With ``bg_rate`` (Hz) the flat background is subtracted from every row.
+    With a ``floor`` (counts, one value or one per setting) that flat
+    background is subtracted from every row.
     Each row gets the fit it would get alone, so row 0 equals the fit of the
     counts without replicates bit for bit.  Only rows with a count left are
     fitted: an all-zero replicate is counted in ``zero_replicates``, and
@@ -258,8 +261,8 @@ def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
     errors.  The result keeps the raw counts and carries no count rate.
     """
     rows = np.array([counts, *replicates])
-    if bg_rate is not None:
-        rows = subtract_background(rows, durations_s, bg_rate)
+    if floor is not None:
+        rows = subtract_background(rows, floor)
     kept = rows.any(axis=1)
     insufficient = not kept[0]
     # with no point estimate to put error bars on, no replicate is fitted
@@ -269,7 +272,7 @@ def reconstruct(settings: list[MeasurementSetting], counts: np.ndarray,
     result = TomographyResult(
         rho=point.rho, fidelity=fid, concurrence=conc, eof=eof, chsh=chsh,
         settings=settings, counts=counts, durations_s=durations_s, mle=point,
-        subtracted=bg_rate is not None, bootstrap=bootstrap,
+        subtracted=floor is not None, bootstrap=bootstrap,
         zero_replicates=int(np.count_nonzero(~kept[1:])), insufficient=insufficient)
     if bootstrap:
         fids, concs, eofs, chshs = zip(*(_metrics_of(fit.rho) for fit in bootstrap))
@@ -291,16 +294,15 @@ def run_tomography_experiment(config: ExperimentConfig,
     ``reconstruct`` fits in one batch with the counts themselves.
     """
     seed = config.require_seed()
-    # noise_weight refuses a config with no converted state, before end_to_end_state fails
-    bg_rate = config.n_per_setting * noise_weight(config) / (4 * config.duration_per_setting)
     settings = standard_settings()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, 1))))
     counts = simulate_counts(end_to_end_state(config), settings, config.n_per_setting, rng)
     replicates = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seed, 0, 2, b)))).poisson(counts)
         for b in range(config.n_bootstrap)]
+    floor = config.n_per_setting * noise_weight(config) / 4 if subtract_bg else None
     result = reconstruct(settings, counts, np.full(len(settings), config.duration_per_setting),
-                         bg_rate if subtract_bg else None, replicates)
+                         floor, replicates)
     result.mean_rate_hz = float(counts.sum()) / (len(counts) * config.duration_per_setting)
     return result
 

@@ -19,8 +19,6 @@ from .conversion import pump_dephasing_factor
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_D = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-KET_R = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -28,8 +26,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 PHI_PLUS = (np.kron(KET_H, KET_H) + np.kron(KET_V, KET_V)) / math.sqrt(2.0)
-PHI_MINUS = (np.kron(KET_H, KET_H) - np.kron(KET_V, KET_V)) / math.sqrt(2.0)
-PSI_MINUS = (np.kron(KET_H, KET_V) - np.kron(KET_V, KET_H)) / math.sqrt(2.0)
 
 
 def density(ket: np.ndarray) -> np.ndarray:
@@ -100,32 +96,25 @@ def dephase_timebin(rho: np.ndarray, coherence: float) -> np.ndarray:
     return out
 
 
-def convert_timebin_qubit(rho: np.ndarray, efficiency: float, coherence: float,
-                          noise_mean: float) -> np.ndarray:
+def convert_timebin_qubit(rho: np.ndarray, coherence: float, weight: float) -> np.ndarray:
     """Send qubit B through the frequency converter.
 
-    Both time bins see the same pump, so conversion is bin-symmetric: with
-    transmission ``efficiency`` the qubit survives untouched apart from
-    pump phase diffusion, which multiplies the S-L coherence by
-    ``coherence``.  Pump-induced noise photons (mean ``noise_mean`` per
-    gate) are unpolarized, uncorrelated with qubit A, and land in either
+    Both time bins see the same pump, so conversion is bin-symmetric: the
+    qubit survives untouched apart from pump phase diffusion, which
+    multiplies the S-L coherence by ``coherence``.  Pump-induced noise
+    photons are unpolarized, uncorrelated with qubit A, and land in either
     bin with equal weight; conditioned on one photon in the converted band,
-    the output mixes signal and noise with weights eta : nu.
+    the output mixes signal and noise at the noise ``weight`` in [0, 1]
+    (``noise_weight``).
     """
     rho = check_density_matrix(rho, dim=4)
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    if not noise_mean >= 0.0:
-        raise ValueError("noise_mean must be >= 0")
-    total = efficiency + noise_mean
-    if total <= 0.0:
-        raise ValueError("no photons survive: efficiency and noise_mean both zero")
-    signal = dephase_timebin(rho, coherence)
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError("weight must lie in [0, 1]")
     noise = np.kron(partial_trace_b(rho), np.eye(2, dtype=complex) / 2.0)
-    return (efficiency * signal + noise_mean * noise) / total
+    return (1.0 - weight) * dephase_timebin(rho, coherence) + weight * noise
 
 
-def timebin_to_pol(rho: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
+def timebin_to_pol(rho: np.ndarray, phase: float) -> np.ndarray:
     """Decode qubit B from time bins back to polarization.
 
     The decoder delays the short bin in its long arm and recombines on a
@@ -134,14 +123,13 @@ def timebin_to_pol(rho: np.ndarray, phase: float) -> tuple[np.ndarray, float]:
     short arm): the conditional map is K = diag(1, e^{i phase})/sqrt(2) on
     qubit B.  Post-selecting the middle arrival time succeeds with
     probability exactly 1/2 (K+K = 1/2) for any input.  Returns the
-    conditional state and the success probability.
+    conditional state.
     """
     rho = check_density_matrix(rho, dim=4)
     kraus = np.diag([1.0, np.exp(1j * phase)]).astype(complex) / math.sqrt(2.0)
     op = np.kron(np.eye(2, dtype=complex), kraus)
     unnormalized = op @ rho @ op.conj().T
-    prob = float(np.trace(unnormalized).real)
-    return unnormalized / prob, prob
+    return unnormalized / np.trace(unnormalized).real
 
 
 def entangled_pair_state(werner_weight: float) -> np.ndarray:
@@ -170,8 +158,9 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     """Two-qubit state after encode, convert, and decode of qubit B.
 
     Starts from the configured pair source, encodes B into time bins,
-    applies the conversion chain (transmission, pump phase diffusion,
-    pump-induced noise), and decodes back to polarization.  The encoder
+    applies the conversion chain (pump phase diffusion, and pump-induced
+    noise at the weight of ``noise_weight``, whose ConfigError refuses a
+    config with no converted state), and decodes back to polarization.  The encoder
     routes |H> and |V> through the short and long arms, so conditioned on
     the photon surviving its merger the encoding is the relabeling
     |H> -> |S>, |V> -> |L> and leaves the matrix unchanged.  With
@@ -181,11 +170,5 @@ def end_to_end_state(config: ExperimentConfig) -> np.ndarray:
     if not config.interface:
         return rho
     coherence = pump_dephasing_factor(config.pump_linewidth, config.mzi_delay)
-    rho = convert_timebin_qubit(
-        rho,
-        efficiency=config.chain_efficiency(),
-        coherence=coherence,
-        noise_mean=config.noise_mean(),
-    )
-    rho, _ = timebin_to_pol(rho, config.mzi_phase)
-    return rho
+    rho = convert_timebin_qubit(rho, coherence, noise_weight(config))
+    return timebin_to_pol(rho, config.mzi_phase)

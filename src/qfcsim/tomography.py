@@ -86,17 +86,17 @@ def simulate_counts(rho: np.ndarray, settings: list[MeasurementSetting],
     return rng.poisson(means)
 
 
-def subtract_background(counts, durations_s, bg_rate: float) -> np.ndarray:
-    """Remove a flat accidental floor: count -> max(0, count - round(rate * t)),
-    on each row of ``counts`` when it holds one row per fit."""
-    if not bg_rate >= 0.0:
-        raise ValueError("bg_rate must be >= 0")
-    counts = np.asarray(counts, dtype=np.int64)
+def subtract_background(counts, floor) -> np.ndarray:
+    """Remove a flat accidental floor of ``floor`` counts (one value, or one per
+    setting): count -> max(0, count - round(floor)), on each row of ``counts``
+    when it holds one row per fit."""
+    floor = np.asarray(floor, dtype=float)
+    if not np.all(floor >= 0.0):
+        raise ValueError("floor must be >= 0")
     # a floor beyond int64, inf included, exceeds every count and must not reach the cast
-    with np.errstate(over="ignore"):
-        floor = np.round(bg_rate * np.asarray(durations_s, dtype=float))
     fits = floor < 2.0**63
-    return np.where(fits, np.maximum(counts - np.where(fits, floor, 0.0).astype(np.int64), 0), 0)
+    kept = np.asarray(counts, dtype=np.int64) - np.where(fits, floor, 0.0).round().astype(np.int64)
+    return np.where(fits, np.maximum(kept, 0), 0)
 
 
 @dataclass(frozen=True)

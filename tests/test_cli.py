@@ -114,6 +114,28 @@ def test_analyze_refused_flag_leaves_no_directory(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("--stream", ["--bg-rate=-5Hz"]),
+    ("--stream", ["--bg-rate=0.2Hz"]),
+    ("--counts", ["--window=-1ns", "--bin-width=garbage"]),
+    ("--counts", ["--window=1ns"]),
+    ("--counts", ["--bin-width=50ps"]),
+], ids=["stream_bad_bg_rate", "stream_bg_rate", "counts_bad_window_and_bin_width",
+        "counts_window", "counts_bin_width"])
+def test_analyze_refuses_the_flags_of_the_other_mode(tmp_path, mode, flags, capsys):
+    # --bg-rate belongs to count records, --window and --bin-width to streams;
+    # each mode read none of the other's flags, and exited 0 whatever they held
+    stream = tmp_path / "good.csv"
+    stream.write_text("# n_pulses=10 seed=1 rep_period_ps=12195.0\n1,0,0.0\n")
+    counts = tmp_path / "counts.csv"
+    save_records(standard_settings(), [100] * 16, [1.0] * 16, counts)
+    out = tmp_path / "out"
+    path = stream if mode == "--stream" else counts
+    assert main(["analyze", mode, str(path), *flags, "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, f"config error: analyze {mode} takes no ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["g2"], ["tomo", "--timebin-histogram"]],
                          ids=["g2", "tomo"])
 def test_jitter_far_above_rep_period_exits_2(tmp_path, command, capsys):
@@ -408,13 +430,17 @@ def test_subtracted_tomo_below_its_floor_is_insufficient(tmp_path, capsys):
     assert report["mean_count_rate_hz"] == total / (16 * cfg.duration_per_setting)
 
 
-def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, capsys):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bg_rate, duration", [("1kHz", 1.0), ("1e308Hz", 10.0)],
+                         ids=["1kHz", "floor_beyond_float"])
+def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, bg_rate, duration,
+                                                           capsys):
     # a background of 1 kHz over 1 s leaves no count to fit; that was a
-    # numerical failure, exit 3
+    # numerical failure, exit 3.  A floor beyond float is inf, with no warning
     path = tmp_path / "counts.csv"
-    save_records(standard_settings(), [100] * 16, [1.0] * 16, path)
+    save_records(standard_settings(), [100] * 16, [duration] * 16, path)
     out = tmp_path / "o"
-    assert main(["analyze", "--counts", str(path), "--bg-rate=1kHz",
+    assert main(["analyze", "--counts", str(path), f"--bg-rate={bg_rate}",
                  "--out", str(out)]) == 0
     report = json.loads((out / "tomography.json").read_text())
     _assert_insufficient(report)
@@ -425,17 +451,48 @@ def test_analyze_counts_with_no_count_left_is_insufficient(tmp_path, capsys):
                                     {"pump_power": 2.0, "noise_coeff": 1e308}],
                          ids=["no_photon", "subnormal", "overflow"])
 def test_tomo_with_no_surviving_photon_exits_2(tmp_path, values, capsys):
-    # validate accepts these configs, and sweep and g2 run on them, but the
-    # converted state needs s + nu to be a normal float > 0: at 0 no photon
-    # survives, and a subnormal or infinite sum gave no density matrix; each
-    # was a numerical failure, exit 3
+    # the converted state needs s + nu to be a normal float > 0: at 0 no
+    # photon survives, and a subnormal or infinite sum gave no density matrix;
+    # each was a numerical failure, exit 3.  validate accepts the first two,
+    # and sweep and g2 run on them; it refuses a nu beyond float
     path = tmp_path / "dark.cfg"
-    replace(PRESETS["calibrated_tomo"](), n_bootstrap=2, **values).to_file(path)
+    cfg = replace(PRESETS["calibrated_tomo"](), n_bootstrap=2)
+    vars(cfg).update(values)  # unvalidated: the file is validated when tomo reads it
+    cfg.to_file(path)
+    error = ("config error: noise_coeff * pump_power=2.0 W must be finite"
+             if "noise_coeff" in values else "config error: chain efficiency plus pump noise is ")
     for i, extra in enumerate(([], ["--subtract-bg"], ["--timebin-histogram"])):
         out = tmp_path / f"o{i}"
         assert main(["tomo", "--config", str(path), "--out", str(out), *extra]) == 2
-        _assert_one_line_error(capsys, "config error: chain efficiency plus pump noise is ")
+        _assert_one_line_error(capsys, error)
         _assert_no_artifact(out)
+
+
+@pytest.mark.parametrize("command", [["g2"], ["tomo"],
+                                     ["tomo", "--subtract-bg", "--timebin-histogram"],
+                                     ["sweep"]], ids=["g2", "tomo", "tomo_bg", "sweep"])
+def test_pump_power_beyond_the_mixing_law_exits_2(tmp_path, command, capsys):
+    # at 1e308 W, eff_coeff * pump_power overflows and sin(sqrt(inf)) was a
+    # math domain error (sweep: an infinite grid length), exit 3; validate refuses it
+    path = tmp_path / "bright.cfg"
+    cfg = PRESETS["calibrated_tomo"]()
+    cfg.pump_power = 1e308  # unvalidated: the file is validated when the command reads it
+    cfg.to_file(path)
+    out = tmp_path / "out"
+    assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 2
+    _assert_one_line_error(capsys, "config error: eff_coeff * pump_power=1e+308 W must be finite")
+    _assert_no_artifact(out)
+
+
+def test_sweep_grid_beyond_any_address_exits_2(tmp_path, capsys):
+    # 2 mW steps up to 1e300 W are more elements than numpy can address, which
+    # it refuses with a ValueError before allocating; that was exit 3
+    path = tmp_path / "bright.cfg"
+    replace(PRESETS["calibrated_tomo"](), pump_power=1e300).to_file(path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    _assert_one_line_error(capsys, "config error: sweep grid up to 1e+300 W: ")
+    _assert_no_artifact(out)
 
 
 def test_g2_on_empty_run_exits_zero(tmp_path, capsys):

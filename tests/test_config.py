@@ -217,6 +217,9 @@ def _valid_configs(draw):
     kwargs["rep_period"] = draw(st.floats(1e-300, 1e300))
     kwargs["mzi_delay"] = draw(st.floats(0.0, kwargs["rep_period"] / 2, exclude_min=True,
                                          exclude_max=True))
+    # the mixing angle and the noise mean stay finite at the pump power
+    coeff = max(kwargs["eff_coeff"], kwargs["noise_coeff"], 1.0)
+    kwargs["pump_power"] = draw(st.floats(0.0, 1e300 / coeff))
     return ExperimentConfig(
         **kwargs, source_kind=draw(st.sampled_from(SOURCE_KINDS)),
         mzi_phase=draw(st.floats(-1e300, 1e300)), interface=draw(st.booleans()),

@@ -209,8 +209,8 @@ def test_delay_histogram_zero_centered_bins(tmp_path):
 def test_public_guards_refuse_nan():
     # every range guard is written so that NaN fails it: a NaN window counts
     # nothing, a NaN bin width makes an empty or misleadingly refused
-    # histogram, a NaN background zeroes every count, and a NaN noise mean
-    # makes a NaN state
+    # histogram, a NaN floor zeroes every count, and a NaN noise weight makes
+    # a NaN state (a weight outside [0, 1] mixes no state either)
     nan = float("nan")
     with pytest.raises(ValueError):
         CoincidenceWindow(nan)
@@ -218,9 +218,10 @@ def test_public_guards_refuse_nan():
         with pytest.raises(ValueError, match="bin_width"):
             delay_histogram(delays, bin_width=nan)
     with pytest.raises(ValueError):
-        subtract_background([25, 10], [100.0, 100.0], nan)
-    with pytest.raises(ValueError):
-        convert_timebin_qubit(np.eye(4) / 4.0, 0.5, 1.0, nan)
+        subtract_background([25, 10], nan)
+    for weight in (nan, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            convert_timebin_qubit(np.eye(4) / 4.0, 1.0, weight)
 
 
 def test_delay_histogram_refuses_unbounded_spans():

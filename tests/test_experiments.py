@@ -394,11 +394,11 @@ def test_zero_replicate_is_left_out_of_the_errors():
     cfg = PRESETS["calibrated_tomo"](seed=402)
     cfg.n_bootstrap = 3
     res = run_tomography_experiment(cfg)
-    # the floor is round(0.1 Hz * 10,000 s) = 1,000 counts per setting
+    # a floor of 1,000 counts per setting
     zero, floored = np.zeros_like(res.counts), np.full_like(res.counts, 1000)
     replicates = [res.counts + 5, res.counts + 9]
-    alone = reconstruct(res.settings, res.counts, res.durations_s, 0.1, replicates)
-    mixed = reconstruct(res.settings, res.counts, res.durations_s, 0.1,
+    alone = reconstruct(res.settings, res.counts, res.durations_s, 1000.0, replicates)
+    mixed = reconstruct(res.settings, res.counts, res.durations_s, 1000.0,
                         [zero, replicates[0], floored, replicates[1]])
     assert alone.zero_replicates == 0 and mixed.zero_replicates == 2
     assert mixed.errors == alone.errors and len(mixed.errors) == 4

@@ -22,9 +22,10 @@ from qfcsim.metrics import (
     eof_of_concurrence,
     fidelity,
 )
-from qfcsim.qubits import (KET_H, KET_V, PAULIS, PHI_PLUS, PSI_MINUS, SIGMA_Y, density,
+from qfcsim.qubits import (KET_H, KET_V, PAULIS, PHI_PLUS, SIGMA_Y, density,
                            entangled_pair_state)
 
+PSI_MINUS = (np.kron(KET_H, KET_V) - np.kron(KET_V, KET_H)) / math.sqrt(2.0)
 EOF_AT_HALF_CONCURRENCE = 0.35457890266526954
 
 

@@ -16,10 +16,8 @@ from numpy.testing import assert_allclose
 
 from qfcsim.config import PRESETS, ConfigError
 from qfcsim.qubits import (
-    KET_D,
     KET_H,
     KET_V,
-    PHI_MINUS,
     PHI_PLUS,
     check_density_matrix,
     convert_timebin_qubit,
@@ -33,6 +31,9 @@ from qfcsim.qubits import (
     quarter_wave_plate,
     timebin_to_pol,
 )
+
+KET_D = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+PHI_MINUS = (np.kron(KET_H, KET_H) - np.kron(KET_V, KET_V)) / math.sqrt(2.0)
 
 
 def _random_two_qubit_state(rng):
@@ -107,34 +108,38 @@ def test_dephase_timebin_kills_bin_coherence():
 
 
 def test_convert_timebin_weights():
-    rho = density(PHI_PLUS)
-    # pure transmission leaves the state alone
-    assert_allclose(convert_timebin_qubit(rho, 1.0, 1.0, 0.0), rho, atol=1e-12)
-    # pure noise replaces qubit B with a maximally mixed one
-    noise_only = convert_timebin_qubit(rho, 0.0, 1.0, 0.3)
-    assert_allclose(noise_only, np.eye(4) / 4.0, atol=1e-12)
-    # equal weights average the two
-    mixed = convert_timebin_qubit(rho, 0.2, 1.0, 0.2)
-    assert_allclose(mixed, 0.5 * rho + 0.5 * np.eye(4) / 4.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        convert_timebin_qubit(rho, 0.0, 1.0, 0.0)
+    rng = np.random.default_rng(78)
+    for _ in range(10):
+        rho = _random_two_qubit_state(rng)
+        # weight 0 is the dephased signal alone, weight 1 the noise rho_A x I/2 alone
+        assert_allclose(convert_timebin_qubit(rho, 0.3, 0.0), dephase_timebin(rho, 0.3),
+                        atol=1e-15)
+        noise = np.kron(partial_trace_b(rho), np.eye(2) / 2.0)
+        assert_allclose(convert_timebin_qubit(rho, 0.3, 1.0), noise, atol=1e-15)
+        assert_allclose(convert_timebin_qubit(rho, 1.0, 0.5), 0.5 * rho + 0.5 * noise,
+                        atol=1e-15)
+    for weight in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="weight"):
+            convert_timebin_qubit(rho, 1.0, weight)
 
 
 def test_decode_success_probability_is_half():
+    # K = diag(1, e^{i phase})/sqrt(2) keeps the photon with probability
+    # Tr[K rho K+] = 1/2 for every input, so the decoded state is twice that
     rng = np.random.default_rng(77)
+    kraus = np.kron(np.eye(2), np.diag([1.0, np.exp(0.4j)]) / math.sqrt(2.0))
     for _ in range(30):
         rho = _random_two_qubit_state(rng)
-        _, p = timebin_to_pol(rho, 0.4)
-        assert abs(p - 0.5) < 1e-12
+        assert abs(np.trace(kraus @ rho @ kraus.conj().T).real - 0.5) < 1e-12
+        assert_allclose(timebin_to_pol(rho, 0.4), 2.0 * kraus @ rho @ kraus.conj().T,
+                        atol=1e-12)
 
 
 def test_decode_phase_selects_bell_state():
     # encoding is the relabeling H -> S, V -> L, so the encoded state is PHI_PLUS
     enc = density(PHI_PLUS)
-    out, _ = timebin_to_pol(enc, 0.0)
-    assert_allclose(out, density(PHI_PLUS), atol=1e-12)
-    out, _ = timebin_to_pol(enc, math.pi)
-    assert_allclose(out, density(PHI_MINUS), atol=1e-12)
+    assert_allclose(timebin_to_pol(enc, 0.0), density(PHI_PLUS), atol=1e-12)
+    assert_allclose(timebin_to_pol(enc, math.pi), density(PHI_MINUS), atol=1e-12)
 
 
 def test_end_to_end_calibrated_fidelity():
@@ -179,11 +184,19 @@ def test_end_to_end_noiseless_chain_preserves_werner():
 def test_pump_noise_is_white_noise_of_weight_w(**values):
     # the floor that tomo --subtract-bg removes rests on this law: the state is
     # its noiseless self mixed with I/4 at weight w = nu / (s + nu)
-    cfg = replace(PRESETS["calibrated_tomo"](), **values)
+    cfg = PRESETS["calibrated_tomo"]()
+    vars(cfg).update(values)  # unvalidated, so that the law meets a nu beyond float too
+    if math.isfinite(cfg.noise_mean()):
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match=r"noise_coeff \* pump_power=.* W must be finite"):
+            cfg.validate()
     total = cfg.chain_efficiency() + cfg.noise_mean()
     if cfg.interface and not np.finfo(float).tiny <= total < math.inf:
-        with pytest.raises(ConfigError, match="chain efficiency plus pump noise is "):
-            noise_weight(cfg)
+        # the state refuses the sum itself, through the one law that forms w
+        for law in (noise_weight, end_to_end_state):
+            with pytest.raises(ConfigError, match="chain efficiency plus pump noise is "):
+                law(cfg)
         return
     w = noise_weight(cfg)
     assert w == (cfg.noise_mean() / total if cfg.interface else 0.0)
