@@ -13,8 +13,8 @@ import numpy as np
 
 from qfcsim.config import ExperimentConfig
 from qfcsim.conversion import (
-    EfficiencyModel,
     conversion_efficiency,
+    fit_efficiency_curve,
     pump_dephasing_factor,
 )
 from qfcsim.experiments import run_efficiency_sweep
@@ -22,21 +22,20 @@ from qfcsim.experiments import run_efficiency_sweep
 PEAK = 0.62
 COEFF = 3.6  # per W
 
-model = EfficiencyModel(peak=PEAK, coeff=COEFF)
 print("external conversion efficiency vs pump power")
 print(f"  model: eta(P) = {PEAK} * sin^2(sqrt({COEFF} * P/W))")
 print()
 print("   P [mW]    eta")
-for p_mw in (0, 100, 200, 300, 400, 500, 600, 685, 700, 800, 1000):
-    eta = conversion_efficiency(p_mw * 1e-3, model)
-    print(f"  {p_mw:7.0f}  {eta:.4f}")
+p_mw = np.array([0, 100, 200, 300, 400, 500, 600, 685, 700, 800, 1000])
+for p, eta in zip(p_mw, conversion_efficiency(p_mw * 1e-3, PEAK, COEFF)):
+    print(f"  {p:7.0f}  {eta:.4f}")
 
-p_opt = model.peak_power_w
+p_opt = (math.pi / 2.0) ** 2 / COEFF
 print()
 print(f"first maximum at P = (pi/2)^2/{COEFF} = {p_opt*1e3:.1f} mW, "
-      f"eta = {conversion_efficiency(p_opt, model):.4f}")
+      f"eta = {conversion_efficiency(p_opt, PEAK, COEFF):.4f}")
 print(f"the 700 mW operating point sits just past it: "
-      f"eta = {conversion_efficiency(0.7, model):.4f}")
+      f"eta = {conversion_efficiency(0.7, PEAK, COEFF):.4f}")
 
 sweep = run_efficiency_sweep(ExperimentConfig(pump_power=0.7))
 fit = sweep.fit
@@ -48,9 +47,8 @@ print(f"  residual = {fit.residual:.3e}")
 
 # a noisy refit for good measure
 rng = np.random.default_rng(5)
-noisy = [(p, max(0.0, conversion_efficiency(p, model) + rng.normal(0, 0.01)))
+noisy = [(p, max(0.0, conversion_efficiency(p, PEAK, COEFF) + rng.normal(0, 0.01)))
          for p in np.linspace(0.0, 1.1, 45)]
-from qfcsim.conversion import fit_efficiency_curve
 nfit = fit_efficiency_curve(noisy)
 print(f"with 1% gaussian noise on 45 samples: peak = {nfit.peak:.4f}, "
       f"coeff = {nfit.coeff:.4f}")

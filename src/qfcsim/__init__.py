@@ -8,8 +8,8 @@ two-qubit state tomography with entanglement metrics.
 """
 
 from .config import ConfigError, ExperimentConfig, PRESETS
-from .conversion import (EfficiencyFit, EfficiencyModel, conversion_efficiency,
-                         fit_efficiency_curve, pump_dephasing_factor)
+from .conversion import (EfficiencyFit, conversion_efficiency, fit_efficiency_curve,
+                         pump_dephasing_factor)
 from .counting import (CoincidenceWindow, CountSummary, DelayHistogram,
                        FirstClicks, InsufficientEventsError, count_summary,
                        delay_histogram, first_clicks, g2_at_offset,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChshResult", "CoincidenceWindow", "ConfigError",
-    "CountSummary", "DelayHistogram", "EfficiencyFit", "EfficiencyModel",
+    "CountSummary", "DelayHistogram", "EfficiencyFit",
     "EventStream", "ExperimentConfig", "FirstClicks", "InsufficientEventsError",
     "MeasurementSetting", "MleResult", "PHI_PLUS", "PRESETS",
     "check_density_matrix",

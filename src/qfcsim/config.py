@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .conversion import EfficiencyModel, conversion_efficiency
+from .conversion import conversion_efficiency
 
 
 class ConfigError(ValueError):
@@ -171,13 +171,10 @@ class ExperimentConfig:
 
     # -- derived physics helpers -------------------------------------------
 
-    def efficiency_model(self) -> EfficiencyModel:
-        return EfficiencyModel(self.eff_peak, self.eff_coeff)
-
     def chain_efficiency(self) -> float:
         """Conversion efficiency at the configured pump times the residual
         transmittance of the converted arm."""
-        return conversion_efficiency(self.pump_power, self.efficiency_model()) \
+        return conversion_efficiency(self.pump_power, self.eff_peak, self.eff_coeff) \
             * self.extra_transmittance
 
     def noise_mean(self) -> float:

@@ -23,40 +23,23 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class EfficiencyModel:
-    """Pump-power law for external conversion efficiency.
-
-    efficiency(P) = peak * sin^2(sqrt(coeff * P)), with P in W and ``coeff``
-    per W.
+def conversion_efficiency(pump_power_w, peak: float, coeff: float) -> float | np.ndarray:
+    """External conversion efficiency peak * sin^2(sqrt(coeff * P)) at pump
+    power P in W (a float for one power, an array for an array): the mixing
+    unitary at theta = sqrt(coeff * P) sends |1, 0> to |0, 1> with
+    probability sin^2(theta), and ``peak`` scales it to the external value.
     """
-
-    peak: float
-    coeff: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.peak <= 1.0:
-            raise ValueError(f"peak efficiency must lie in [0, 1], got {self.peak}")
-        if not (math.isfinite(self.coeff) and self.coeff > 0.0):
-            raise ValueError(f"coeff must be positive and finite, got {self.coeff}")
-
-    @property
-    def peak_power_w(self) -> float:
-        """Pump power of the first efficiency maximum."""
-        return (math.pi / 2.0) ** 2 / self.coeff
-
-
-def conversion_efficiency(pump_power_w: float, model: EfficiencyModel) -> float:
-    """External conversion efficiency at the given pump power (watts).
-
-    The sin^2 law is the single-photon transfer probability of the mixing:
-    the two-mode unitary at theta = sqrt(coeff * P) sends |1, 0>
-    to |0, 1> with probability sin^2(theta), and ``peak`` scales it to the
-    external efficiency.
-    """
-    if pump_power_w < 0.0 or not math.isfinite(pump_power_w):
-        raise ValueError(f"pump power must be >= 0, got {pump_power_w}")
-    return model.peak * math.sin(math.sqrt(model.coeff * pump_power_w)) ** 2
+    if not 0.0 <= peak <= 1.0:
+        raise ValueError(f"peak efficiency must lie in [0, 1], got {peak}")
+    if not (math.isfinite(coeff) and coeff > 0.0):
+        raise ValueError(f"coeff must be positive and finite, got {coeff}")
+    powers = np.asarray(pump_power_w, dtype=float)
+    bad = powers[~(np.isfinite(powers) & (powers >= 0.0))]
+    if bad.size:
+        raise ValueError(f"pump power must be finite and >= 0, got {bad[0]}")
+    transfer = np.sin(np.sqrt(coeff * powers))
+    effs = peak * (transfer * transfer)
+    return float(effs) if effs.ndim == 0 else effs
 
 
 @dataclass(frozen=True)
@@ -75,10 +58,11 @@ class EfficiencyFit:
     coeff_identifiable: bool = True
     converged: bool = True
 
-    def model(self) -> EfficiencyModel:
-        if not self.coeff_identifiable:
-            raise ValueError("coefficient was not identifiable from the data")
-        return EfficiencyModel(min(max(self.peak, 0.0), 1.0), self.coeff)
+    @property
+    def peak_power_w(self) -> float:
+        """Pump power of the fitted law's first maximum, (pi/2)^2 / coeff;
+        NaN when coeff is not identifiable."""
+        return (math.pi / 2.0) ** 2 / self.coeff
 
 
 def fit_efficiency_curve(samples) -> EfficiencyFit:

@@ -70,8 +70,7 @@ def run_efficiency_sweep(config: ExperimentConfig) -> SweepResult:
         powers_w = np.linspace(0.0, top, max(int(round(top / 2e-3)) + 1, 2))
     except ValueError as exc:  # numpy refuses outright a grid of more bytes than it can address
         raise MemoryError(f"sweep grid up to {top!r} W: {exc}") from exc
-    model = config.efficiency_model()
-    effs = np.array([conversion_efficiency(p, model) for p in powers_w])
+    effs = conversion_efficiency(powers_w, config.eff_peak, config.eff_coeff)
     try:
         fit = fit_efficiency_curve(np.column_stack([powers_w, effs]))
         return SweepResult(powers_w, effs, fit)
@@ -92,7 +91,7 @@ def write_sweep(result: SweepResult, outdir) -> list[Path]:
         pairs = {"peak": fit.peak, "coeff": fit.coeff, "coeff_unit": "per_W",
                  "residual": fit.residual, "coeff_identifiable": fit.coeff_identifiable}
         if fit.coeff_identifiable:
-            pairs["peak_power_w"] = fit.model().peak_power_w
+            pairs["peak_power_w"] = fit.peak_power_w
     pairs["table_peak_power_w"] = result.peak_power_w
     pairs["table_peak_efficiency"] = result.peak_efficiency
     summary = outdir / "sweep_fit.txt"
@@ -119,7 +118,10 @@ class G2Result:
 
     @property
     def sideband_pull(self) -> float:
-        """Deviation of the pooled sideband level from 1 in units of its error."""
+        """Deviation of the pooled sideband level from 1 in units of its error.
+        The window keeps a = erf(W / (4 sigma)) of each offset's coincidences,
+        so uncorrelated pulses give a, not 1: 1 - 3.8e-9 at every preset, but
+        0.623 at 400 ps of jitter sigma, where a sound run reads -3.2."""
         return (self.sideband_mean - 1.0) / self.sideband_mean_error
 
 
@@ -132,9 +134,11 @@ def analyze_g2(clicks: FirstClicks, window: CoincidenceWindow,
     """Zero-delay g2, its error, the histogram of its delays and the
     sidebands at pulse offsets +-1 .. +-``SIDEBAND_REACH``, all from one
     join of a first-click index.  The sidebands probe the accidental
-    level: for uncorrelated pulses they sit at 1, and so does their pooled
-    mean.  A run too short for a meaningful estimate gives NaN values and
-    the ``insufficient`` flag instead of raising.
+    level: the window W keeps a = erf(W / (4 sigma)) of each offset's
+    coincidences at click jitter sigma, so for uncorrelated pulses they and
+    their pooled mean sit at a, while ``sideband_pull`` tests against 1.  A
+    run too short for a meaningful estimate gives NaN values and the
+    ``insufficient`` flag instead of raising.
     """
     reach = SIDEBAND_REACH
     delays, coincidences = pair_delays(clicks, 0, reach, window)

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from qfcsim.config import PRESETS, ExperimentConfig
-from qfcsim.conversion import EfficiencyModel, conversion_efficiency, fit_efficiency_curve
+from qfcsim.conversion import EfficiencyFit, conversion_efficiency, fit_efficiency_curve
 from qfcsim.counting import (
     CoincidenceWindow,
     count_summary,
@@ -70,18 +70,17 @@ def _mzi_benchmark_config():
 
 def test_criterion_1_efficiency_law_and_fit():
     t0 = time.time()
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
     # the law peaks at 0.62 and the first maximum sits at (pi/2)^2/3.6 W
-    peak_power = model.peak_power_w
+    peak_power = EfficiencyFit(peak=0.62, coeff=3.6, residual=0.0).peak_power_w
     ok = abs(peak_power - 0.6853891945200943) < 1e-9
-    ok = ok and abs(conversion_efficiency(peak_power, model) - 0.62) < 1e-12
+    ok = ok and abs(conversion_efficiency(peak_power, 0.62, 3.6) - 0.62) < 1e-12
     # fitting the sampled curve returns the generating parameters
     sweep = run_efficiency_sweep(ExperimentConfig(pump_power=0.7))
     fit = sweep.fit
     ok = ok and fit is not None and fit.coeff_identifiable
     ok = ok and abs(fit.peak - 0.62) < 1e-6 and abs(fit.coeff - 3.6) < 1e-6
     # and an independent fit on a sparser grid agrees
-    sparse = [(p, conversion_efficiency(p, model)) for p in np.linspace(0.0, 1.1, 12)]
+    sparse = [(p, conversion_efficiency(p, 0.62, 3.6)) for p in np.linspace(0.0, 1.1, 12)]
     fit2 = fit_efficiency_curve(sparse)
     ok = ok and abs(fit2.peak - 0.62) < 1e-6 and abs(fit2.coeff - 3.6) < 1e-6
     elapsed = time.time() - t0

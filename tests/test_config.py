@@ -15,7 +15,7 @@ from qfcsim.config import (
     SOURCE_KINDS,
     parse_scalar,
 )
-from qfcsim.conversion import pump_dephasing_factor
+from qfcsim.conversion import conversion_efficiency, pump_dephasing_factor
 
 #: every field typed float, whose non-finite values validate refuses
 FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
@@ -308,8 +308,10 @@ def test_config_files_match_presets():
 def test_noise_mean_and_helpers():
     cfg = ExperimentConfig(noise_coeff=0.2, pump_power=0.5)
     assert cfg.noise_mean() == pytest.approx(0.1)
-    model = cfg.efficiency_model()
-    assert model.peak == cfg.eff_peak
+    # the chain efficiency is the law at the configured pump, times the
+    # converted arm's residual transmittance
+    assert cfg.chain_efficiency() == conversion_efficiency(
+        cfg.pump_power, cfg.eff_peak, cfg.eff_coeff) * cfg.extra_transmittance
 
 
 def test_seed_override_roundtrip():

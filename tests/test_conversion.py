@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_max_ulp
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from qfcsim.conversion import (
-    EfficiencyModel,
+    EfficiencyFit,
     conversion_efficiency,
     fit_efficiency_curve,
     pump_dephasing_factor,
@@ -78,13 +79,12 @@ def _extended_loss(peak, coeff, samples):
 
 def _noisy_sets():
     """20 noisy 40-point sets, then the demo's noisy 45-point set."""
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
     rng = np.random.default_rng(777)
     powers = np.linspace(0.02, 0.7, 40)
-    sets = [[(p, conversion_efficiency(float(p), model) + rng.normal(0.0, 0.01))
+    sets = [[(p, conversion_efficiency(float(p), 0.62, 3.6) + rng.normal(0.0, 0.01))
              for p in powers] for _ in range(20)]
     rng = np.random.default_rng(5)
-    sets.append([(p, max(0.0, conversion_efficiency(p, model) + rng.normal(0, 0.01)))
+    sets.append([(p, max(0.0, conversion_efficiency(p, 0.62, 3.6) + rng.normal(0, 0.01)))
                  for p in np.linspace(0.0, 1.1, 45)])
     return sets
 
@@ -158,39 +158,64 @@ def test_two_photon_interference_null():
 
 
 def test_efficiency_law_values():
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
-    assert abs(conversion_efficiency(0.7, model) - EFF_AT_700MW) < 1e-12
-    assert abs(model.peak_power_w - PEAK_POWER_W) < 1e-12
-    assert abs(conversion_efficiency(model.peak_power_w, model) - 0.62) < 1e-12
-    assert conversion_efficiency(0.0, model) == 0.0
+    assert abs(conversion_efficiency(0.7, 0.62, 3.6) - EFF_AT_700MW) < 1e-12
+    peak_power = EfficiencyFit(peak=0.62, coeff=3.6, residual=0.0).peak_power_w
+    assert abs(peak_power - PEAK_POWER_W) < 1e-12
+    assert abs(conversion_efficiency(peak_power, 0.62, 3.6) - 0.62) < 1e-12
+    assert conversion_efficiency(0.0, 0.62, 3.6) == 0.0
+    # one power gives a Python float, an array of powers an array
+    assert type(conversion_efficiency(np.float64(0.7), 0.62, 3.6)) is float
+    effs = conversion_efficiency(np.array([0.0, 0.7, peak_power]), 0.62, 3.6)
+    assert effs.tolist() == [conversion_efficiency(p, 0.62, 3.6) for p in (0.0, 0.7, peak_power)]
+
+
+@pytest.mark.parametrize("peak, coeff, power", [
+    (-0.1, 3.6, 0.7), (1.1, 3.6, 0.7), (math.nan, 3.6, 0.7),
+    (0.62, 0.0, 0.7), (0.62, -1.0, 0.7), (0.62, math.nan, 0.7), (0.62, math.inf, 0.7),
+    (0.62, 3.6, -1.0), (0.62, 3.6, math.nan), (0.62, 3.6, math.inf),
+])
+def test_efficiency_law_refuses_bad_arguments(peak, coeff, power):
+    # each bad value is refused alone and as one entry of an array of
+    # otherwise good powers
+    with pytest.raises(ValueError):
+        conversion_efficiency(power, peak, coeff)
+    with pytest.raises(ValueError):
+        conversion_efficiency(np.array([0.0, 0.3, power, 0.7]), peak, coeff)
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(peak=st.floats(0.0, 1.0), coeff=st.floats(1e-3, 1e3),
+       top=st.floats(1e-3, 100.0), n=st.integers(2, 2_000))
+def test_efficiency_law_array_matches_scalar_reference(peak, coeff, top, n):
+    # the array form squares by x * x where the scalar reference calls
+    # pow, so a rare point rounds apart, by at most 2 ulp
+    powers = np.linspace(0.0, top, n)
+    reference = [peak * math.sin(math.sqrt(coeff * p)) ** 2 for p in powers]
+    assert_array_max_ulp(conversion_efficiency(powers, peak, coeff), np.array(reference), 2)
 
 
 def test_efficiency_law_matches_fock_unitary():
     # the closed form is peak times the single-photon transfer probability
     # |<0,1|U|1,0>|^2 of the two-mode unitary at theta = sqrt(coeff * P)
-    for model in (EfficiencyModel(peak=0.62, coeff=3.6),
-                  EfficiencyModel(peak=0.9, coeff=1.2)):
+    for peak, coeff in ((0.62, 3.6), (0.9, 1.2)):
         for power in np.linspace(0.0, 2.5, 26):
-            theta = math.sqrt(model.coeff * power)
+            theta = math.sqrt(coeff * power)
             u = _unitary(theta, phi=0.3, n_max=1)
             transfer = abs(u[_index(1, 0, 1), _index(1, 1, 0)]) ** 2
-            assert abs(conversion_efficiency(float(power), model)
-                       - model.peak * transfer) < 1e-12
+            assert abs(conversion_efficiency(float(power), peak, coeff)
+                       - peak * transfer) < 1e-12
 
 
 def test_efficiency_monotone_up_to_peak():
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
-    grid = np.linspace(0.0, model.peak_power_w, 200)
-    effs = [conversion_efficiency(float(p), model) for p in grid]
-    assert all(b > a for a, b in zip(effs, effs[1:]))
+    effs = conversion_efficiency(np.linspace(0.0, PEAK_POWER_W, 200), 0.62, 3.6)
+    assert np.all(np.diff(effs) > 0.0)
     # and it comes back down past the peak
-    assert conversion_efficiency(2.5, model) < 0.62
+    assert conversion_efficiency(2.5, 0.62, 3.6) < 0.62
 
 
 def test_fit_recovers_exact_curve():
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
     powers = np.linspace(0.0, 0.7, 30)
-    samples = [(float(p), conversion_efficiency(float(p), model)) for p in powers]
+    samples = [(float(p), conversion_efficiency(float(p), 0.62, 3.6)) for p in powers]
     fit = fit_efficiency_curve(samples)
     assert fit.converged and fit.coeff_identifiable
     assert abs(fit.peak - 0.62) < 1e-6
@@ -208,8 +233,7 @@ def test_fit_with_noise_stays_close():
 def test_fit_matches_scipy_reference():
     # no worse than multi-start trust-region least squares on the noisy
     # sets and on the sparse exact grid of acceptance criterion 1
-    model = EfficiencyModel(peak=0.62, coeff=3.6)
-    sparse = [(p, conversion_efficiency(p, model)) for p in np.linspace(0.0, 1.1, 12)]
+    sparse = [(p, conversion_efficiency(p, 0.62, 3.6)) for p in np.linspace(0.0, 1.1, 12)]
     for samples in _noisy_sets() + [sparse]:
         fit = fit_efficiency_curve(samples)
         ours = _extended_loss(fit.peak, fit.coeff, samples)
@@ -223,8 +247,7 @@ def test_fit_zero_data_flags_unidentifiable():
     assert fit.peak == 0.0
     assert math.isnan(fit.coeff)
     assert not fit.coeff_identifiable
-    with pytest.raises(ValueError):
-        fit.model()
+    assert math.isnan(fit.peak_power_w)
 
 
 def test_fit_input_validation():

@@ -44,7 +44,33 @@ def test_sweep_default_grid_and_fit():
     assert abs(res.fit.peak - 0.62) < 1e-9
     assert abs(res.fit.coeff - 3.6) < 1e-9
     # the sampled maximum sits below the true peak power on this grid
-    assert abs(res.peak_power_w - res.fit.model().peak_power_w) < 2e-3
+    assert abs(res.peak_power_w - res.fit.peak_power_w) < 2e-3
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_sweep_table_is_the_scalar_law(name):
+    # on every preset's grid the one array evaluation of the law equals the
+    # scalar reference bit for bit
+    cfg = PRESETS[name]()
+    res = run_efficiency_sweep(cfg)
+    reference = [cfg.eff_peak * math.sin(math.sqrt(cfg.eff_coeff * p)) ** 2
+                 for p in res.powers_w]
+    assert res.efficiencies.tolist() == reference
+
+
+def test_sweep_evaluates_the_law_once(monkeypatch):
+    # the whole grid goes through the law in one call, not one per power
+    calls = []
+    law = experiments.conversion_efficiency
+
+    def counted(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(experiments, "conversion_efficiency", counted)
+    res = run_efficiency_sweep(PRESETS["calibrated_tomo"]())
+    assert len(calls) == 1
+    assert len(res.efficiencies) == 351
 
 
 def test_sweep_degenerate_grid_records_fit_error(tmp_path):

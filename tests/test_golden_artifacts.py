@@ -2,19 +2,18 @@
 
 ``golden_artifacts.sha256`` holds the ``sha256  path`` lines that
 ``tools/artifact_manifest.py`` prints for all seven presets, each at its
-config seed, and the python and numpy versions they were made under.  A
-change that moves a value updates the listing in the same commit.  numpy
-does not promise the same Generator streams across versions (NEP 19), so a
-mismatch names those versions beside the files that moved.
+config seed, and the python and numpy versions and the OpenBLAS core type
+they were made under.  A change that moves a value updates the listing in
+the same commit.  numpy does not promise the same Generator streams across
+versions (NEP 19), and the tomography fit's bytes depend on the OpenBLAS
+kernel, so a mismatch quotes the listing's ``# made under`` line and this
+run's beside the files that moved.
 """
 
-import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LISTING = Path(__file__).with_name("golden_artifacts.sha256")
@@ -38,12 +37,13 @@ def test_preset_artifacts_match_golden_listing():
             [sys.executable, str(ROOT / "tools" / "artifact_manifest.py"), out, *PRESETS],
             capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    got = _hashes(proc.stdout.splitlines())
+    got_lines = proc.stdout.splitlines()
+    got = _hashes(got_lines)
+    run_under = next(line for line in got_lines if line.startswith("# made under"))
     moved = sorted(path for path in want.keys() | got.keys() if want.get(path) != got.get(path))
     assert not moved, (
         f"{len(moved)} artifact(s) differ from {LISTING.name}: {', '.join(moved)}. "
-        f"The listing was {made_under[2:]}; this run used python "
-        f"{platform.python_version()}, numpy {np.__version__}.")
+        f"The listing was {made_under[2:]}; this run was {run_under[2:]}.")
 
 
 def test_analyze_stream_listing_equals_the_g2_run():

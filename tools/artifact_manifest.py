@@ -10,7 +10,9 @@ preset the set is ``sweep``; for a ``*_g2`` preset also ``g2
 preset also ``tomo``, ``tomo --subtract-bg --timebin-histogram``, and
 ``analyze --counts`` on the raw counts without and with ``--bg-rate 0.2Hz``.
 The seven preset files give 55 files.  The output is two ``#`` lines (the
-file count, and the python and numpy versions), then ``sha256  path`` per
+file count, and the python and numpy versions with the core type of the
+OpenBLAS that numpy loaded, which picks the kernels the tomography fit's
+products run on), then ``sha256  path`` per
 file, sorted by the path relative to OUT, so the manifests of two
 checkouts compare with ``diff``.  With no PRESET, every preset file runs,
 and the output is ``tests/golden_artifacts.sha256`` line for line.  Each
@@ -21,13 +23,15 @@ forks a worker, so that is the command's own peak.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import platform
 import subprocess
 import sys
-from importlib.metadata import version
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESET_DIR = ROOT / "src" / "qfcsim" / "presets"
@@ -72,6 +76,20 @@ def run_command(args: list[str], env: dict) -> tuple[int, str, float]:
     return proc.returncode, stderr, usage.ru_maxrss / 1024.0
 
 
+def blas_core() -> str:
+    """Core type of the OpenBLAS in ``numpy.libs`` as numpy loaded it (an
+    ``OPENBLAS_CORETYPE`` override included), or ``unknown`` where no such
+    library or symbol is found."""
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        library = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
+        corename = library.scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -105,7 +123,8 @@ def main(argv: list[str]) -> int:
              else f"the presets {', '.join(presets)}")
     print(f"# sha256  path of the {len(files)} files that tools/artifact_manifest.py "
           f"writes for {scope}")
-    print(f"# made under python {platform.python_version()}, numpy {version('numpy')}")
+    print(f"# made under python {platform.python_version()}, numpy {numpy.__version__}, "
+          f"OpenBLAS core {blas_core()}")
     for path in files:
         print(f"{sha256(path)}  {path.relative_to(out).as_posix()}")
     return 0
